@@ -16,7 +16,7 @@ import argparse
 
 from ccomb.fixtures import additive_demo_pair
 from ccomb.graphs import root_moments
-from ccomb.linalg import state_moments
+from ccomb.linalg import sparse_moments
 from ccomb.products import c_comb_product, comb_at_product, essential_decomposition
 from ccomb.series import additive_convolve
 
@@ -32,8 +32,8 @@ def main():
     decomposition = essential_decomposition(g1.at_first(), g2)
 
     walks = root_moments(essential.graph, order).coeffs
-    operator = state_moments(
-        decomposition.total(), order, decomposition.phi_index
+    operator = sparse_moments(
+        (decomposition.total_columns(),), order, decomposition.phi_index
     )
     transform = additive_convolve(
         "c-monotone",

@@ -14,13 +14,11 @@ Usage:
 import argparse
 
 from ccomb.fixtures import multiplicative_demo_pair
-from ccomb.graphs import adjacency_matrix, count_d_walks, root_moments
-from ccomb.linalg import state_moments
+from ccomb.graphs import count_d_walks, root_moments, two_step_moments
 from ccomb.products import c_comb_loop_product
 from ccomb.series import (
     coefficient_formula,
     eta_from_moments,
-    moment_series,
     multiplicative_convolve,
 )
 
@@ -33,10 +31,7 @@ def main():
 
     g1, g2 = multiplicative_demo_pair()
     prod = c_comb_loop_product(g1, g2)
-    z = adjacency_matrix(prod.graph, 2) * adjacency_matrix(prod.graph, 1)
-    eta_graph = eta_from_moments(
-        moment_series(state_moments(z, order, prod.graph.root))
-    )
+    eta_graph = eta_from_moments(two_step_moments(prod.graph, order))
 
     eta1 = eta_from_moments(root_moments(g1, order))
     eta2 = eta_from_moments(root_moments(g2, order))
@@ -64,7 +59,7 @@ def main():
         )
 
     at_f = eta_from_moments(
-        moment_series(state_moments(z, order, prod.graph.second_root))
+        two_step_moments(prod.graph, order, at=prod.graph.second_root)
     )
     monotone = multiplicative_convolve(
         "monotone",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as gio
-from .graphs import BirootedGraph, adjacency_matrix, root_moments
+from .graphs import BirootedGraph, adjacency_matrix, root_moments, two_step_moments
 from .independence import (
     AlgebraModel,
     ModelFunctional,
@@ -43,7 +43,6 @@ from .independence import (
     oracle_cmonotone,
     parse_word,
 )
-from .linalg import state_moments
 from .products import (
     c_comb_decomposition,
     c_comb_loop_product,
@@ -208,14 +207,17 @@ def _walk_column_additive(kind, g1, g2, order):
 def _walk_column_multiplicative(kind, g1, g2, order):
     if g1 is None or g2 is None or kind not in ("monotone", "c-monotone"):
         return None
-    if kind == "monotone":
-        prod = comb_loop_product(g1, g2)
-        at = prod.graph.root
-    else:
-        prod = c_comb_loop_product(g1, g2)
-        at = prod.graph.root
-    z = adjacency_matrix(prod.graph, 2) * adjacency_matrix(prod.graph, 1)
-    return eta_from_moments(moment_series(state_moments(z, order, at))).coeffs
+    build = comb_loop_product if kind == "monotone" else c_comb_loop_product
+    return eta_from_moments(two_step_moments(build(g1, g2).graph, order)).coeffs
+
+
+def _nu2_fallback(inputs, order):
+    """nu2 of a c-monotone kind whose second graph is not birooted."""
+    if len(inputs) < 3:
+        raise _CliError(
+            "c-monotone needs a birooted second graph or a third table for nu2"
+        )
+    return _load_additive_input(inputs[2], order)[1]
 
 
 def _cmd_convolve(args) -> int:
@@ -226,14 +228,7 @@ def _cmd_convolve(args) -> int:
             g1, mu1, _ = _load_additive_input(args.inputs[0], order)
             g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
             if kind == "c-monotone" and nu2 is None:
-                if len(args.inputs) < 3:
-                    print(
-                        "error: c-monotone needs a birooted second graph "
-                        "or a third table for nu2",
-                        file=sys.stderr,
-                    )
-                    return 2
-                _, nu2, _ = _load_additive_input(args.inputs[2], order)
+                nu2 = _nu2_fallback(args.inputs, order)
             result = additive_convolve(kind, mu1, mu2, nu2 if kind == "c-monotone" else None)
             values = result.coeffs
             first = 0
@@ -243,17 +238,9 @@ def _cmd_convolve(args) -> int:
             g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
             eta1 = eta_from_moments(mu1)
             eta2 = eta_from_moments(mu2)
+            if kind == "c-monotone" and nu2 is None:
+                nu2 = _nu2_fallback(args.inputs, order)
             eta_nu = eta_from_moments(nu2) if nu2 is not None else None
-            if kind == "c-monotone" and eta_nu is None:
-                if len(args.inputs) < 3:
-                    print(
-                        "error: c-monotone needs a birooted second graph "
-                        "or a third table for nu2",
-                        file=sys.stderr,
-                    )
-                    return 2
-                _, nu_m, _ = _load_additive_input(args.inputs[2], order)
-                eta_nu = eta_from_moments(nu_m)
             result = multiplicative_convolve(
                 kind, eta1, eta2, eta_nu if kind == "c-monotone" else None
             )
@@ -294,7 +281,7 @@ def _cmd_word_moment(args) -> int:
         return 2
     dec = c_comb_decomposition(g1, g2)
     realization = Realization(
-        {(1, "a"): dec.s1, (2, "a"): dec.s2},
+        {(1, "a"): dec.cols1, (2, "a"): dec.cols2},
         dec.ambient_dim,
         dec.phi_index,
         dec.psi_index,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, sparse_apply, sparse_columns
+from .linalg import Matrix, sparse_moments
+# graphs.sparse_apply stays bound: perfbench's tracer tests patch it here
+from .linalg import sparse_apply  # noqa: F401
 from .series import MomentSeries
 
 __all__ = [
@@ -23,7 +25,9 @@ __all__ = [
     "birooted",
     "colored",
     "adjacency_matrix",
+    "adjacency_columns",
     "root_moments",
+    "two_step_moments",
     "disjoint_union",
     "brute_force_closed_walks",
     "count_d_walks",
@@ -167,20 +171,43 @@ def adjacency_matrix(g, color: int | None = None) -> Matrix:
     return Matrix(n, n, tuple(data))
 
 
+def adjacency_columns(g, color: int | None = None) -> list:
+    """Column-sparse adjacency operator built from the edge list, with the
+    multiplicities of `adjacency_matrix`: a loop adds 1 per color, and with
+    no color argument a pair carrying both colors counts 2."""
+    if isinstance(g, ColoredGraph):
+        pairs = [(i, j) for i, j, c in g.colored_edges if color in (None, c)]
+    elif color is not None:
+        raise ValueError("color requested on an uncolored graph")
+    else:
+        pairs = g.edges
+    cols = [{} for _ in range(g.vertex_count)]
+    for i, j in pairs:
+        cols[j][i] = cols[j].get(i, 0) + 1
+        if i != j:
+            cols[i][j] = cols[i].get(j, 0) + 1
+    return [sorted(col.items()) for col in cols]
+
+
 def root_moments(g, order: int, at: int | None = None) -> MomentSeries:
     """Closed-walk counts at a vertex: M_n = (a^n)[at][at] for n = 0..order."""
     if at is None:
         at = g.root
     if not 0 <= at < g.vertex_count:
         raise ValueError("vertex out of range")
-    a = adjacency_matrix(g)
-    cols = sparse_columns(a)
-    vec = {at: 1}
-    out = [1]
-    for _ in range(order):
-        vec = sparse_apply(cols, vec)
-        out.append(vec.get(at, 0))
-    return MomentSeries(tuple(out))
+    return MomentSeries(sparse_moments((adjacency_columns(g),), order, at))
+
+
+def two_step_moments(
+    g: ColoredGraph, order: int, at: int | None = None
+) -> MomentSeries:
+    """Moments <delta_at, Z^n delta_at> of the two-step operator
+    Z = A2 * A1 built from the color-1 and color-2 adjacencies: each step
+    applies A1, then A2."""
+    if at is None:
+        at = g.root
+    steps = (adjacency_columns(g, 1), adjacency_columns(g, 2))
+    return MomentSeries(sparse_moments(steps, order, at))
 
 
 def disjoint_union(g1: RootedGraph, g2: RootedGraph) -> BirootedGraph:

@@ -32,18 +32,20 @@ phi reads the first block, psi the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .linalg import (
     Matrix,
     basis_projection,
-    complement_projection,
-    direct_sum,
-    kron,
-    kron_all,
     sparse_apply,
     sparse_columns,
+    sparse_complement,
+    sparse_direct_sum,
+    sparse_identity,
+    sparse_kron,
+    sparse_projection,
+    sparse_sum,
     tensor_index,
 )
 
@@ -313,20 +315,21 @@ def oracle_cmonotone_all_orders(word, pairs: dict) -> frozenset:
 class Realization:
     """Realized operator family with one or two product vector states.
 
-    `operators` maps (algebra index, element name) to the ambient matrix;
-    moments are vector states at `phi_index` (and `psi_index` when present).
+    `operators` maps (algebra index, element name) to the ambient operator,
+    column-sparse (see linalg); a dense `Matrix` value is converted once.
+    Moments are vector states at `phi_index` (and `psi_index` when present).
     """
 
     operators: dict
     dim: int
     phi_index: int
     psi_index: int | None = None
-    _columns: dict = field(default_factory=dict, repr=False)
 
-    def _cols(self, key):
-        if key not in self._columns:
-            self._columns[key] = sparse_columns(self.operators[key])
-        return self._columns[key]
+    def __post_init__(self):
+        self.operators = {
+            key: sparse_columns(op) if isinstance(op, Matrix) else op
+            for key, op in self.operators.items()
+        }
 
     def _state_index(self, state: str) -> int:
         if state == "phi":
@@ -341,7 +344,7 @@ class Realization:
         at = self._state_index(state)
         vec = {at: 1}
         for key in reversed(list(word)):
-            vec = sparse_apply(self._cols(key), vec)
+            vec = sparse_apply(self.operators[key], vec)
         return vec.get(at, 0)
 
     def evaluator(self, state: str = "phi") -> "WordMomentEvaluator":
@@ -367,7 +370,7 @@ class WordMomentEvaluator:
     def _vector(self, word: tuple) -> dict:
         if word not in self._vectors:
             tail = self._vector(word[1:])
-            self._vectors[word] = sparse_apply(self.r._cols(word[0]), tail)
+            self._vectors[word] = sparse_apply(self.r.operators[word[0]], tail)
         return self._vectors[word]
 
     def moment(self, word):
@@ -397,37 +400,39 @@ def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Reali
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown independence kind {kind!r}")
     d1, d2 = model1.dim, model2.dim
-    q = basis_projection(d2, model2.xi)
+    right = sparse_identity(d2) if kind == "tensor" else sparse_projection(d2, model2.xi)
     operators = {}
     for name, a in model1.elements.items():
-        operators[(1, name)] = kron(a, Matrix.identity(d2) if kind == "tensor" else q)
+        operators[(1, name)] = sparse_kron(sparse_columns(a), right)
     if kind == "boolean":
-        left = basis_projection(d1, model1.xi)
+        left = sparse_projection(d1, model1.xi)
     elif kind == "orthogonal":
-        left = complement_projection(d1, model1.xi)
+        left = sparse_complement(d1, model1.xi)
     else:
-        left = Matrix.identity(d1)
+        left = sparse_identity(d1)
     for name, b in model2.elements.items():
-        operators[(2, name)] = kron(left, b)
+        operators[(2, name)] = sparse_kron(left, sparse_columns(b))
     return Realization(operators, d1 * d2, model1.xi * d2 + model2.xi)
 
 
 def _pair_block(model1, model2, anchor1, anchor_mid, anchor_right, variant):
     d1, d2 = model1.dim, model2.dim
-    p1 = basis_projection(d1, anchor1)
-    p1c = complement_projection(d1, anchor1)
-    p_mid = basis_projection(d2, anchor_mid)
-    p_right = basis_projection(d2, anchor_right)
-    i2 = Matrix.identity(d2)
+    p1 = sparse_projection(d1, anchor1)
+    p1c = sparse_complement(d1, anchor1)
+    p_mid = sparse_projection(d2, anchor_mid)
+    p_right = sparse_projection(d2, anchor_right)
+    i2 = sparse_identity(d2)
     ops1 = {
-        name: kron_all(a, p_mid, p_right) for name, a in model1.elements.items()
+        name: sparse_kron(sparse_columns(a), p_mid, p_right)
+        for name, a in model1.elements.items()
     }
     ops2 = {}
     for name, b in model2.elements.items():
+        b = sparse_columns(b)
         if variant:
-            ops2[name] = kron_all(p1, b, p_right) + kron_all(p1c, p_mid, b)
+            ops2[name] = sparse_sum(sparse_kron(p1, b, p_right), sparse_kron(p1c, p_mid, b))
         else:
-            ops2[name] = kron_all(p1, b, i2) + kron_all(p1c, i2, b)
+            ops2[name] = sparse_sum(sparse_kron(p1, b, i2), sparse_kron(p1c, i2, b))
     return ops1, ops2
 
 
@@ -461,9 +466,9 @@ def realize_cmonotone_pair(
     )
     operators = {}
     for name in model1.elements:
-        operators[(1, name)] = direct_sum(phi1[name], psi1[name])
+        operators[(1, name)] = sparse_direct_sum(phi1[name], psi1[name])
     for name in model2.elements:
-        operators[(2, name)] = direct_sum(phi2[name], psi2[name])
+        operators[(2, name)] = sparse_direct_sum(phi2[name], psi2[name])
     phi_index = (model1.xi * d2 + model2.xi) * d2 + model2.eta
     psi_index = block + (model1.eta * d2 + model2.eta) * d2 + model2.eta
     return Realization(operators, 2 * block, phi_index, psi_index)
@@ -484,14 +489,16 @@ def _family_block(models, anchors):
     dims = []
     for m in models:
         dims.extend((m.dim, m.dim))
-    idents = [Matrix.identity(d) for d in dims]
+    idents = [sparse_identity(d) for d in dims]
 
     def leg_proj(k, which):
-        return basis_projection(models[k].dim, anchors[k][which])
+        return sparse_projection(models[k].dim, anchors[k][which])
 
     ops: dict = {}
     for j, model in enumerate(models):
         for name, a in model.elements.items():
+            a = sparse_columns(a)
+
             def legs(term):
                 out = []
                 for k in range(n):
@@ -503,8 +510,12 @@ def _family_block(models, anchors):
                         out.extend((leg_proj(k, 0), leg_proj(k, 1)))
                 return out
 
-            big = kron_all(*legs(1)) + kron_all(*legs(2)) - kron_all(*legs(3))
-            ops[(j, name)] = big
+            ops[(j, name)] = sparse_sum(
+                sparse_kron(*legs(1)),
+                sparse_kron(*legs(2)),
+                sparse_kron(*legs(3)),
+                signs=(1, 1, -1),
+            )
     vector = []
     for k in range(n):
         vector.extend(anchors[k])
@@ -539,7 +550,7 @@ def realize_cmonotone_family(
     for d in dims:
         block *= d
     operators = {
-        key: direct_sum(phi_ops[key], psi_ops[key]) for key in phi_ops
+        key: sparse_direct_sum(phi_ops[key], psi_ops[key]) for key in phi_ops
     }
     phi_index = tensor_index(dims, phi_vec)
     psi_index = block + tensor_index(dims, psi_vec)

@@ -41,6 +41,10 @@ class GraphFormatError(ValueError):
 _KNOWN_KEYS = ("vertices", "root", "second_root", "edges", "labels")
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph(text: str):
     """Parse graph-file text; returns (graph, labels_or_None)."""
     fields: dict = {}
@@ -63,18 +67,20 @@ def parse_graph(text: str):
     try:
         n = int(fields["vertices"])
         root = int(fields["root"])
+        second = int(fields["second_root"]) if "second_root" in fields else None
         raw_edges = json.loads(fields["edges"])
     except (ValueError, json.JSONDecodeError) as exc:
         raise GraphFormatError(f"bad field value: {exc}") from exc
-    second = int(fields["second_root"]) if "second_root" in fields else None
     labels = None
     if "labels" in fields:
         try:
             labels = tuple(tuple(x) for x in json.loads(fields["labels"]))
         except (TypeError, json.JSONDecodeError) as exc:
             raise GraphFormatError(f"bad labels value: {exc}") from exc
-    if not isinstance(raw_edges, list):
-        raise GraphFormatError("edges must be a list")
+    if not isinstance(raw_edges, list) or not all(
+        isinstance(e, list) and all(_is_index(x) for x in e) for e in raw_edges
+    ):
+        raise GraphFormatError("edges must be a list of lists of integers")
     if labels is not None and len(labels) != n:
         raise GraphFormatError("labels must list one entry per vertex")
     lengths = {len(e) for e in raw_edges}

@@ -1,10 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals: column-sparse operators, plus
+a small dense matrix type kept for factor-size models and test references.
 
 The scalar carrier is plain ``int`` / ``fractions.Fraction``, so every
 identity checked downstream holds exactly; floats are rejected at the
-validated constructors and never enter. Matrices are immutable after
+validated constructors and never enter. Values are never mutated after
 construction and all operations are pure, which makes concurrent read-only
 use safe.
+
+Operators on the ambient tensor spaces and on product graphs are
+column-sparse: a square operator of dimension n is a list of n columns, each
+the list of its ``(row, value)`` nonzeros in increasing row order. Builders
+(`sparse_identity`, `sparse_projection`, `sparse_complement`, `sparse_kron`,
+`sparse_sum`, `sparse_direct_sum`) keep that order, so two operators are
+equal exactly when their column lists are. `sparse_apply` maps a sparse
+vector ``{index: value}`` and `sparse_moments` is the one moment kernel.
+The dense `Matrix`, `kron`, `kron_all`, `direct_sum`, the dense projections
+and `flip23_permutation` remain for the factor-size oracle models and as
+test-size references.
 
 Index convention, fixed project-wide: the Kronecker product ``kron(A, B)``
 uses the composite index ``(i, k) -> i * dim_B + k``, i.e. leg order is
@@ -30,6 +42,14 @@ __all__ = [
     "tensor_index",
     "sparse_columns",
     "sparse_apply",
+    "sparse_identity",
+    "sparse_projection",
+    "sparse_complement",
+    "sparse_kron",
+    "sparse_sum",
+    "sparse_direct_sum",
+    "sparse_to_matrix",
+    "sparse_moments",
 ]
 
 _SCALARS = (int, Fraction)
@@ -116,18 +136,6 @@ class Matrix:
             for i in range(self.rows)
         )
         return Matrix(self.cols, self.rows, data)
-
-    def apply(self, vec) -> list:
-        """Matrix-vector product with a dense list."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = []
-        d = self.data
-        c = self.cols
-        for i in range(self.rows):
-            base = i * c
-            out.append(sum(d[base + j] * vec[j] for j in range(c) if vec[j]))
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -274,6 +282,82 @@ def sparse_columns(a: Matrix) -> list:
     return cols
 
 
+def sparse_to_matrix(cols: list) -> Matrix:
+    """Dense square matrix of a column-sparse operator (test-size use)."""
+    n = len(cols)
+    data = [0] * (n * n)
+    for j, col in enumerate(cols):
+        for r, v in col:
+            data[r * n + j] = v
+    return Matrix(n, n, tuple(data))
+
+
+def sparse_identity(n: int) -> list:
+    return [[(i, 1)] for i in range(n)]
+
+
+def sparse_projection(n: int, i: int) -> list:
+    """Rank-one projection onto the i-th coordinate axis."""
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range for dimension {n}")
+    return [[(i, 1)] if j == i else [] for j in range(n)]
+
+
+def sparse_complement(n: int, i: int) -> list:
+    """Identity minus the coordinate projection."""
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range for dimension {n}")
+    return [[] if j == i else [(j, 1)] for j in range(n)]
+
+
+def sparse_kron(*legs) -> list:
+    """Kronecker product of square column-sparse legs, same index
+    convention as `kron`; only the nonzeros of the result are visited."""
+    if not legs:
+        raise ValueError("empty Kronecker product")
+    out = legs[0]
+    for leg in legs[1:]:
+        d = len(leg)
+        out = [
+            [(i * d + k, a * b) for i, a in col for k, b in leg_col]
+            for col in out
+            for leg_col in leg
+        ]
+    return out
+
+
+def sparse_sum(*ops, signs=None) -> list:
+    """Signed sum of column-sparse operators of one dimension; `signs` holds
+    one exact coefficient per operator (all 1 by default)."""
+    if not ops:
+        raise ValueError("empty sum")
+    n = len(ops[0])
+    if any(len(op) != n for op in ops):
+        raise ValueError("shape mismatch in addition")
+    if signs is None:
+        signs = (1,) * len(ops)
+    out = []
+    for j in range(n):
+        acc: dict = {}
+        for op, sign in zip(ops, signs):
+            for r, v in op[j]:
+                acc[r] = acc.get(r, 0) + sign * v
+        out.append(sorted((r, v) for r, v in acc.items() if v))
+    return out
+
+
+def sparse_direct_sum(*ops) -> list:
+    """Block-diagonal sum; block order follows the argument order."""
+    if not ops:
+        raise ValueError("empty direct sum")
+    out = []
+    off = 0
+    for op in ops:
+        out.extend([(off + r, v) for r, v in col] for col in op)
+        off += len(op)
+    return out
+
+
 def sparse_apply(cols: list, vec: dict) -> dict:
     """Apply a column-sparse matrix to a sparse vector {index: value}."""
     out: dict = {}
@@ -281,6 +365,22 @@ def sparse_apply(cols: list, vec: dict) -> dict:
         for r, v in cols[c]:
             out[r] = out.get(r, 0) + v * x
     return {k: v for k, v in out.items() if v}
+
+
+def sparse_moments(steps, order: int, at: int) -> tuple:
+    """The sequence <delta_at, Z^n delta_at> for n = 0..order, where one
+    step Z applies the column-sparse operators of `steps` in turn (first
+    operator first): closed-walk counts for ``(A,)``, two-step moments of
+    Z = A2 * A1 for ``(A1, A2)``."""
+    if not 0 <= at < len(steps[0]):
+        raise IndexError("state index out of range")
+    vec = {at: 1}
+    out = [1]
+    for _ in range(order):
+        for cols in steps:
+            vec = sparse_apply(cols, vec)
+        out.append(vec.get(at, 0))
+    return tuple(out)
 
 
 def matrix_power_entry(a: Matrix, n: int, i: int, j: int):
@@ -302,39 +402,31 @@ def state_moments(a: Matrix, order: int, at: int) -> tuple:
     """The sequence <delta_at, a^n delta_at> for n = 0..order."""
     if not a.is_square:
         raise ValueError("state_moments requires a square matrix")
-    if not 0 <= at < a.rows:
-        raise IndexError("state index out of range")
-    cols = sparse_columns(a)
-    vec = {at: 1}
-    out = [1]
-    for _ in range(order):
-        vec = sparse_apply(cols, vec)
-        out.append(vec.get(at, 0))
-    return tuple(out)
+    return sparse_moments((sparse_columns(a),), order, at)
 
 
-def subspace_restrict(a: Matrix, basis) -> Matrix:
-    """Matrix of `a` in the ordered sub-basis of coordinate vectors.
+def subspace_restrict(a, basis) -> Matrix:
+    """Matrix of `a` (column-sparse, or dense at test size) in the ordered
+    sub-basis of coordinate vectors.
 
     Raises NotInvariant if `a` maps any basis vector outside the span,
     which signals a wrong embedding rather than a recoverable condition.
     """
     basis = list(basis)
-    if not a.is_square:
-        raise ValueError("subspace_restrict requires a square matrix")
+    if isinstance(a, Matrix):
+        if not a.is_square:
+            raise ValueError("subspace_restrict requires a square matrix")
+        a = sparse_columns(a)
     if len(set(basis)) != len(basis):
         raise ValueError("basis indices must be distinct")
     for b in basis:
-        if not 0 <= b < a.rows:
+        if not 0 <= b < len(a):
             raise IndexError(f"basis index {b} out of range")
     pos = {b: k for k, b in enumerate(basis)}
     n = len(basis)
     data = [0] * (n * n)
     for k, b in enumerate(basis):
-        col = a.column(b)
-        for r, v in enumerate(col):
-            if not v:
-                continue
+        for r, v in a[b]:
             if r not in pos:
                 raise NotInvariant(
                     f"image of basis vector {b} has weight on ambient index {r}"

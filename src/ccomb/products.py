@@ -41,16 +41,18 @@ from .graphs import (
     BirootedGraph,
     ColoredGraph,
     RootedGraph,
-    adjacency_matrix,
+    adjacency_columns,
     colored,
 )
 from .linalg import (
     Matrix,
-    basis_projection,
-    complement_projection,
-    direct_sum,
-    kron,
-    kron_all,
+    sparse_complement,
+    sparse_direct_sum,
+    sparse_identity,
+    sparse_kron,
+    sparse_projection,
+    sparse_sum,
+    sparse_to_matrix,
     subspace_restrict,
     tensor_index,
 )
@@ -102,28 +104,43 @@ class OperatorDecomposition:
     """A pair of ambient tensor operators whose sum, restricted to the
     embedded span, equals the adjacency matrix of the associated product.
 
-    `loop_adjusted` distinguishes the loop-product pairs (R1, R2), whose
-    ambient identity carries the added loops, from the plain pairs (S1, S2).
-    `phi_index` / `psi_index` are the ambient coordinates of the one or two
-    distinguished vector states.
+    `cols1` / `cols2` hold the two operators column-sparse (see linalg);
+    the dense `s1`, `s2` and `total()` are test-size references built on
+    request. `loop_adjusted` distinguishes the loop-product pairs (R1, R2),
+    whose ambient identity carries the added loops, from the plain pairs
+    (S1, S2). `phi_index` / `psi_index` are the ambient coordinates of the
+    one or two distinguished vector states.
     """
 
-    s1: Matrix
-    s2: Matrix
+    cols1: list
+    cols2: list
     ambient_dim: int
     embedding: tuple
     loop_adjusted: bool
     phi_index: int
     psi_index: int | None = None
 
+    @property
+    def s1(self) -> Matrix:
+        return sparse_to_matrix(self.cols1)
+
+    @property
+    def s2(self) -> Matrix:
+        return sparse_to_matrix(self.cols2)
+
+    def total_columns(self) -> list:
+        return sparse_sum(self.cols1, self.cols2)
+
     def total(self) -> Matrix:
-        return self.s1 + self.s2
+        return sparse_to_matrix(self.total_columns())
 
     def restricted_sum(self) -> Matrix:
-        return subspace_restrict(self.total(), self.embedding)
+        return subspace_restrict(self.total_columns(), self.embedding)
 
     def restricted(self, which: int) -> Matrix:
-        return subspace_restrict(self.s1 if which == 1 else self.s2, self.embedding)
+        return subspace_restrict(
+            self.cols1 if which == 1 else self.cols2, self.embedding
+        )
 
 
 def _as_rooted(g) -> RootedGraph:
@@ -358,6 +375,24 @@ def _roots(g1, g2):
     return g1r, n1, e1, n2, e2, f2
 
 
+def _loop_adjusted(a: list) -> list:
+    """a - 1 for a column-sparse factor adjacency."""
+    return sparse_sum(a, sparse_identity(len(a)), signs=(1, -1))
+
+
+def _essential_pair(a1, a2, e1, e2, f2):
+    """The comb-at pair built leg by leg from factor operators a1, a2:
+    (a1 (x) P_e2 (x) P_f2,  P_e1 (x) a2 (x) 1 + P_e1-perp (x) 1 (x) a2)."""
+    n1, n2 = len(a1), len(a2)
+    i2 = sparse_identity(n2)
+    s1 = sparse_kron(a1, sparse_projection(n2, e2), sparse_projection(n2, f2))
+    s2 = sparse_sum(
+        sparse_kron(sparse_projection(n1, e1), a2, i2),
+        sparse_kron(sparse_complement(n1, e1), i2, a2),
+    )
+    return s1, s2
+
+
 def essential_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition:
     """Tensor pair (S1, S2) for the comb-at component on V1 x V2 x V2:
 
@@ -368,12 +403,8 @@ def essential_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition:
     restricts to the adjacency matrix of the comb-at product; the root is
     embedded at the composite index of (e1, e2, f2)."""
     g1r, n1, e1, n2, e2, f2 = _roots(g1, g2)
-    a1 = adjacency_matrix(g1r)
-    a2 = adjacency_matrix(g2.underlying)
-    i2 = Matrix.identity(n2)
-    s1 = kron_all(a1, basis_projection(n2, e2), basis_projection(n2, f2))
-    s2 = kron_all(basis_projection(n1, e1), a2, i2) + kron_all(
-        complement_projection(n1, e1), i2, a2
+    s1, s2 = _essential_pair(
+        adjacency_columns(g1r), adjacency_columns(g2.underlying), e1, e2, f2
     )
     prod = comb_at_product(g1r, g2)
     return OperatorDecomposition(
@@ -400,10 +431,10 @@ def c_comb_decomposition(g1: BirootedGraph, g2: BirootedGraph) -> OperatorDecomp
     ess = essential_decomposition(g1.at_first(), g2)
     n1, f1 = g1.vertex_count, g1.second_root
     n2, f2 = g2.vertex_count, g2.second_root
-    a1 = adjacency_matrix(g1.underlying)
-    a2 = adjacency_matrix(g2.underlying)
-    s1 = direct_sum(ess.s1, kron(a1, basis_projection(n2, f2)))
-    s2 = direct_sum(ess.s2, kron(Matrix.identity(n1), a2))
+    a1 = adjacency_columns(g1.underlying)
+    a2 = adjacency_columns(g2.underlying)
+    s1 = sparse_direct_sum(ess.cols1, sparse_kron(a1, sparse_projection(n2, f2)))
+    s2 = sparse_direct_sum(ess.cols2, sparse_kron(sparse_identity(n1), a2))
     prod = c_comb_product(g1, g2)
     block = n1 * n2 * n2
     return OperatorDecomposition(
@@ -428,18 +459,18 @@ def essential_loop_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition
     adjacency matrices of the essential loop product."""
     g1r, n1, e1, n2, e2, f2 = _roots(g1, g2)
     dim = n1 * n2 * n2
-    a1v = adjacency_matrix(g1r) - Matrix.identity(n1)
-    a2v = adjacency_matrix(g2.underlying) - Matrix.identity(n2)
-    i2 = Matrix.identity(n2)
-    one = Matrix.identity(dim)
-    r1 = one + kron_all(a1v, basis_projection(n2, e2), basis_projection(n2, f2))
-    r2 = one + kron_all(basis_projection(n1, e1), a2v, i2) + kron_all(
-        complement_projection(n1, e1), i2, a2v
+    v1, v2 = _essential_pair(
+        _loop_adjusted(adjacency_columns(g1r)),
+        _loop_adjusted(adjacency_columns(g2.underlying)),
+        e1,
+        e2,
+        f2,
     )
+    one = sparse_identity(dim)
     prod = essential_loop_product(g1r, g2)
     return OperatorDecomposition(
-        r1,
-        r2,
+        sparse_sum(one, v1),
+        sparse_sum(one, v2),
         dim,
         prod.embedding,
         True,
@@ -459,11 +490,15 @@ def c_comb_loop_decomposition(
     n1, f1 = g1.vertex_count, g1.second_root
     n2, f2 = g2.vertex_count, g2.second_root
     block = n1 * n2 * n2
-    a1v = adjacency_matrix(g1.underlying) - Matrix.identity(n1)
-    a2v = adjacency_matrix(g2.underlying) - Matrix.identity(n2)
-    one_comb = Matrix.identity(n1 * n2)
-    r1 = direct_sum(ess.s1, one_comb + kron(a1v, basis_projection(n2, f2)))
-    r2 = direct_sum(ess.s2, one_comb + kron(Matrix.identity(n1), a2v))
+    a1v = _loop_adjusted(adjacency_columns(g1.underlying))
+    a2v = _loop_adjusted(adjacency_columns(g2.underlying))
+    one_comb = sparse_identity(n1 * n2)
+    r1 = sparse_direct_sum(
+        ess.cols1, sparse_sum(one_comb, sparse_kron(a1v, sparse_projection(n2, f2)))
+    )
+    r2 = sparse_direct_sum(
+        ess.cols2, sparse_sum(one_comb, sparse_kron(sparse_identity(n1), a2v))
+    )
     prod = c_comb_loop_product(g1, g2)
     return OperatorDecomposition(
         r1,

@@ -16,12 +16,14 @@ from fractions import Fraction
 from . import fixtures
 from .graphs import (
     BirootedGraph,
+    adjacency_columns,
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,
     count_d_walks,
     root_moments,
     rooted,
+    two_step_moments,
 )
 from .independence import (
     AlgebraModel,
@@ -35,7 +37,13 @@ from .independence import (
     realize_cmonotone_pair,
     realize_pair,
 )
-from .linalg import Matrix, state_moments
+from .linalg import (
+    Matrix,
+    sparse_apply,
+    sparse_identity,
+    sparse_moments,
+    sparse_sum,
+)
 from .products import (
     c_comb_decomposition,
     c_comb_loop_decomposition,
@@ -219,7 +227,7 @@ def _essential_three_routes(g1: BirootedGraph, g2: BirootedGraph, order: int):
     ess = comb_at_product(g1.at_first(), g2)
     walk = root_moments(ess.graph, order).coeffs
     dec = essential_decomposition(g1.at_first(), g2)
-    operator = state_moments(dec.total(), order, dec.phi_index)
+    operator = sparse_moments((dec.total_columns(),), order, dec.phi_index)
     mu1 = root_moments(g1, order)
     mu2 = root_moments(g2, order)
     nu2 = root_moments(g2, order, at=g2.second_root)
@@ -387,12 +395,10 @@ def check_colored_split(pairs) -> Check:
     def body():
         for k, (g1, g2) in enumerate(pairs):
             g = c_comb_loop_product(g1, g2).graph
-            assert adjacency_matrix(g) == adjacency_matrix(g, 1) + adjacency_matrix(
-                g, 2
+            assert adjacency_columns(g) == sparse_sum(
+                adjacency_columns(g, 1), adjacency_columns(g, 2)
             ), f"pair {k}: color split does not sum"
-            z_moments = state_moments(
-                adjacency_matrix(g, 2) * adjacency_matrix(g, 1), 4, g.root
-            )
+            z_moments = two_step_moments(g, 4).coeffs
             for n in range(1, 5):
                 assert z_moments[n] == brute_force_closed_walks(
                     g, 2 * n, alternating=True
@@ -420,15 +426,14 @@ def check_comb_loop_loops(rng, samples: int) -> Check:
 
 def _eta_routes(g1: BirootedGraph, g2: BirootedGraph, order: int):
     prod = c_comb_loop_product(g1, g2)
-    a1 = adjacency_matrix(prod.graph, 1)
-    a2 = adjacency_matrix(prod.graph, 2)
-    z = a2 * a1
-    at_e = moment_series(state_moments(z, order, prod.graph.root))
-    at_f = moment_series(state_moments(z, order, prod.graph.second_root))
+    eta_e = eta_from_moments(two_step_moments(prod.graph, order))
+    eta_f = eta_from_moments(
+        two_step_moments(prod.graph, order, at=prod.graph.second_root)
+    )
     eta1 = eta_from_moments(root_moments(g1, order))
     eta2 = eta_from_moments(root_moments(g2, order))
     eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
-    return prod, eta_from_moments(at_e), eta_from_moments(at_f), eta1, eta2, eta_nu
+    return prod, eta_e, eta_f, eta1, eta2, eta_nu
 
 
 def check_multiplicative_three_route(pairs, order: int) -> Check:
@@ -470,16 +475,7 @@ def check_d_walk_counts(pairs, walk_order: int) -> Check:
         half = walk_order // 2
         for k, (g1, g2) in enumerate(pairs):
             prod = c_comb_loop_product(g1, g2)
-            eta_e = eta_from_moments(
-                moment_series(
-                    state_moments(
-                        adjacency_matrix(prod.graph, 2)
-                        * adjacency_matrix(prod.graph, 1),
-                        half,
-                        prod.graph.root,
-                    )
-                )
-            )
+            eta_e = eta_from_moments(two_step_moments(prod.graph, half))
             for n in range(1, half + 1):
                 counted = count_d_walks(prod.graph, 2 * n)
                 assert counted == eta_e.coeffs[n - 1], (
@@ -961,8 +957,6 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int) -> Check:
 
 
 def check_separating_projection(model_pairs) -> Check:
-    from .linalg import sparse_apply
-
     def body():
         for k, (m1, m2) in enumerate(model_pairs[:10]):
             fam = realize_cmonotone_family([m1, m2])
@@ -971,14 +965,14 @@ def check_separating_projection(model_pairs) -> Check:
                 for w2 in fam_words:
                     vec = {fam.phi_index: 1}
                     for key in reversed(w2):
-                        vec = sparse_apply(fam._cols(key), vec)
+                        vec = sparse_apply(fam.operators[key], vec)
                     vec = (
                         {fam.phi_index: vec[fam.phi_index]}
                         if fam.phi_index in vec
                         else {}
                     )
                     for key in reversed(w1):
-                        vec = sparse_apply(fam._cols(key), vec)
+                        vec = sparse_apply(fam.operators[key], vec)
                     lhs = vec.get(fam.phi_index, 0)
                     rhs = fam.moment(w1) * fam.moment(w2)
                     assert lhs == rhs, f"model {k}, words {w1}|{w2}"
@@ -1007,7 +1001,7 @@ def check_c_comb_bridge(cfg: VerifyConfig, max_word: int) -> Check:
         for k, (g1, g2) in enumerate(cases):
             dec = c_comb_decomposition(g1, g2)
             realization = Realization(
-                {(1, "a"): dec.s1, (2, "a"): dec.s2},
+                {(1, "a"): dec.cols1, (2, "a"): dec.cols2},
                 dec.ambient_dim,
                 dec.phi_index,
                 dec.psi_index,
@@ -1038,9 +1032,12 @@ def check_loop_bridge(cfg: VerifyConfig, max_word: int) -> Check:
         words = all_words(letters, max_word)
         for k, (g1, g2) in enumerate(cases):
             dec = c_comb_loop_decomposition(g1, g2)
-            one = Matrix.identity(dec.ambient_dim)
+            one = sparse_identity(dec.ambient_dim)
             realization = Realization(
-                {(1, "a"): dec.s1 - one, (2, "a"): dec.s2 - one},
+                {
+                    (1, "a"): sparse_sum(dec.cols1, one, signs=(1, -1)),
+                    (2, "a"): sparse_sum(dec.cols2, one, signs=(1, -1)),
+                },
                 dec.ambient_dim,
                 dec.phi_index,
                 dec.psi_index,

@@ -342,3 +342,25 @@ def test_env_var_out_dir(tmp_path, monkeypatch, capsys):
     )
     assert code == 0
     assert (tmp_path / "star.graph").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "second_root = x",  # non-integer second root
+        'edges = [[0, "a"]]',  # non-integer vertex index
+        "edges = [1, 2]",  # edge entries that are not lists
+    ],
+)
+def test_cli_malformed_graph_exits_with_one_line(tmp_path, capsys, line):
+    path = tmp_path / "bad.graph"
+    text = "vertices = 2\nroot = 0\n" + line + "\n"
+    if not line.startswith("edges"):
+        text += "edges = [[0, 1]]\n"
+    path.write_text(text)
+    assert main(["moments", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read graph")
+    assert len(err.strip().splitlines()) == 1
+    with pytest.raises(GraphFormatError):
+        parse_graph(text)
