@@ -28,8 +28,8 @@ def main():
     order = args.order
 
     g1, g2 = additive_demo_pair()
-    essential = comb_at_product(g1.at_first(), g2)
-    decomposition = essential_decomposition(g1.at_first(), g2)
+    essential = comb_at_product(g1, g2)
+    decomposition = essential_decomposition(g1, g2)
 
     walks = root_moments(essential.graph, order).coeffs
     operator = sparse_moments(

@@ -4,9 +4,7 @@ distributions, together with matrix-model realizations of the matching
 notions of noncommutative independence."""
 
 from .graphs import (
-    BirootedGraph,
-    ColoredGraph,
-    RootedGraph,
+    Graph,
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,

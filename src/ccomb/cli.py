@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as gio
-from .graphs import BirootedGraph, adjacency_matrix, root_moments, two_step_moments
+from .graphs import adjacency_matrix, root_moments, two_step_moments
 from .independence import (
     AlgebraModel,
     ModelFunctional,
@@ -50,6 +50,7 @@ from .products import (
     comb_at_product,
     comb_loop_product,
     comb_product,
+    essential_loop_product,
     orthogonal_product,
     star_product,
 )
@@ -121,19 +122,19 @@ def _cmd_product(args) -> int:
     build = PRODUCT_KINDS[args.kind]
     g1 = _load_graph_or_fail(args.g1)
     g2 = _load_graph_or_fail(args.g2)
-    if args.kind in BIROOTED_SECOND and not isinstance(g2, BirootedGraph):
+    if args.kind in BIROOTED_SECOND and g2.second_root is None:
         print(
             f"error: product {args.kind} needs a birooted second factor",
             file=sys.stderr,
         )
         return 2
-    if args.kind in BIROOTED_FIRST and not isinstance(g1, BirootedGraph):
+    if args.kind in BIROOTED_FIRST and g1.second_root is None:
         print(
             f"error: product {args.kind} needs a birooted first factor",
             file=sys.stderr,
         )
         return 2
-    prod = build(g1, g2)
+    prod = _build_product(build, g1, g2)
     outdir = _out_dir(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = args.kind.replace("-", "_")
@@ -141,14 +142,10 @@ def _cmd_product(args) -> int:
     (outdir / f"{stem}.dot").write_text(
         gio.to_dot(prod.graph, prod.vertex_labels), encoding="utf-8"
     )
-    edges = (
-        prod.graph.colored_edges
-        if hasattr(prod.graph, "colored_edges")
-        else prod.graph.edges
-    )
-    print(f"kind={args.kind} vertices={prod.vertex_count} edges={len(edges)}")
+    edges = len(prod.graph.colored_edges)
+    print(f"kind={args.kind} vertices={prod.vertex_count} edges={edges}")
     print(f"root_e={prod.graph.root} label_e={prod.vertex_labels[prod.graph.root]}")
-    second = getattr(prod.graph, "second_root", None)
+    second = prod.graph.second_root
     if second is not None:
         print(f"root_f={second} label_f={prod.vertex_labels[second]}")
     print(f"wrote {outdir / (stem + '.graph')} and {outdir / (stem + '.dot')}")
@@ -158,11 +155,10 @@ def _cmd_product(args) -> int:
 def _cmd_moments(args) -> int:
     g = _load_graph_or_fail(args.graph)
     if args.at == "f":
-        second = getattr(g, "second_root", None)
-        if second is None:
+        if g.second_root is None:
             print("error: selector f needs a birooted graph", file=sys.stderr)
             return 2
-        at = second
+        at = g.second_root
     else:
         at = g.root
     moments = root_moments(g, args.order, at=at)
@@ -175,40 +171,49 @@ def _load_additive_input(path, order):
     if str(path).endswith(".graph"):
         g = _load_graph_or_fail(path)
         mu = root_moments(g, order)
-        nu = (
-            root_moments(g, order, at=g.second_root)
-            if isinstance(g, BirootedGraph)
-            else None
-        )
+        nu = None
+        if g.second_root is not None:
+            nu = root_moments(g, order, at=g.second_root)
         return g, mu, nu
     try:
         values = gio.load_moment_table(path)
+        mu = moment_series(values[: order + 1])
     except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read table {path}: {exc}") from exc
     if len(values) < order + 1:
         raise _CliError(f"table {path} is shorter than order {order}")
-    return None, moment_series(values[: order + 1]), None
+    return None, mu, None
 
 
-def _walk_column_additive(kind, g1, g2, order):
-    if g1 is None or g2 is None:
+def _build_product(build, g1, g2):
+    try:
+        return build(g1, g2)
+    except ValueError as exc:
+        raise _CliError(f"cannot build the product: {exc}") from exc
+
+
+_ADDITIVE_WALK_PRODUCTS = {
+    "monotone": comb_product,
+    "boolean": star_product,
+    "orthogonal": orthogonal_product,
+    "c-monotone": comb_at_product,
+}
+# essential_loop_product, not c_comb_loop_product: the moments at the root e
+# only see its component, and it needs no second root of g1
+_MULTIPLICATIVE_WALK_PRODUCTS = {
+    "monotone": comb_loop_product,
+    "c-monotone": essential_loop_product,
+}
+
+
+def _walk_column(products, kind, g1, g2):
+    """Product graph whose root moments give the walk column, or None when
+    the inputs are tables or a c-monotone second graph has no second root."""
+    if g1 is None or g2 is None or kind not in products:
         return None
-    if kind == "monotone":
-        prod = comb_product(g1, g2)
-    elif kind == "boolean":
-        prod = star_product(g1, g2)
-    elif kind == "orthogonal":
-        prod = orthogonal_product(g1, g2)
-    else:
-        prod = comb_at_product(g1, g2)
-    return root_moments(prod.graph, order).coeffs
-
-
-def _walk_column_multiplicative(kind, g1, g2, order):
-    if g1 is None or g2 is None or kind not in ("monotone", "c-monotone"):
+    if kind == "c-monotone" and g2.second_root is None:
         return None
-    build = comb_loop_product if kind == "monotone" else c_comb_loop_product
-    return eta_from_moments(two_step_moments(build(g1, g2).graph, order)).coeffs
+    return _build_product(products[kind], g1, g2).graph
 
 
 def _nu2_fallback(inputs, order):
@@ -232,7 +237,8 @@ def _cmd_convolve(args) -> int:
             result = additive_convolve(kind, mu1, mu2, nu2 if kind == "c-monotone" else None)
             values = result.coeffs
             first = 0
-            walks = _walk_column_additive(kind, g1, g2, order)
+            prod = _walk_column(_ADDITIVE_WALK_PRODUCTS, kind, g1, g2)
+            walks = None if prod is None else root_moments(prod, order).coeffs
         else:
             g1, mu1, nu1 = _load_additive_input(args.inputs[0], order)
             g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
@@ -246,7 +252,12 @@ def _cmd_convolve(args) -> int:
             )
             values = result.coeffs
             first = 1
-            walks = _walk_column_multiplicative(kind, g1, g2, order)
+            prod = _walk_column(_MULTIPLICATIVE_WALK_PRODUCTS, kind, g1, g2)
+            walks = (
+                None
+                if prod is None
+                else eta_from_moments(two_step_moments(prod, order)).coeffs
+            )
     except DivisorVanishes as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -265,7 +276,7 @@ def _cmd_convolve(args) -> int:
 def _cmd_word_moment(args) -> int:
     g1 = _load_graph_or_fail(args.g1)
     g2 = _load_graph_or_fail(args.g2)
-    if not isinstance(g1, BirootedGraph) or not isinstance(g2, BirootedGraph):
+    if g1.second_root is None or g2.second_root is None:
         print("error: word moments need two birooted graphs", file=sys.stderr)
         return 2
     try:
@@ -286,8 +297,8 @@ def _cmd_word_moment(args) -> int:
         dec.phi_index,
         dec.psi_index,
     )
-    m1 = AlgebraModel({"a": adjacency_matrix(g1.underlying)}, g1.root, g1.second_root)
-    m2 = AlgebraModel({"a": adjacency_matrix(g2.underlying)}, g2.root, g2.second_root)
+    m1 = AlgebraModel({"a": adjacency_matrix(g1)}, g1.root, g1.second_root)
+    m2 = AlgebraModel({"a": adjacency_matrix(g2)}, g2.root, g2.second_root)
     pairs = {
         1: (ModelFunctional(m1, m1.xi), ModelFunctional(m1, m1.eta)),
         2: (ModelFunctional(m2, m2.xi), ModelFunctional(m2, m2.eta)),

@@ -8,10 +8,11 @@ Graph file format (UTF-8, key = value lines, `#` starts a comment):
     edges = [[0, 1], [1, 2], [1, 3]]
     labels = [[0, 1, 0], ...]   # optional product-coordinate metadata
 
-Edge entries are `[i, j]` or `[i, j, color]` with color 1 or 2; a file mixing
-colored and uncolored edges is rejected, as are duplicate edges (same pair
-and color) and out-of-range indices. Writers emit keys in a fixed order and
-edges sorted, so output is deterministic.
+Edge entries are `[i, j]` or `[i, j, color]` with color 1 or 2; an entry
+`[i, j]` means `[i, j, 1]`, so both forms read into equal graphs. A file
+mixing the two forms is rejected, as are duplicate edges (same pair and
+color) and out-of-range indices. Writers always emit `[i, j, color]`, keys
+in a fixed order and edges sorted, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import ColoredGraph, birooted, colored, rooted
+from .graphs import colored
 
 __all__ = [
     "GraphFormatError",
@@ -88,15 +89,9 @@ def parse_graph(text: str):
         raise GraphFormatError("edge entries must be [i, j] or [i, j, color]")
     if lengths == {2, 3}:
         raise GraphFormatError("cannot mix colored and uncolored edges")
+    edges = [(e[0], e[1], e[2] if len(e) == 3 else 1) for e in raw_edges]
     try:
-        if lengths == {3}:
-            graph = colored(n, [tuple(e) for e in raw_edges], root, second)
-        else:
-            edges = [tuple(e) for e in raw_edges]
-            if second is not None:
-                graph = birooted(n, edges, root, second)
-            else:
-                graph = rooted(n, edges, root)
+        graph = colored(n, edges, root, second)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
     return graph, labels
@@ -107,18 +102,11 @@ def load_graph(path):
     return graph
 
 
-def _sorted_edges(graph):
-    if isinstance(graph, ColoredGraph):
-        return sorted(graph.colored_edges)
-    return sorted(graph.edges)
-
-
 def format_graph(graph, labels=None) -> str:
     lines = [f"vertices = {graph.vertex_count}", f"root = {graph.root}"]
-    second = getattr(graph, "second_root", None)
-    if second is not None:
-        lines.append(f"second_root = {second}")
-    edges = [list(e) for e in _sorted_edges(graph)]
+    if graph.second_root is not None:
+        lines.append(f"second_root = {graph.second_root}")
+    edges = [list(e) for e in sorted(graph.colored_edges)]
     lines.append(f"edges = {json.dumps(edges)}")
     if labels is not None:
         lines.append(f"labels = {json.dumps([list(lab) for lab in labels])}")
@@ -133,7 +121,7 @@ def to_dot(graph, labels=None, name: str = "G") -> str:
     """DOT rendering: the first root is a double circle, the second a
     square; color-1 edges are solid, color-2 edges dashed. Vertex order is
     deterministic."""
-    second = getattr(graph, "second_root", None)
+    second = graph.second_root
     out = [f"graph {name} {{", "  node [shape=circle];"]
     for v in range(graph.vertex_count):
         attrs = []
@@ -146,13 +134,9 @@ def to_dot(graph, labels=None, name: str = "G") -> str:
             attrs.append(f'label="{v}:({text})"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         out.append(f"  {v}{suffix};")
-    if isinstance(graph, ColoredGraph):
-        for i, j, c in _sorted_edges(graph):
-            style = "solid" if c == 1 else "dashed"
-            out.append(f"  {i} -- {j} [style={style}];")
-    else:
-        for i, j in _sorted_edges(graph):
-            out.append(f"  {i} -- {j};")
+    for i, j, c in sorted(graph.colored_edges):
+        style = "solid" if c == 1 else "dashed"
+        out.append(f"  {i} -- {j} [style={style}];")
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -17,12 +17,16 @@ c-comb      disjoint union of the comb-at component (root e) and a plain
 loop variants  the same graphs with color-1 loops added so that products of
             the one-color adjacency matrices count alternating d-walks
 
-Every product is naturally colored: edges inherited from the first factor
-keep color 1 (or their original color when composing products) and edges of
-the attached copies carry color 2. This also makes the constructions exact
-when both factors have loops at a glued vertex: the product keeps one loop
-per color there and the adjacency diagonal counts both, matching the tensor
-formulas.
+Every product reads its two factors by one rule: edges of the first factor
+keep their colors (color 1 for a plain graph, the original colors when it is
+itself a product), and every edge of the attached copies of the second
+factor carries color 2. A second-factor pair that already carries both
+colors would become two color-2 edges, so building such a product raises
+ValueError instead of merging them. The rule also makes the constructions
+exact when both factors have loops at a glued vertex: the product keeps one
+loop per color there and the adjacency diagonal counts both, matching the
+tensor formulas. A product that needs a second root its factor lacks raises
+TypeError.
 
 Every product records its vertex coordinate labels plus the list of
 composite indices embedding it into the ambient tensor space, so the
@@ -37,13 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    BirootedGraph,
-    ColoredGraph,
-    RootedGraph,
-    adjacency_columns,
-    colored,
-)
+from .graphs import Graph, adjacency_columns, colored, disjoint_union
 from .linalg import (
     Matrix,
     sparse_complement,
@@ -83,7 +81,7 @@ class ProductGraph:
     """A product graph together with its coordinate labels and the composite
     tensor indices embedding it into the ambient operator space."""
 
-    graph: ColoredGraph
+    graph: Graph
     vertex_labels: tuple
     embedding: tuple
     ambient_dim: int
@@ -143,69 +141,46 @@ class OperatorDecomposition:
         )
 
 
-def _as_rooted(g) -> RootedGraph:
-    if isinstance(g, BirootedGraph):
-        return g.underlying
-    if isinstance(g, RootedGraph):
-        return g
-    raise TypeError(f"expected a rooted or birooted graph, got {type(g).__name__}")
-
-
 def _pair(i: int, j: int) -> tuple:
     return (i, j) if i <= j else (j, i)
 
 
-def _first_factor(g):
-    """Vertex count, root and colored edge list of a product's first factor.
-
-    Uncolored factors get color 1 throughout; a colored factor (a previous
-    product) keeps its colors, so compositions preserve edge multiplicity.
-    """
-    if isinstance(g, ColoredGraph):
-        return g.vertex_count, g.root, [((i, j), c) for i, j, c in g.colored_edges]
-    g = _as_rooted(g)
-    return g.vertex_count, g.root, [((i, j), 1) for i, j in g.edges]
-
-
-def star_product(g1, g2) -> ProductGraph:
+def star_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Glue (G2, e2) at its root to the root of (G1, e1)."""
-    n1, e1, edges1 = _first_factor(g1)
-    g2 = _as_rooted(g2)
+    n1, e1 = g1.vertex_count, g1.root
     n2, e2 = g2.vertex_count, g2.root
     labels = [(u, e2) for u in range(n1)]
     labels += [(e1, y) for y in range(n2) if y != e2]
     index = {lab: i for i, lab in enumerate(labels)}
     edges = []
-    for (u, v), c in edges1:
-        edges.append(_pair(index[(u, e2)], index[(v, e2)]) + (c,))
-    for y, z in g2.edges:
-        edges.append(_pair(index[(e1, y)], index[(e1, z)]) + (2,))
+    for u, v, c in g1.colored_edges:
+        edges.append((index[(u, e2)], index[(v, e2)], c))
+    for y, z, _c in g2.colored_edges:
+        edges.append((index[(e1, y)], index[(e1, z)], 2))
     graph = colored(len(labels), edges, index[(e1, e2)])
     embedding = tuple(tensor_index((n1, n2), lab) for lab in labels)
     return ProductGraph(graph, tuple(labels), embedding, n1 * n2)
 
 
-def comb_product(g1, g2) -> ProductGraph:
+def comb_product(g1: Graph, g2: Graph) -> ProductGraph:
     """A copy of (G2, e2) at its root on every vertex of G1; the product
     fills the whole tensor space V1 x V2."""
-    n1, e1, edges1 = _first_factor(g1)
-    g2 = _as_rooted(g2)
+    n1, e1 = g1.vertex_count, g1.root
     n2, e2 = g2.vertex_count, g2.root
     labels = [(u, y) for u in range(n1) for y in range(n2)]
     edges = []
-    for (u, v), c in edges1:
-        edges.append(_pair(u * n2 + e2, v * n2 + e2) + (c,))
+    for u, v, c in g1.colored_edges:
+        edges.append((u * n2 + e2, v * n2 + e2, c))
     for u in range(n1):
-        for y, z in g2.edges:
-            edges.append(_pair(u * n2 + y, u * n2 + z) + (2,))
+        for y, z, _c in g2.colored_edges:
+            edges.append((u * n2 + y, u * n2 + z, 2))
     graph = colored(n1 * n2, edges, e1 * n2 + e2)
     return ProductGraph(graph, tuple(labels), tuple(range(n1 * n2)), n1 * n2)
 
 
-def orthogonal_product(g1, g2) -> ProductGraph:
+def orthogonal_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Copies of (G2, e2) on every vertex of G1 except its root."""
-    n1, e1, edges1 = _first_factor(g1)
-    g2 = _as_rooted(g2)
+    n1, e1 = g1.vertex_count, g1.root
     n2, e2 = g2.vertex_count, g2.root
     labels = []
     for u in range(n1):
@@ -215,49 +190,16 @@ def orthogonal_product(g1, g2) -> ProductGraph:
             labels.extend((u, y) for y in range(n2))
     index = {lab: i for i, lab in enumerate(labels)}
     edges = []
-    for (u, v), c in edges1:
-        edges.append(_pair(index[(u, e2)], index[(v, e2)]) + (c,))
+    for u, v, c in g1.colored_edges:
+        edges.append((index[(u, e2)], index[(v, e2)], c))
     for u in range(n1):
         if u == e1:
             continue
-        for y, z in g2.edges:
-            edges.append(_pair(index[(u, y)], index[(u, z)]) + (2,))
+        for y, z, _c in g2.colored_edges:
+            edges.append((index[(u, y)], index[(u, z)], 2))
     graph = colored(len(labels), edges, index[(e1, e2)])
     embedding = tuple(tensor_index((n1, n2), lab) for lab in labels)
     return ProductGraph(graph, tuple(labels), embedding, n1 * n2)
-
-
-def _comb_at_parts(g1, g2: BirootedGraph):
-    """Vertex labels, spine/copy edge sets and the root of the comb-at
-    product, in the pre-swap coordinates (u, y, z): y is the f2-copy leg,
-    z the e2-copy leg. The spine is {(u, f2, e2)}."""
-    g1 = _as_rooted(g1)
-    if not isinstance(g2, BirootedGraph):
-        raise TypeError("the second factor must be birooted")
-    n1, e1 = g1.vertex_count, g1.root
-    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
-    labels = []
-    spine = set()
-    for u in range(n1):
-        spine.add(len(labels))
-        labels.append((u, f2, e2))
-        if u != e1:
-            labels.extend((u, y, e2) for y in range(n2) if y != f2)
-    labels.extend((e1, f2, z) for z in range(n2) if z != e2)
-    index = {lab: i for i, lab in enumerate(labels)}
-    spine_edges = []
-    for u, v in g1.edges:
-        spine_edges.append(_pair(index[(u, f2, e2)], index[(v, f2, e2)]))
-    copy_edges = []
-    for u in range(n1):
-        if u == e1:
-            continue
-        for y, z in g2.edges:
-            copy_edges.append(_pair(index[(u, y, e2)], index[(u, z, e2)]))
-    for y, z in g2.edges:
-        copy_edges.append(_pair(index[(e1, f2, y)], index[(e1, f2, z)]))
-    root = index[(e1, f2, e2)]
-    return g1, g2, labels, spine, spine_edges, copy_edges, root
 
 
 def _three_leg_embedding(labels, n1, n2):
@@ -266,53 +208,66 @@ def _three_leg_embedding(labels, n1, n2):
     return tuple(tensor_index((n1, n2, n2), (u, z, y)) for (u, y, z) in labels)
 
 
-def comb_at_product(g1, g2: BirootedGraph) -> ProductGraph:
+def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
     """A copy of (G2, e2) on the root of G1 and copies of (G2, f2) on all
     remaining vertices: the orthogonal product of (G1, e1) and (G2, f2)
     followed by the star product with (G2, e2). With f2 = e2 this collapses
-    to the comb product."""
-    g1, g2, labels, _spine, spine_edges, copy_edges, root = _comb_at_parts(g1, g2)
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    edges = [e + (1,) for e in spine_edges] + [e + (2,) for e in copy_edges]
-    graph = colored(len(labels), edges, root)
+    to the comb product.
+
+    Labels are the pre-swap coordinates (u, y, z): y is the f2-copy leg, z
+    the e2-copy leg. The spine {(u, f2, e2)} carries the edges of G1."""
+    if g2.second_root is None:
+        raise TypeError("the second factor must be birooted")
+    n1, e1 = g1.vertex_count, g1.root
+    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
+    labels = []
+    for u in range(n1):
+        labels.append((u, f2, e2))
+        if u != e1:
+            labels.extend((u, y, e2) for y in range(n2) if y != f2)
+    labels.extend((e1, f2, z) for z in range(n2) if z != e2)
+    index = {lab: i for i, lab in enumerate(labels)}
+    edges = []
+    for u, v, c in g1.colored_edges:
+        edges.append((index[(u, f2, e2)], index[(v, f2, e2)], c))
+    for u in range(n1):
+        if u == e1:
+            continue
+        for y, z, _c in g2.colored_edges:
+            edges.append((index[(u, y, e2)], index[(u, z, e2)], 2))
+    for y, z, _c in g2.colored_edges:
+        edges.append((index[(e1, f2, y)], index[(e1, f2, z)], 2))
+    graph = colored(len(labels), edges, index[(e1, f2, e2)])
     return ProductGraph(
         graph, tuple(labels), _three_leg_embedding(labels, n1, n2), n1 * n2 * n2
     )
 
 
-def _colored_union(first: ProductGraph, second: ProductGraph, block: int):
-    shift = first.vertex_count
-    edges = list(first.graph.colored_edges)
-    edges.extend((i + shift, j + shift, c) for i, j, c in second.graph.colored_edges)
-    graph = colored(
-        shift + second.vertex_count,
-        edges,
-        first.graph.root,
-        shift + second.graph.root,
-    )
+def _union(first: ProductGraph, second: ProductGraph, block: int) -> ProductGraph:
+    """Disjoint union of two product components, the second embedded after
+    an ambient block of size `block`; roots e and f."""
     labels = first.vertex_labels + second.vertex_labels
     embedding = first.embedding + tuple(block + k for k in second.embedding)
-    return graph, labels, embedding
+    return ProductGraph(
+        disjoint_union(first.graph, second.graph),
+        labels,
+        embedding,
+        block + second.ambient_dim,
+    )
 
 
-def c_comb_product(g1: BirootedGraph, g2: BirootedGraph) -> ProductGraph:
+def c_comb_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Disjoint union of the comb-at component of (G1, e1) and (G2, e2, f2)
     with the comb product of (G1, f1) and (G2, f2); roots e and f."""
-    if not isinstance(g1, BirootedGraph) or not isinstance(g2, BirootedGraph):
-        raise TypeError("c-comb product needs birooted factors")
-    ess = comb_at_product(g1.at_first(), g2)
+    ess = comb_at_product(g1, g2)
     cmb = comb_product(g1.at_second(), g2.at_second())
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    block = n1 * n2 * n2
-    graph, labels, embedding = _colored_union(ess, cmb, block)
-    return ProductGraph(graph, labels, embedding, block + n1 * n2)
+    return _union(ess, cmb, ess.ambient_dim)
 
 
-def comb_loop_product(g1, g2) -> ProductGraph:
+def comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Comb product with a color-1 loop added to every vertex except the
     root of each G2-copy."""
     base = comb_product(g1, g2)
-    g2 = _as_rooted(g2)
     n2, e2 = g2.vertex_count, g2.root
     edges = list(base.graph.colored_edges)
     for v in range(base.vertex_count):
@@ -322,9 +277,7 @@ def comb_loop_product(g1, g2) -> ProductGraph:
     return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
 
 
-def essential_loop_product(
-    g1, g2: BirootedGraph, loop_color: int = 1
-) -> ProductGraph:
+def essential_loop_product(g1: Graph, g2: Graph, loop_color: int = 1) -> ProductGraph:
     """Comb-at product with added loops on every vertex except e2 of the
     copy attached to the root and except f2 of all other copies;
     equivalently, on every non-spine vertex.
@@ -337,42 +290,26 @@ def essential_loop_product(
     """
     if loop_color not in (1, 2):
         raise ValueError("loop color must be 1 or 2")
-    g1, g2, labels, spine, spine_edges, copy_edges, root = _comb_at_parts(g1, g2)
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    edges = [e + (1,) for e in spine_edges] + [e + (2,) for e in copy_edges]
-    for v in range(len(labels)):
-        if v not in spine:
+    base = comb_at_product(g1, g2)
+    spine = (g2.second_root, g2.root)
+    edges = list(base.graph.colored_edges)
+    for v, (_u, y, z) in enumerate(base.vertex_labels):
+        if (y, z) != spine:
             edges.append((v, v, loop_color))
-    graph = colored(len(labels), edges, root)
-    return ProductGraph(
-        graph, tuple(labels), _three_leg_embedding(labels, n1, n2), n1 * n2 * n2
-    )
+    graph = colored(base.vertex_count, edges, base.graph.root)
+    return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
 
 
-def c_comb_loop_product(
-    g1: BirootedGraph, g2: BirootedGraph, loop_color: int = 1
-) -> ProductGraph:
+def c_comb_loop_product(g1: Graph, g2: Graph, loop_color: int = 1) -> ProductGraph:
     """Disjoint union of the essential loop component (root e) and the comb
     loop product at the second roots (root f); see essential_loop_product
     for the `loop_color` escape hatch."""
-    if not isinstance(g1, BirootedGraph) or not isinstance(g2, BirootedGraph):
-        raise TypeError("c-comb loop product needs birooted factors")
-    ess = essential_loop_product(g1.at_first(), g2, loop_color)
+    ess = essential_loop_product(g1, g2, loop_color)
     cmb = comb_loop_product(g1.at_second(), g2.at_second())
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    block = n1 * n2 * n2
-    graph, labels, embedding = _colored_union(ess, cmb, block)
-    return ProductGraph(graph, labels, embedding, block + n1 * n2)
+    return _union(ess, cmb, ess.ambient_dim)
 
 
 # -- operator decompositions ---------------------------------------------------
-
-
-def _roots(g1, g2):
-    g1r = _as_rooted(g1)
-    n1, e1 = g1r.vertex_count, g1r.root
-    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
-    return g1r, n1, e1, n2, e2, f2
 
 
 def _loop_adjusted(a: list) -> list:
@@ -393,7 +330,7 @@ def _essential_pair(a1, a2, e1, e2, f2):
     return s1, s2
 
 
-def essential_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition:
+def essential_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Tensor pair (S1, S2) for the comb-at component on V1 x V2 x V2:
 
         S1 = a1 (x) P_e2 (x) P_f2
@@ -402,11 +339,10 @@ def essential_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition:
     The embedded span is invariant under both operators and their sum
     restricts to the adjacency matrix of the comb-at product; the root is
     embedded at the composite index of (e1, e2, f2)."""
-    g1r, n1, e1, n2, e2, f2 = _roots(g1, g2)
-    s1, s2 = _essential_pair(
-        adjacency_columns(g1r), adjacency_columns(g2.underlying), e1, e2, f2
-    )
-    prod = comb_at_product(g1r, g2)
+    prod = comb_at_product(g1, g2)
+    n1, e1 = g1.vertex_count, g1.root
+    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
+    s1, s2 = _essential_pair(adjacency_columns(g1), adjacency_columns(g2), e1, e2, f2)
     return OperatorDecomposition(
         s1,
         s2,
@@ -417,7 +353,7 @@ def essential_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition:
     )
 
 
-def c_comb_decomposition(g1: BirootedGraph, g2: BirootedGraph) -> OperatorDecomposition:
+def c_comb_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Direct-sum pair for the full c-comb product on the ambient space
     (V1 x V2 x V2) (+) (V1 x V2), with the comb-at block as in
     essential_decomposition and the comb block
@@ -426,16 +362,14 @@ def c_comb_decomposition(g1: BirootedGraph, g2: BirootedGraph) -> OperatorDecomp
 
     Exposes both vector states: phi at the embedded e, psi at the embedded
     f; the pair (S1, S2) is c-monotone independent with respect to them."""
-    if not isinstance(g1, BirootedGraph):
-        raise TypeError("c-comb decomposition needs a birooted first factor")
-    ess = essential_decomposition(g1.at_first(), g2)
+    prod = c_comb_product(g1, g2)
+    ess = essential_decomposition(g1, g2)
     n1, f1 = g1.vertex_count, g1.second_root
     n2, f2 = g2.vertex_count, g2.second_root
-    a1 = adjacency_columns(g1.underlying)
-    a2 = adjacency_columns(g2.underlying)
+    a1 = adjacency_columns(g1)
+    a2 = adjacency_columns(g2)
     s1 = sparse_direct_sum(ess.cols1, sparse_kron(a1, sparse_projection(n2, f2)))
     s2 = sparse_direct_sum(ess.cols2, sparse_kron(sparse_identity(n1), a2))
-    prod = c_comb_product(g1, g2)
     block = n1 * n2 * n2
     return OperatorDecomposition(
         s1,
@@ -448,7 +382,7 @@ def c_comb_decomposition(g1: BirootedGraph, g2: BirootedGraph) -> OperatorDecomp
     )
 
 
-def essential_loop_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition:
+def essential_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Loop-adjusted pair (R1, R2) for the essential loop component:
 
         R1 - 1 = (a1 - 1) (x) P_e2 (x) P_f2
@@ -457,17 +391,18 @@ def essential_loop_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition
     with 1 the ambient identity, whose restriction contributes exactly the
     added color-1 loops; R1 and R2 restrict to the color-1 and color-2
     adjacency matrices of the essential loop product."""
-    g1r, n1, e1, n2, e2, f2 = _roots(g1, g2)
+    prod = essential_loop_product(g1, g2)
+    n1, e1 = g1.vertex_count, g1.root
+    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
     dim = n1 * n2 * n2
     v1, v2 = _essential_pair(
-        _loop_adjusted(adjacency_columns(g1r)),
-        _loop_adjusted(adjacency_columns(g2.underlying)),
+        _loop_adjusted(adjacency_columns(g1)),
+        _loop_adjusted(adjacency_columns(g2)),
         e1,
         e2,
         f2,
     )
     one = sparse_identity(dim)
-    prod = essential_loop_product(g1r, g2)
     return OperatorDecomposition(
         sparse_sum(one, v1),
         sparse_sum(one, v2),
@@ -478,20 +413,17 @@ def essential_loop_decomposition(g1, g2: BirootedGraph) -> OperatorDecomposition
     )
 
 
-def c_comb_loop_decomposition(
-    g1: BirootedGraph, g2: BirootedGraph
-) -> OperatorDecomposition:
+def c_comb_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Direct-sum loop-adjusted pair covering both components of the c-comb
     loop product; (R1 - 1, R2 - 1) is c-monotone independent with respect to
     the states at the embedded roots e and f."""
-    if not isinstance(g1, BirootedGraph):
-        raise TypeError("c-comb loop decomposition needs a birooted first factor")
-    ess = essential_loop_decomposition(g1.at_first(), g2)
+    prod = c_comb_loop_product(g1, g2)
+    ess = essential_loop_decomposition(g1, g2)
     n1, f1 = g1.vertex_count, g1.second_root
     n2, f2 = g2.vertex_count, g2.second_root
     block = n1 * n2 * n2
-    a1v = _loop_adjusted(adjacency_columns(g1.underlying))
-    a2v = _loop_adjusted(adjacency_columns(g2.underlying))
+    a1v = _loop_adjusted(adjacency_columns(g1))
+    a2v = _loop_adjusted(adjacency_columns(g2))
     one_comb = sparse_identity(n1 * n2)
     r1 = sparse_direct_sum(
         ess.cols1, sparse_sum(one_comb, sparse_kron(a1v, sparse_projection(n2, f2)))
@@ -499,7 +431,6 @@ def c_comb_loop_decomposition(
     r2 = sparse_direct_sum(
         ess.cols2, sparse_sum(one_comb, sparse_kron(sparse_identity(n1), a2v))
     )
-    prod = c_comb_loop_product(g1, g2)
     return OperatorDecomposition(
         r1,
         r2,
@@ -514,14 +445,13 @@ def c_comb_loop_decomposition(
 # -- canonical isomorphisms ----------------------------------------------------
 
 
-def superposition_map(g1, g2) -> dict:
+def superposition_map(g1: Graph, g2: Graph) -> dict:
     """Vertex bijection exhibiting the comb product as the superposition of
     the orthogonal and star products: star(orthogonal(G1, G2), G2) -> comb.
 
     Keys index the star-of-orthogonal product, values the comb product; the
     map preserves roots and colored edges.
     """
-    g1, g2 = _as_rooted(g1), _as_rooted(g2)
     n2, e1, e2 = g2.vertex_count, g1.root, g2.root
     orth = orthogonal_product(g1, g2)
     so = star_product(orth.graph, g2)
@@ -535,11 +465,10 @@ def superposition_map(g1, g2) -> dict:
     return mapping
 
 
-def comb_at_collapse_map(g1, g2: BirootedGraph) -> dict:
+def comb_at_collapse_map(g1: Graph, g2: Graph) -> dict:
     """Vertex bijection comb_at -> comb when the two roots of G2 coincide."""
     if g2.second_root != g2.root:
         raise ValueError("collapse map needs f2 = e2")
-    g1 = _as_rooted(g1)
     n2, e1, e2 = g2.vertex_count, g1.root, g2.root
     prod = comb_at_product(g1, g2)
     mapping = {}
@@ -553,7 +482,7 @@ def comb_at_collapse_map(g1, g2: BirootedGraph) -> dict:
     return mapping
 
 
-def relabel_isomorphic(graph_a: ColoredGraph, graph_b: ColoredGraph, mapping: dict) -> bool:
+def relabel_isomorphic(graph_a: Graph, graph_b: Graph, mapping: dict) -> bool:
     """Check that `mapping` is a root- and color-preserving edge bijection."""
     if graph_a.vertex_count != graph_b.vertex_count:
         return False

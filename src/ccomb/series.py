@@ -340,16 +340,9 @@ def multiplicative_convolve(
     n = _same_order(mu1, mu2, *((nu2,) if nu2 is not None else ()))
     p1, p2 = _eta_poly(mu1), _eta_poly(mu2)
     if kind == "monotone":
-        acc = [0] * (n + 1)
-        pw = [1] + [0] * n
-        for r in range(1, n + 1):
-            pw = _mul(pw, p2, n + 1)
-            c = mu1.coeffs[r - 1]
-            if c:
-                for k in range(n + 1):
-                    if pw[k]:
-                        acc[k] += c * pw[k]
-        return FSeries("eta", tuple(acc[1:]))
+        # eta2 * sum_r N1(r) eta2^(r-1): the c-monotone form with nu = mu2
+        out = _mul(p2, _geometric_sum(mu1.coeffs, p2, n + 1), n + 1)
+        return FSeries("eta", tuple(out[1:]))
     if kind == "boolean":
         out = [0] * n
         for j in range(1, n + 1):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .graphs import (
-    BirootedGraph,
+    Graph,
     adjacency_columns,
     adjacency_matrix,
     birooted,
@@ -223,10 +223,10 @@ def multiplicative_pairs(cfg: VerifyConfig):
 # -- products suite -------------------------------------------------------------
 
 
-def _essential_three_routes(g1: BirootedGraph, g2: BirootedGraph, order: int):
-    ess = comb_at_product(g1.at_first(), g2)
+def _essential_three_routes(g1: Graph, g2: Graph, order: int):
+    ess = comb_at_product(g1, g2)
     walk = root_moments(ess.graph, order).coeffs
-    dec = essential_decomposition(g1.at_first(), g2)
+    dec = essential_decomposition(g1, g2)
     operator = sparse_moments((dec.total_columns(),), order, dec.phi_index)
     mu1 = root_moments(g1, order)
     mu2 = root_moments(g2, order)
@@ -287,8 +287,7 @@ def check_vertex_count_formulas(rng, samples: int) -> Check:
 
 def check_superposition(rng, samples: int) -> Check:
     def body():
-        demo = fixtures.additive_demo_pair()
-        cases = [(demo[0].at_first(), demo[1].at_first())]
+        cases = [fixtures.additive_demo_pair()]
         cases += [
             (random_rooted_graph(rng, 1, 5), random_rooted_graph(rng, 1, 5))
             for _ in range(samples)
@@ -326,8 +325,8 @@ def check_comb_at_collapse(rng, samples: int) -> Check:
 def check_restriction_equalities(pairs) -> Check:
     def body():
         for k, (g1, g2) in enumerate(pairs):
-            dec = essential_decomposition(g1.at_first(), g2)
-            prod = comb_at_product(g1.at_first(), g2)
+            dec = essential_decomposition(g1, g2)
+            prod = comb_at_product(g1, g2)
             assert dec.restricted_sum() == adjacency_matrix(
                 prod.graph
             ), f"pair {k}: comb-at restriction differs"
@@ -336,8 +335,8 @@ def check_restriction_equalities(pairs) -> Check:
             assert cdec.restricted_sum() == adjacency_matrix(
                 cprod.graph
             ), f"pair {k}: c-comb restriction differs"
-            ldec = essential_loop_decomposition(g1.at_first(), g2)
-            lprod = essential_loop_product(g1.at_first(), g2)
+            ldec = essential_loop_decomposition(g1, g2)
+            lprod = essential_loop_product(g1, g2)
             assert ldec.restricted(1) == adjacency_matrix(
                 lprod.graph, 1
             ), f"pair {k}: loop color-1 restriction differs"
@@ -424,7 +423,7 @@ def check_comb_loop_loops(rng, samples: int) -> Check:
     return _run("comb-loop-added-loops", body)
 
 
-def _eta_routes(g1: BirootedGraph, g2: BirootedGraph, order: int):
+def _eta_routes(g1: Graph, g2: Graph, order: int):
     prod = c_comb_loop_product(g1, g2)
     eta_e = eta_from_moments(two_step_moments(prod.graph, order))
     eta_f = eta_from_moments(
@@ -1006,12 +1005,8 @@ def check_c_comb_bridge(cfg: VerifyConfig, max_word: int) -> Check:
                 dec.phi_index,
                 dec.psi_index,
             )
-            m1 = AlgebraModel(
-                {"a": adjacency_matrix(g1.underlying)}, g1.root, g1.second_root
-            )
-            m2 = AlgebraModel(
-                {"a": adjacency_matrix(g2.underlying)}, g2.root, g2.second_root
-            )
+            m1 = AlgebraModel({"a": adjacency_matrix(g1)}, g1.root, g1.second_root)
+            m2 = AlgebraModel({"a": adjacency_matrix(g2)}, g2.root, g2.second_root)
             pairs = _two_state_pairs(m1, m2)
             ev_phi = realization.evaluator("phi")
             ev_psi = realization.evaluator("psi")
@@ -1043,18 +1038,12 @@ def check_loop_bridge(cfg: VerifyConfig, max_word: int) -> Check:
                 dec.psi_index,
             )
             m1 = AlgebraModel(
-                {
-                    "a": adjacency_matrix(g1.underlying)
-                    - Matrix.identity(g1.vertex_count)
-                },
+                {"a": adjacency_matrix(g1) - Matrix.identity(g1.vertex_count)},
                 g1.root,
                 g1.second_root,
             )
             m2 = AlgebraModel(
-                {
-                    "a": adjacency_matrix(g2.underlying)
-                    - Matrix.identity(g2.vertex_count)
-                },
+                {"a": adjacency_matrix(g2) - Matrix.identity(g2.vertex_count)},
                 g2.root,
                 g2.second_root,
             )

@@ -31,8 +31,9 @@ def test_adjacency_color_filter():
         [[0, 0, 1], [0, 0, 1], [1, 1, 0]]
     )
     assert adjacency_matrix(g) == adjacency_matrix(g, 1) + adjacency_matrix(g, 2)
-    with pytest.raises(ValueError):
-        adjacency_matrix(rooted(1, [], 0), color=1)
+    plain = rooted(2, [(0, 1), (1, 1)], 0)
+    assert adjacency_matrix(plain, 1) == adjacency_matrix(plain)
+    assert adjacency_matrix(plain, 2) == Matrix.from_rows([[0, 0], [0, 0]])
 
 
 def test_double_colored_pair_counts_twice():
@@ -123,8 +124,9 @@ def test_walk_cap():
 
 
 def test_alternating_walks_need_colors():
-    with pytest.raises(ValueError):
-        brute_force_closed_walks(rooted(1, [(0, 0)], 0), 2, alternating=True)
+    g = rooted(1, [(0, 0)], 0)
+    assert brute_force_closed_walks(g, 2, alternating=True) == 0
+    assert count_d_walks(g, 2) == 0
 
 
 def test_alternating_walks():
@@ -179,6 +181,10 @@ def test_graph_validation():
 
 def test_birooted_accessors():
     g = birooted(3, [(0, 1), (1, 2)], 0, 2)
-    assert g.at_first().root == 0
+    assert (g.root, g.second_root) == (0, 2)
     assert g.at_second().root == 2
-    assert g.at_second().edges == g.edges
+    assert g.at_second().second_root is None
+    assert g.at_second().colored_edges == g.colored_edges
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    with pytest.raises(TypeError):
+        rooted(1, [], 0).at_second()

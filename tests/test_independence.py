@@ -314,8 +314,8 @@ def test_graph_decomposition_is_cmonotone_pair():
         dec.phi_index,
         dec.psi_index,
     )
-    m1 = AlgebraModel({"a": adjacency_matrix(g1.underlying)}, g1.root, g1.second_root)
-    m2 = AlgebraModel({"a": adjacency_matrix(g2.underlying)}, g2.root, g2.second_root)
+    m1 = AlgebraModel({"a": adjacency_matrix(g1)}, g1.root, g1.second_root)
+    m2 = AlgebraModel({"a": adjacency_matrix(g2)}, g2.root, g2.second_root)
     pairs = {
         1: (ModelFunctional(m1, m1.xi), ModelFunctional(m1, m1.eta)),
         2: (ModelFunctional(m2, m2.xi), ModelFunctional(m2, m2.eta)),

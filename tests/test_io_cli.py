@@ -4,7 +4,7 @@ import pytest
 
 from ccomb.cli import main
 from ccomb.fixtures import additive_demo_pair, multiplicative_demo_pair
-from ccomb.graphs import BirootedGraph, ColoredGraph, RootedGraph, birooted, colored, rooted
+from ccomb.graphs import birooted, colored, root_moments, rooted
 from ccomb.io import (
     GraphFormatError,
     format_graph,
@@ -14,6 +14,7 @@ from ccomb.io import (
     save_graph,
     to_dot,
 )
+from ccomb.series import additive_convolve
 
 def fixture_path(name):
     from pathlib import Path
@@ -23,14 +24,14 @@ def fixture_path(name):
 
 def test_parse_minimal():
     g, labels = parse_graph("vertices = 2\nroot = 0\nedges = [[0, 1]]\n")
-    assert isinstance(g, RootedGraph)
+    assert g.second_root is None
+    assert g.colored_edges == frozenset({(0, 1, 1)})
     assert g.edges == frozenset({(0, 1)}) and labels is None
 
 
 def test_parse_birooted_and_comments():
     text = "# demo\nvertices = 3\nroot = 0\nsecond_root = 2  # second\nedges = []\n"
     g, _ = parse_graph(text)
-    assert isinstance(g, BirootedGraph)
     assert g.second_root == 2
 
 
@@ -40,7 +41,7 @@ def test_parse_colored_and_labels():
         'labels = [[0, 0], [0, 1]]\n'
     )
     g, labels = parse_graph(text)
-    assert isinstance(g, ColoredGraph)
+    assert g.colored_edges == frozenset({(0, 1, 1), (0, 1, 2)})
     assert labels == ((0, 0), (0, 1))
 
 
@@ -364,3 +365,85 @@ def test_cli_malformed_graph_exits_with_one_line(tmp_path, capsys, line):
     assert len(err.strip().splitlines()) == 1
     with pytest.raises(GraphFormatError):
         parse_graph(text)
+
+
+def test_uncolored_and_colored_forms_read_equal():
+    plain, _ = parse_graph("vertices = 2\nroot = 0\nedges = [[0, 1], [1, 1]]\n")
+    tagged, _ = parse_graph("vertices = 2\nroot = 0\nedges = [[0, 1, 1], [1, 1, 1]]\n")
+    assert plain == tagged == rooted(2, [(0, 1), (1, 1)], 0)
+    # writers always tag the color
+    assert "edges = [[0, 1, 1], [1, 1, 1]]" in format_graph(plain)
+    assert "  0 -- 1 [style=solid];" in to_dot(plain)
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_c_monotone_rooted_second_graph_has_no_walk_column(tmp_path, capsys):
+    g = tmp_path / "rooted.graph"
+    save_graph(g, rooted(3, [(0, 1), (1, 2)], 0))
+    nu2 = tmp_path / "nu2.csv"
+    assert main(["moments", fixture_path("additive_g2.graph"), "--at", "f",
+                 "--order", "4", "--out", str(nu2)]) == 0
+    args = ["convolve", "additive", "c-monotone", str(g), str(g), str(nu2),
+            "--order", "4"]
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[0] == "n,fraction,decimal"
+
+
+def test_cli_multiplicative_c_monotone_rooted_first_graph(tmp_path, capsys):
+    g1 = tmp_path / "rooted.graph"
+    save_graph(g1, rooted(3, [(0, 0), (0, 1), (1, 2)], 0))
+    args = ["convolve", "multiplicative", "c-monotone", str(g1),
+            fixture_path("multiplicative_g2.graph"), "--order", "5"]
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.strip().splitlines()
+    assert lines[0].endswith(",walk_count,equal") and len(lines) == 6
+    assert all(line.endswith(",yes") for line in lines[1:])
+
+
+def test_cli_duplicate_edge_from_gluing_exits_2(tmp_path, capsys):
+    g2 = fixture_path("multiplicative_g2.graph")
+    out = tmp_path / "out"
+    args = ["product", "star", fixture_path("multiplicative_g1.graph"), g2,
+            "--out", str(out)]
+    assert main(args) == 0
+    capsys.readouterr()
+    star = str(out / "star.graph")
+    assert main(["product", "comb", star, g2, "--out", str(out)]) == 2
+    _one_line_error(capsys)
+    assert main(["convolve", "multiplicative", "monotone", star, g2]) == 2
+    _one_line_error(capsys)
+
+
+def test_cli_table_not_starting_at_zero_exits_2(tmp_path, capsys):
+    t = tmp_path / "t.csv"
+    t.write_text("1,0\n2,1\n3,0\n")
+    args = ["convolve", "additive", "boolean", str(t), str(t), "--order", "2"]
+    assert main(args) == 2
+    _one_line_error(capsys)
+
+
+def test_cli_comb_at_of_a_star_product(tmp_path, capsys):
+    out = tmp_path / "out"
+    g1, g2 = fixture_path("additive_g1.graph"), fixture_path("additive_g2.graph")
+    assert main(["product", "star", g1, g2, "--out", str(out)]) == 0
+    star = out / "star.graph"
+    assert main(["product", "comb-at", str(star), g2, "--out", str(out)]) == 0
+    order = 10
+    second = load_graph(g2)
+    expect = additive_convolve(
+        "c-monotone",
+        root_moments(load_graph(star), order),
+        root_moments(second, order),
+        root_moments(second, order, at=second.second_root),
+    )
+    got = root_moments(load_graph(out / "comb_at.graph"), order)
+    assert got.coeffs == expect.coeffs

@@ -104,7 +104,7 @@ def test_orthogonal_vertex_count(g1, g2):
 
 def test_comb_at_demo_pair_size():
     g1, g2 = additive_demo_pair()
-    prod = comb_at_product(g1.at_first(), g2)
+    prod = comb_at_product(g1, g2)
     assert prod.vertex_count == 12
     assert prod.label_of_root() == (0, 1, 0)  # (e1, f2, e2)
 
@@ -112,7 +112,7 @@ def test_comb_at_demo_pair_size():
 def test_comb_at_label_set_matches_definition():
     # vertex set: (orthogonal-product pairs) x {e2} union {(e1, f2)} x V2
     g1, g2 = additive_demo_pair()
-    prod = comb_at_product(g1.at_first(), g2)
+    prod = comb_at_product(g1, g2)
     n1, n2 = g1.vertex_count, g2.vertex_count
     e1, e2, f2 = g1.root, g2.root, g2.second_root
     orth_pairs = {(u, y) for u in range(n1) if u != e1 for y in range(n2)}
@@ -135,7 +135,7 @@ def test_comb_at_collapses_to_comb_when_roots_match():
     g2 = birooted(3, [(0, 1), (0, 2)], 0, 0)
     mapping = comb_at_collapse_map(g1, g2)
     prod = comb_at_product(g1, g2)
-    cmb = comb_product(g1, g2.at_first())
+    cmb = comb_product(g1, g2)
     assert relabel_isomorphic(prod.graph, cmb.graph, mapping)
 
 
@@ -160,7 +160,7 @@ def test_c_comb_demo_pair_components():
     g1, g2 = additive_demo_pair()
     prod = c_comb_product(g1, g2)
     assert prod.vertex_count == 24
-    essential = comb_at_product(g1.at_first(), g2)
+    essential = comb_at_product(g1, g2)
     assert essential.vertex_count == 12
     # moments at f only see the comb component
     cmb = comb_product(g1.at_second(), g2.at_second())
@@ -193,14 +193,14 @@ def test_essential_loop_collapses_with_matching_roots():
     g1 = rooted(3, [(0, 1), (1, 2), (0, 0)], 0)
     g2 = birooted(3, [(0, 1), (1, 2)], 0, 0)
     prod = essential_loop_product(g1, g2)
-    cmb = comb_loop_product(g1, g2.at_first())
+    cmb = comb_loop_product(g1, g2)
     mapping = comb_at_collapse_map(g1, g2)
     assert relabel_isomorphic(prod.graph, cmb.graph, mapping)
 
 
 def test_essential_loop_demo_pair():
     g1, g2 = multiplicative_demo_pair()
-    prod = essential_loop_product(g1.at_first(), g2)
+    prod = essential_loop_product(g1, g2)
     assert prod.vertex_count == 12
     spine = {i for i, lab in enumerate(prod.vertex_labels) if lab[1:] == (1, 0)}
     added = {
@@ -224,13 +224,13 @@ def test_loop_color_flag_renders_the_discrepancy():
     other = c_comb_loop_product(g1, g2, loop_color=2)
     assert count_d_walks(other.graph, 4) == 0
     with pytest.raises(ValueError):
-        essential_loop_product(g1.at_first(), g2, loop_color=3)
+        essential_loop_product(g1, g2, loop_color=3)
 
 
 def test_essential_decomposition_restriction():
     g1, g2 = additive_demo_pair()
-    dec = essential_decomposition(g1.at_first(), g2)
-    prod = comb_at_product(g1.at_first(), g2)
+    dec = essential_decomposition(g1, g2)
+    prod = comb_at_product(g1, g2)
     assert dec.restricted_sum() == adjacency_matrix(prod.graph)
     walks = root_moments(prod.graph, 12).coeffs
     assert walks == state_moments(dec.total(), 12, dec.phi_index)
@@ -238,14 +238,14 @@ def test_essential_decomposition_restriction():
 
 def test_essential_decomposition_trivial():
     g = birooted(1, [], 0, 0)
-    dec = essential_decomposition(g.at_first(), g)
+    dec = essential_decomposition(g, g)
     assert dec.restricted_sum().to_rows() == [[0]]
 
 
 @given(birooted_graphs(max_vertices=4), birooted_graphs(max_vertices=4))
 def test_decomposition_invariance(g1, g2):
-    dec = essential_decomposition(g1.at_first(), g2)
-    prod = comb_at_product(g1.at_first(), g2)
+    dec = essential_decomposition(g1, g2)
+    prod = comb_at_product(g1, g2)
     assert dec.restricted_sum() == adjacency_matrix(prod.graph)
 
 
@@ -258,8 +258,8 @@ def test_flip_connects_two_step_operator_to_decomposition():
     g1, g2 = additive_demo_pair()
     n1, n2 = g1.vertex_count, g2.vertex_count
     e1, e2, f2 = g1.root, g2.root, g2.second_root
-    a1 = adjacency_matrix(g1.underlying)
-    a2 = adjacency_matrix(g2.underlying)
+    a1 = adjacency_matrix(g1)
+    a2 = adjacency_matrix(g2)
     p_e2 = basis_projection(n2, e2)
     p_f2 = basis_projection(n2, f2)
     pre = (
@@ -269,7 +269,7 @@ def test_flip_connects_two_step_operator_to_decomposition():
     )
     sigma = flip23_permutation(n1, n2, n2)
     flipped = sigma * pre * sigma
-    dec = essential_decomposition(g1.at_first(), g2)
+    dec = essential_decomposition(g1, g2)
     # identity legs in the decomposition act like the swapped projections
     # on the span, so the restrictions agree even though the ambient
     # operators differ
@@ -289,8 +289,8 @@ def test_c_comb_decomposition_restriction_and_states():
 
 def test_loop_decomposition_colors():
     g1, g2 = multiplicative_demo_pair()
-    dec = essential_loop_decomposition(g1.at_first(), g2)
-    prod = essential_loop_product(g1.at_first(), g2)
+    dec = essential_loop_decomposition(g1, g2)
+    prod = essential_loop_product(g1, g2)
     assert dec.loop_adjusted
     assert dec.restricted(1) == adjacency_matrix(prod.graph, 1)
     assert dec.restricted(2) == adjacency_matrix(prod.graph, 2)
@@ -315,7 +315,7 @@ def test_c_comb_loop_decomposition_demo():
 
 def test_embedding_flags_wrong_span():
     g1, g2 = additive_demo_pair()
-    dec = essential_decomposition(g1.at_first(), g2)
+    dec = essential_decomposition(g1, g2)
     with pytest.raises(NotInvariant):
         subspace_restrict(dec.total(), dec.embedding[:-1])
 
@@ -354,7 +354,7 @@ def test_two_leg_tensor_formulas(g1, g2):
 
 def test_walks_match_brute_force_on_products():
     g1, g2 = additive_demo_pair()
-    prod = comb_at_product(g1.at_first(), g2)
+    prod = comb_at_product(g1, g2)
     moments = root_moments(prod.graph, 12).coeffs
     for n in (11, 12):
         assert moments[n] == brute_force_closed_walks(prod.graph, n)
