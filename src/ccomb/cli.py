@@ -8,12 +8,13 @@
                        [--graphs K] [--models M] [--out FILE]
 
 Product kinds: star, comb, orthogonal, comb-at, c-comb, comb-loop,
-c-comb-loop. Convolve families: additive (moment tables) and multiplicative
-(eta tables); kinds: monotone, boolean, orthogonal, c-monotone. Inputs are
-graph files (see the io module for the format) or coefficient CSV tables;
-the c-monotone kinds read nu2 from the second root of a birooted second
-graph, or from a third table. When inputs are graphs, the emitted table
-carries the matching product-graph walk column with an equality flag.
+c-comb-loop. Convolve families: additive and multiplicative; kinds:
+monotone, boolean, orthogonal, c-monotone. Inputs are graph files (see the
+io module for the format) or moment CSV tables starting at n = 0 (the
+multiplicative family converts them to eta-series); the c-monotone kinds
+read nu2 from the second root of a birooted second graph, or from a third
+table. When inputs are graphs, the emitted table carries the matching
+product-graph walk column with an equality flag.
 
 `word-moment` takes two birooted graph files and a word in index:name
 syntax such as `1:a 2:a 1:a` (index 1 letters act as the first operator of
@@ -31,7 +32,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import io as gio
@@ -78,22 +78,6 @@ BIROOTED_SECOND = ("comb-at", "c-comb", "c-comb-loop")
 BIROOTED_FIRST = ("c-comb", "c-comb-loop")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple
-    order: int = 12
-    max_word: int = 8
-    seed: int = 0
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
-        if self.max_word < 1:
-            raise ValueError("word cap must be positive")
-
-
 def _out_dir(arg) -> Path:
     if arg:
         return Path(arg)
@@ -113,7 +97,10 @@ def _load_graph_or_fail(path):
 
 def _write_or_print(text: str, out):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -136,12 +123,15 @@ def _cmd_product(args) -> int:
         return 2
     prod = _build_product(build, g1, g2)
     outdir = _out_dir(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = args.kind.replace("-", "_")
-    gio.save_graph(outdir / f"{stem}.graph", prod.graph, prod.vertex_labels)
-    (outdir / f"{stem}.dot").write_text(
-        gio.to_dot(prod.graph, prod.vertex_labels), encoding="utf-8"
-    )
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        gio.save_graph(outdir / f"{stem}.graph", prod.graph, prod.vertex_labels)
+        (outdir / f"{stem}.dot").write_text(
+            gio.to_dot(prod.graph, prod.vertex_labels), encoding="utf-8"
+        )
+    except OSError as exc:
+        raise _CliError(f"cannot write to {outdir}: {exc}") from exc
     edges = len(prod.graph.colored_edges)
     print(f"kind={args.kind} vertices={prod.vertex_count} edges={edges}")
     print(f"root_e={prod.graph.root} label_e={prod.vertex_labels[prod.graph.root]}")
@@ -208,12 +198,18 @@ _MULTIPLICATIVE_WALK_PRODUCTS = {
 
 def _walk_column(products, kind, g1, g2):
     """Product graph whose root moments give the walk column, or None when
-    the inputs are tables or a c-monotone second graph has no second root."""
+    the inputs are tables, a c-monotone second graph has no second root, or
+    a multiplicative first graph has color-2 edges: its loop product keeps
+    them, so the two-step operator no longer realizes the convolution. The
+    product is still built, so factors it cannot glue exit 2."""
     if g1 is None or g2 is None or kind not in products:
         return None
     if kind == "c-monotone" and g2.second_root is None:
         return None
-    return _build_product(products[kind], g1, g2).graph
+    prod = _build_product(products[kind], g1, g2).graph
+    if products is _MULTIPLICATIVE_WALK_PRODUCTS and g1.monochrome_edges(2):
+        return None
+    return prod
 
 
 def _nu2_fallback(inputs, order):
@@ -387,20 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    inputs = tuple(
-        getattr(args, name) for name in ("g1", "g2", "graph") if hasattr(args, name)
-    ) + tuple(getattr(args, "inputs", ()))
-    try:
-        RunConfig(
-            command=args.command,
-            inputs=inputs,
-            order=getattr(args, "order", 12),
-            max_word=getattr(args, "max_word", 8),
-            seed=getattr(args, "seed", 0),
-            out=getattr(args, "out", None),
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    if getattr(args, "order", 1) < 1:
+        parser.error("order must be at least 1")
+    if getattr(args, "max_word", 1) < 1:
+        parser.error("word cap must be positive")
     try:
         return args.func(args)
     except _CliError as exc:

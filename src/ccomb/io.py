@@ -142,9 +142,9 @@ def to_dot(graph, labels=None, name: str = "G") -> str:
 
 
 def parse_moment_table(text: str) -> list:
-    """Parse a CSV coefficient table; accepts the emitted `n,fraction,
-    decimal` layout or plain `n,value` rows and returns values in index
-    order starting from the smallest n present."""
+    """Parse a CSV moment table; accepts the emitted `n,fraction,decimal`
+    layout or plain `n,value` rows and returns the values M_0, M_1, ... in
+    index order. The rows must cover n = 0, 1, ... without gaps."""
     rows = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -157,8 +157,9 @@ def parse_moment_table(text: str) -> list:
     rows.sort()
     if not rows:
         raise ValueError("empty moment table")
-    indices = [n for n, _ in rows]
-    if indices != list(range(indices[0], indices[0] + len(rows))):
+    if rows[0][0] != 0:
+        raise ValueError(f"table rows must start at n = 0, not n = {rows[0][0]}")
+    if [n for n, _ in rows] != list(range(len(rows))):
         raise ValueError("table rows must cover a contiguous index range")
     return [v for _, v in rows]
 

@@ -1,32 +1,35 @@
 """Products of rooted and birooted graphs and the tensor-operator
 decompositions of their adjacency matrices.
 
-Constructions
--------------
-star        glue G2 to G1 at the roots; adjacency a1 (x) P_e2 + P_e1 (x) a2
-comb        a copy of G2 at its root on every vertex of G1;
-            adjacency a1 (x) P_e2 + 1 (x) a2 on the full tensor space
-orthogonal  copies of G2 on every non-root vertex of G1;
-            adjacency a1 (x) P_e2 + P_e1-perp (x) a2
-comb-at     a copy of (G2, e2) on the root of G1 and copies of (G2, f2) on
-            the remaining vertices: the orthogonal product at f2 followed by
-            the star product at e2; this is the essential component of the
-            c-comb product
+Gluing rule
+-----------
+Every product glues copies of G2 onto the vertices of G1: G1's edges lie on
+the spine (one vertex per vertex of G1) with their colors kept, and each
+host vertex carries a copy of G2 attached at e2, or at f2 in the comb-at
+product, whose edges all carry color 2. The products differ only in which
+vertices host a copy:
+
+star        the root of G1; adjacency a1 (x) P_e2 + P_e1 (x) a2
+comb        every vertex; a1 (x) P_e2 + 1 (x) a2 on the full tensor space
+orthogonal  every vertex but the root; a1 (x) P_e2 + P_e1-perp (x) a2
+comb-at     every vertex: (G2, e2) on the root of G1 and (G2, f2) on the
+            others, i.e. the orthogonal product at f2 followed by the star
+            product at e2; this is the essential component of the c-comb
+            product
 c-comb      disjoint union of the comb-at component (root e) and a plain
             comb product at the second roots (root f)
-loop variants  the same graphs with color-1 loops added so that products of
-            the one-color adjacency matrices count alternating d-walks
 
-Every product reads its two factors by one rule: edges of the first factor
-keep their colors (color 1 for a plain graph, the original colors when it is
-itself a product), and every edge of the attached copies of the second
-factor carries color 2. A second-factor pair that already carries both
-colors would become two color-2 edges, so building such a product raises
-ValueError instead of merging them. The rule also makes the constructions
-exact when both factors have loops at a glued vertex: the product keeps one
-loop per color there and the adjacency diagonal counts both, matching the
-tensor formulas. A product that needs a second root its factor lacks raises
-TypeError.
+Loop rule: the loop variants (comb-loop, the essential loop component and
+c-comb-loop) add a color-1 loop on every vertex off the spine, so that
+products of the one-color adjacency matrices count alternating d-walks.
+
+Since the first factor keeps its colors, a product can itself be a first
+factor. A second-factor pair that already carries both colors would become
+two color-2 edges, so building such a product raises ValueError instead of
+merging them. The rule also makes the constructions exact when both factors
+have loops at a glued vertex: the product keeps one loop per color there
+and the adjacency diagonal counts both, matching the tensor formulas. A
+product that needs a second root its factor lacks raises TypeError.
 
 Every product records its vertex coordinate labels plus the list of
 composite indices embedding it into the ambient tensor space, so the
@@ -90,9 +93,6 @@ class ProductGraph:
     def vertex_count(self) -> int:
         return self.graph.vertex_count
 
-    def index_of(self, label) -> int:
-        return self.vertex_labels.index(label)
-
     def label_of_root(self):
         return self.vertex_labels[self.graph.root]
 
@@ -104,9 +104,7 @@ class OperatorDecomposition:
 
     `cols1` / `cols2` hold the two operators column-sparse (see linalg);
     the dense `s1`, `s2` and `total()` are test-size references built on
-    request. `loop_adjusted` distinguishes the loop-product pairs (R1, R2),
-    whose ambient identity carries the added loops, from the plain pairs
-    (S1, S2). `phi_index` / `psi_index` are the ambient coordinates of the
+    request. `phi_index` / `psi_index` are the ambient coordinates of the
     one or two distinguished vector states.
     """
 
@@ -114,7 +112,6 @@ class OperatorDecomposition:
     cols2: list
     ambient_dim: int
     embedding: tuple
-    loop_adjusted: bool
     phi_index: int
     psi_index: int | None = None
 
@@ -145,37 +142,52 @@ def _pair(i: int, j: int) -> tuple:
     return (i, j) if i <= j else (j, i)
 
 
+def _glue(g1, g2, labels, spine, hosts, copy, embed, ambient_dim) -> ProductGraph:
+    """The one gluing rule: G1's edges join the spine labels spine(u) with
+    their colors kept, and each host u carries a color-2 copy of G2 whose
+    vertex y is labeled copy(u, y). The root is spine(e1); a label sits at
+    composite index embed(label) of an ambient space of size ambient_dim."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    edges = [(index[spine(u)], index[spine(v)], c) for u, v, c in g1.colored_edges]
+    for u in hosts:
+        at = [index[copy(u, y)] for y in range(g2.vertex_count)]
+        edges.extend((at[y], at[z], 2) for y, z, _c in g2.colored_edges)
+    graph = colored(len(labels), edges, index[spine(g1.root)])
+    embedding = tuple(embed(lab) for lab in labels)
+    return ProductGraph(graph, tuple(labels), embedding, ambient_dim)
+
+
+def _two_leg(g1: Graph, g2: Graph, labels, hosts) -> ProductGraph:
+    """Gluing at e2 on V1 x V2: the spine is {(u, e2)}, vertex y of the
+    copy on host u is (u, y), at composite index u * n2 + y."""
+    n2, e2 = g2.vertex_count, g2.root
+    return _glue(
+        g1,
+        g2,
+        labels,
+        lambda u: (u, e2),
+        hosts,
+        lambda u, y: (u, y),
+        lambda lab: lab[0] * n2 + lab[1],
+        g1.vertex_count * n2,
+    )
+
+
 def star_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Glue (G2, e2) at its root to the root of (G1, e1)."""
     n1, e1 = g1.vertex_count, g1.root
     n2, e2 = g2.vertex_count, g2.root
     labels = [(u, e2) for u in range(n1)]
     labels += [(e1, y) for y in range(n2) if y != e2]
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for u, v, c in g1.colored_edges:
-        edges.append((index[(u, e2)], index[(v, e2)], c))
-    for y, z, _c in g2.colored_edges:
-        edges.append((index[(e1, y)], index[(e1, z)], 2))
-    graph = colored(len(labels), edges, index[(e1, e2)])
-    embedding = tuple(tensor_index((n1, n2), lab) for lab in labels)
-    return ProductGraph(graph, tuple(labels), embedding, n1 * n2)
+    return _two_leg(g1, g2, labels, [e1])
 
 
 def comb_product(g1: Graph, g2: Graph) -> ProductGraph:
     """A copy of (G2, e2) at its root on every vertex of G1; the product
     fills the whole tensor space V1 x V2."""
-    n1, e1 = g1.vertex_count, g1.root
-    n2, e2 = g2.vertex_count, g2.root
+    n1, n2 = g1.vertex_count, g2.vertex_count
     labels = [(u, y) for u in range(n1) for y in range(n2)]
-    edges = []
-    for u, v, c in g1.colored_edges:
-        edges.append((u * n2 + e2, v * n2 + e2, c))
-    for u in range(n1):
-        for y, z, _c in g2.colored_edges:
-            edges.append((u * n2 + y, u * n2 + z, 2))
-    graph = colored(n1 * n2, edges, e1 * n2 + e2)
-    return ProductGraph(graph, tuple(labels), tuple(range(n1 * n2)), n1 * n2)
+    return _two_leg(g1, g2, labels, range(n1))
 
 
 def orthogonal_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -184,28 +196,8 @@ def orthogonal_product(g1: Graph, g2: Graph) -> ProductGraph:
     n2, e2 = g2.vertex_count, g2.root
     labels = []
     for u in range(n1):
-        if u == e1:
-            labels.append((e1, e2))
-        else:
-            labels.extend((u, y) for y in range(n2))
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for u, v, c in g1.colored_edges:
-        edges.append((index[(u, e2)], index[(v, e2)], c))
-    for u in range(n1):
-        if u == e1:
-            continue
-        for y, z, _c in g2.colored_edges:
-            edges.append((index[(u, y)], index[(u, z)], 2))
-    graph = colored(len(labels), edges, index[(e1, e2)])
-    embedding = tuple(tensor_index((n1, n2), lab) for lab in labels)
-    return ProductGraph(graph, tuple(labels), embedding, n1 * n2)
-
-
-def _three_leg_embedding(labels, n1, n2):
-    # ambient leg order (V1, V2-at-e2, V2-at-f2): label (u, y, z) sits at
-    # composite coordinate (u, z, y)
-    return tuple(tensor_index((n1, n2, n2), (u, z, y)) for (u, y, z) in labels)
+        labels.extend([(e1, e2)] if u == e1 else [(u, y) for y in range(n2)])
+    return _two_leg(g1, g2, labels, [u for u in range(n1) if u != e1])
 
 
 def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -215,7 +207,9 @@ def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
     to the comb product.
 
     Labels are the pre-swap coordinates (u, y, z): y is the f2-copy leg, z
-    the e2-copy leg. The spine {(u, f2, e2)} carries the edges of G1."""
+    the e2-copy leg. The spine {(u, f2, e2)} carries the edges of G1; the
+    ambient leg order (V1, V2-at-e2, V2-at-f2) puts label (u, y, z) at
+    composite coordinate (u, z, y)."""
     if g2.second_root is None:
         raise TypeError("the second factor must be birooted")
     n1, e1 = g1.vertex_count, g1.root
@@ -226,32 +220,26 @@ def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
         if u != e1:
             labels.extend((u, y, e2) for y in range(n2) if y != f2)
     labels.extend((e1, f2, z) for z in range(n2) if z != e2)
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = []
-    for u, v, c in g1.colored_edges:
-        edges.append((index[(u, f2, e2)], index[(v, f2, e2)], c))
-    for u in range(n1):
-        if u == e1:
-            continue
-        for y, z, _c in g2.colored_edges:
-            edges.append((index[(u, y, e2)], index[(u, z, e2)], 2))
-    for y, z, _c in g2.colored_edges:
-        edges.append((index[(e1, f2, y)], index[(e1, f2, z)], 2))
-    graph = colored(len(labels), edges, index[(e1, f2, e2)])
-    return ProductGraph(
-        graph, tuple(labels), _three_leg_embedding(labels, n1, n2), n1 * n2 * n2
+    return _glue(
+        g1,
+        g2,
+        labels,
+        lambda u: (u, f2, e2),
+        range(n1),
+        lambda u, y: (e1, f2, y) if u == e1 else (u, y, e2),
+        lambda lab: tensor_index((n1, n2, n2), (lab[0], lab[2], lab[1])),
+        n1 * n2 * n2,
     )
 
 
-def _union(first: ProductGraph, second: ProductGraph, block: int) -> ProductGraph:
+def _union(first: ProductGraph, second: ProductGraph) -> ProductGraph:
     """Disjoint union of two product components, the second embedded after
-    an ambient block of size `block`; roots e and f."""
-    labels = first.vertex_labels + second.vertex_labels
-    embedding = first.embedding + tuple(block + k for k in second.embedding)
+    the ambient block of the first; roots e and f."""
+    block = first.ambient_dim
     return ProductGraph(
         disjoint_union(first.graph, second.graph),
-        labels,
-        embedding,
+        first.vertex_labels + second.vertex_labels,
+        first.embedding + tuple(block + k for k in second.embedding),
         block + second.ambient_dim,
     )
 
@@ -260,186 +248,114 @@ def c_comb_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Disjoint union of the comb-at component of (G1, e1) and (G2, e2, f2)
     with the comb product of (G1, f1) and (G2, f2); roots e and f."""
     ess = comb_at_product(g1, g2)
-    cmb = comb_product(g1.at_second(), g2.at_second())
-    return _union(ess, cmb, ess.ambient_dim)
+    return _union(ess, comb_product(g1.at_second(), g2.at_second()))
 
 
-def comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
-    """Comb product with a color-1 loop added to every vertex except the
-    root of each G2-copy."""
-    base = comb_product(g1, g2)
-    n2, e2 = g2.vertex_count, g2.root
+def _loops_off_spine(base: ProductGraph, spine: tuple) -> ProductGraph:
+    """The loop rule: a color-1 loop on every vertex off the spine, i.e.
+    whose label past its G1 coordinate differs from `spine`."""
     edges = list(base.graph.colored_edges)
-    for v in range(base.vertex_count):
-        if v % n2 != e2:
+    for v, label in enumerate(base.vertex_labels):
+        if label[1:] != spine:
             edges.append((v, v, 1))
     graph = colored(base.vertex_count, edges, base.graph.root)
     return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
 
 
-def essential_loop_product(g1: Graph, g2: Graph, loop_color: int = 1) -> ProductGraph:
+def comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
+    """Comb product with a color-1 loop added to every vertex except the
+    root of each G2-copy."""
+    return _loops_off_spine(comb_product(g1, g2), (g2.root,))
+
+
+def essential_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Comb-at product with added loops on every vertex except e2 of the
     copy attached to the root and except f2 of all other copies;
-    equivalently, on every non-spine vertex.
-
-    The added loops carry color 1: that is what makes products of the
-    one-color adjacency matrices count alternating d-walks, and it matches
-    the loop-adjusted operator pair (the identity summand of R1). Passing
-    `loop_color=2` builds the alternative coloring for inspection; its
-    first-return counts do not reproduce the convolution coefficients.
-    """
-    if loop_color not in (1, 2):
-        raise ValueError("loop color must be 1 or 2")
+    equivalently, on every non-spine vertex. The loops carry color 1: that
+    is what makes products of the one-color adjacency matrices count
+    alternating d-walks, and it matches the identity summand of the loop
+    pair (R1, R2)."""
     base = comb_at_product(g1, g2)
-    spine = (g2.second_root, g2.root)
-    edges = list(base.graph.colored_edges)
-    for v, (_u, y, z) in enumerate(base.vertex_labels):
-        if (y, z) != spine:
-            edges.append((v, v, loop_color))
-    graph = colored(base.vertex_count, edges, base.graph.root)
-    return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
+    return _loops_off_spine(base, (g2.second_root, g2.root))
 
 
-def c_comb_loop_product(g1: Graph, g2: Graph, loop_color: int = 1) -> ProductGraph:
+def c_comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Disjoint union of the essential loop component (root e) and the comb
-    loop product at the second roots (root f); see essential_loop_product
-    for the `loop_color` escape hatch."""
-    ess = essential_loop_product(g1, g2, loop_color)
-    cmb = comb_loop_product(g1.at_second(), g2.at_second())
-    return _union(ess, cmb, ess.ambient_dim)
+    loop product at the second roots (root f)."""
+    ess = essential_loop_product(g1, g2)
+    return _union(ess, comb_loop_product(g1.at_second(), g2.at_second()))
 
 
 # -- operator decompositions ---------------------------------------------------
 
 
-def _loop_adjusted(a: list) -> list:
-    """a - 1 for a column-sparse factor adjacency."""
-    return sparse_sum(a, sparse_identity(len(a)), signs=(1, -1))
-
-
-def _essential_pair(a1, a2, e1, e2, f2):
-    """The comb-at pair built leg by leg from factor operators a1, a2:
-    (a1 (x) P_e2 (x) P_f2,  P_e1 (x) a2 (x) 1 + P_e1-perp (x) 1 (x) a2)."""
-    n1, n2 = len(a1), len(a2)
-    i2 = sparse_identity(n2)
-    s1 = sparse_kron(a1, sparse_projection(n2, e2), sparse_projection(n2, f2))
-    s2 = sparse_sum(
-        sparse_kron(sparse_projection(n1, e1), a2, i2),
-        sparse_kron(sparse_complement(n1, e1), i2, a2),
-    )
-    return s1, s2
-
-
-def essential_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
-    """Tensor pair (S1, S2) for the comb-at component on V1 x V2 x V2:
+def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
+    """The one operator builder. The comb-at block on V1 x V2 x V2 is
 
         S1 = a1 (x) P_e2 (x) P_f2
         S2 = P_e1 (x) a2 (x) 1  +  P_e1-perp (x) 1 (x) a2
 
-    The embedded span is invariant under both operators and their sum
-    restricts to the adjacency matrix of the comb-at product; the root is
-    embedded at the composite index of (e1, e2, f2)."""
-    prod = comb_at_product(g1, g2)
+    with phi at (e1, e2, f2). When the product has a second root, the comb
+    block on V1 x V2, S1' = a1 (x) P_f2 and S2' = 1 (x) a2, follows in a
+    direct sum with psi at (f1, f2). With `loops` the pair is built from
+    a - 1 for both factors and the ambient identity is added to each
+    operator: (R1, R2) = 1 + the pair of (a1 - 1, a2 - 1)."""
+    a1, a2 = adjacency_columns(g1), adjacency_columns(g2)
+    if loops:
+        a1 = sparse_sum(a1, sparse_identity(len(a1)), signs=(1, -1))
+        a2 = sparse_sum(a2, sparse_identity(len(a2)), signs=(1, -1))
     n1, e1 = g1.vertex_count, g1.root
     n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
-    s1, s2 = _essential_pair(adjacency_columns(g1), adjacency_columns(g2), e1, e2, f2)
-    return OperatorDecomposition(
-        s1,
-        s2,
-        n1 * n2 * n2,
-        prod.embedding,
-        False,
-        tensor_index((n1, n2, n2), (e1, e2, f2)),
-    )
+    i2 = sparse_identity(n2)
+    s1 = [sparse_kron(a1, sparse_projection(n2, e2), sparse_projection(n2, f2))]
+    s2 = [
+        sparse_sum(
+            sparse_kron(sparse_projection(n1, e1), a2, i2),
+            sparse_kron(sparse_complement(n1, e1), i2, a2),
+        )
+    ]
+    psi = None
+    if product.graph.second_root is not None:
+        psi = n1 * n2 * n2 + tensor_index((n1, n2), (g1.second_root, f2))
+        s1.append(sparse_kron(a1, sparse_projection(n2, f2)))
+        s2.append(sparse_kron(sparse_identity(n1), a2))
+    cols1, cols2 = sparse_direct_sum(*s1), sparse_direct_sum(*s2)
+    if loops:
+        one = sparse_identity(len(cols1))
+        cols1, cols2 = sparse_sum(one, cols1), sparse_sum(one, cols2)
+    phi = tensor_index((n1, n2, n2), (e1, e2, f2))
+    return OperatorDecomposition(cols1, cols2, len(cols1), product.embedding, phi, psi)
+
+
+def essential_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
+    """Tensor pair (S1, S2) for the comb-at component (see _decomposition):
+    the embedded span is invariant under both operators and their sum
+    restricts to the adjacency matrix of the comb-at product."""
+    return _decomposition(g1, g2, comb_at_product(g1, g2), loops=False)
 
 
 def c_comb_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Direct-sum pair for the full c-comb product on the ambient space
-    (V1 x V2 x V2) (+) (V1 x V2), with the comb-at block as in
-    essential_decomposition and the comb block
-
-        S1' = a1 (x) P_f2,    S2' = 1 (x) a2.
-
-    Exposes both vector states: phi at the embedded e, psi at the embedded
-    f; the pair (S1, S2) is c-monotone independent with respect to them."""
-    prod = c_comb_product(g1, g2)
-    ess = essential_decomposition(g1, g2)
-    n1, f1 = g1.vertex_count, g1.second_root
-    n2, f2 = g2.vertex_count, g2.second_root
-    a1 = adjacency_columns(g1)
-    a2 = adjacency_columns(g2)
-    s1 = sparse_direct_sum(ess.cols1, sparse_kron(a1, sparse_projection(n2, f2)))
-    s2 = sparse_direct_sum(ess.cols2, sparse_kron(sparse_identity(n1), a2))
-    block = n1 * n2 * n2
-    return OperatorDecomposition(
-        s1,
-        s2,
-        block + n1 * n2,
-        prod.embedding,
-        False,
-        ess.phi_index,
-        block + tensor_index((n1, n2), (f1, f2)),
-    )
+    (V1 x V2 x V2) (+) (V1 x V2), exposing phi at the embedded e and psi at
+    the embedded f; the pair (S1, S2) is c-monotone independent with respect
+    to them."""
+    return _decomposition(g1, g2, c_comb_product(g1, g2), loops=False)
 
 
 def essential_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
-    """Loop-adjusted pair (R1, R2) for the essential loop component:
-
-        R1 - 1 = (a1 - 1) (x) P_e2 (x) P_f2
-        R2 - 1 = P_e1 (x) (a2 - 1) (x) 1  +  P_e1-perp (x) 1 (x) (a2 - 1)
-
-    with 1 the ambient identity, whose restriction contributes exactly the
-    added color-1 loops; R1 and R2 restrict to the color-1 and color-2
-    adjacency matrices of the essential loop product."""
-    prod = essential_loop_product(g1, g2)
-    n1, e1 = g1.vertex_count, g1.root
-    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
-    dim = n1 * n2 * n2
-    v1, v2 = _essential_pair(
-        _loop_adjusted(adjacency_columns(g1)),
-        _loop_adjusted(adjacency_columns(g2)),
-        e1,
-        e2,
-        f2,
-    )
-    one = sparse_identity(dim)
-    return OperatorDecomposition(
-        sparse_sum(one, v1),
-        sparse_sum(one, v2),
-        dim,
-        prod.embedding,
-        True,
-        tensor_index((n1, n2, n2), (e1, e2, f2)),
-    )
+    """Loop pair (R1, R2) for the essential loop component: R1 - 1 and
+    R2 - 1 are the comb-at pair of (a1 - 1, a2 - 1), with 1 the ambient
+    identity, whose restriction contributes exactly the added color-1
+    loops; R1 and R2 restrict to the color-1 and color-2 adjacency matrices
+    of the essential loop product."""
+    return _decomposition(g1, g2, essential_loop_product(g1, g2), loops=True)
 
 
 def c_comb_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
-    """Direct-sum loop-adjusted pair covering both components of the c-comb
-    loop product; (R1 - 1, R2 - 1) is c-monotone independent with respect to
-    the states at the embedded roots e and f."""
-    prod = c_comb_loop_product(g1, g2)
-    ess = essential_loop_decomposition(g1, g2)
-    n1, f1 = g1.vertex_count, g1.second_root
-    n2, f2 = g2.vertex_count, g2.second_root
-    block = n1 * n2 * n2
-    a1v = _loop_adjusted(adjacency_columns(g1))
-    a2v = _loop_adjusted(adjacency_columns(g2))
-    one_comb = sparse_identity(n1 * n2)
-    r1 = sparse_direct_sum(
-        ess.cols1, sparse_sum(one_comb, sparse_kron(a1v, sparse_projection(n2, f2)))
-    )
-    r2 = sparse_direct_sum(
-        ess.cols2, sparse_sum(one_comb, sparse_kron(sparse_identity(n1), a2v))
-    )
-    return OperatorDecomposition(
-        r1,
-        r2,
-        block + n1 * n2,
-        prod.embedding,
-        True,
-        ess.phi_index,
-        block + tensor_index((n1, n2), (f1, f2)),
-    )
+    """Direct-sum loop pair covering both components of the c-comb loop
+    product; (R1 - 1, R2 - 1) is c-monotone independent with respect to the
+    states at the embedded roots e and f."""
+    return _decomposition(g1, g2, c_comb_loop_product(g1, g2), loops=True)
 
 
 # -- canonical isomorphisms ----------------------------------------------------

@@ -344,16 +344,7 @@ def multiplicative_convolve(
         out = _mul(p2, _geometric_sum(mu1.coeffs, p2, n + 1), n + 1)
         return FSeries("eta", tuple(out[1:]))
     if kind == "boolean":
-        out = [0] * n
-        for j in range(1, n + 1):
-            a = mu1.coeffs[j - 1]
-            if not a:
-                continue
-            for k in range(1, n + 1):
-                target = j + k - 1
-                if 1 <= target <= n and mu2.coeffs[k - 1]:
-                    out[target - 1] += a * mu2.coeffs[k - 1]
-        return FSeries("eta", tuple(out))
+        return FSeries("eta", tuple(_mul(mu1.coeffs, mu2.coeffs, n)))
     if kind == "orthogonal":
         if _is_zero(mu2.coeffs):
             raise DivisorVanishes(

@@ -764,11 +764,26 @@ def _pair_functionals(m1: AlgebraModel, m2: AlgebraModel):
     return {1: ModelFunctional(m1, m1.xi), 2: ModelFunctional(m2, m2.xi)}
 
 
-def _two_state_pairs(m1: AlgebraModel, m2: AlgebraModel):
+def _two_state_pairs(models: dict) -> dict:
+    """The (xi, eta) vector-state functionals of each indexed model."""
     return {
-        1: (ModelFunctional(m1, m1.xi), ModelFunctional(m1, m1.eta)),
-        2: (ModelFunctional(m2, m2.xi), ModelFunctional(m2, m2.eta)),
+        j: (ModelFunctional(m, m.xi), ModelFunctional(m, m.eta))
+        for j, m in models.items()
     }
+
+
+def _assert_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
+    """Each realization's phi and psi moments equal the c-monotone oracle on
+    every word; `realizations` maps a message prefix to a realization."""
+    evs = [
+        (tag, r.evaluator("phi"), r.evaluator("psi"))
+        for tag, r in realizations.items()
+    ]
+    for w in words:
+        phi_expect, psi_expect = oracle_cmonotone(w, pairs)
+        for tag, ev_phi, ev_psi in evs:
+            assert ev_phi.moment(w) == phi_expect, f"{where}, word {w}: {tag}phi"
+            assert ev_psi.moment(w) == psi_expect, f"{where}, word {w}: {tag}psi"
 
 
 def model_pairs(cfg: VerifyConfig):
@@ -832,29 +847,12 @@ def check_cmonotone_pair(model_pairs, max_word: int) -> Check:
     def body():
         words = all_words(letters, max_word)
         for k, (m1, m2) in enumerate(model_pairs):
-            pairs = _two_state_pairs(m1, m2)
-            main = realize_cmonotone_pair(m1, m2)
-            variant = realize_cmonotone_pair(m1, m2, variant=True)
-            ev = {
-                ("main", "phi"): main.evaluator("phi"),
-                ("main", "psi"): main.evaluator("psi"),
-                ("var", "phi"): variant.evaluator("phi"),
-                ("var", "psi"): variant.evaluator("psi"),
+            realizations = {
+                "": realize_cmonotone_pair(m1, m2),
+                "variant ": realize_cmonotone_pair(m1, m2, variant=True),
             }
-            for w in words:
-                phi_expect, psi_expect = oracle_cmonotone(w, pairs)
-                assert ev[("main", "phi")].moment(w) == phi_expect, (
-                    f"model {k}, word {w}: phi"
-                )
-                assert ev[("main", "psi")].moment(w) == psi_expect, (
-                    f"model {k}, word {w}: psi"
-                )
-                assert ev[("var", "phi")].moment(w) == phi_expect, (
-                    f"model {k}, word {w}: variant phi"
-                )
-                assert ev[("var", "psi")].moment(w) == psi_expect, (
-                    f"model {k}, word {w}: variant psi"
-                )
+            pairs = _two_state_pairs({1: m1, 2: m2})
+            _assert_cmonotone(realizations, words, pairs, f"model {k}")
         return f"{len(model_pairs)} models, words to length {max_word}, with variant"
 
     return _run("cmonotone-pair-oracle-equality", body)
@@ -906,16 +904,8 @@ def check_family_three(family_models, word_len: int) -> Check:
         words = all_words(letters, word_len)
         for k, models in enumerate(family_models):
             fam = realize_cmonotone_family(models)
-            pairs = {
-                j: (ModelFunctional(m, m.xi), ModelFunctional(m, m.eta))
-                for j, m in enumerate(models)
-            }
-            ev_phi = fam.evaluator("phi")
-            ev_psi = fam.evaluator("psi")
-            for w in words:
-                phi_expect, psi_expect = oracle_cmonotone(w, pairs)
-                assert ev_phi.moment(w) == phi_expect, f"family {k}, word {w}: phi"
-                assert ev_psi.moment(w) == psi_expect, f"family {k}, word {w}: psi"
+            pairs = _two_state_pairs(dict(enumerate(models)))
+            _assert_cmonotone({"": fam}, words, pairs, f"family {k}")
         return f"{len(family_models)} families of 3, words to length {word_len}"
 
     return _run("family-three-oracle-equality", body)
@@ -928,7 +918,7 @@ def check_local_max_choice(model_pairs, word_len: int = 7) -> Check:
         words = all_words(letters, word_len)
         subset = model_pairs[:10]
         for k, (m1, m2) in enumerate(subset):
-            pairs = _two_state_pairs(m1, m2)
+            pairs = _two_state_pairs({1: m1, 2: m2})
             for w in words:
                 vals = oracle_cmonotone_all_orders(w, pairs)
                 assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
@@ -991,72 +981,48 @@ def _graph_bridge_pairs(cfg: VerifyConfig, count: int):
     ]
 
 
-def check_c_comb_bridge(cfg: VerifyConfig, max_word: int) -> Check:
+def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool):
+    """Body of the two bridge checks: the c-comb decomposition of each graph
+    pair (its loop pair minus the identity with `loops`) against the
+    c-monotone oracle of the factor adjacencies (minus the identity)."""
+    decompose = c_comb_loop_decomposition if loops else c_comb_decomposition
+    demo = fixtures.multiplicative_demo_pair if loops else fixtures.additive_demo_pair
     letters = ((1, "a"), (2, "a"))
 
     def body():
-        cases = [fixtures.additive_demo_pair()] + _graph_bridge_pairs(cfg, 8)
+        cases = [demo()] + _graph_bridge_pairs(cfg, 8)
         words = all_words(letters, max_word)
         for k, (g1, g2) in enumerate(cases):
-            dec = c_comb_decomposition(g1, g2)
+            dec = decompose(g1, g2)
+            graphs = {1: g1, 2: g2}
+            ops = {(1, "a"): dec.cols1, (2, "a"): dec.cols2}
+            adj = {j: adjacency_matrix(g) for j, g in graphs.items()}
+            if loops:
+                one = sparse_identity(dec.ambient_dim)
+                ops = {
+                    key: sparse_sum(op, one, signs=(1, -1)) for key, op in ops.items()
+                }
+                adj = {j: a - Matrix.identity(a.rows) for j, a in adj.items()}
             realization = Realization(
-                {(1, "a"): dec.cols1, (2, "a"): dec.cols2},
-                dec.ambient_dim,
-                dec.phi_index,
-                dec.psi_index,
+                ops, dec.ambient_dim, dec.phi_index, dec.psi_index
             )
-            m1 = AlgebraModel({"a": adjacency_matrix(g1)}, g1.root, g1.second_root)
-            m2 = AlgebraModel({"a": adjacency_matrix(g2)}, g2.root, g2.second_root)
-            pairs = _two_state_pairs(m1, m2)
-            ev_phi = realization.evaluator("phi")
-            ev_psi = realization.evaluator("psi")
-            for w in words:
-                phi_expect, psi_expect = oracle_cmonotone(w, pairs)
-                assert ev_phi.moment(w) == phi_expect, f"pair {k}, word {w}: phi"
-                assert ev_psi.moment(w) == psi_expect, f"pair {k}, word {w}: psi"
+            models = {
+                j: AlgebraModel({"a": adj[j]}, g.root, g.second_root)
+                for j, g in graphs.items()
+            }
+            pairs = _two_state_pairs(models)
+            _assert_cmonotone({"": realization}, words, pairs, f"pair {k}")
         return f"{len(cases)} graph pairs, words to length {max_word}"
 
-    return _run("c-comb-state-pair-bridge", body)
+    return body
+
+
+def check_c_comb_bridge(cfg: VerifyConfig, max_word: int) -> Check:
+    return _run("c-comb-state-pair-bridge", _graph_bridge(cfg, max_word, False))
 
 
 def check_loop_bridge(cfg: VerifyConfig, max_word: int) -> Check:
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        cases = [fixtures.multiplicative_demo_pair()] + _graph_bridge_pairs(cfg, 8)
-        words = all_words(letters, max_word)
-        for k, (g1, g2) in enumerate(cases):
-            dec = c_comb_loop_decomposition(g1, g2)
-            one = sparse_identity(dec.ambient_dim)
-            realization = Realization(
-                {
-                    (1, "a"): sparse_sum(dec.cols1, one, signs=(1, -1)),
-                    (2, "a"): sparse_sum(dec.cols2, one, signs=(1, -1)),
-                },
-                dec.ambient_dim,
-                dec.phi_index,
-                dec.psi_index,
-            )
-            m1 = AlgebraModel(
-                {"a": adjacency_matrix(g1) - Matrix.identity(g1.vertex_count)},
-                g1.root,
-                g1.second_root,
-            )
-            m2 = AlgebraModel(
-                {"a": adjacency_matrix(g2) - Matrix.identity(g2.vertex_count)},
-                g2.root,
-                g2.second_root,
-            )
-            pairs = _two_state_pairs(m1, m2)
-            ev_phi = realization.evaluator("phi")
-            ev_psi = realization.evaluator("psi")
-            for w in words:
-                phi_expect, psi_expect = oracle_cmonotone(w, pairs)
-                assert ev_phi.moment(w) == phi_expect, f"pair {k}, word {w}: phi"
-                assert ev_psi.moment(w) == psi_expect, f"pair {k}, word {w}: psi"
-        return f"{len(cases)} graph pairs, words to length {max_word}"
-
-    return _run("loop-pair-bridge", body)
+    return _run("loop-pair-bridge", _graph_bridge(cfg, max_word, True))
 
 
 def independence_suite(cfg: VerifyConfig) -> list:

@@ -447,3 +447,59 @@ def test_cli_comb_at_of_a_star_product(tmp_path, capsys):
     )
     got = root_moments(load_graph(out / "comb_at.graph"), order)
     assert got.coeffs == expect.coeffs
+
+
+def test_cli_moments_out_in_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "nodir" / "x.csv"
+    args = ["moments", fixture_path("additive_g1.graph"), "--out", str(out)]
+    assert main(args) == 2
+    _one_line_error(capsys)
+
+
+def test_cli_product_out_is_a_regular_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = ["product", "star", fixture_path("additive_g1.graph"),
+            fixture_path("additive_g2.graph"), "--out", str(taken)]
+    assert main(args) == 2
+    _one_line_error(capsys)
+
+
+def test_table_starting_at_one_is_rejected(tmp_path, capsys):
+    text = "1,1\n2,0\n3,1\n"
+    with pytest.raises(ValueError):
+        parse_moment_table(text)
+    t = tmp_path / "t1.csv"
+    t.write_text(text)
+    args = ["convolve", "additive", "boolean", str(t), str(t), "--order", "2"]
+    assert main(args) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind", ["monotone", "c-monotone"])
+def test_cli_multiplicative_product_first_factor_has_no_walk_column(
+    tmp_path, capsys, kind
+):
+    out = tmp_path / "out"
+    g1, g2 = fixture_path("additive_g1.graph"), fixture_path("additive_g2.graph")
+    assert main(["product", "star", g1, g2, "--out", str(out)]) == 0
+    capsys.readouterr()
+    args = ["convolve", "multiplicative", kind, str(out / "star.graph"),
+            fixture_path("multiplicative_g2.graph"), "--order", "5"]
+    assert main(args) == 0
+    stdout, err = capsys.readouterr()
+    assert err == ""
+    lines = stdout.splitlines()
+    assert lines[0] == "n,fraction,decimal" and len(lines) == 6
+    assert not any(line.endswith(",no") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--order", "order must be at least 1"), ("--max-word", "word cap must be positive")],
+)
+def test_cli_rejects_zero_order_and_word_cap(flag, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "transforms", flag, "0"])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err

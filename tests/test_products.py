@@ -213,18 +213,13 @@ def test_essential_loop_demo_pair():
 
 def test_loop_color_flag_renders_the_discrepancy():
     # the color-1 choice for added loops is what makes first-return d-walk
-    # counts match the convolution; the color-2 variant is exposed for
-    # inspection and visibly breaks the count
+    # counts match the convolution
     from ccomb.graphs import count_d_walks
 
     g1 = birooted(1, [(0, 0)], 0, 0)
     g2 = birooted(2, [(0, 1)], 0, 1)
     good = c_comb_loop_product(g1, g2)
     assert count_d_walks(good.graph, 4) == 1
-    other = c_comb_loop_product(g1, g2, loop_color=2)
-    assert count_d_walks(other.graph, 4) == 0
-    with pytest.raises(ValueError):
-        essential_loop_product(g1, g2, loop_color=3)
 
 
 def test_essential_decomposition_restriction():
@@ -291,7 +286,6 @@ def test_loop_decomposition_colors():
     g1, g2 = multiplicative_demo_pair()
     dec = essential_loop_decomposition(g1, g2)
     prod = essential_loop_product(g1, g2)
-    assert dec.loop_adjusted
     assert dec.restricted(1) == adjacency_matrix(prod.graph, 1)
     assert dec.restricted(2) == adjacency_matrix(prod.graph, 2)
 
@@ -365,3 +359,36 @@ def test_birooted_factor_requirements():
         comb_at_product(EDGE, EDGE)
     with pytest.raises(TypeError):
         c_comb_product(birooted(1, [], 0, 0), EDGE)
+
+
+# sha256 of format_graph + to_dot (with labels) for every product kind over
+# the two fixture pairs and the swapped pair; pins vertex order and labels
+PRODUCT_OUTPUT_DIGEST = (
+    "d246acc241aeac25164c4e8bc6c105113f671b2e5b650b0693cc08bc88aa892c"
+)
+
+
+def test_product_output_is_pinned():
+    import hashlib
+    from pathlib import Path
+
+    from ccomb.io import format_graph, load_graph, to_dot
+
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    builds = (
+        star_product, comb_product, orthogonal_product, comb_at_product,
+        c_comb_product, comb_loop_product, c_comb_loop_product,
+    )
+    digest = hashlib.sha256()
+    for a, b in (
+        ("additive_g1", "additive_g2"),
+        ("multiplicative_g1", "multiplicative_g2"),
+        ("additive_g2", "multiplicative_g1"),
+    ):
+        g1 = load_graph(fixtures / f"{a}.graph")
+        g2 = load_graph(fixtures / f"{b}.graph")
+        for build in builds:
+            prod = build(g1, g2)
+            digest.update(format_graph(prod.graph, prod.vertex_labels).encode())
+            digest.update(to_dot(prod.graph, prod.vertex_labels).encode())
+    assert digest.hexdigest() == PRODUCT_OUTPUT_DIGEST
