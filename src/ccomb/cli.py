@@ -35,14 +35,8 @@ import sys
 from pathlib import Path
 
 from . import io as gio
-from .graphs import adjacency_matrix, root_moments, two_step_moments
-from .independence import (
-    AlgebraModel,
-    ModelFunctional,
-    Realization,
-    oracle_cmonotone,
-    parse_word,
-)
+from .graphs import root_moments, two_step_moments
+from .independence import oracle_cmonotone, parse_word, realize_graph_pair
 from .products import (
     c_comb_decomposition,
     c_comb_loop_product,
@@ -224,29 +218,23 @@ def _nu2_fallback(inputs, order):
 def _cmd_convolve(args) -> int:
     order = args.order
     kind = args.kind
+    g1, mu1, _ = _load_additive_input(args.inputs[0], order)
+    g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
+    if kind != "c-monotone":
+        nu2 = None
+    elif nu2 is None:
+        nu2 = _nu2_fallback(args.inputs, order)
     try:
         if args.family == "additive":
-            g1, mu1, _ = _load_additive_input(args.inputs[0], order)
-            g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
-            if kind == "c-monotone" and nu2 is None:
-                nu2 = _nu2_fallback(args.inputs, order)
-            result = additive_convolve(kind, mu1, mu2, nu2 if kind == "c-monotone" else None)
-            values = result.coeffs
+            values = additive_convolve(kind, mu1, mu2, nu2).coeffs
             first = 0
             prod = _walk_column(_ADDITIVE_WALK_PRODUCTS, kind, g1, g2)
             walks = None if prod is None else root_moments(prod, order).coeffs
         else:
-            g1, mu1, nu1 = _load_additive_input(args.inputs[0], order)
-            g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
-            eta1 = eta_from_moments(mu1)
-            eta2 = eta_from_moments(mu2)
-            if kind == "c-monotone" and nu2 is None:
-                nu2 = _nu2_fallback(args.inputs, order)
-            eta_nu = eta_from_moments(nu2) if nu2 is not None else None
-            result = multiplicative_convolve(
-                kind, eta1, eta2, eta_nu if kind == "c-monotone" else None
-            )
-            values = result.coeffs
+            eta_nu = None if nu2 is None else eta_from_moments(nu2)
+            values = multiplicative_convolve(
+                kind, eta_from_moments(mu1), eta_from_moments(mu2), eta_nu
+            ).coeffs
             first = 1
             prod = _walk_column(_MULTIPLICATIVE_WALK_PRODUCTS, kind, g1, g2)
             walks = (
@@ -286,19 +274,7 @@ def _cmd_word_moment(args) -> int:
             file=sys.stderr,
         )
         return 2
-    dec = c_comb_decomposition(g1, g2)
-    realization = Realization(
-        {(1, "a"): dec.cols1, (2, "a"): dec.cols2},
-        dec.ambient_dim,
-        dec.phi_index,
-        dec.psi_index,
-    )
-    m1 = AlgebraModel({"a": adjacency_matrix(g1)}, g1.root, g1.second_root)
-    m2 = AlgebraModel({"a": adjacency_matrix(g2)}, g2.root, g2.second_root)
-    pairs = {
-        1: (ModelFunctional(m1, m1.xi), ModelFunctional(m1, m1.eta)),
-        2: (ModelFunctional(m2, m2.xi), ModelFunctional(m2, m2.eta)),
-    }
+    realization, pairs = realize_graph_pair(c_comb_decomposition(g1, g2), g1, g2)
     phi_oracle, psi_oracle = oracle_cmonotone(word, pairs)
     rows = ["state,realized,oracle,equal"]
     for state, oracle in (("phi", phi_oracle), ("psi", psi_oracle)):

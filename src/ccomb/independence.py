@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+from .graphs import adjacency_matrix
 from .linalg import (
     Matrix,
-    basis_projection,
     sparse_apply,
     sparse_columns,
     sparse_complement,
@@ -62,6 +62,8 @@ __all__ = [
     "realize_pair",
     "realize_cmonotone_pair",
     "realize_cmonotone_family",
+    "realize_graph_pair",
+    "two_state_pairs",
     "all_words",
     "DEFAULT_FAMILY_CAP",
 ]
@@ -350,13 +352,11 @@ class Realization:
     def evaluator(self, state: str = "phi") -> "WordMomentEvaluator":
         return WordMomentEvaluator(self, state)
 
-    def separating_projection(self) -> Matrix:
-        """Rank-one-per-block projection onto the state vectors; inserting
-        it into a word splits the phi moment multiplicatively."""
-        p = basis_projection(self.dim, self.phi_index)
-        if self.psi_index is not None:
-            p = p + basis_projection(self.dim, self.psi_index)
-        return p
+    def separating_projection(self) -> list:
+        """Rank-one-per-block projection onto the state vectors, column-sparse;
+        inserting it into a word splits the phi moment multiplicatively."""
+        states = {self.phi_index, self.psi_index}
+        return [[(j, 1)] if j in states else [] for j in range(self.dim)]
 
 
 class WordMomentEvaluator:
@@ -555,3 +555,34 @@ def realize_cmonotone_family(
     phi_index = tensor_index(dims, phi_vec)
     psi_index = block + tensor_index(dims, psi_vec)
     return Realization(operators, 2 * block, phi_index, psi_index)
+
+
+def two_state_pairs(models: dict) -> dict:
+    """The (xi, eta) vector-state functionals of each indexed model: the
+    `pairs` argument of oracle_cmonotone."""
+    return {
+        j: (ModelFunctional(m, m.xi), ModelFunctional(m, m.eta))
+        for j, m in models.items()
+    }
+
+
+def realize_graph_pair(dec, g1, g2, loops: bool = False):
+    """The c-comb decomposition `dec` of the birooted graphs (g1, g2) as a
+    two-state realization, letters (1, "a") and (2, "a") acting as its two
+    operators, plus the (phi, psi) functional pairs of the factor
+    adjacencies at (root, second root). With `loops` (a loop
+    decomposition) the identity is subtracted on both sides. The pair is
+    c-monotone independent, so the realized moments equal oracle_cmonotone
+    under these pairs."""
+    ops = {(1, "a"): dec.cols1, (2, "a"): dec.cols2}
+    adj = {1: adjacency_matrix(g1), 2: adjacency_matrix(g2)}
+    if loops:
+        one = sparse_identity(dec.ambient_dim)
+        ops = {key: sparse_sum(op, one, signs=(1, -1)) for key, op in ops.items()}
+        adj = {j: a - Matrix.identity(a.rows) for j, a in adj.items()}
+    realization = Realization(ops, dec.ambient_dim, dec.phi_index, dec.psi_index)
+    models = {
+        j: AlgebraModel({"a": adj[j]}, g.root, g.second_root)
+        for j, g in ((1, g1), (2, g2))
+    }
+    return realization, two_state_pairs(models)

@@ -299,9 +299,15 @@ def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
     block on V1 x V2, S1' = a1 (x) P_f2 and S2' = 1 (x) a2, follows in a
     direct sum with psi at (f1, f2). With `loops` the pair is built from
     a - 1 for both factors and the ambient identity is added to each
-    operator: (R1, R2) = 1 + the pair of (a1 - 1, a2 - 1)."""
+    operator: (R1, R2) = 1 + the pair of (a1 - 1, a2 - 1). R1 is built from
+    all of a1, so a loop pair refuses a first factor with color-2 edges:
+    R1 would not restrict to the color-1 adjacency of the product."""
     a1, a2 = adjacency_columns(g1), adjacency_columns(g2)
     if loops:
+        if g1.monochrome_edges(2):
+            raise ValueError(
+                "a loop decomposition needs a first factor without color-2 edges"
+            )
         a1 = sparse_sum(a1, sparse_identity(len(a1)), signs=(1, -1))
         a2 = sparse_sum(a2, sparse_identity(len(a2)), signs=(1, -1))
     n1, e1 = g1.vertex_count, g1.root
@@ -347,14 +353,17 @@ def essential_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     R2 - 1 are the comb-at pair of (a1 - 1, a2 - 1), with 1 the ambient
     identity, whose restriction contributes exactly the added color-1
     loops; R1 and R2 restrict to the color-1 and color-2 adjacency matrices
-    of the essential loop product."""
+    of the essential loop product. Raises ValueError when g1 has color-2
+    edges."""
     return _decomposition(g1, g2, essential_loop_product(g1, g2), loops=True)
 
 
 def c_comb_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Direct-sum loop pair covering both components of the c-comb loop
     product; (R1 - 1, R2 - 1) is c-monotone independent with respect to the
-    states at the embedded roots e and f."""
+    states at the embedded roots e and f, and R1 and R2 restrict to its
+    color-1 and color-2 adjacency matrices. Raises ValueError when g1 has
+    color-2 edges."""
     return _decomposition(g1, g2, c_comb_loop_product(g1, g2), loops=True)
 
 

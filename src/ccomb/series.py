@@ -33,7 +33,6 @@ __all__ = [
     "moment_series",
     "eta_series",
     "point_mass_moments",
-    "moments_to_G",
     "moments_to_F",
     "F_to_moments",
     "compose_F",
@@ -75,9 +74,6 @@ class MomentSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def moment(self, n: int):
-        return self.coeffs[n]
-
 
 @dataclass(frozen=True)
 class FSeries:
@@ -86,26 +82,17 @@ class FSeries:
     kind: str
     coeffs: tuple
 
-    _KINDS = ("F", "eta", "psi", "G")
+    _KINDS = ("F", "eta", "psi")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown series kind {self.kind!r}")
         if not self.coeffs:
             raise ValueError("empty series")
-        if self.kind == "G" and self.coeffs[0] != 1:
-            raise ValueError("G-series of a normalized state has leading 1")
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1 if self.kind == "G" else len(self.coeffs)
-
-    def coefficient(self, n: int):
-        """n-th stored coefficient: G indexes from 0, eta/psi from 1, and
-        for F the tail is indexed from 1 (n = 1 is the constant term c_0)."""
-        if self.kind == "G":
-            return self.coeffs[n]
-        return self.coeffs[n - 1]
+        return len(self.coeffs)
 
 
 def moment_series(values) -> MomentSeries:
@@ -163,10 +150,6 @@ def _same_order(*series):
 
 
 # -- moments <-> F ------------------------------------------------------------
-
-
-def moments_to_G(m: MomentSeries) -> FSeries:
-    return FSeries("G", m.coeffs)
 
 
 def moments_to_F(m: MomentSeries) -> FSeries:

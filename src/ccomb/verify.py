@@ -2,13 +2,16 @@
 modules.
 
 Each check runs one invariant across a batch of fixture and randomized
-inputs and reports a single pass/fail line; checks never raise, failures are
-report content. All randomness flows from the seed in the config, so a given
-config yields byte-identical reports.
+inputs and reports a single pass/fail line. A check is a plain function that
+asserts and returns its detail line; the `_check` decorator turns it into a
+`Check`, so checks never raise and failures are report content. All
+randomness flows from the seed in the config, so a given config yields
+byte-identical reports.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,22 +31,17 @@ from .graphs import (
 from .independence import (
     AlgebraModel,
     ModelFunctional,
-    Realization,
     all_words,
     oracle_cmonotone,
     oracle_cmonotone_all_orders,
     oracle_moment,
     realize_cmonotone_family,
     realize_cmonotone_pair,
+    realize_graph_pair,
     realize_pair,
+    two_state_pairs,
 )
-from .linalg import (
-    Matrix,
-    sparse_apply,
-    sparse_identity,
-    sparse_moments,
-    sparse_sum,
-)
+from .linalg import Matrix, sparse_moments, sparse_sum
 from .products import (
     c_comb_decomposition,
     c_comb_loop_decomposition,
@@ -98,6 +96,12 @@ __all__ = [
 ]
 
 
+MULT_ORDER = 8  # eta order of the multiplicative product checks
+WALK_ORDER = 12  # longest d-walk counted exhaustively
+FAMILY_WORD = 6  # word length of the family checks
+PAIR_LETTERS = ((1, "a"), (2, "a"))  # one element in each of two algebras
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     order: int = 12
@@ -105,9 +109,6 @@ class VerifyConfig:
     graph_samples: int = 20
     model_samples: int = 50
     seed: int = 0
-    mult_order: int = 8
-    walk_order: int = 12
-    family_word: int = 6
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,25 @@ class Check:
     detail: str = ""
 
 
-def _run(name: str, fn) -> Check:
-    try:
-        detail = fn()
-    except AssertionError as exc:
-        return Check(name, False, str(exc))
-    except Exception as exc:  # report, never crash the suite
-        return Check(name, False, f"error: {exc!r}")
-    return Check(name, True, detail or "")
+def _check(name: str):
+    """Decorator turning a function that returns its detail line into a
+    check: an AssertionError becomes FAIL with its message, any other
+    exception FAIL with `error: ...`."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def check(*args, **kwargs) -> Check:
+            try:
+                detail = fn(*args, **kwargs)
+            except AssertionError as exc:
+                return Check(name, False, str(exc))
+            except Exception as exc:  # report, never crash the suite
+                return Check(name, False, f"error: {exc!r}")
+            return Check(name, True, detail or "")
+
+        return check
+
+    return decorate
 
 
 # -- randomized inputs ----------------------------------------------------------
@@ -213,7 +225,7 @@ def multiplicative_pairs(cfg: VerifyConfig):
     while len(pairs) < cfg.graph_samples + 1:
         g1 = random_birooted_graph(rng, 1, 4, edge_p=0.5, loop_p=0.3, root_loop_p=0.7)
         g2 = random_birooted_graph(rng, 2, 4, edge_p=0.5, loop_p=0.3, root_loop_p=0.7)
-        nu2 = root_moments(g2, cfg.mult_order, at=g2.second_root)
+        nu2 = root_moments(g2, MULT_ORDER, at=g2.second_root)
         if all(x == 0 for x in nu2.coeffs[1:]):
             continue
         pairs.append((g1, g2))
@@ -235,192 +247,162 @@ def _essential_three_routes(g1: Graph, g2: Graph, order: int):
     return walk, operator, transform
 
 
-def check_additive_three_route(pairs, order: int) -> Check:
-    def body():
-        for k, (g1, g2) in enumerate(pairs):
-            walk, operator, transform = _essential_three_routes(g1, g2, order)
-            assert walk == operator, f"pair {k}: walk vs operator moments differ"
-            assert walk == transform, f"pair {k}: walk vs transform moments differ"
-        return f"{len(pairs)} pairs, order {order}"
-
-    return _run("additive-three-route", body)
+@_check("additive-three-route")
+def check_additive_three_route(pairs, order: int):
+    for k, (g1, g2) in enumerate(pairs):
+        walk, operator, transform = _essential_three_routes(g1, g2, order)
+        assert walk == operator, f"pair {k}: walk vs operator moments differ"
+        assert walk == transform, f"pair {k}: walk vs transform moments differ"
+    return f"{len(pairs)} pairs, order {order}"
 
 
-def check_second_root_split(pairs, order: int) -> Check:
-    def body():
-        for k, (g1, g2) in enumerate(pairs):
-            prod = c_comb_product(g1, g2)
-            at_f = root_moments(prod.graph, order, at=prod.graph.second_root).coeffs
-            nu1 = root_moments(g1, order, at=g1.second_root)
-            nu2 = root_moments(g2, order, at=g2.second_root)
-            expect = additive_convolve("monotone", nu1, nu2).coeffs
-            assert at_f == expect, f"pair {k}: second-root moments differ"
-        return f"{len(pairs)} pairs, order {order}"
-
-    return _run("additive-second-root-split", body)
+@_check("additive-second-root-split")
+def check_second_root_split(pairs, order: int):
+    for k, (g1, g2) in enumerate(pairs):
+        prod = c_comb_product(g1, g2)
+        at_f = root_moments(prod.graph, order, at=prod.graph.second_root).coeffs
+        nu1 = root_moments(g1, order, at=g1.second_root)
+        nu2 = root_moments(g2, order, at=g2.second_root)
+        expect = additive_convolve("monotone", nu1, nu2).coeffs
+        assert at_f == expect, f"pair {k}: second-root moments differ"
+    return f"{len(pairs)} pairs, order {order}"
 
 
-def check_vertex_count_formulas(rng, samples: int) -> Check:
-    def body():
-        for k in range(samples):
-            g1 = random_rooted_graph(rng, 1, 6)
-            g2 = random_birooted_graph(rng, 1, 6)
-            n1, n2 = g1.vertex_count, g2.vertex_count
-            assert star_product(g1, g2).vertex_count == n1 + n2 - 1, f"star {k}"
-            assert comb_product(g1, g2).vertex_count == n1 * n2, f"comb {k}"
-            assert (
-                orthogonal_product(g1, g2).vertex_count == (n1 - 1) * n2 + 1
-            ), f"orthogonal {k}"
-            assert (
-                comb_at_product(g1, g2).vertex_count == (n1 - 1) * n2 + n2
-            ), f"comb-at {k}"
-            added = sum(
-                1
-                for i, j, c in comb_loop_product(g1, g2).graph.colored_edges
-                if i == j and c == 1 and (i % n2) != g2.root
-            )
-            assert added == n1 * (n2 - 1), f"comb-loop {k}"
-        return f"{samples} samples"
-
-    return _run("vertex-count-formulas", body)
+@_check("vertex-count-formulas")
+def check_vertex_count_formulas(rng, samples: int):
+    for k in range(samples):
+        g1 = random_rooted_graph(rng, 1, 6)
+        g2 = random_birooted_graph(rng, 1, 6)
+        n1, n2 = g1.vertex_count, g2.vertex_count
+        assert star_product(g1, g2).vertex_count == n1 + n2 - 1, f"star {k}"
+        assert comb_product(g1, g2).vertex_count == n1 * n2, f"comb {k}"
+        assert (
+            orthogonal_product(g1, g2).vertex_count == (n1 - 1) * n2 + 1
+        ), f"orthogonal {k}"
+        assert (
+            comb_at_product(g1, g2).vertex_count == (n1 - 1) * n2 + n2
+        ), f"comb-at {k}"
+        added = sum(
+            1
+            for i, j, c in comb_loop_product(g1, g2).graph.colored_edges
+            if i == j and c == 1 and (i % n2) != g2.root
+        )
+        assert added == n1 * (n2 - 1), f"comb-loop {k}"
+    return f"{samples} samples"
 
 
-def check_superposition(rng, samples: int) -> Check:
-    def body():
-        cases = [fixtures.additive_demo_pair()]
-        cases += [
-            (random_rooted_graph(rng, 1, 5), random_rooted_graph(rng, 1, 5))
-            for _ in range(samples)
-        ]
-        for k, (g1, g2) in enumerate(cases):
-            orth = orthogonal_product(g1, g2)
-            so = star_product(orth.graph, g2)
-            cmb = comb_product(g1, g2)
-            mapping = superposition_map(g1, g2)
-            assert relabel_isomorphic(
-                so.graph, cmb.graph, mapping
-            ), f"case {k}: superposition map is not an isomorphism"
-        return f"{len(cases)} cases"
-
-    return _run("superposition-isomorphism", body)
+@_check("superposition-isomorphism")
+def check_superposition(rng, samples: int):
+    cases = [fixtures.additive_demo_pair()]
+    cases += [
+        (random_rooted_graph(rng, 1, 5), random_rooted_graph(rng, 1, 5))
+        for _ in range(samples)
+    ]
+    for k, (g1, g2) in enumerate(cases):
+        orth = orthogonal_product(g1, g2)
+        so = star_product(orth.graph, g2)
+        cmb = comb_product(g1, g2)
+        mapping = superposition_map(g1, g2)
+        assert relabel_isomorphic(
+            so.graph, cmb.graph, mapping
+        ), f"case {k}: superposition map is not an isomorphism"
+    return f"{len(cases)} cases"
 
 
-def check_comb_at_collapse(rng, samples: int) -> Check:
-    def body():
-        for k in range(samples):
-            g1 = random_rooted_graph(rng, 1, 5)
-            g2r = random_rooted_graph(rng, 1, 5)
-            g2 = birooted(g2r.vertex_count, g2r.edges, g2r.root, g2r.root)
-            prod = comb_at_product(g1, g2)
-            cmb = comb_product(g1, g2r)
-            mapping = comb_at_collapse_map(g1, g2)
-            assert relabel_isomorphic(
-                prod.graph, cmb.graph, mapping
-            ), f"case {k}: comb-at with equal roots is not the comb product"
-        return f"{samples} cases"
-
-    return _run("comb-at-root-collapse", body)
+@_check("comb-at-root-collapse")
+def check_comb_at_collapse(rng, samples: int):
+    for k in range(samples):
+        g1 = random_rooted_graph(rng, 1, 5)
+        g2r = random_rooted_graph(rng, 1, 5)
+        g2 = birooted(g2r.vertex_count, g2r.edges, g2r.root, g2r.root)
+        prod = comb_at_product(g1, g2)
+        cmb = comb_product(g1, g2r)
+        mapping = comb_at_collapse_map(g1, g2)
+        assert relabel_isomorphic(
+            prod.graph, cmb.graph, mapping
+        ), f"case {k}: comb-at with equal roots is not the comb product"
+    return f"{samples} cases"
 
 
-def check_restriction_equalities(pairs) -> Check:
-    def body():
-        for k, (g1, g2) in enumerate(pairs):
-            dec = essential_decomposition(g1, g2)
-            prod = comb_at_product(g1, g2)
-            assert dec.restricted_sum() == adjacency_matrix(
-                prod.graph
-            ), f"pair {k}: comb-at restriction differs"
-            cdec = c_comb_decomposition(g1, g2)
-            cprod = c_comb_product(g1, g2)
-            assert cdec.restricted_sum() == adjacency_matrix(
-                cprod.graph
-            ), f"pair {k}: c-comb restriction differs"
-            ldec = essential_loop_decomposition(g1, g2)
-            lprod = essential_loop_product(g1, g2)
-            assert ldec.restricted(1) == adjacency_matrix(
-                lprod.graph, 1
-            ), f"pair {k}: loop color-1 restriction differs"
-            assert ldec.restricted(2) == adjacency_matrix(
-                lprod.graph, 2
-            ), f"pair {k}: loop color-2 restriction differs"
-            cldec = c_comb_loop_decomposition(g1, g2)
-            clprod = c_comb_loop_product(g1, g2)
-            assert cldec.restricted(1) == adjacency_matrix(
-                clprod.graph, 1
-            ), f"pair {k}: c-comb loop color-1 restriction differs"
-            assert cldec.restricted(2) == adjacency_matrix(
-                clprod.graph, 2
-            ), f"pair {k}: c-comb loop color-2 restriction differs"
-        return f"{len(pairs)} pairs, entrywise"
-
-    return _run("decomposition-restriction-equality", body)
+@_check("decomposition-restriction-equality")
+def check_restriction_equalities(pairs):
+    cases = (  # color None compares the restricted sum
+        ("comb-at", essential_decomposition, comb_at_product, (None,)),
+        ("c-comb", c_comb_decomposition, c_comb_product, (None,)),
+        ("loop", essential_loop_decomposition, essential_loop_product, (1, 2)),
+        ("c-comb loop", c_comb_loop_decomposition, c_comb_loop_product, (1, 2)),
+    )
+    for k, (g1, g2) in enumerate(pairs):
+        for label, decompose, build, colors in cases:
+            dec, prod = decompose(g1, g2), build(g1, g2)
+            for c in colors:
+                got = dec.restricted_sum() if c is None else dec.restricted(c)
+                which = label if c is None else f"{label} color-{c}"
+                assert got == adjacency_matrix(
+                    prod.graph, c
+                ), f"pair {k}: {which} restriction differs"
+    return f"{len(pairs)} pairs, entrywise"
 
 
-def check_walk_cross_oracle(rng, samples: int, deep_order: int = 12) -> Check:
-    def body():
-        tiny1 = rooted(2, [(0, 1), (0, 0)], 0)
-        tiny2 = birooted(2, [(0, 1), (1, 1)], 0, 1)
-        deep_products = [
-            star_product(tiny1, tiny2).graph,
-            comb_product(tiny1, tiny2).graph,
-            orthogonal_product(tiny1, tiny2).graph,
-            comb_at_product(tiny1, tiny2).graph,
-            c_comb_product(birooted(2, tiny1.edges, 0, 1), tiny2).graph,
-            comb_loop_product(tiny1, tiny2).graph,
-            essential_loop_product(tiny1, tiny2).graph,
-            c_comb_loop_product(birooted(2, tiny1.edges, 0, 1), tiny2).graph,
-        ]
-        for g in deep_products:
-            moments = root_moments(g, deep_order).coeffs
-            for n in (deep_order - 1, deep_order):
-                assert moments[n] == brute_force_closed_walks(
-                    g, n
-                ), f"deep walk count mismatch at length {n}"
-        for k in range(samples):
-            g1 = random_rooted_graph(rng, 1, 3)
-            g2 = random_birooted_graph(rng, 1, 3)
-            g = comb_at_product(g1, g2).graph
-            moments = root_moments(g, 8).coeffs
-            for n in range(9):
-                assert moments[n] == brute_force_closed_walks(
-                    g, n
-                ), f"sample {k}: walk count mismatch at length {n}"
-        return f"{len(deep_products)} deep cases to order {deep_order}, {samples} samples to order 8"
-
-    return _run("walk-count-cross-oracle", body)
+@_check("walk-count-cross-oracle")
+def check_walk_cross_oracle(rng, samples: int, deep_order: int = 12):
+    tiny1 = rooted(2, [(0, 1), (0, 0)], 0)
+    tiny2 = birooted(2, [(0, 1), (1, 1)], 0, 1)
+    deep_products = [
+        star_product(tiny1, tiny2).graph,
+        comb_product(tiny1, tiny2).graph,
+        orthogonal_product(tiny1, tiny2).graph,
+        comb_at_product(tiny1, tiny2).graph,
+        c_comb_product(birooted(2, tiny1.edges, 0, 1), tiny2).graph,
+        comb_loop_product(tiny1, tiny2).graph,
+        essential_loop_product(tiny1, tiny2).graph,
+        c_comb_loop_product(birooted(2, tiny1.edges, 0, 1), tiny2).graph,
+    ]
+    for g in deep_products:
+        moments = root_moments(g, deep_order).coeffs
+        for n in (deep_order - 1, deep_order):
+            assert moments[n] == brute_force_closed_walks(
+                g, n
+            ), f"deep walk count mismatch at length {n}"
+    for k in range(samples):
+        g1 = random_rooted_graph(rng, 1, 3)
+        g2 = random_birooted_graph(rng, 1, 3)
+        g = comb_at_product(g1, g2).graph
+        moments = root_moments(g, 8).coeffs
+        for n in range(9):
+            assert moments[n] == brute_force_closed_walks(
+                g, n
+            ), f"sample {k}: walk count mismatch at length {n}"
+    return f"{len(deep_products)} deep cases to order {deep_order}, {samples} samples to order 8"
 
 
-def check_colored_split(pairs) -> Check:
-    def body():
-        for k, (g1, g2) in enumerate(pairs):
-            g = c_comb_loop_product(g1, g2).graph
-            assert adjacency_columns(g) == sparse_sum(
-                adjacency_columns(g, 1), adjacency_columns(g, 2)
-            ), f"pair {k}: color split does not sum"
-            z_moments = two_step_moments(g, 4).coeffs
-            for n in range(1, 5):
-                assert z_moments[n] == brute_force_closed_walks(
-                    g, 2 * n, alternating=True
-                ), f"pair {k}: alternating walks differ at length {2 * n}"
-        return f"{len(pairs)} pairs"
-
-    return _run("colored-adjacency-split", body)
+@_check("colored-adjacency-split")
+def check_colored_split(pairs):
+    for k, (g1, g2) in enumerate(pairs):
+        g = c_comb_loop_product(g1, g2).graph
+        assert adjacency_columns(g) == sparse_sum(
+            adjacency_columns(g, 1), adjacency_columns(g, 2)
+        ), f"pair {k}: color split does not sum"
+        z_moments = two_step_moments(g, 4).coeffs
+        for n in range(1, 5):
+            assert z_moments[n] == brute_force_closed_walks(
+                g, 2 * n, alternating=True
+            ), f"pair {k}: alternating walks differ at length {2 * n}"
+    return f"{len(pairs)} pairs"
 
 
-def check_comb_loop_loops(rng, samples: int) -> Check:
-    def body():
-        for k in range(samples):
-            g1 = random_rooted_graph(rng, 1, 5, loop_p=0)
-            g2 = random_rooted_graph(rng, 1, 5, loop_p=0)
-            prod = comb_loop_product(g1, g2)
-            added = sum(
-                1 for i, j, c in prod.graph.colored_edges if i == j and c == 1
-            )
-            expect = g1.vertex_count * (g2.vertex_count - 1)
-            assert added == expect, f"case {k}: {added} loops, expected {expect}"
-        return f"{samples} loop-free cases"
-
-    return _run("comb-loop-added-loops", body)
+@_check("comb-loop-added-loops")
+def check_comb_loop_loops(rng, samples: int):
+    for k in range(samples):
+        g1 = random_rooted_graph(rng, 1, 5, loop_p=0)
+        g2 = random_rooted_graph(rng, 1, 5, loop_p=0)
+        prod = comb_loop_product(g1, g2)
+        added = sum(
+            1 for i, j, c in prod.graph.colored_edges if i == j and c == 1
+        )
+        expect = g1.vertex_count * (g2.vertex_count - 1)
+        assert added == expect, f"case {k}: {added} loops, expected {expect}"
+    return f"{samples} loop-free cases"
 
 
 def _eta_routes(g1: Graph, g2: Graph, order: int):
@@ -435,55 +417,49 @@ def _eta_routes(g1: Graph, g2: Graph, order: int):
     return prod, eta_e, eta_f, eta1, eta2, eta_nu
 
 
-def check_multiplicative_three_route(pairs, order: int) -> Check:
-    def body():
-        for k, (g1, g2) in enumerate(pairs):
-            _prod, eta_e, _eta_f, eta1, eta2, eta_nu = _eta_routes(g1, g2, order)
-            engine = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
-            assert (
-                eta_e.coeffs == engine.coeffs
-            ), f"pair {k}: graph eta vs series engine differ"
-            formula = tuple(
-                coefficient_formula(
-                    "c-monotone", n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
-                )
-                for n in range(1, order + 1)
+@_check("multiplicative-eta-three-route")
+def check_multiplicative_three_route(pairs, order: int):
+    for k, (g1, g2) in enumerate(pairs):
+        _prod, eta_e, _eta_f, eta1, eta2, eta_nu = _eta_routes(g1, g2, order)
+        engine = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
+        assert (
+            eta_e.coeffs == engine.coeffs
+        ), f"pair {k}: graph eta vs series engine differ"
+        formula = tuple(
+            coefficient_formula(
+                "c-monotone", n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
             )
-            assert eta_e.coeffs == formula, f"pair {k}: graph eta vs coefficient sums"
-        return f"{len(pairs)} pairs, order {order}"
-
-    return _run("multiplicative-eta-three-route", body)
-
-
-def check_multiplicative_second_root(pairs, order: int) -> Check:
-    def body():
-        for k, (g1, g2) in enumerate(pairs):
-            _prod, _eta_e, eta_f, _e1, _e2, eta_nu = _eta_routes(g1, g2, order)
-            nu1 = eta_from_moments(root_moments(g1, order, at=g1.second_root))
-            expect = multiplicative_convolve("monotone", nu1, eta_nu)
-            assert (
-                eta_f.coeffs == expect.coeffs
-            ), f"pair {k}: second-root eta differs from monotone convolution"
-        return f"{len(pairs)} pairs, order {order}"
-
-    return _run("multiplicative-second-root-monotone", body)
+            for n in range(1, order + 1)
+        )
+        assert eta_e.coeffs == formula, f"pair {k}: graph eta vs coefficient sums"
+    return f"{len(pairs)} pairs, order {order}"
 
 
-def check_d_walk_counts(pairs, walk_order: int) -> Check:
-    def body():
-        half = walk_order // 2
-        for k, (g1, g2) in enumerate(pairs):
-            prod = c_comb_loop_product(g1, g2)
-            eta_e = eta_from_moments(two_step_moments(prod.graph, half))
-            for n in range(1, half + 1):
-                counted = count_d_walks(prod.graph, 2 * n)
-                assert counted == eta_e.coeffs[n - 1], (
-                    f"pair {k}: d-walk count {counted} vs first-return "
-                    f"coefficient {eta_e.coeffs[n - 1]} at length {2 * n}"
-                )
-        return f"{len(pairs)} pairs, lengths up to {walk_order}"
+@_check("multiplicative-second-root-monotone")
+def check_multiplicative_second_root(pairs, order: int):
+    for k, (g1, g2) in enumerate(pairs):
+        _prod, _eta_e, eta_f, _e1, _e2, eta_nu = _eta_routes(g1, g2, order)
+        nu1 = eta_from_moments(root_moments(g1, order, at=g1.second_root))
+        expect = multiplicative_convolve("monotone", nu1, eta_nu)
+        assert (
+            eta_f.coeffs == expect.coeffs
+        ), f"pair {k}: second-root eta differs from monotone convolution"
+    return f"{len(pairs)} pairs, order {order}"
 
-    return _run("d-walk-first-return-counts", body)
+
+@_check("d-walk-first-return-counts")
+def check_d_walk_counts(pairs, walk_order: int):
+    half = walk_order // 2
+    for k, (g1, g2) in enumerate(pairs):
+        prod = c_comb_loop_product(g1, g2)
+        eta_e = eta_from_moments(two_step_moments(prod.graph, half))
+        for n in range(1, half + 1):
+            counted = count_d_walks(prod.graph, 2 * n)
+            assert counted == eta_e.coeffs[n - 1], (
+                f"pair {k}: d-walk count {counted} vs first-return "
+                f"coefficient {eta_e.coeffs[n - 1]} at length {2 * n}"
+            )
+    return f"{len(pairs)} pairs, lengths up to {walk_order}"
 
 
 def products_suite(cfg: VerifyConfig) -> list:
@@ -500,240 +476,214 @@ def products_suite(cfg: VerifyConfig) -> list:
         check_walk_cross_oracle(rng, 6),
         check_colored_split(mpairs[:6]),
         check_comb_loop_loops(rng, min(cfg.graph_samples, 12)),
-        check_multiplicative_three_route(mpairs, cfg.mult_order),
-        check_multiplicative_second_root(mpairs, cfg.mult_order),
-        check_d_walk_counts(mpairs, cfg.walk_order),
+        check_multiplicative_three_route(mpairs, MULT_ORDER),
+        check_multiplicative_second_root(mpairs, MULT_ORDER),
+        check_d_walk_counts(mpairs, WALK_ORDER),
     ]
 
 
 # -- transforms suite -----------------------------------------------------------
 
 
-def check_F_roundtrip(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            m = random_moment_series(rng, order)
+@_check("moments-F-roundtrip")
+def check_F_roundtrip(rng, samples: int, order: int):
+    for k in range(samples):
+        m = random_moment_series(rng, order)
+        assert (
+            F_to_moments(moments_to_F(m)).coeffs == m.coeffs
+        ), f"sample {k}: F roundtrip failed"
+    edge = moment_series((1, 0, 1, 0, 1))
+    assert moments_to_F(edge).coeffs == (0, -1, 0, 0)
+    return f"{samples} samples, order {order}"
+
+
+@_check("psi-eta-roundtrip")
+def check_psi_eta_roundtrip(rng, samples: int, order: int):
+    for k in range(samples):
+        m = random_moment_series(rng, order)
+        p = psi_from_moments(m)
+        assert psi_from_eta(eta_from_psi(p)).coeffs == p.coeffs, f"sample {k}"
+        assert moments_from_psi(p).coeffs == m.coeffs, f"sample {k}"
+    ones = point_mass_moments(1, order)
+    eta_one = eta_from_moments(ones)
+    assert eta_one.coeffs == (1,) + (0,) * (order - 1), "point mass at 1"
+    return f"{samples} samples, order {order}"
+
+
+@_check("compose-identity")
+def check_compose_identity(rng, samples: int, order: int):
+    ident = moments_to_F(point_mass_moments(0, order))
+    assert ident.coeffs == (0,) * order, "identity F-series is z"
+    for k in range(samples):
+        f = moments_to_F(random_moment_series(rng, order))
+        assert compose_F(f, ident).coeffs == f.coeffs, f"sample {k}: right identity"
+        assert compose_F(ident, f).coeffs == f.coeffs, f"sample {k}: left identity"
+    return f"{samples} samples"
+
+
+@_check("compose-associativity")
+def check_compose_associativity(rng, samples: int, order: int):
+    for k in range(samples):
+        f1 = moments_to_F(random_moment_series(rng, order))
+        f2 = moments_to_F(random_moment_series(rng, order))
+        f3 = moments_to_F(random_moment_series(rng, order))
+        left = compose_F(compose_F(f1, f2), f3)
+        right = compose_F(f1, compose_F(f2, f3))
+        assert left.coeffs == right.coeffs, f"sample {k}: associativity"
+    return f"{samples} samples, order {order}"
+
+
+@_check("additive-collapse-laws")
+def check_additive_collapses(rng, samples: int, order: int):
+    for k in range(samples):
+        mu1 = random_moment_series(rng, order)
+        mu2 = random_moment_series(rng, order)
+        collapsed = additive_convolve("c-monotone", mu1, mu2, mu2)
+        monotone = additive_convolve("monotone", mu1, mu2)
+        assert collapsed.coeffs == monotone.coeffs, f"sample {k}: nu = mu collapse"
+        delta0 = point_mass_moments(0, order)
+        for kind in ("monotone", "boolean", "orthogonal"):
             assert (
-                F_to_moments(moments_to_F(m)).coeffs == m.coeffs
-            ), f"sample {k}: F roundtrip failed"
-        edge = moment_series((1, 0, 1, 0, 1))
-        assert moments_to_F(edge).coeffs == (0, -1, 0, 0)
-        return f"{samples} samples, order {order}"
-
-    return _run("moments-F-roundtrip", body)
-
-
-def check_psi_eta_roundtrip(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            m = random_moment_series(rng, order)
-            p = psi_from_moments(m)
-            assert psi_from_eta(eta_from_psi(p)).coeffs == p.coeffs, f"sample {k}"
-            assert moments_from_psi(p).coeffs == m.coeffs, f"sample {k}"
-        ones = point_mass_moments(1, order)
-        eta_one = eta_from_moments(ones)
-        assert eta_one.coeffs == (1,) + (0,) * (order - 1), "point mass at 1"
-        return f"{samples} samples, order {order}"
-
-    return _run("psi-eta-roundtrip", body)
+                additive_convolve(kind, mu1, delta0).coeffs == mu1.coeffs
+            ), f"sample {k}: {kind} with point mass at 0"
+        assert (
+            additive_convolve("c-monotone", mu1, delta0, delta0).coeffs
+            == mu1.coeffs
+        ), f"sample {k}: c-monotone with point mass at 0"
+    return f"{samples} samples, order {order}"
 
 
-def check_compose_identity(rng, samples: int, order: int) -> Check:
-    def body():
-        ident = moments_to_F(point_mass_moments(0, order))
-        assert ident.coeffs == (0,) * order, "identity F-series is z"
-        for k in range(samples):
-            f = moments_to_F(random_moment_series(rng, order))
-            assert compose_F(f, ident).coeffs == f.coeffs, f"sample {k}: right identity"
-            assert compose_F(ident, f).coeffs == f.coeffs, f"sample {k}: left identity"
-        return f"{samples} samples"
-
-    return _run("compose-identity", body)
+@_check("boolean-additive-commutative")
+def check_boolean_commutative(rng, samples: int, order: int):
+    for k in range(samples):
+        mu1 = random_moment_series(rng, order)
+        mu2 = random_moment_series(rng, order)
+        ab = additive_convolve("boolean", mu1, mu2)
+        ba = additive_convolve("boolean", mu2, mu1)
+        assert ab.coeffs == ba.coeffs, f"sample {k}"
+    return f"{samples} samples"
 
 
-def check_compose_associativity(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            f1 = moments_to_F(random_moment_series(rng, order))
-            f2 = moments_to_F(random_moment_series(rng, order))
-            f3 = moments_to_F(random_moment_series(rng, order))
-            left = compose_F(compose_F(f1, f2), f3)
-            right = compose_F(f1, compose_F(f2, f3))
-            assert left.coeffs == right.coeffs, f"sample {k}: associativity"
-        return f"{samples} samples, order {order}"
-
-    return _run("compose-associativity", body)
-
-
-def check_additive_collapses(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            mu1 = random_moment_series(rng, order)
-            mu2 = random_moment_series(rng, order)
-            collapsed = additive_convolve("c-monotone", mu1, mu2, mu2)
-            monotone = additive_convolve("monotone", mu1, mu2)
-            assert collapsed.coeffs == monotone.coeffs, f"sample {k}: nu = mu collapse"
-            delta0 = point_mass_moments(0, order)
-            for kind in ("monotone", "boolean", "orthogonal"):
-                assert (
-                    additive_convolve(kind, mu1, delta0).coeffs == mu1.coeffs
-                ), f"sample {k}: {kind} with point mass at 0"
-            assert (
-                additive_convolve("c-monotone", mu1, delta0, delta0).coeffs
-                == mu1.coeffs
-            ), f"sample {k}: c-monotone with point mass at 0"
-        return f"{samples} samples, order {order}"
-
-    return _run("additive-collapse-laws", body)
+@_check("additive-noncommutative-witnesses")
+def check_noncommutative_witnesses(order: int):
+    edge = moment_series(tuple((n + 1) % 2 for n in range(order + 1)))
+    loop = point_mass_moments(1, order)
+    ab = additive_convolve("monotone", edge, loop)
+    ba = additive_convolve("monotone", loop, edge)
+    assert ab.coeffs != ba.coeffs, "monotone additive unexpectedly commuted"
+    g1, g2 = fixtures.additive_demo_pair()
+    mu1 = root_moments(g1, order)
+    nu1 = root_moments(g1, order, at=g1.second_root)
+    mu2 = root_moments(g2, order)
+    nu2 = root_moments(g2, order, at=g2.second_root)
+    fwd = additive_convolve("c-monotone", mu1, mu2, nu2)
+    rev = additive_convolve("c-monotone", mu2, mu1, nu1)
+    assert fwd.coeffs != rev.coeffs, "c-monotone additive unexpectedly commuted"
+    return "monotone and c-monotone witnesses verified"
 
 
-def check_boolean_commutative(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            mu1 = random_moment_series(rng, order)
-            mu2 = random_moment_series(rng, order)
-            ab = additive_convolve("boolean", mu1, mu2)
-            ba = additive_convolve("boolean", mu2, mu1)
-            assert ab.coeffs == ba.coeffs, f"sample {k}"
-        return f"{samples} samples"
+@_check("multiplicative-delta1-orthogonal")
+def check_mult_delta1(rng, samples: int, order: int):
+    delta1 = eta_from_moments(point_mass_moments(1, order))
+    for k in range(samples):
+        eta1 = random_eta_series(rng, order)
+        eta_nu = random_eta_series(rng, order)
+        left = multiplicative_convolve("c-monotone", eta1, delta1, eta_nu)
+        right = multiplicative_convolve("orthogonal", eta1, eta_nu)
+        assert left.coeffs == right.coeffs, f"sample {k}"
+    return f"{samples} samples, order {order}"
 
-    return _run("boolean-additive-commutative", body)
+
+@_check("multiplicative-nu-equals-mu-monotone")
+def check_mult_nu_eq_mu(rng, samples: int, order: int):
+    for k in range(samples):
+        eta1 = random_eta_series(rng, order)
+        eta2 = random_eta_series(rng, order)
+        left = multiplicative_convolve("c-monotone", eta1, eta2, eta2)
+        right = multiplicative_convolve("monotone", eta1, eta2)
+        assert left.coeffs == right.coeffs, f"sample {k}"
+    return f"{samples} samples, order {order}"
 
 
-def check_noncommutative_witnesses(order: int) -> Check:
-    def body():
-        edge = moment_series(tuple((n + 1) % 2 for n in range(order + 1)))
-        loop = point_mass_moments(1, order)
-        ab = additive_convolve("monotone", edge, loop)
-        ba = additive_convolve("monotone", loop, edge)
-        assert ab.coeffs != ba.coeffs, "monotone additive unexpectedly commuted"
-        g1, g2 = fixtures.additive_demo_pair()
+@_check("multiplicative-boolean-orthogonal-decomposition")
+def check_mult_decomposition(rng, samples: int, order: int):
+    for k in range(samples):
+        eta1 = random_eta_series(rng, order)
+        eta2 = random_eta_series(rng, order)
+        eta_nu = random_eta_series(rng, order)
+        direct = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
+        orth = multiplicative_convolve("orthogonal", eta1, eta_nu)
+        boxed = multiplicative_convolve("boolean", orth, eta2)
+        assert direct.coeffs == boxed.coeffs, f"sample {k}"
+    return f"{samples} samples, order {order}"
+
+
+@_check("multiplicative-identity-element")
+def check_mult_identity(rng, samples: int, order: int):
+    z = eta_from_moments(point_mass_moments(1, order))
+    for k in range(samples):
+        h = random_eta_series(rng, order)
+        assert (
+            multiplicative_convolve("monotone", h, z).coeffs == h.coeffs
+        ), f"sample {k}: right identity"
+        assert (
+            multiplicative_convolve("monotone", z, h).coeffs == h.coeffs
+        ), f"sample {k}: left identity"
+    return f"{samples} samples"
+
+
+@_check("coefficient-formula-engine-equality")
+def check_coefficient_formula_engine(rng, samples: int, order: int):
+    for k in range(samples):
+        eta1 = random_eta_series(rng, order)
+        eta2 = random_eta_series(rng, order)
+        eta_nu = random_eta_series(rng, order)
+        engines = {
+            "monotone": multiplicative_convolve("monotone", eta1, eta2),
+            "boolean": multiplicative_convolve("boolean", eta1, eta2),
+            "orthogonal": multiplicative_convolve("orthogonal", eta1, eta2),
+            "c-monotone": multiplicative_convolve(
+                "c-monotone", eta1, eta2, eta_nu
+            ),
+        }
+        for kind, engine in engines.items():
+            for n in range(1, order + 1):
+                val = coefficient_formula(
+                    kind, n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
+                )
+                assert val == engine.coeffs[n - 1], f"sample {k}, {kind}, n={n}"
+        mono = tuple(
+            coefficient_formula("c-monotone", n, eta1.coeffs, eta2.coeffs, eta2.coeffs)
+            for n in range(1, order + 1)
+        )
+        assert mono == engines["monotone"].coeffs, f"sample {k}: substitution"
+    return f"{samples} samples, n up to {order}"
+
+
+@_check("additive-graph-consistency")
+def check_additive_graph_consistency(rng, samples: int, order: int):
+    for k in range(samples):
+        g1 = random_rooted_graph(rng, 1, 4)
+        g2 = random_birooted_graph(rng, 1, 4)
         mu1 = root_moments(g1, order)
-        nu1 = root_moments(g1, order, at=g1.second_root)
         mu2 = root_moments(g2, order)
         nu2 = root_moments(g2, order, at=g2.second_root)
-        fwd = additive_convolve("c-monotone", mu1, mu2, nu2)
-        rev = additive_convolve("c-monotone", mu2, mu1, nu1)
-        assert fwd.coeffs != rev.coeffs, "c-monotone additive unexpectedly commuted"
-        return "monotone and c-monotone witnesses verified"
-
-    return _run("additive-noncommutative-witnesses", body)
-
-
-def check_mult_delta1(rng, samples: int, order: int) -> Check:
-    def body():
-        delta1 = eta_from_moments(point_mass_moments(1, order))
-        for k in range(samples):
-            eta1 = random_eta_series(rng, order)
-            eta_nu = random_eta_series(rng, order)
-            left = multiplicative_convolve("c-monotone", eta1, delta1, eta_nu)
-            right = multiplicative_convolve("orthogonal", eta1, eta_nu)
-            assert left.coeffs == right.coeffs, f"sample {k}"
-        return f"{samples} samples, order {order}"
-
-    return _run("multiplicative-delta1-orthogonal", body)
-
-
-def check_mult_nu_eq_mu(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            eta1 = random_eta_series(rng, order)
-            eta2 = random_eta_series(rng, order)
-            left = multiplicative_convolve("c-monotone", eta1, eta2, eta2)
-            right = multiplicative_convolve("monotone", eta1, eta2)
-            assert left.coeffs == right.coeffs, f"sample {k}"
-        return f"{samples} samples, order {order}"
-
-    return _run("multiplicative-nu-equals-mu-monotone", body)
-
-
-def check_mult_decomposition(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            eta1 = random_eta_series(rng, order)
-            eta2 = random_eta_series(rng, order)
-            eta_nu = random_eta_series(rng, order)
-            direct = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
-            orth = multiplicative_convolve("orthogonal", eta1, eta_nu)
-            boxed = multiplicative_convolve("boolean", orth, eta2)
-            assert direct.coeffs == boxed.coeffs, f"sample {k}"
-        return f"{samples} samples, order {order}"
-
-    return _run("multiplicative-boolean-orthogonal-decomposition", body)
-
-
-def check_mult_identity(rng, samples: int, order: int) -> Check:
-    def body():
-        z = eta_from_moments(point_mass_moments(1, order))
-        for k in range(samples):
-            h = random_eta_series(rng, order)
-            assert (
-                multiplicative_convolve("monotone", h, z).coeffs == h.coeffs
-            ), f"sample {k}: right identity"
-            assert (
-                multiplicative_convolve("monotone", z, h).coeffs == h.coeffs
-            ), f"sample {k}: left identity"
-        return f"{samples} samples"
-
-    return _run("multiplicative-identity-element", body)
-
-
-def check_coefficient_formula_engine(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            eta1 = random_eta_series(rng, order)
-            eta2 = random_eta_series(rng, order)
-            eta_nu = random_eta_series(rng, order)
-            engines = {
-                "monotone": multiplicative_convolve("monotone", eta1, eta2),
-                "boolean": multiplicative_convolve("boolean", eta1, eta2),
-                "orthogonal": multiplicative_convolve("orthogonal", eta1, eta2),
-                "c-monotone": multiplicative_convolve(
-                    "c-monotone", eta1, eta2, eta_nu
-                ),
-            }
-            for kind, engine in engines.items():
-                for n in range(1, order + 1):
-                    val = coefficient_formula(
-                        kind, n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
-                    )
-                    assert val == engine.coeffs[n - 1], f"sample {k}, {kind}, n={n}"
-            mono = tuple(
-                coefficient_formula("c-monotone", n, eta1.coeffs, eta2.coeffs, eta2.coeffs)
-                for n in range(1, order + 1)
-            )
-            assert mono == engines["monotone"].coeffs, f"sample {k}: substitution"
-        return f"{samples} samples, n up to {order}"
-
-    return _run("coefficient-formula-engine-equality", body)
-
-
-def check_additive_graph_consistency(rng, samples: int, order: int) -> Check:
-    def body():
-        for k in range(samples):
-            g1 = random_rooted_graph(rng, 1, 4)
-            g2 = random_birooted_graph(rng, 1, 4)
-            mu1 = root_moments(g1, order)
-            mu2 = root_moments(g2, order)
-            nu2 = root_moments(g2, order, at=g2.second_root)
-            cases = {
-                "monotone": (comb_product(g1, g2), additive_convolve("monotone", mu1, mu2)),
-                "boolean": (star_product(g1, g2), additive_convolve("boolean", mu1, mu2)),
-                "orthogonal": (
-                    orthogonal_product(g1, g2),
-                    additive_convolve("orthogonal", mu1, mu2),
-                ),
-                "c-monotone": (
-                    comb_at_product(g1, g2),
-                    additive_convolve("c-monotone", mu1, mu2, nu2),
-                ),
-            }
-            for kind, (prod, expect) in cases.items():
-                got = root_moments(prod.graph, order).coeffs
-                assert got == expect.coeffs, f"sample {k}: {kind} graph consistency"
-        return f"{samples} samples, order {order}"
-
-    return _run("additive-graph-consistency", body)
+        cases = {
+            "monotone": (comb_product(g1, g2), additive_convolve("monotone", mu1, mu2)),
+            "boolean": (star_product(g1, g2), additive_convolve("boolean", mu1, mu2)),
+            "orthogonal": (
+                orthogonal_product(g1, g2),
+                additive_convolve("orthogonal", mu1, mu2),
+            ),
+            "c-monotone": (
+                comb_at_product(g1, g2),
+                additive_convolve("c-monotone", mu1, mu2, nu2),
+            ),
+        }
+        for kind, (prod, expect) in cases.items():
+            got = root_moments(prod.graph, order).coeffs
+            assert got == expect.coeffs, f"sample {k}: {kind} graph consistency"
+    return f"{samples} samples, order {order}"
 
 
 def transforms_suite(cfg: VerifyConfig) -> list:
@@ -764,14 +714,6 @@ def _pair_functionals(m1: AlgebraModel, m2: AlgebraModel):
     return {1: ModelFunctional(m1, m1.xi), 2: ModelFunctional(m2, m2.xi)}
 
 
-def _two_state_pairs(models: dict) -> dict:
-    """The (xi, eta) vector-state functionals of each indexed model."""
-    return {
-        j: (ModelFunctional(m, m.xi), ModelFunctional(m, m.eta))
-        for j, m in models.items()
-    }
-
-
 def _assert_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
     """Each realization's phi and psi moments equal the c-monotone oracle on
     every word; `realizations` maps a message prefix to a realization."""
@@ -800,85 +742,71 @@ def model_pairs(cfg: VerifyConfig):
     return out
 
 
-def check_pair_kinds(model_pairs, max_word: int) -> Check:
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        words = all_words(letters, max_word)
-        for k, (m1, m2) in enumerate(model_pairs):
-            fns = _pair_functionals(m1, m2)
-            for kind in ("boolean", "monotone", "orthogonal", "tensor"):
-                realization = realize_pair(kind, m1, m2)
-                ev = realization.evaluator("phi")
-                for w in words:
-                    expect = oracle_moment(kind, w, fns)
-                    got = ev.moment(w)
-                    assert got == expect, f"model {k}, {kind}, word {w}"
-        return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
-
-    return _run("pair-kind-oracle-equality", body)
-
-
-def check_single_letter_states(model_pairs) -> Check:
-    def body():
-        for k, (m1, m2) in enumerate(model_pairs):
-            for kind in ("boolean", "monotone", "orthogonal", "tensor"):
-                r = realize_pair(kind, m1, m2)
-                assert r.moment([(1, "a")]) == m1.vector_state(("a",), m1.xi), (
-                    f"model {k}: {kind} first marginal"
-                )
-                # the orthogonal state kills the second algebra outright
-                second = 0 if kind == "orthogonal" else m2.vector_state(("a",), m2.xi)
-                assert r.moment([(2, "a")]) == second, (
-                    f"model {k}: {kind} second marginal"
-                )
-            r = realize_cmonotone_pair(m1, m2)
-            for j, m in ((1, m1), (2, m2)):
-                assert r.moment([(j, "a")], "phi") == m.vector_state(("a",), m.xi)
-                assert r.moment([(j, "a")], "psi") == m.vector_state(("a",), m.eta)
-        return f"{len(model_pairs)} models"
-
-    return _run("single-letter-state-restriction", body)
-
-
-def check_cmonotone_pair(model_pairs, max_word: int) -> Check:
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        words = all_words(letters, max_word)
-        for k, (m1, m2) in enumerate(model_pairs):
-            realizations = {
-                "": realize_cmonotone_pair(m1, m2),
-                "variant ": realize_cmonotone_pair(m1, m2, variant=True),
-            }
-            pairs = _two_state_pairs({1: m1, 2: m2})
-            _assert_cmonotone(realizations, words, pairs, f"model {k}")
-        return f"{len(model_pairs)} models, words to length {max_word}, with variant"
-
-    return _run("cmonotone-pair-oracle-equality", body)
-
-
-def check_family_pair_consistency(model_pairs, word_len: int) -> Check:
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        words = all_words(letters, word_len)
-        subset = model_pairs[:15]
-        for k, (m1, m2) in enumerate(subset):
-            fam = realize_cmonotone_family([m1, m2])
-            pair = realize_cmonotone_pair(m1, m2)
-            fam_ops = {(1, "a"): (0, "a"), (2, "a"): (1, "a")}
-            ev_fam = {s: fam.evaluator(s) for s in ("phi", "psi")}
-            ev_pair = {s: pair.evaluator(s) for s in ("phi", "psi")}
+@_check("pair-kind-oracle-equality")
+def check_pair_kinds(model_pairs, max_word: int):
+    words = all_words(PAIR_LETTERS, max_word)
+    for k, (m1, m2) in enumerate(model_pairs):
+        fns = _pair_functionals(m1, m2)
+        for kind in ("boolean", "monotone", "orthogonal", "tensor"):
+            realization = realize_pair(kind, m1, m2)
+            ev = realization.evaluator("phi")
             for w in words:
-                fam_word = [fam_ops[l] for l in w]
-                for s in ("phi", "psi"):
-                    assert ev_fam[s].moment(fam_word) == ev_pair[s].moment(w), (
-                        f"model {k}, word {w}, state {s}"
-                    )
-        return f"{len(subset)} models, words to length {word_len}"
+                expect = oracle_moment(kind, w, fns)
+                got = ev.moment(w)
+                assert got == expect, f"model {k}, {kind}, word {w}"
+    return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
-    return _run("family-pair-consistency", body)
+
+@_check("single-letter-state-restriction")
+def check_single_letter_states(model_pairs):
+    for k, (m1, m2) in enumerate(model_pairs):
+        for kind in ("boolean", "monotone", "orthogonal", "tensor"):
+            r = realize_pair(kind, m1, m2)
+            assert r.moment([(1, "a")]) == m1.vector_state(("a",), m1.xi), (
+                f"model {k}: {kind} first marginal"
+            )
+            # the orthogonal state kills the second algebra outright
+            second = 0 if kind == "orthogonal" else m2.vector_state(("a",), m2.xi)
+            assert r.moment([(2, "a")]) == second, (
+                f"model {k}: {kind} second marginal"
+            )
+        r = realize_cmonotone_pair(m1, m2)
+        for j, m in ((1, m1), (2, m2)):
+            assert r.moment([(j, "a")], "phi") == m.vector_state(("a",), m.xi)
+            assert r.moment([(j, "a")], "psi") == m.vector_state(("a",), m.eta)
+    return f"{len(model_pairs)} models"
+
+
+@_check("cmonotone-pair-oracle-equality")
+def check_cmonotone_pair(model_pairs, max_word: int):
+    words = all_words(PAIR_LETTERS, max_word)
+    for k, (m1, m2) in enumerate(model_pairs):
+        realizations = {
+            "": realize_cmonotone_pair(m1, m2),
+            "variant ": realize_cmonotone_pair(m1, m2, variant=True),
+        }
+        pairs = two_state_pairs({1: m1, 2: m2})
+        _assert_cmonotone(realizations, words, pairs, f"model {k}")
+    return f"{len(model_pairs)} models, words to length {max_word}, with variant"
+
+
+@_check("family-pair-consistency")
+def check_family_pair_consistency(model_pairs, word_len: int):
+    words = all_words(PAIR_LETTERS, word_len)
+    subset = model_pairs[:15]
+    for k, (m1, m2) in enumerate(subset):
+        fam = realize_cmonotone_family([m1, m2])
+        pair = realize_cmonotone_pair(m1, m2)
+        fam_ops = {(1, "a"): (0, "a"), (2, "a"): (1, "a")}
+        ev_fam = {s: fam.evaluator(s) for s in ("phi", "psi")}
+        ev_pair = {s: pair.evaluator(s) for s in ("phi", "psi")}
+        for w in words:
+            fam_word = [fam_ops[l] for l in w]
+            for s in ("phi", "psi"):
+                assert ev_fam[s].moment(fam_word) == ev_pair[s].moment(w), (
+                    f"model {k}, word {w}, state {s}"
+                )
+    return f"{len(subset)} models, words to length {word_len}"
 
 
 def family_models(cfg: VerifyConfig):
@@ -897,77 +825,54 @@ def family_models(cfg: VerifyConfig):
     return out
 
 
-def check_family_three(family_models, word_len: int) -> Check:
-    letters = ((0, "a"), (1, "a"), (2, "a"))
-
-    def body():
-        words = all_words(letters, word_len)
-        for k, models in enumerate(family_models):
-            fam = realize_cmonotone_family(models)
-            pairs = _two_state_pairs(dict(enumerate(models)))
-            _assert_cmonotone({"": fam}, words, pairs, f"family {k}")
-        return f"{len(family_models)} families of 3, words to length {word_len}"
-
-    return _run("family-three-oracle-equality", body)
+@_check("family-three-oracle-equality")
+def check_family_three(family_models, word_len: int):
+    words = all_words(((0, "a"), (1, "a"), (2, "a")), word_len)
+    for k, models in enumerate(family_models):
+        fam = realize_cmonotone_family(models)
+        pairs = two_state_pairs(dict(enumerate(models)))
+        _assert_cmonotone({"": fam}, words, pairs, f"family {k}")
+    return f"{len(family_models)} families of 3, words to length {word_len}"
 
 
-def check_local_max_choice(model_pairs, word_len: int = 7) -> Check:
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        words = all_words(letters, word_len)
-        subset = model_pairs[:10]
-        for k, (m1, m2) in enumerate(subset):
-            pairs = _two_state_pairs({1: m1, 2: m2})
-            for w in words:
-                vals = oracle_cmonotone_all_orders(w, pairs)
-                assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
-        return f"{len(subset)} models, all reduction orders to length {word_len}"
-
-    return _run("local-maximum-choice-independence", body)
+@_check("local-maximum-choice-independence")
+def check_local_max_choice(model_pairs, word_len: int = 7):
+    words = all_words(PAIR_LETTERS, word_len)
+    subset = model_pairs[:10]
+    for k, (m1, m2) in enumerate(subset):
+        pairs = two_state_pairs({1: m1, 2: m2})
+        for w in words:
+            vals = oracle_cmonotone_all_orders(w, pairs)
+            assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
+    return f"{len(subset)} models, all reduction orders to length {word_len}"
 
 
-def check_psi_equals_phi_collapse(model_pairs, max_word: int) -> Check:
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        words = all_words(letters, min(max_word, 7))
-        for k, (m1, m2) in enumerate(model_pairs[:15]):
-            fns = _pair_functionals(m1, m2)
-            degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
-            for w in words:
-                phi_val, psi_val = oracle_cmonotone(w, degenerate)
-                mono = oracle_moment("monotone", w, fns)
-                assert phi_val == mono, f"model {k}, word {w}: phi"
-                assert psi_val == mono, f"model {k}, word {w}: psi"
-        return f"15 models, words to length {min(max_word, 7)}"
-
-    return _run("psi-equals-phi-monotone-collapse", body)
+@_check("psi-equals-phi-monotone-collapse")
+def check_psi_equals_phi_collapse(model_pairs, max_word: int):
+    words = all_words(PAIR_LETTERS, min(max_word, 7))
+    for k, (m1, m2) in enumerate(model_pairs[:15]):
+        fns = _pair_functionals(m1, m2)
+        degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
+        for w in words:
+            phi_val, psi_val = oracle_cmonotone(w, degenerate)
+            mono = oracle_moment("monotone", w, fns)
+            assert phi_val == mono, f"model {k}, word {w}: phi"
+            assert psi_val == mono, f"model {k}, word {w}: psi"
+    return f"15 models, words to length {min(max_word, 7)}"
 
 
-def check_separating_projection(model_pairs) -> Check:
-    def body():
-        for k, (m1, m2) in enumerate(model_pairs[:10]):
-            fam = realize_cmonotone_family([m1, m2])
-            fam_words = all_words(((0, "a"), (1, "a")), 3)
-            for w1 in fam_words:
-                for w2 in fam_words:
-                    vec = {fam.phi_index: 1}
-                    for key in reversed(w2):
-                        vec = sparse_apply(fam.operators[key], vec)
-                    vec = (
-                        {fam.phi_index: vec[fam.phi_index]}
-                        if fam.phi_index in vec
-                        else {}
-                    )
-                    for key in reversed(w1):
-                        vec = sparse_apply(fam.operators[key], vec)
-                    lhs = vec.get(fam.phi_index, 0)
-                    rhs = fam.moment(w1) * fam.moment(w2)
-                    assert lhs == rhs, f"model {k}, words {w1}|{w2}"
-        return "10 models, flank words to length 3"
-
-    return _run("separating-projection-splits-moments", body)
+@_check("separating-projection-splits-moments")
+def check_separating_projection(model_pairs):
+    fam_words = all_words(((0, "a"), (1, "a")), 3)
+    for k, (m1, m2) in enumerate(model_pairs[:10]):
+        fam = realize_cmonotone_family([m1, m2])
+        fam.operators["P"] = fam.separating_projection()
+        for w1 in fam_words:
+            for w2 in fam_words:
+                lhs = fam.moment(w1 + ("P",) + w2)
+                rhs = fam.moment(w1) * fam.moment(w2)
+                assert lhs == rhs, f"model {k}, words {w1}|{w2}"
+    return "10 models, flank words to length 3"
 
 
 def _graph_bridge_pairs(cfg: VerifyConfig, count: int):
@@ -981,48 +886,28 @@ def _graph_bridge_pairs(cfg: VerifyConfig, count: int):
     ]
 
 
-def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool):
-    """Body of the two bridge checks: the c-comb decomposition of each graph
-    pair (its loop pair minus the identity with `loops`) against the
-    c-monotone oracle of the factor adjacencies (minus the identity)."""
+def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
+    """The two bridge checks: the c-comb decomposition of each graph pair
+    (its loop pair with `loops`) against the c-monotone oracle of the factor
+    adjacencies (see independence.realize_graph_pair)."""
     decompose = c_comb_loop_decomposition if loops else c_comb_decomposition
     demo = fixtures.multiplicative_demo_pair if loops else fixtures.additive_demo_pair
-    letters = ((1, "a"), (2, "a"))
-
-    def body():
-        cases = [demo()] + _graph_bridge_pairs(cfg, 8)
-        words = all_words(letters, max_word)
-        for k, (g1, g2) in enumerate(cases):
-            dec = decompose(g1, g2)
-            graphs = {1: g1, 2: g2}
-            ops = {(1, "a"): dec.cols1, (2, "a"): dec.cols2}
-            adj = {j: adjacency_matrix(g) for j, g in graphs.items()}
-            if loops:
-                one = sparse_identity(dec.ambient_dim)
-                ops = {
-                    key: sparse_sum(op, one, signs=(1, -1)) for key, op in ops.items()
-                }
-                adj = {j: a - Matrix.identity(a.rows) for j, a in adj.items()}
-            realization = Realization(
-                ops, dec.ambient_dim, dec.phi_index, dec.psi_index
-            )
-            models = {
-                j: AlgebraModel({"a": adj[j]}, g.root, g.second_root)
-                for j, g in graphs.items()
-            }
-            pairs = _two_state_pairs(models)
-            _assert_cmonotone({"": realization}, words, pairs, f"pair {k}")
-        return f"{len(cases)} graph pairs, words to length {max_word}"
-
-    return body
+    cases = [demo()] + _graph_bridge_pairs(cfg, 8)
+    words = all_words(PAIR_LETTERS, max_word)
+    for k, (g1, g2) in enumerate(cases):
+        realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2, loops)
+        _assert_cmonotone({"": realization}, words, pairs, f"pair {k}")
+    return f"{len(cases)} graph pairs, words to length {max_word}"
 
 
-def check_c_comb_bridge(cfg: VerifyConfig, max_word: int) -> Check:
-    return _run("c-comb-state-pair-bridge", _graph_bridge(cfg, max_word, False))
+@_check("c-comb-state-pair-bridge")
+def check_c_comb_bridge(cfg: VerifyConfig, max_word: int):
+    return _graph_bridge(cfg, max_word, False)
 
 
-def check_loop_bridge(cfg: VerifyConfig, max_word: int) -> Check:
-    return _run("loop-pair-bridge", _graph_bridge(cfg, max_word, True))
+@_check("loop-pair-bridge")
+def check_loop_bridge(cfg: VerifyConfig, max_word: int):
+    return _graph_bridge(cfg, max_word, True)
 
 
 def independence_suite(cfg: VerifyConfig) -> list:
@@ -1032,8 +917,8 @@ def independence_suite(cfg: VerifyConfig) -> list:
         check_pair_kinds(pairs, cfg.max_word),
         check_single_letter_states(pairs),
         check_cmonotone_pair(pairs, cfg.max_word),
-        check_family_pair_consistency(pairs, cfg.family_word),
-        check_family_three(families, cfg.family_word),
+        check_family_pair_consistency(pairs, FAMILY_WORD),
+        check_family_three(families, FAMILY_WORD),
         check_local_max_choice(pairs),
         check_psi_equals_phi_collapse(pairs, cfg.max_word),
         check_separating_projection(pairs),
@@ -1050,17 +935,14 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> list:
-    if name == "all":
-        out = []
-        for suite_name in ("products", "transforms", "independence"):
-            out.extend(
-                Check(f"{suite_name}/{c.name}", c.passed, c.detail)
-                for c in SUITES[suite_name](cfg)
-            )
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [Check(f"{name}/{c.name}", c.passed, c.detail) for c in SUITES[name](cfg)]
+    names = SUITES if name == "all" else (name,)
+    return [
+        Check(f"{suite}/{c.name}", c.passed, c.detail)
+        for suite in names
+        for c in SUITES[suite](cfg)
+    ]
 
 
 def format_report(checks, cfg: VerifyConfig) -> str:

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is seeded and deterministic.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -43,6 +44,16 @@ def families():
     return verify.family_models(CFG)
 
 
+def test_verify_report_is_pinned():
+    # every check's detail line, at a small config; a change to the report
+    # text or to what a check computes shows up here
+    cfg = VerifyConfig(order=6, max_word=4, graph_samples=3, model_samples=4, seed=0)
+    report_text = verify.format_report(verify.run_suite("all", cfg), cfg)
+    assert hashlib.sha256(report_text.encode()).hexdigest() == (
+        "b93ed89eb9f76e36d84b7d5fac911776e641c4d3684ff33bd6f461d4aff1fa42"
+    )
+
+
 def test_additive_three_route_agreement(additive):
     started = time.perf_counter()
     check = verify.check_additive_three_route(additive, CFG.order)
@@ -70,11 +81,11 @@ def test_independence_oracle_equivalence(models, families):
         ),
         (
             "three-algebra family",
-            verify.check_family_three(families, CFG.family_word),
+            verify.check_family_three(families, verify.FAMILY_WORD),
         ),
         (
             "family reduces to the pair",
-            verify.check_family_pair_consistency(models, CFG.family_word),
+            verify.check_family_pair_consistency(models, verify.FAMILY_WORD),
         ),
         ("reduction-order independence", verify.check_local_max_choice(models)),
         (
@@ -150,15 +161,15 @@ def test_multiplicative_three_route_agreement(multiplicative):
     for name, check in (
         (
             "eta coefficients at e (graph vs series vs sums)",
-            verify.check_multiplicative_three_route(multiplicative, CFG.mult_order),
+            verify.check_multiplicative_three_route(multiplicative, verify.MULT_ORDER),
         ),
         (
             "eta coefficients at f equal the monotone values",
-            verify.check_multiplicative_second_root(multiplicative, CFG.mult_order),
+            verify.check_multiplicative_second_root(multiplicative, verify.MULT_ORDER),
         ),
         (
             "alternating d-walk counts",
-            verify.check_d_walk_counts(multiplicative, CFG.walk_order),
+            verify.check_d_walk_counts(multiplicative, verify.WALK_ORDER),
         ),
     ):
         report(f"multiplicative agreement / {name}", check)

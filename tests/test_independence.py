@@ -19,7 +19,7 @@ from ccomb.independence import (
     realize_cmonotone_pair,
     realize_pair,
 )
-from ccomb.linalg import Matrix
+from ccomb.linalg import Matrix, sparse_to_matrix
 from ccomb.products import c_comb_decomposition
 from ccomb.verify import random_model
 
@@ -333,7 +333,7 @@ def test_separating_projection_matrix():
     m1 = random_model(rng, two_state=True)
     m2 = random_model(rng, two_state=True)
     fam = realize_cmonotone_family([m1, m2])
-    p = fam.separating_projection()
+    p = sparse_to_matrix(fam.separating_projection())
     assert p * p == p
     assert p.entry(fam.phi_index, fam.phi_index) == 1
     assert p.entry(fam.psi_index, fam.psi_index) == 1

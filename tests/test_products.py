@@ -290,6 +290,20 @@ def test_loop_decomposition_colors():
     assert dec.restricted(2) == adjacency_matrix(prod.graph, 2)
 
 
+def test_loop_decompositions_refuse_a_first_factor_with_color_2_edges():
+    # R1 is built from all of a1, so with color-2 edges in g1 neither
+    # restricted(1) nor restricted(2) would be the per-color adjacency
+    a1, a2 = additive_demo_pair()
+    _m1, m2 = multiplicative_demo_pair()
+    star = star_product(a1, a2).graph
+    assert star.monochrome_edges(2)
+    essential_loop_product(star, m2)  # the product itself still builds
+    with pytest.raises(ValueError, match="color-2"):
+        essential_loop_decomposition(star, m2)
+    with pytest.raises(ValueError, match="color-2"):
+        c_comb_loop_decomposition(c_comb_product(a1, a2).graph, m2)
+
+
 def test_c_comb_loop_decomposition_trivial():
     g = birooted(1, [], 0, 0)
     dec = c_comb_loop_decomposition(g, g)

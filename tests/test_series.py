@@ -17,7 +17,6 @@ from ccomb.series import (
     moments_from_eta,
     moments_from_psi,
     moments_to_F,
-    moments_to_G,
     F_to_moments,
     multiplicative_convolve,
     point_mass_moments,
@@ -62,12 +61,6 @@ def test_F_of_edge_moments():
     f = moments_to_F(EDGE)
     assert f.coeffs == (0, -1, 0, 0)
     assert F_to_moments(f).coeffs == EDGE.coeffs
-
-
-def test_G_series_kind():
-    g = moments_to_G(EDGE)
-    assert g.kind == "G" and g.order == 4
-    assert g.coefficient(2) == 1
 
 
 @given(moment_sequences(order=10))
