@@ -215,15 +215,30 @@ def _nu2_fallback(inputs, order):
     return _load_additive_input(inputs[2], order)[1]
 
 
+def _check_input_count(kind, inputs):
+    """Every kind takes two inputs; c-monotone takes a third, the nu2 table,
+    which is checked against the second input once that is loaded."""
+    if len(inputs) == 2 or (len(inputs) == 3 and kind == "c-monotone"):
+        return
+    allowed = "2 or 3 inputs" if kind == "c-monotone" else "2 inputs"
+    raise _CliError(f"convolve {kind} takes {allowed}, got {len(inputs)}")
+
+
 def _cmd_convolve(args) -> int:
     order = args.order
     kind = args.kind
+    _check_input_count(kind, args.inputs)
     g1, mu1, _ = _load_additive_input(args.inputs[0], order)
     g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
     if kind != "c-monotone":
         nu2 = None
     elif nu2 is None:
         nu2 = _nu2_fallback(args.inputs, order)
+    elif len(args.inputs) == 3:
+        raise _CliError(
+            "convolve c-monotone takes a third input only when the second has "
+            "no second root"
+        )
     try:
         if args.family == "additive":
             values = additive_convolve(kind, mu1, mu2, nu2).coeffs

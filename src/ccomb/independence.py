@@ -164,14 +164,12 @@ def collapse_word(word) -> tuple:
 
 
 def _drop_and_merge(w: tuple, i: int) -> tuple:
-    rest = w[:i] + w[i + 1 :]
-    out: list = []
-    for j, names in rest:
-        if out and out[-1][0] == j:
-            out[-1] = (j, out[-1][1] + names)
-        else:
-            out.append((j, names))
-    return tuple(out)
+    """The collapsed word `w` without its letter i: only the two neighbours
+    of i can merge."""
+    if 0 < i < len(w) - 1 and w[i - 1][0] == w[i + 1][0]:
+        merged = (w[i - 1][0], w[i - 1][1] + w[i + 1][1])
+        return w[: i - 1] + (merged,) + w[i + 2 :]
+    return w[:i] + w[i + 1 :]
 
 
 def _local_maxima(w: tuple) -> list:
@@ -184,38 +182,73 @@ def _local_maxima(w: tuple) -> list:
     ]
 
 
-def _monotone(w: tuple, functionals: dict):
+def _first_local_max(w: tuple) -> int:
+    """The first local maximum of a collapsed word: adjacent indices differ,
+    so it is the first letter above its right neighbour, else the last."""
+    for i in range(len(w) - 1):
+        if w[i][0] > w[i + 1][0]:
+            return i
+    return len(w) - 1
+
+
+def _memo_table(memo, functionals, recursion: str) -> dict:
+    """The table of one recursion inside a caller-owned memo. A memo holds
+    oracle values of one functional set only: the values of a collapsed
+    word depend on nothing else, so the words of a check can share it."""
+    if memo is None:
+        return {}
+    if memo.setdefault("functionals", functionals) is not functionals:
+        raise ValueError("a memo serves one functional set only")
+    return memo.setdefault(recursion, {})
+
+
+def _monotone(w: tuple, functionals: dict, memo: dict):
     if not w:
         return 1
+    if w in memo:
+        return memo[w]
     if len(w) == 1:
         j, names = w[0]
-        return functionals[j](names)
-    i = _local_maxima(w)[0]
-    j, names = w[i]
-    return functionals[j](names) * _monotone(_drop_and_merge(w, i), functionals)
+        out = functionals[j](names)
+    else:
+        i = _first_local_max(w)
+        j, names = w[i]
+        out = functionals[j](names) * _monotone(
+            _drop_and_merge(w, i), functionals, memo
+        )
+    memo[w] = out
+    return out
 
 
-def _orthogonal(w: tuple, lo_fn, hi_fn, lo: int, hi: int):
+def _orthogonal(w: tuple, lo_fn, hi_fn, lo: int, hi: int, memo: dict):
     if not w:
         return 1
+    if w in memo:
+        return memo[w]
     if len(w) == 1 and w[0][0] == lo:
-        return lo_fn(w[0][1])
-    if w[0][0] == hi or w[-1][0] == hi:
-        return 0
-    i = next(k for k, (j, _n) in enumerate(w) if j == hi)
-    psi_b = hi_fn(w[i][1])
-    whole = _orthogonal(_drop_and_merge(w, i), lo_fn, hi_fn, lo, hi)
-    left = _orthogonal(w[:i], lo_fn, hi_fn, lo, hi)
-    right = _orthogonal(w[i + 1 :], lo_fn, hi_fn, lo, hi)
-    return psi_b * (whole - left * right)
+        out = lo_fn(w[0][1])
+    elif w[0][0] == hi or w[-1][0] == hi:
+        out = 0
+    else:
+        # w opens in lo, so its first local maximum is the first letter of hi
+        i = _first_local_max(w)
+        psi_b = hi_fn(w[i][1])
+        whole = _orthogonal(_drop_and_merge(w, i), lo_fn, hi_fn, lo, hi, memo)
+        left = _orthogonal(w[:i], lo_fn, hi_fn, lo, hi, memo)
+        right = _orthogonal(w[i + 1 :], lo_fn, hi_fn, lo, hi, memo)
+        out = psi_b * (whole - left * right)
+    memo[w] = out
+    return out
 
 
-def oracle_moment(kind: str, word, functionals: dict):
+def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
     """Evaluate a mixed moment by the defining recursion of `kind`.
 
     `functionals` maps each algebra index to a callable on name tuples. For
     the orthogonal kind exactly two indices take part and the functional of
     the higher index is read as the psi-state of the orthogonal algebra.
+    `memo`, owned by the caller, carries the recursion values from word to
+    word; it must serve this `functionals` dict only.
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown independence kind {kind!r}")
@@ -228,7 +261,7 @@ def oracle_moment(kind: str, word, functionals: dict):
             value *= functionals[j](names)
         return value
     if kind == "monotone":
-        return _monotone(w, functionals)
+        return _monotone(w, functionals, _memo_table(memo, functionals, kind))
     if kind == "tensor":
         per_algebra: dict = {}
         for j, names in w:
@@ -243,53 +276,62 @@ def oracle_moment(kind: str, word, functionals: dict):
     lo, hi = keys
     if any(j not in (lo, hi) for j, _ in w):
         raise ValueError("orthogonal words use exactly the two given algebras")
-    return _orthogonal(w, functionals[lo], functionals[hi], lo, hi)
+    table = _memo_table(memo, functionals, kind)
+    return _orthogonal(w, functionals[lo], functionals[hi], lo, hi, table)
 
 
-def oracle_cmonotone(word, pairs: dict):
+def _cmonotone_phi(v: tuple, pairs: dict, memo: dict):
+    if not v:
+        return 1
+    if v in memo:
+        return memo[v]
+    if len(v) == 1:
+        j, names = v[0]
+        out = pairs[j][0](names)
+    else:
+        i = _first_local_max(v)
+        j, names = v[i]
+        a_phi = pairs[j][0](names)
+        a_psi = pairs[j][1](names)
+        left = _cmonotone_phi(v[:i], pairs, memo)
+        right = _cmonotone_phi(v[i + 1 :], pairs, memo)
+        rest = _cmonotone_phi(_drop_and_merge(v, i), pairs, memo)
+        out = (a_phi - a_psi) * left * right + a_psi * rest
+    memo[v] = out
+    return out
+
+
+def oracle_cmonotone(word, pairs: dict, memo: dict | None = None):
     """Two-state moment of a word under c-monotone independence.
 
     `pairs` maps each algebra index to a (phi, psi) functional pair. Returns
     (phi_value, psi_value); psi_value follows the monotone recursion in the
     psi functionals. The phi recursion removes the first local maximum; the
     value does not depend on that choice (see oracle_cmonotone_all_orders).
+    `memo`, owned by the caller, carries both recursions' values from word
+    to word; it must serve this `pairs` dict only.
     """
     w = collapse_word(word)
-    memo: dict = {}
-
-    def phi(v: tuple):
-        if not v:
-            return 1
-        if v in memo:
-            return memo[v]
-        if len(v) == 1:
-            j, names = v[0]
-            out = pairs[j][0](names)
-        else:
-            i = _local_maxima(v)[0]
-            j, names = v[i]
-            a_phi = pairs[j][0](names)
-            a_psi = pairs[j][1](names)
-            out = (a_phi - a_psi) * phi(v[:i]) * phi(v[i + 1 :]) + a_psi * phi(
-                _drop_and_merge(v, i)
-            )
-        memo[v] = out
-        return out
-
     psi_fns = {j: p[1] for j, p in pairs.items()}
-    return phi(w), _monotone(w, psi_fns)
+    return (
+        _cmonotone_phi(w, pairs, _memo_table(memo, pairs, "phi")),
+        _monotone(w, psi_fns, _memo_table(memo, pairs, "psi")),
+    )
 
 
-def oracle_cmonotone_all_orders(word, pairs: dict) -> frozenset:
+def oracle_cmonotone_all_orders(
+    word, pairs: dict, memo: dict | None = None
+) -> frozenset:
     """All phi values reachable by choosing local maxima in any order;
-    a singleton set certifies choice independence for this word."""
-    memo: dict = {}
+    a singleton set certifies choice independence for this word. `memo` is
+    as in oracle_cmonotone."""
+    table = _memo_table(memo, pairs, "all_orders")
 
     def values(v: tuple) -> frozenset:
         if not v:
             return frozenset({1})
-        if v in memo:
-            return memo[v]
+        if v in table:
+            return table[v]
         if len(v) == 1:
             j, names = v[0]
             out = frozenset({pairs[j][0](names)})
@@ -304,7 +346,7 @@ def oracle_cmonotone_all_orders(word, pairs: dict) -> frozenset:
                         for z in values(_drop_and_merge(v, i)):
                             acc.add((a_phi - a_psi) * x * y + a_psi * z)
             out = frozenset(acc)
-        memo[v] = out
+        table[v] = out
         return out
 
     return values(collapse_word(word))

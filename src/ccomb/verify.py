@@ -716,13 +716,15 @@ def _pair_functionals(m1: AlgebraModel, m2: AlgebraModel):
 
 def _assert_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
     """Each realization's phi and psi moments equal the c-monotone oracle on
-    every word; `realizations` maps a message prefix to a realization."""
+    every word; `realizations` maps a message prefix to a realization. The
+    oracle's memo serves `pairs` only and is dropped on return."""
     evs = [
         (tag, r.evaluator("phi"), r.evaluator("psi"))
         for tag, r in realizations.items()
     ]
+    memo: dict = {}
     for w in words:
-        phi_expect, psi_expect = oracle_cmonotone(w, pairs)
+        phi_expect, psi_expect = oracle_cmonotone(w, pairs, memo)
         for tag, ev_phi, ev_psi in evs:
             assert ev_phi.moment(w) == phi_expect, f"{where}, word {w}: {tag}phi"
             assert ev_psi.moment(w) == psi_expect, f"{where}, word {w}: {tag}psi"
@@ -750,8 +752,9 @@ def check_pair_kinds(model_pairs, max_word: int):
         for kind in ("boolean", "monotone", "orthogonal", "tensor"):
             realization = realize_pair(kind, m1, m2)
             ev = realization.evaluator("phi")
+            memo: dict = {}
             for w in words:
-                expect = oracle_moment(kind, w, fns)
+                expect = oracle_moment(kind, w, fns, memo)
                 got = ev.moment(w)
                 assert got == expect, f"model {k}, {kind}, word {w}"
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
@@ -841,8 +844,9 @@ def check_local_max_choice(model_pairs, word_len: int = 7):
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         pairs = two_state_pairs({1: m1, 2: m2})
+        memo: dict = {}
         for w in words:
-            vals = oracle_cmonotone_all_orders(w, pairs)
+            vals = oracle_cmonotone_all_orders(w, pairs, memo)
             assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
     return f"{len(subset)} models, all reduction orders to length {word_len}"
 
@@ -853,9 +857,11 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
     for k, (m1, m2) in enumerate(model_pairs[:15]):
         fns = _pair_functionals(m1, m2)
         degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
+        cmonotone_memo: dict = {}
+        monotone_memo: dict = {}
         for w in words:
-            phi_val, psi_val = oracle_cmonotone(w, degenerate)
-            mono = oracle_moment("monotone", w, fns)
+            phi_val, psi_val = oracle_cmonotone(w, degenerate, cmonotone_memo)
+            mono = oracle_moment("monotone", w, fns, monotone_memo)
             assert phi_val == mono, f"model {k}, word {w}: phi"
             assert psi_val == mono, f"model {k}, word {w}: psi"
     return f"15 models, words to length {min(max_word, 7)}"

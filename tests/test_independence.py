@@ -1,10 +1,13 @@
 import random
 
+from hypothesis import given
+import hypothesis.strategies as st
 import pytest
 import sympy as sp
 
 from ccomb.graphs import adjacency_matrix, birooted
 from ccomb.independence import (
+    _drop_and_merge,
     AlgebraModel,
     ModelFunctional,
     Realization,
@@ -18,6 +21,7 @@ from ccomb.independence import (
     realize_cmonotone_family,
     realize_cmonotone_pair,
     realize_pair,
+    two_state_pairs,
 )
 from ccomb.linalg import Matrix, sparse_to_matrix
 from ccomb.products import c_comb_decomposition
@@ -337,3 +341,70 @@ def test_separating_projection_matrix():
     assert p * p == p
     assert p.entry(fam.phi_index, fam.phi_index) == 1
     assert p.entry(fam.psi_index, fam.psi_index) == 1
+
+
+def _reference_drop_and_merge(w, i):
+    """Drop letter i, then collapse the whole rest: the definition the O(1)
+    kernel must agree with."""
+    out = []
+    for j, names in w[:i] + w[i + 1 :]:
+        if out and out[-1][0] == j:
+            out[-1] = (j, out[-1][1] + names)
+        else:
+            out.append((j, names))
+    return tuple(out)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from("abc")), min_size=1, max_size=12
+    )
+)
+def test_drop_and_merge_matches_full_collapse(word):
+    w = collapse_word(word)
+    for i in range(len(w)):
+        assert _drop_and_merge(w, i) == _reference_drop_and_merge(w, i)
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [((1, "a"), (1, "b"), (2, "a")), ((0, "a"), (1, "a"), (2, "a"))],
+)
+def test_shared_memo_equals_fresh_calls_in_any_fill_order(letters):
+    rng = random.Random(11)
+    indices = sorted({j for j, _ in letters})
+    models = {
+        j: random_model(rng, names=("a", "b"), two_state=True, use_fractions=True)
+        for j in indices
+    }
+    pairs = two_state_pairs(models)
+    fns = {j: ModelFunctional(m, m.xi) for j, m in models.items()}
+    kinds = ["monotone"] + (["orthogonal"] if len(indices) == 2 else [])
+    words = all_words(letters, 6)
+    fresh = {
+        w: (
+            oracle_cmonotone(w, pairs),
+            oracle_cmonotone_all_orders(w, pairs),
+            [oracle_moment(kind, w, fns) for kind in kinds],
+        )
+        for w in words
+    }
+    for order in (words, words[::-1]):
+        cmonotone_memo, all_orders_memo = {}, {}
+        kind_memos = {kind: {} for kind in kinds}
+        for w in order:
+            shared = (
+                oracle_cmonotone(w, pairs, cmonotone_memo),
+                oracle_cmonotone_all_orders(w, pairs, all_orders_memo),
+                [oracle_moment(kind, w, fns, kind_memos[kind]) for kind in kinds],
+            )
+            assert shared == fresh[w], w
+
+
+def test_memo_refuses_a_second_functional_set():
+    rng = random.Random(3)
+    models = {j: random_model(rng, two_state=True) for j in (1, 2)}
+    memo = {}
+    oracle_cmonotone(((1, "a"), (2, "a")), two_state_pairs(models), memo)
+    with pytest.raises(ValueError):
+        oracle_cmonotone(((1, "a"), (2, "a")), two_state_pairs(models), memo)

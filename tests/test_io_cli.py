@@ -396,6 +396,36 @@ def test_cli_c_monotone_rooted_second_graph_has_no_walk_column(tmp_path, capsys)
     assert out.splitlines()[0] == "n,fraction,decimal"
 
 
+@pytest.mark.parametrize(
+    "family, kind, inputs",
+    [
+        ("additive", "monotone", ["g1"]),
+        ("additive", "c-monotone", ["g1"]),
+        ("additive", "monotone", ["g1", "rooted", "nu2"]),
+        ("multiplicative", "boolean", ["g1", "g2", "nu2"]),
+        ("additive", "c-monotone", ["g1", "g2", "nu2"]),
+        ("multiplicative", "c-monotone", ["rooted", "rooted", "nu2", "nu2"]),
+        ("additive", "orthogonal", ["g1", "g2", "nu2", "nu2"]),
+    ],
+)
+def test_cli_convolve_wrong_input_count_exits_2(tmp_path, capsys, family, kind, inputs):
+    rooted_graph = tmp_path / "rooted.graph"
+    save_graph(rooted_graph, rooted(3, [(0, 0), (0, 1), (1, 2)], 0))
+    nu2 = tmp_path / "nu2.csv"
+    nu2.write_text("0,1\n1,1\n2,2\n3,4\n4,9\n")
+    paths = {
+        "g1": fixture_path("multiplicative_g1.graph"),
+        "g2": fixture_path("multiplicative_g2.graph"),
+        "rooted": str(rooted_graph),
+        "nu2": str(nu2),
+    }
+    args = ["convolve", family, kind, *(paths[i] for i in inputs), "--order", "4"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: convolve")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_multiplicative_c_monotone_rooted_first_graph(tmp_path, capsys):
     g1 = tmp_path / "rooted.graph"
     save_graph(g1, rooted(3, [(0, 0), (0, 1), (1, 2)], 0))
