@@ -38,6 +38,7 @@ from . import io as gio
 from .graphs import root_moments, two_step_moments
 from .independence import oracle_cmonotone, parse_word, realize_graph_pair
 from .products import (
+    ADDITIVE_WALK_PRODUCTS,
     c_comb_decomposition,
     c_comb_loop_product,
     c_comb_product,
@@ -104,17 +105,9 @@ def _cmd_product(args) -> int:
     g1 = _load_graph_or_fail(args.g1)
     g2 = _load_graph_or_fail(args.g2)
     if args.kind in BIROOTED_SECOND and g2.second_root is None:
-        print(
-            f"error: product {args.kind} needs a birooted second factor",
-            file=sys.stderr,
-        )
-        return 2
+        raise _CliError(f"product {args.kind} needs a birooted second factor")
     if args.kind in BIROOTED_FIRST and g1.second_root is None:
-        print(
-            f"error: product {args.kind} needs a birooted first factor",
-            file=sys.stderr,
-        )
-        return 2
+        raise _CliError(f"product {args.kind} needs a birooted first factor")
     prod = _build_product(build, g1, g2)
     outdir = _out_dir(args.out)
     stem = args.kind.replace("-", "_")
@@ -140,8 +133,7 @@ def _cmd_moments(args) -> int:
     g = _load_graph_or_fail(args.graph)
     if args.at == "f":
         if g.second_root is None:
-            print("error: selector f needs a birooted graph", file=sys.stderr)
-            return 2
+            raise _CliError("selector f needs a birooted graph")
         at = g.second_root
     else:
         at = g.root
@@ -176,12 +168,6 @@ def _build_product(build, g1, g2):
         raise _CliError(f"cannot build the product: {exc}") from exc
 
 
-_ADDITIVE_WALK_PRODUCTS = {
-    "monotone": comb_product,
-    "boolean": star_product,
-    "orthogonal": orthogonal_product,
-    "c-monotone": comb_at_product,
-}
 # essential_loop_product, not c_comb_loop_product: the moments at the root e
 # only see its component, and it needs no second root of g1
 _MULTIPLICATIVE_WALK_PRODUCTS = {
@@ -243,7 +229,7 @@ def _cmd_convolve(args) -> int:
         if args.family == "additive":
             values = additive_convolve(kind, mu1, mu2, nu2).coeffs
             first = 0
-            prod = _walk_column(_ADDITIVE_WALK_PRODUCTS, kind, g1, g2)
+            prod = _walk_column(ADDITIVE_WALK_PRODUCTS, kind, g1, g2)
             walks = None if prod is None else root_moments(prod, order).coeffs
         else:
             eta_nu = None if nu2 is None else eta_from_moments(nu2)
@@ -276,19 +262,13 @@ def _cmd_word_moment(args) -> int:
     g1 = _load_graph_or_fail(args.g1)
     g2 = _load_graph_or_fail(args.g2)
     if g1.second_root is None or g2.second_root is None:
-        print("error: word moments need two birooted graphs", file=sys.stderr)
-        return 2
+        raise _CliError("word moments need two birooted graphs")
     try:
         word = parse_word(args.word)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc)) from exc
     if any(j not in (1, 2) or name != "a" for j, name in word):
-        print(
-            "error: letters must be 1:a or 2:a (one element per algebra)",
-            file=sys.stderr,
-        )
-        return 2
+        raise _CliError("letters must be 1:a or 2:a (one element per algebra)")
     realization, pairs = realize_graph_pair(c_comb_decomposition(g1, g2), g1, g2)
     phi_oracle, psi_oracle = oracle_cmonotone(word, pairs)
     rows = ["state,realized,oracle,equal"]

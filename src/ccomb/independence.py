@@ -25,9 +25,12 @@ distinguished coordinates xi (for phi) and eta (for psi); the adjoined
 separating idempotent of each extended state acts as the coordinate
 projection onto that state's vector. Because the projection of a single
 matrix model cannot serve two distinct vector states at once, a two-state
-realization carries a phi-anchored block and a psi-anchored block in direct
-sum, mirroring the two-component structure of the c-comb decompositions;
-phi reads the first block, psi the second.
+realization carries a phi block and a psi block in direct sum; phi reads
+the first block, psi the second. For a pair the psi block is the monotone
+pair on V1 (x) V2, and `build_cmonotone_pair` is the one builder of those
+operators: the c-comb decompositions in `products` are its output on the
+factor adjacencies. The family realization anchors its psi block at the
+eta coordinates.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "oracle_cmonotone",
     "oracle_cmonotone_all_orders",
     "realize_pair",
+    "build_cmonotone_pair",
     "realize_cmonotone_pair",
     "realize_cmonotone_family",
     "realize_graph_pair",
@@ -360,20 +364,14 @@ class Realization:
     """Realized operator family with one or two product vector states.
 
     `operators` maps (algebra index, element name) to the ambient operator,
-    column-sparse (see linalg); a dense `Matrix` value is converted once.
-    Moments are vector states at `phi_index` (and `psi_index` when present).
+    column-sparse (see linalg). Moments are vector states at `phi_index`
+    (and `psi_index` when present).
     """
 
     operators: dict
     dim: int
     phi_index: int
     psi_index: int | None = None
-
-    def __post_init__(self):
-        self.operators = {
-            key: sparse_columns(op) if isinstance(op, Matrix) else op
-            for key, op in self.operators.items()
-        }
 
     def _state_index(self, state: str) -> int:
         if state == "phi":
@@ -457,63 +455,71 @@ def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Reali
     return Realization(operators, d1 * d2, model1.xi * d2 + model2.xi)
 
 
-def _pair_block(model1, model2, anchor1, anchor_mid, anchor_right, variant):
-    d1, d2 = model1.dim, model2.dim
-    p1 = sparse_projection(d1, anchor1)
-    p1c = sparse_complement(d1, anchor1)
-    p_mid = sparse_projection(d2, anchor_mid)
-    p_right = sparse_projection(d2, anchor_right)
+def build_cmonotone_pair(
+    ops1: dict, ops2: dict, d1: int, d2: int, states1, states2, variant: bool = False
+) -> Realization:
+    """The one builder of a c-monotone pair's tensor operators.
+
+    `ops1` / `ops2` map element names to column-sparse factor operators of
+    dimensions d1 / d2, and `states1` / `states2` are the coordinates
+    (xi, eta) of each factor's two vector states. The phi block lives on
+    V1 (x) V2 (x) V2, with the middle leg's projection at xi2 and the right
+    leg's at eta2:
+
+        A1 = a (x) P_xi2 (x) P_eta2
+        A2 = P_xi1 (x) b (x) 1  +  P_xi1-perp (x) 1 (x) b
+
+    with phi at (xi1, xi2, eta2). `variant` replaces the identity legs of
+    A2 with the anchored projections, which realizes the same mixed
+    moments. When eta1 is given, the monotone pair a (x) P_eta2 and
+    1 (x) b on V1 (x) V2 follows in a direct sum with psi at (eta1, eta2):
+    under psi a c-monotone pair is monotone independent. Without eta1 the
+    realization is the phi block alone.
+    """
+    (xi1, eta1), (xi2, eta2) = states1, states2
+    p_xi2, p_eta2 = sparse_projection(d2, xi2), sparse_projection(d2, eta2)
+    p1, p1c = sparse_projection(d1, xi1), sparse_complement(d1, xi1)
     i2 = sparse_identity(d2)
-    ops1 = {
-        name: sparse_kron(sparse_columns(a), p_mid, p_right)
-        for name, a in model1.elements.items()
+    mid, right = (p_xi2, p_eta2) if variant else (i2, i2)
+    first = {name: sparse_kron(a, p_xi2, p_eta2) for name, a in ops1.items()}
+    second = {
+        name: sparse_sum(sparse_kron(p1, b, right), sparse_kron(p1c, mid, b))
+        for name, b in ops2.items()
     }
-    ops2 = {}
-    for name, b in model2.elements.items():
-        b = sparse_columns(b)
-        if variant:
-            ops2[name] = sparse_sum(sparse_kron(p1, b, p_right), sparse_kron(p1c, p_mid, b))
-        else:
-            ops2[name] = sparse_sum(sparse_kron(p1, b, i2), sparse_kron(p1c, i2, b))
-    return ops1, ops2
+    dim = d1 * d2 * d2
+    phi_index = tensor_index((d1, d2, d2), (xi1, xi2, eta2))
+    psi_index = None
+    if eta1 is not None:
+        psi_index = dim + tensor_index((d1, d2), (eta1, eta2))
+        i1 = sparse_identity(d1)
+        for name, a in ops1.items():
+            first[name] = sparse_direct_sum(first[name], sparse_kron(a, p_eta2))
+        for name, b in ops2.items():
+            second[name] = sparse_direct_sum(second[name], sparse_kron(i1, b))
+        dim += d1 * d2
+    operators = {(1, name): op for name, op in first.items()}
+    operators.update({(2, name): op for name, op in second.items()})
+    return Realization(operators, dim, phi_index, psi_index)
 
 
 def realize_cmonotone_pair(
     model1: AlgebraModel, model2: AlgebraModel, variant: bool = False
 ) -> Realization:
-    """Two-state tensor realization of a c-monotone pair.
-
-    Both models must carry two state coordinates. The phi block lives on the
-    triple tensor space V1 (x) V2 (x) V2 where the middle leg's projection
-    sits at xi2 and the right leg's at eta2:
-
-        A1 = a (x) P_xi2 (x) P_eta2
-        A2 = P_xi1 (x) b (x) 1  +  P_xi1-perp (x) 1 (x) b
-
-    (`variant=True` replaces the identity legs of A2 with the anchored
-    projections, which realizes the same mixed moments.) The psi block is the
-    same pattern anchored entirely at the eta coordinates, and the two blocks
-    are direct-summed: phi is the vector state at (xi1, xi2, eta2) in the
-    first block, psi at (eta1, eta2, eta2) in the second.
-    """
+    """Two-state tensor realization of a c-monotone pair: both models must
+    carry two state coordinates, and the operators are those of
+    build_cmonotone_pair at (xi, eta) of each model, on the ambient space
+    (V1 (x) V2 (x) V2) (+) (V1 (x) V2)."""
     if not (model1.two_state and model2.two_state):
         raise ValueError("c-monotone realizations need two-state models")
-    d1, d2 = model1.dim, model2.dim
-    block = d1 * d2 * d2
-    phi1, phi2 = _pair_block(
-        model1, model2, model1.xi, model2.xi, model2.eta, variant
+    return build_cmonotone_pair(
+        {name: sparse_columns(a) for name, a in model1.elements.items()},
+        {name: sparse_columns(b) for name, b in model2.elements.items()},
+        model1.dim,
+        model2.dim,
+        (model1.xi, model1.eta),
+        (model2.xi, model2.eta),
+        variant,
     )
-    psi1, psi2 = _pair_block(
-        model1, model2, model1.eta, model2.eta, model2.eta, variant
-    )
-    operators = {}
-    for name in model1.elements:
-        operators[(1, name)] = sparse_direct_sum(phi1[name], psi1[name])
-    for name in model2.elements:
-        operators[(2, name)] = sparse_direct_sum(phi2[name], psi2[name])
-    phi_index = (model1.xi * d2 + model2.xi) * d2 + model2.eta
-    psi_index = block + (model1.eta * d2 + model2.eta) * d2 + model2.eta
-    return Realization(operators, 2 * block, phi_index, psi_index)
 
 
 def _family_block(models, anchors):

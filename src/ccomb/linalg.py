@@ -405,18 +405,14 @@ def state_moments(a: Matrix, order: int, at: int) -> tuple:
     return sparse_moments((sparse_columns(a),), order, at)
 
 
-def subspace_restrict(a, basis) -> Matrix:
-    """Matrix of `a` (column-sparse, or dense at test size) in the ordered
+def subspace_restrict(a: list, basis) -> Matrix:
+    """Dense matrix of the column-sparse operator `a` in the ordered
     sub-basis of coordinate vectors.
 
     Raises NotInvariant if `a` maps any basis vector outside the span,
     which signals a wrong embedding rather than a recoverable condition.
     """
     basis = list(basis)
-    if isinstance(a, Matrix):
-        if not a.is_square:
-            raise ValueError("subspace_restrict requires a square matrix")
-        a = sparse_columns(a)
     if len(set(basis)) != len(basis):
         raise ValueError("basis indices must be distinct")
     for b in basis:

@@ -45,18 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_columns, colored, disjoint_union
-from .linalg import (
-    Matrix,
-    sparse_complement,
-    sparse_direct_sum,
-    sparse_identity,
-    sparse_kron,
-    sparse_projection,
-    sparse_sum,
-    sparse_to_matrix,
-    subspace_restrict,
-    tensor_index,
-)
+from .independence import build_cmonotone_pair
+from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict, tensor_index
 
 __all__ = [
     "ProductGraph",
@@ -69,6 +59,7 @@ __all__ = [
     "comb_loop_product",
     "essential_loop_product",
     "c_comb_loop_product",
+    "ADDITIVE_WALK_PRODUCTS",
     "essential_decomposition",
     "c_comb_decomposition",
     "essential_loop_decomposition",
@@ -102,10 +93,9 @@ class OperatorDecomposition:
     """A pair of ambient tensor operators whose sum, restricted to the
     embedded span, equals the adjacency matrix of the associated product.
 
-    `cols1` / `cols2` hold the two operators column-sparse (see linalg);
-    the dense `s1`, `s2` and `total()` are test-size references built on
-    request. `phi_index` / `psi_index` are the ambient coordinates of the
-    one or two distinguished vector states.
+    `cols1` / `cols2` hold the two operators column-sparse (see linalg).
+    `phi_index` / `psi_index` are the ambient coordinates of the one or two
+    distinguished vector states.
     """
 
     cols1: list
@@ -115,19 +105,8 @@ class OperatorDecomposition:
     phi_index: int
     psi_index: int | None = None
 
-    @property
-    def s1(self) -> Matrix:
-        return sparse_to_matrix(self.cols1)
-
-    @property
-    def s2(self) -> Matrix:
-        return sparse_to_matrix(self.cols2)
-
     def total_columns(self) -> list:
         return sparse_sum(self.cols1, self.cols2)
-
-    def total(self) -> Matrix:
-        return sparse_to_matrix(self.total_columns())
 
     def restricted_sum(self) -> Matrix:
         return subspace_restrict(self.total_columns(), self.embedding)
@@ -286,11 +265,23 @@ def c_comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     return _union(ess, comb_loop_product(g1.at_second(), g2.at_second()))
 
 
+# The product whose root walks count each additive convolution kind, in the
+# order the CLI and `verify` report them.
+ADDITIVE_WALK_PRODUCTS = {
+    "monotone": comb_product,
+    "boolean": star_product,
+    "orthogonal": orthogonal_product,
+    "c-monotone": comb_at_product,
+}
+
+
 # -- operator decompositions ---------------------------------------------------
 
 
 def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
-    """The one operator builder. The comb-at block on V1 x V2 x V2 is
+    """The one operator builder: the c-monotone pair of the factor
+    adjacencies (independence.build_cmonotone_pair) at the roots e and f.
+    The comb-at block on V1 x V2 x V2 is
 
         S1 = a1 (x) P_e2 (x) P_f2
         S2 = P_e1 (x) a2 (x) 1  +  P_e1-perp (x) 1 (x) a2
@@ -310,27 +301,22 @@ def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
             )
         a1 = sparse_sum(a1, sparse_identity(len(a1)), signs=(1, -1))
         a2 = sparse_sum(a2, sparse_identity(len(a2)), signs=(1, -1))
-    n1, e1 = g1.vertex_count, g1.root
-    n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
-    i2 = sparse_identity(n2)
-    s1 = [sparse_kron(a1, sparse_projection(n2, e2), sparse_projection(n2, f2))]
-    s2 = [
-        sparse_sum(
-            sparse_kron(sparse_projection(n1, e1), a2, i2),
-            sparse_kron(sparse_complement(n1, e1), i2, a2),
-        )
-    ]
-    psi = None
-    if product.graph.second_root is not None:
-        psi = n1 * n2 * n2 + tensor_index((n1, n2), (g1.second_root, f2))
-        s1.append(sparse_kron(a1, sparse_projection(n2, f2)))
-        s2.append(sparse_kron(sparse_identity(n1), a2))
-    cols1, cols2 = sparse_direct_sum(*s1), sparse_direct_sum(*s2)
+    f1 = None if product.graph.second_root is None else g1.second_root
+    pair = build_cmonotone_pair(
+        {"a": a1},
+        {"a": a2},
+        g1.vertex_count,
+        g2.vertex_count,
+        (g1.root, f1),
+        (g2.root, g2.second_root),
+    )
+    cols1, cols2 = pair.operators[(1, "a")], pair.operators[(2, "a")]
     if loops:
-        one = sparse_identity(len(cols1))
+        one = sparse_identity(pair.dim)
         cols1, cols2 = sparse_sum(one, cols1), sparse_sum(one, cols2)
-    phi = tensor_index((n1, n2, n2), (e1, e2, f2))
-    return OperatorDecomposition(cols1, cols2, len(cols1), product.embedding, phi, psi)
+    return OperatorDecomposition(
+        cols1, cols2, pair.dim, product.embedding, pair.phi_index, pair.psi_index
+    )
 
 
 def essential_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:

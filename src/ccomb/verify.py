@@ -43,6 +43,7 @@ from .independence import (
 )
 from .linalg import Matrix, sparse_moments, sparse_sum
 from .products import (
+    ADDITIVE_WALK_PRODUCTS,
     c_comb_decomposition,
     c_comb_loop_decomposition,
     c_comb_loop_product,
@@ -668,20 +669,10 @@ def check_additive_graph_consistency(rng, samples: int, order: int):
         mu1 = root_moments(g1, order)
         mu2 = root_moments(g2, order)
         nu2 = root_moments(g2, order, at=g2.second_root)
-        cases = {
-            "monotone": (comb_product(g1, g2), additive_convolve("monotone", mu1, mu2)),
-            "boolean": (star_product(g1, g2), additive_convolve("boolean", mu1, mu2)),
-            "orthogonal": (
-                orthogonal_product(g1, g2),
-                additive_convolve("orthogonal", mu1, mu2),
-            ),
-            "c-monotone": (
-                comb_at_product(g1, g2),
-                additive_convolve("c-monotone", mu1, mu2, nu2),
-            ),
-        }
-        for kind, (prod, expect) in cases.items():
-            got = root_moments(prod.graph, order).coeffs
+        for kind, build in ADDITIVE_WALK_PRODUCTS.items():
+            nu = nu2 if kind == "c-monotone" else None
+            expect = additive_convolve(kind, mu1, mu2, nu)
+            got = root_moments(build(g1, g2).graph, order).coeffs
             assert got == expect.coeffs, f"sample {k}: {kind} graph consistency"
     return f"{samples} samples, order {order}"
 

@@ -5,12 +5,11 @@ import hypothesis.strategies as st
 import pytest
 import sympy as sp
 
-from ccomb.graphs import adjacency_matrix, birooted
+from ccomb.graphs import adjacency_matrix
 from ccomb.independence import (
     _drop_and_merge,
     AlgebraModel,
     ModelFunctional,
-    Realization,
     TableFunctional,
     all_words,
     collapse_word,
@@ -20,12 +19,15 @@ from ccomb.independence import (
     parse_word,
     realize_cmonotone_family,
     realize_cmonotone_pair,
+    realize_graph_pair,
     realize_pair,
     two_state_pairs,
 )
-from ccomb.linalg import Matrix, sparse_to_matrix
-from ccomb.products import c_comb_decomposition
+from ccomb.linalg import Matrix, sparse_identity, sparse_sum, sparse_to_matrix
+from ccomb.products import c_comb_decomposition, c_comb_loop_decomposition
 from ccomb.verify import random_model
+
+from conftest import birooted_graphs
 
 
 def symbols(names):
@@ -308,28 +310,40 @@ def test_realization_rejects_unknown_state():
         r.moment([(1, "a")], "weird")
 
 
-def test_graph_decomposition_is_cmonotone_pair():
-    g1 = birooted(2, [(0, 1), (0, 0)], 0, 1)
-    g2 = birooted(3, [(0, 1), (1, 2), (2, 2)], 0, 2)
+@given(birooted_graphs(max_vertices=4), birooted_graphs(max_vertices=4))
+def test_graph_decomposition_is_cmonotone_pair(g1, g2):
+    # the c-comb decomposition is the c-monotone pair realization of the
+    # factor adjacencies at (root, second root), and the loop pair is that
+    # realization built on a - 1, plus the ambient identity
+    def realization(shift):
+        models = []
+        for g in (g1, g2):
+            a = adjacency_matrix(g) - shift * Matrix.identity(g.vertex_count)
+            models.append(AlgebraModel({"a": a}, g.root, g.second_root))
+        return realize_cmonotone_pair(*models)
+
+    r = realization(0)
     dec = c_comb_decomposition(g1, g2)
-    realization = Realization(
-        {(1, "a"): dec.s1, (2, "a"): dec.s2},
-        dec.ambient_dim,
-        dec.phi_index,
-        dec.psi_index,
+    assert (dec.cols1, dec.cols2) == (r.operators[(1, "a")], r.operators[(2, "a")])
+    assert (dec.ambient_dim, dec.phi_index, dec.psi_index) == (
+        r.dim,
+        r.phi_index,
+        r.psi_index,
     )
-    m1 = AlgebraModel({"a": adjacency_matrix(g1)}, g1.root, g1.second_root)
-    m2 = AlgebraModel({"a": adjacency_matrix(g2)}, g2.root, g2.second_root)
-    pairs = {
-        1: (ModelFunctional(m1, m1.xi), ModelFunctional(m1, m1.eta)),
-        2: (ModelFunctional(m2, m2.xi), ModelFunctional(m2, m2.eta)),
-    }
-    ev_phi = realization.evaluator("phi")
-    ev_psi = realization.evaluator("psi")
-    for w in all_words(((1, "a"), (2, "a")), 6):
-        phi, psi = oracle_cmonotone(w, pairs)
-        assert ev_phi.moment(w) == phi
-        assert ev_psi.moment(w) == psi
+    realized, pairs = realize_graph_pair(dec, g1, g2)
+    for w in all_words(((1, "a"), (2, "a")), 4):
+        moments = (realized.moment(w, "phi"), realized.moment(w, "psi"))
+        assert moments == oracle_cmonotone(w, pairs), w
+    r = realization(1)
+    one = sparse_identity(r.dim)
+    dec = c_comb_loop_decomposition(g1, g2)
+    assert dec.cols1 == sparse_sum(one, r.operators[(1, "a")])
+    assert dec.cols2 == sparse_sum(one, r.operators[(2, "a")])
+    assert (dec.ambient_dim, dec.phi_index, dec.psi_index) == (
+        r.dim,
+        r.phi_index,
+        r.psi_index,
+    )
 
 
 def test_separating_projection_matrix():

@@ -533,3 +533,46 @@ def test_cli_rejects_zero_order_and_word_cap(flag, message, capsys):
         main(["verify", "transforms", flag, "0"])
     assert exc.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (
+            ["product", "comb-at", "g1", "rooted"],
+            "error: product comb-at needs a birooted second factor",
+        ),
+        (
+            ["product", "c-comb", "rooted", "g2"],
+            "error: product c-comb needs a birooted first factor",
+        ),
+        (
+            ["moments", "rooted", "--at", "f"],
+            "error: selector f needs a birooted graph",
+        ),
+        (
+            ["word-moment", "rooted", "g2", "1:a"],
+            "error: word moments need two birooted graphs",
+        ),
+        (
+            ["word-moment", "g1", "g2", "1a"],
+            "error: bad word token '1a', expected index:name",
+        ),
+        (
+            ["word-moment", "g1", "g2", "3:x"],
+            "error: letters must be 1:a or 2:a (one element per algebra)",
+        ),
+    ],
+)
+def test_cli_input_errors_print_one_line_and_exit_2(tmp_path, capsys, args, message):
+    plain = tmp_path / "rooted.graph"
+    save_graph(plain, rooted(2, [(0, 1)], 0))
+    paths = {
+        "g1": fixture_path("additive_g1.graph"),
+        "g2": fixture_path("additive_g2.graph"),
+        "rooted": str(plain),
+    }
+    argv = [paths.get(a, a) for a in args] + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == message + "\n"

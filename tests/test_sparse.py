@@ -157,7 +157,7 @@ def test_decompositions_match_dense_formulas(g1, g2):
     l1 = direct_sum(r1, one_comb + kron(v1, p_f2))
     l2 = direct_sum(r2, one_comb + kron(Matrix.identity(n1), v2))
     assert (dec.cols1, dec.cols2) == (sparse_columns(l1), sparse_columns(l2))
-    assert dec.s1 == l1 and dec.total() == l1 + l2
+    assert sparse_to_matrix(dec.total_columns()) == l1 + l2
 
 
 @given(birooted_graphs(max_vertices=4), birooted_graphs(max_vertices=4))
