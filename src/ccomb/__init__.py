@@ -29,12 +29,8 @@ from .independence import (
 from .linalg import (
     Matrix,
     NotInvariant,
-    basis_projection,
-    complement_projection,
     direct_sum,
-    flip23_permutation,
     kron,
-    matrix_power_entry,
     state_moments,
     subspace_restrict,
 )

@@ -69,11 +69,11 @@ __all__ = [
     "realize_graph_pair",
     "two_state_pairs",
     "all_words",
-    "DEFAULT_FAMILY_CAP",
+    "FAMILY_CAP",
 ]
 
 ORACLE_KINDS = ("boolean", "monotone", "orthogonal", "tensor")
-DEFAULT_FAMILY_CAP = 3
+FAMILY_CAP = 3  # largest c-monotone family `realize_cmonotone_family` builds
 
 
 class AlgebraModel:
@@ -417,10 +417,10 @@ class WordMomentEvaluator:
         return self._vector(tuple(word)).get(self.at, 0)
 
 
-def all_words(letters, max_len: int, min_len: int = 1):
-    """All words over the given letters with lengths in [min_len, max_len]."""
+def all_words(letters, max_len: int):
+    """All words over the given letters with lengths in [1, max_len]."""
     out = []
-    for n in range(min_len, max_len + 1):
+    for n in range(1, max_len + 1):
         out.extend(iter_product(letters, repeat=n))
     return out
 
@@ -570,9 +570,7 @@ def _family_block(models, anchors):
     return ops, dims, vector
 
 
-def realize_cmonotone_family(
-    models, cap: int = DEFAULT_FAMILY_CAP
-) -> Realization:
+def realize_cmonotone_family(models) -> Realization:
     """General tensor realization of a c-monotone family over a linearly
     ordered index set (the list order of `models`).
 
@@ -580,11 +578,11 @@ def realize_cmonotone_family(
     leg of algebra k carries the projection onto xi_k and the second onto
     eta_k; the psi-anchored block anchors both legs at eta_k. The ambient
     dimension grows as the square of the product of the model dimensions,
-    so the family size is capped.
+    so the family size is capped at FAMILY_CAP.
     """
     models = list(models)
-    if len(models) > cap:
-        raise ValueError(f"family size {len(models)} exceeds cap {cap}")
+    if len(models) > FAMILY_CAP:
+        raise ValueError(f"family size {len(models)} exceeds cap {FAMILY_CAP}")
     if not models:
         raise ValueError("empty family")
     for m in models:

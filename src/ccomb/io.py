@@ -70,13 +70,13 @@ def parse_graph(text: str):
         root = int(fields["root"])
         second = int(fields["second_root"]) if "second_root" in fields else None
         raw_edges = json.loads(fields["edges"])
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad field value: {exc}") from exc
     labels = None
     if "labels" in fields:
         try:
             labels = tuple(tuple(x) for x in json.loads(fields["labels"]))
-        except (TypeError, json.JSONDecodeError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise GraphFormatError(f"bad labels value: {exc}") from exc
     if not isinstance(raw_edges, list) or not all(
         isinstance(e, list) and all(_is_index(x) for x in e) for e in raw_edges
@@ -117,12 +117,12 @@ def save_graph(path, graph, labels=None) -> None:
     Path(path).write_text(format_graph(graph, labels), encoding="utf-8")
 
 
-def to_dot(graph, labels=None, name: str = "G") -> str:
+def to_dot(graph, labels=None) -> str:
     """DOT rendering: the first root is a double circle, the second a
     square; color-1 edges are solid, color-2 edges dashed. Vertex order is
     deterministic."""
     second = graph.second_root
-    out = [f"graph {name} {{", "  node [shape=circle];"]
+    out = ["graph G {", "  node [shape=circle];"]
     for v in range(graph.vertex_count):
         attrs = []
         if v == graph.root:
@@ -153,7 +153,11 @@ def parse_moment_table(text: str) -> list:
         parts = line.split(",")
         if len(parts) < 2:
             raise ValueError(f"bad table row {line!r}")
-        rows.append((int(parts[0]), Fraction(parts[1])))
+        try:
+            value = Fraction(parts[1])
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in table row {line!r}") from None
+        rows.append((int(parts[0]), value))
     rows.sort()
     if not rows:
         raise ValueError("empty moment table")

@@ -1,5 +1,5 @@
 """Exact linear algebra over the rationals: column-sparse operators, plus
-a small dense matrix type kept for factor-size models and test references.
+a small dense matrix type kept for factor-size models.
 
 The scalar carrier is plain ``int`` / ``fractions.Fraction``, so every
 identity checked downstream holds exactly; floats are rejected at the
@@ -11,12 +11,11 @@ Operators on the ambient tensor spaces and on product graphs are
 column-sparse: a square operator of dimension n is a list of n columns, each
 the list of its ``(row, value)`` nonzeros in increasing row order. Builders
 (`sparse_identity`, `sparse_projection`, `sparse_complement`, `sparse_kron`,
-`sparse_sum`, `sparse_direct_sum`) keep that order, so two operators are
-equal exactly when their column lists are. `sparse_apply` maps a sparse
-vector ``{index: value}`` and `sparse_moments` is the one moment kernel.
-The dense `Matrix`, `kron`, `kron_all`, `direct_sum`, the dense projections
-and `flip23_permutation` remain for the factor-size oracle models and as
-test-size references.
+`sparse_sum`, `sparse_direct_sum`) and `subspace_restrict` keep that order,
+so two operators are equal exactly when their column lists are.
+`sparse_apply` maps a sparse vector ``{index: value}`` and `sparse_moments`
+is the one moment kernel. The dense `Matrix` serves the factor-size oracle
+models only.
 
 Index convention, fixed project-wide: the Kronecker product ``kron(A, B)``
 uses the composite index ``(i, k) -> i * dim_B + k``, i.e. leg order is
@@ -31,14 +30,9 @@ __all__ = [
     "Matrix",
     "NotInvariant",
     "kron",
-    "kron_all",
     "direct_sum",
-    "basis_projection",
-    "complement_projection",
-    "matrix_power_entry",
     "state_moments",
     "subspace_restrict",
-    "flip23_permutation",
     "tensor_index",
     "sparse_columns",
     "sparse_apply",
@@ -48,7 +42,6 @@ __all__ = [
     "sparse_kron",
     "sparse_sum",
     "sparse_direct_sum",
-    "sparse_to_matrix",
     "sparse_moments",
 ]
 
@@ -146,9 +139,6 @@ class Matrix:
             and all(a == b for a, b in zip(self.data, other.data))
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -170,9 +160,6 @@ class Matrix:
             self.cols,
             tuple(a - b for a, b in zip(self.data, other.data)),
         )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.data))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -214,6 +201,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} {self.to_rows()!r})"
 
 
+# kron, direct_sum and state_moments have no caller in src/ but stay, like
+# the Matrix operators: perfbench's tracer resolves them by name (tracing.SPEC)
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; composite index (i, k) -> i * b.rows + k."""
     rows = a.rows * b.rows
@@ -230,15 +219,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 else:
                     data.extend([0] * b.cols)
     return Matrix(rows, cols, tuple(data))
-
-
-def kron_all(*mats: Matrix) -> Matrix:
-    if not mats:
-        raise ValueError("empty Kronecker product")
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
 
 
 def direct_sum(*mats: Matrix) -> Matrix:
@@ -259,20 +239,6 @@ def direct_sum(*mats: Matrix) -> Matrix:
     return Matrix(dim, dim, tuple(data))
 
 
-def basis_projection(dim: int, i: int) -> Matrix:
-    """Rank-one projection onto the i-th coordinate axis."""
-    if not 0 <= i < dim:
-        raise IndexError(f"index {i} out of range for dimension {dim}")
-    data = [0] * (dim * dim)
-    data[i * dim + i] = 1
-    return Matrix(dim, dim, tuple(data))
-
-
-def complement_projection(dim: int, i: int) -> Matrix:
-    """Identity minus the coordinate projection."""
-    return Matrix.identity(dim) - basis_projection(dim, i)
-
-
 def sparse_columns(a: Matrix) -> list:
     """Column-sparse view: per column, the list of (row, value) nonzeros."""
     cols = []
@@ -280,16 +246,6 @@ def sparse_columns(a: Matrix) -> list:
         col = a.column(j)
         cols.append([(r, v) for r, v in enumerate(col) if v])
     return cols
-
-
-def sparse_to_matrix(cols: list) -> Matrix:
-    """Dense square matrix of a column-sparse operator (test-size use)."""
-    n = len(cols)
-    data = [0] * (n * n)
-    for j, col in enumerate(cols):
-        for r, v in col:
-            data[r * n + j] = v
-    return Matrix(n, n, tuple(data))
 
 
 def sparse_identity(n: int) -> list:
@@ -383,21 +339,6 @@ def sparse_moments(steps, order: int, at: int) -> tuple:
     return tuple(out)
 
 
-def matrix_power_entry(a: Matrix, n: int, i: int, j: int):
-    """Entry (i, j) of the n-th power, by iterated exact multiplication."""
-    if not a.is_square:
-        raise ValueError("matrix_power_entry requires a square matrix")
-    if not (0 <= i < a.rows and 0 <= j < a.rows):
-        raise IndexError("index out of range")
-    if n < 0:
-        raise ValueError("negative power")
-    cols = sparse_columns(a)
-    vec = {j: 1}
-    for _ in range(n):
-        vec = sparse_apply(cols, vec)
-    return vec.get(i, 0)
-
-
 def state_moments(a: Matrix, order: int, at: int) -> tuple:
     """The sequence <delta_at, a^n delta_at> for n = 0..order."""
     if not a.is_square:
@@ -405,9 +346,10 @@ def state_moments(a: Matrix, order: int, at: int) -> tuple:
     return sparse_moments((sparse_columns(a),), order, at)
 
 
-def subspace_restrict(a: list, basis) -> Matrix:
-    """Dense matrix of the column-sparse operator `a` in the ordered
-    sub-basis of coordinate vectors.
+def subspace_restrict(a: list, basis) -> list:
+    """The column-sparse operator `a` restricted to the ordered sub-basis of
+    coordinate vectors: one column per basis vector, in basis order, with
+    rows renumbered to basis positions and kept in increasing order.
 
     Raises NotInvariant if `a` maps any basis vector outside the span,
     which signals a wrong embedding rather than a recoverable condition.
@@ -419,16 +361,17 @@ def subspace_restrict(a: list, basis) -> Matrix:
         if not 0 <= b < len(a):
             raise IndexError(f"basis index {b} out of range")
     pos = {b: k for k, b in enumerate(basis)}
-    n = len(basis)
-    data = [0] * (n * n)
-    for k, b in enumerate(basis):
+    out = []
+    for b in basis:
+        col = []
         for r, v in a[b]:
             if r not in pos:
                 raise NotInvariant(
                     f"image of basis vector {b} has weight on ambient index {r}"
                 )
-            data[pos[r] * n + k] = v
-    return Matrix(n, n, tuple(data))
+            col.append((pos[r], v))
+        out.append(sorted(col))
+    return out
 
 
 def tensor_index(dims, coords) -> int:
@@ -441,20 +384,3 @@ def tensor_index(dims, coords) -> int:
             raise IndexError(f"coordinate {c} out of range for leg of size {d}")
         idx = idx * d + c
     return idx
-
-
-def flip23_permutation(d1: int, d2: int, d3: int) -> Matrix:
-    """Permutation matrix swapping the second and third tensor legs.
-
-    Sends the basis vector with coordinates (i, j, k) to (i, k, j); it is
-    an involution, and conjugating kron(A, B, C) by it yields kron(A, C, B).
-    """
-    dim = d1 * d2 * d3
-    data = [0] * (dim * dim)
-    for i in range(d1):
-        for j in range(d2):
-            for k in range(d3):
-                src = tensor_index((d1, d2, d3), (i, j, k))
-                dst = tensor_index((d1, d3, d2), (i, k, j))
-                data[dst * dim + src] = 1
-    return Matrix(dim, dim, tuple(data))

@@ -35,9 +35,9 @@ Every product records its vertex coordinate labels plus the list of
 composite indices embedding it into the ambient tensor space, so the
 operator decompositions can be compared entrywise after restriction.
 The three-leg embeddings use leg order (V1, V2-at-e2, V2-at-f2): the swap of
-the second and third legs relative to the two-step construction order is an
-explicit index permutation (see linalg.flip23_permutation), never an
-implicit relabeling.
+the second and third legs relative to the two-step construction order is
+explicit in the embedding, never an implicit relabeling; the dense
+leg-swap permutation in tests/dense_reference.py checks it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_columns, colored, disjoint_union
 from .independence import build_cmonotone_pair
-from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict, tensor_index
+from .linalg import sparse_identity, sparse_sum, subspace_restrict, tensor_index
 
 __all__ = [
     "ProductGraph",
@@ -108,13 +108,15 @@ class OperatorDecomposition:
     def total_columns(self) -> list:
         return sparse_sum(self.cols1, self.cols2)
 
-    def restricted_sum(self) -> Matrix:
-        return subspace_restrict(self.total_columns(), self.embedding)
-
-    def restricted(self, which: int) -> Matrix:
-        return subspace_restrict(
-            self.cols1 if which == 1 else self.cols2, self.embedding
-        )
+    def restricted(self, color: int | None = None) -> list:
+        """The operator of `color` (1 or 2, None for their sum) restricted
+        to the embedded span, column-sparse: the counterpart of
+        `adjacency_columns(product.graph, color)`."""
+        if color is None:
+            op = self.total_columns()
+        else:
+            op = {1: self.cols1, 2: self.cols2}[color]
+        return subspace_restrict(op, self.embedding)
 
 
 def _pair(i: int, j: int) -> tuple:

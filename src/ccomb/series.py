@@ -138,6 +138,20 @@ def _recip(a, n):
     return out
 
 
+def _power_sum(c, x, n):
+    """sum_k c[k] * x^k, truncated mod z^n."""
+    acc = [0] * n
+    pw = [1] + [0] * (n - 1)
+    for k, ck in enumerate(c):
+        if k:
+            pw = _mul(pw, x, n)
+        if ck:
+            for i, p in enumerate(pw):
+                if p:
+                    acc[i] += ck * p
+    return acc
+
+
 def _is_zero(seq) -> bool:
     return all(x == 0 for x in seq)
 
@@ -171,28 +185,16 @@ def F_to_moments(f: FSeries) -> MomentSeries:
 def compose_F(f1: FSeries, f2: FSeries) -> FSeries:
     """Formal composition F1(F2(z)) at infinity.
 
-    With F2 = z * u(w), the terms c_n z^(-n) of F1 become c_n w^n u(w)^(-n),
-    each expanded as a geometric-type series in w and truncated.
+    With F2 = z * u(w), 1/F2 = w / u(w), so the tail of F1(F2) is the tail
+    of F2 plus sum_k c_k (w / u(w))^k over the tail coefficients c_k of F1,
+    truncated.
     """
     if f1.kind != "F" or f2.kind != "F":
         raise ValueError("compose_F expects F-series")
     n = _same_order(f1, f2)
-    u2 = [1, *f2.coeffs]  # coefficients of w^0..w^N
-    tail = [0] * n  # tail[k] is the coefficient of w^k (i.e. c'_k)
-    for k in range(1, n + 1):
-        tail[k - 1] += u2[k]  # the z * u2(w) part
-    tail[0] += f1.coeffs[0]  # constant of F1
-    if n > 1:
-        inv = _recip(u2, n)
-        pw = [1] + [0] * (n - 1)
-        for deg in range(1, n):
-            pw = _mul(pw, inv, n)
-            c = f1.coeffs[deg]
-            if c:
-                for m_ in range(n - deg):
-                    if pw[m_]:
-                        tail[deg + m_] += c * pw[m_]
-    return FSeries("F", tuple(tail))
+    w_over_u = [0, *_recip([1, *f2.coeffs], n)[: n - 1]]
+    comp = _power_sum(f1.coeffs, w_over_u, n)
+    return FSeries("F", tuple(a + b for a, b in zip(f2.coeffs, comp)))
 
 
 def additive_convolve(
@@ -280,20 +282,6 @@ def _eta_poly(h: FSeries) -> list:
     return [0, *h.coeffs]
 
 
-def _geometric_sum(coeffs1, eta_base_poly, n):
-    """sum_r N1(r) * eta_base^(r-1), truncated mod z^n."""
-    acc = [0] * n
-    pw = [1] + [0] * (n - 1)
-    for r in range(1, len(coeffs1) + 1):
-        c = coeffs1[r - 1]
-        if c:
-            for k in range(n):
-                if pw[k]:
-                    acc[k] += c * pw[k]
-        pw = _mul(pw, eta_base_poly, n)
-    return acc
-
-
 def multiplicative_convolve(
     kind: str,
     mu1: FSeries,
@@ -321,10 +309,9 @@ def multiplicative_convolve(
     if kind == "c-monotone" and nu2 is None:
         raise ValueError("c-monotone multiplicative convolution needs nu2")
     n = _same_order(mu1, mu2, *((nu2,) if nu2 is not None else ()))
-    p1, p2 = _eta_poly(mu1), _eta_poly(mu2)
+    p2 = _eta_poly(mu2)
     if kind == "monotone":
-        # eta2 * sum_r N1(r) eta2^(r-1): the c-monotone form with nu = mu2
-        out = _mul(p2, _geometric_sum(mu1.coeffs, p2, n + 1), n + 1)
+        out = _power_sum(_eta_poly(mu1), p2, n + 1)  # sum_r N1(r) eta2^r
         return FSeries("eta", tuple(out[1:]))
     if kind == "boolean":
         return FSeries("eta", tuple(_mul(mu1.coeffs, mu2.coeffs, n)))
@@ -334,15 +321,14 @@ def multiplicative_convolve(
                 "second eta-series vanishes to this order "
                 "(distribution concentrated at zero)"
             )
-        s = _geometric_sum(mu1.coeffs, p2, n)
-        return FSeries("eta", tuple(s[:n]))
+        return FSeries("eta", tuple(_power_sum(mu1.coeffs, p2, n)))
     # c-monotone
     if _is_zero(nu2.coeffs):
         raise DivisorVanishes(
             "nu2 eta-series vanishes to this order "
             "(distribution concentrated at zero)"
         )
-    s = _geometric_sum(mu1.coeffs, _eta_poly(nu2), n + 1)
+    s = _power_sum(mu1.coeffs, _eta_poly(nu2), n + 1)
     out = _mul(p2, s, n + 1)
     return FSeries("eta", tuple(out[1:]))
 

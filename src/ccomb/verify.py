@@ -20,7 +20,6 @@ from . import fixtures
 from .graphs import (
     Graph,
     adjacency_columns,
-    adjacency_matrix,
     birooted,
     brute_force_closed_walks,
     count_d_walks,
@@ -100,6 +99,8 @@ __all__ = [
 MULT_ORDER = 8  # eta order of the multiplicative product checks
 WALK_ORDER = 12  # longest d-walk counted exhaustively
 FAMILY_WORD = 6  # word length of the family checks
+DEEP_WALK_ORDER = 12  # walk length of the deep cases of the walk cross-oracle
+ALL_ORDERS_WORD = 7  # word length of the local-maximum choice check
 PAIR_LETTERS = ((1, "a"), (2, "a"))  # one element in each of two algebras
 
 
@@ -337,16 +338,15 @@ def check_restriction_equalities(pairs):
         for label, decompose, build, colors in cases:
             dec, prod = decompose(g1, g2), build(g1, g2)
             for c in colors:
-                got = dec.restricted_sum() if c is None else dec.restricted(c)
                 which = label if c is None else f"{label} color-{c}"
-                assert got == adjacency_matrix(
+                assert dec.restricted(c) == adjacency_columns(
                     prod.graph, c
                 ), f"pair {k}: {which} restriction differs"
     return f"{len(pairs)} pairs, entrywise"
 
 
 @_check("walk-count-cross-oracle")
-def check_walk_cross_oracle(rng, samples: int, deep_order: int = 12):
+def check_walk_cross_oracle(rng, samples: int):
     tiny1 = rooted(2, [(0, 1), (0, 0)], 0)
     tiny2 = birooted(2, [(0, 1), (1, 1)], 0, 1)
     deep_products = [
@@ -360,8 +360,8 @@ def check_walk_cross_oracle(rng, samples: int, deep_order: int = 12):
         c_comb_loop_product(birooted(2, tiny1.edges, 0, 1), tiny2).graph,
     ]
     for g in deep_products:
-        moments = root_moments(g, deep_order).coeffs
-        for n in (deep_order - 1, deep_order):
+        moments = root_moments(g, DEEP_WALK_ORDER).coeffs
+        for n in (DEEP_WALK_ORDER - 1, DEEP_WALK_ORDER):
             assert moments[n] == brute_force_closed_walks(
                 g, n
             ), f"deep walk count mismatch at length {n}"
@@ -374,7 +374,7 @@ def check_walk_cross_oracle(rng, samples: int, deep_order: int = 12):
             assert moments[n] == brute_force_closed_walks(
                 g, n
             ), f"sample {k}: walk count mismatch at length {n}"
-    return f"{len(deep_products)} deep cases to order {deep_order}, {samples} samples to order 8"
+    return f"{len(deep_products)} deep cases to order {DEEP_WALK_ORDER}, {samples} samples to order 8"
 
 
 @_check("colored-adjacency-split")
@@ -830,8 +830,8 @@ def check_family_three(family_models, word_len: int):
 
 
 @_check("local-maximum-choice-independence")
-def check_local_max_choice(model_pairs, word_len: int = 7):
-    words = all_words(PAIR_LETTERS, word_len)
+def check_local_max_choice(model_pairs):
+    words = all_words(PAIR_LETTERS, ALL_ORDERS_WORD)
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         pairs = two_state_pairs({1: m1, 2: m2})
@@ -839,7 +839,7 @@ def check_local_max_choice(model_pairs, word_len: int = 7):
         for w in words:
             vals = oracle_cmonotone_all_orders(w, pairs, memo)
             assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
-    return f"{len(subset)} models, all reduction orders to length {word_len}"
+    return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 
 
 @_check("psi-equals-phi-monotone-collapse")

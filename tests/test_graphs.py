@@ -13,9 +13,10 @@ from ccomb.graphs import (
     root_moments,
     rooted,
 )
-from ccomb.linalg import Matrix, direct_sum, matrix_power_entry
+from ccomb.linalg import Matrix, direct_sum
 
 from conftest import rooted_graphs
+from dense_reference import matrix_power_entry
 
 
 def test_adjacency_conventions():

@@ -351,6 +351,10 @@ def test_env_var_out_dir(tmp_path, monkeypatch, capsys):
         "second_root = x",  # non-integer second root
         'edges = [[0, "a"]]',  # non-integer vertex index
         "edges = [1, 2]",  # edge entries that are not lists
+        pytest.param("edges = " + "[" * 100000 + "]" * 100000, id="edges-nested"),
+        pytest.param("labels = " + "[" * 5000 + "]" * 5000, id="labels-nested"),
+        # an integer past Python's int digit limit
+        pytest.param("labels = [[" + "1" * 5000 + "], [0]]", id="labels-long-int"),
     ],
 )
 def test_cli_malformed_graph_exits_with_one_line(tmp_path, capsys, line):
@@ -456,6 +460,16 @@ def test_cli_duplicate_edge_from_gluing_exits_2(tmp_path, capsys):
 def test_cli_table_not_starting_at_zero_exits_2(tmp_path, capsys):
     t = tmp_path / "t.csv"
     t.write_text("1,0\n2,1\n3,0\n")
+    args = ["convolve", "additive", "boolean", str(t), str(t), "--order", "2"]
+    assert main(args) == 2
+    _one_line_error(capsys)
+
+
+def test_cli_table_with_zero_denominator_exits_2(tmp_path, capsys):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_moment_table("0,1\n1,1/0\n")
+    t = tmp_path / "z.csv"
+    t.write_text("0,1\n1,1/0\n2,1\n")
     args = ["convolve", "additive", "boolean", str(t), str(t), "--order", "2"]
     assert main(args) == 2
     _one_line_error(capsys)

@@ -7,13 +7,8 @@ import hypothesis.strategies as st
 from ccomb.linalg import (
     Matrix,
     NotInvariant,
-    basis_projection,
-    complement_projection,
     direct_sum,
-    flip23_permutation,
     kron,
-    kron_all,
-    matrix_power_entry,
     sparse_columns,
     state_moments,
     subspace_restrict,
@@ -21,6 +16,14 @@ from ccomb.linalg import (
 )
 
 from conftest import matrices
+from dense_reference import (
+    basis_projection,
+    complement_projection,
+    flip23_permutation,
+    kron_all,
+    matrix_power_entry,
+    sparse_to_matrix,
+)
 
 EDGE = Matrix.from_rows([[0, 1], [1, 0]])
 
@@ -125,11 +128,14 @@ def test_state_moments_matches_powers():
 
 def test_subspace_restrict_examples():
     one = sparse_columns(Matrix.identity(4))
-    assert subspace_restrict(one, [0, 2]) == Matrix.identity(2)
+    assert sparse_to_matrix(subspace_restrict(one, [0, 2])) == Matrix.identity(2)
     d = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    assert subspace_restrict(sparse_columns(d), [1]) == Matrix.from_rows([[2]])
+    assert subspace_restrict(sparse_columns(d), [1]) == [[(0, 2)]]
     k = kron(EDGE, basis_projection(2, 0))
-    assert subspace_restrict(sparse_columns(k), [0, 2]) == EDGE
+    assert sparse_to_matrix(subspace_restrict(sparse_columns(k), [0, 2])) == EDGE
+    # columns follow the basis order, rows are renumbered and kept sorted
+    assert subspace_restrict(sparse_columns(d), [2, 0]) == [[(0, 3)], [(1, 1)]]
+    assert subspace_restrict(sparse_columns(EDGE), [1, 0]) == [[(1, 1)], [(0, 1)]]
 
 
 def test_subspace_restrict_not_invariant():
@@ -137,6 +143,8 @@ def test_subspace_restrict_not_invariant():
         subspace_restrict(sparse_columns(EDGE), [0])
     with pytest.raises(ValueError):
         subspace_restrict(sparse_columns(EDGE), [0, 0])
+    with pytest.raises(IndexError):
+        subspace_restrict(sparse_columns(EDGE), [0, 2])
 
 
 @given(matrices(min_dim=2, max_dim=3), st.integers(0, 3))
@@ -151,8 +159,9 @@ def test_restriction_commutes_with_powers(a, n):
     basis = list(range(1, a.rows))
     if not basis:
         return
-    restricted = subspace_restrict(sparse_columns(blocked), basis)
-    assert subspace_restrict(sparse_columns(blocked**n), basis) == restricted**n
+    restricted = sparse_to_matrix(subspace_restrict(sparse_columns(blocked), basis))
+    powered = subspace_restrict(sparse_columns(blocked**n), basis)
+    assert sparse_to_matrix(powered) == restricted**n
 
 
 def test_flip23_permutation_swaps_legs():

@@ -13,11 +13,8 @@ from ccomb.graphs import (
 )
 from ccomb.linalg import (
     Matrix,
-    basis_projection,
-    complement_projection,
     direct_sum,
     kron,
-    kron_all,
     sparse_columns,
     sparse_complement,
     sparse_direct_sum,
@@ -26,7 +23,6 @@ from ccomb.linalg import (
     sparse_moments,
     sparse_projection,
     sparse_sum,
-    sparse_to_matrix,
     state_moments,
 )
 from ccomb.products import (
@@ -38,6 +34,13 @@ from ccomb.products import (
 )
 
 from conftest import birooted_graphs, matrices, rooted_graphs
+from dense_reference import (
+    basis_projection,
+    complement_projection,
+    kron_all,
+    matrix_power_entry,
+    sparse_to_matrix,
+)
 
 
 @st.composite
@@ -111,7 +114,9 @@ def test_sparse_shape_errors():
 
 @given(matrices(), st.integers(0, 5))
 def test_single_step_moments_match_state_moments(a, order):
-    assert sparse_moments((sparse_columns(a),), order, 0) == state_moments(a, order, 0)
+    moments = sparse_moments((sparse_columns(a),), order, 0)
+    assert moments == state_moments(a, order, 0)
+    assert moments == tuple(matrix_power_entry(a, n, 0, 0) for n in range(order + 1))
 
 
 # -- decompositions against the dense tensor formulas ---------------------------
