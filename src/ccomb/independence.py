@@ -26,17 +26,19 @@ separating idempotent of each extended state acts as the coordinate
 projection onto that state's vector. Because the projection of a single
 matrix model cannot serve two distinct vector states at once, a two-state
 realization carries a phi block and a psi block in direct sum; phi reads
-the first block, psi the second. For a pair the psi block is the monotone
-pair on V1 (x) V2, and `build_cmonotone_pair` is the one builder of those
-operators: the c-comb decompositions in `products` are its output on the
-factor adjacencies. The family realization anchors its psi block at the
-eta coordinates.
+the first block, psi the second. `build_cmonotone` is the one builder of
+c-monotone operators for any ordered family: the phi block gives each
+algebra above the lowest two legs, and the psi block is the monotone family
+on one leg per algebra. The pair and family realizations are its output on
+matrix models, and the c-comb decompositions in `products` its output on
+the factor adjacencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import prod
 
 from .graphs import adjacency_matrix
 from .linalg import (
@@ -63,7 +65,7 @@ __all__ = [
     "oracle_cmonotone",
     "oracle_cmonotone_all_orders",
     "realize_pair",
-    "build_cmonotone_pair",
+    "build_cmonotone",
     "realize_cmonotone_pair",
     "realize_cmonotone_family",
     "realize_graph_pair",
@@ -455,152 +457,124 @@ def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Reali
     return Realization(operators, d1 * d2, model1.xi * d2 + model2.xi)
 
 
-def build_cmonotone_pair(
-    ops1: dict, ops2: dict, d1: int, d2: int, states1, states2, variant: bool = False
-) -> Realization:
-    """The one builder of a c-monotone pair's tensor operators.
+def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
+    """The one builder of c-monotone tensor operators: a pair, a family and
+    every c-comb decomposition.
 
-    `ops1` / `ops2` map element names to column-sparse factor operators of
-    dimensions d1 / d2, and `states1` / `states2` are the coordinates
-    (xi, eta) of each factor's two vector states. The phi block lives on
-    V1 (x) V2 (x) V2, with the middle leg's projection at xi2 and the right
-    leg's at eta2:
+    `factors` maps each algebra index to ``(ops, dim, (xi, eta))``: the
+    column-sparse operators by element name, their dimension and the
+    coordinates of the two vector states. Algebras are ordered by index.
+    In the phi block the lowest algebra has one leg, anchored at xi, and
+    every other algebra two, anchored at xi and eta. With L and H the
+    projections of the legs below and above algebra j onto their anchors,
+    an element a of j acts as
+
+        L (x) a (x) 1 (x) H  +  L-perp (x) 1 (x) a (x) H
+
+    and an element of the lowest algebra as a (x) H, with phi at the
+    anchors. L-perp is built leg by leg: over the legs k below j, the sum
+    of P_0 (x) ... (x) P_k-perp (x) 1 (x) ... (x) 1. `variant` replaces the
+    two identity legs of j with its own anchor projections, which realizes
+    the same mixed moments. When the lowest eta is given, the monotone
+    family 1 (x) a (x) H' on one leg per algebra, H' projecting the legs
+    above onto their etas, follows in a direct sum with psi at the etas:
+    under psi a c-monotone family is monotone independent. Without it the
+    realization is the phi block alone.
+
+    For two algebras the phi block is the pair on V1 (x) V2 (x) V2,
 
         A1 = a (x) P_xi2 (x) P_eta2
         A2 = P_xi1 (x) b (x) 1  +  P_xi1-perp (x) 1 (x) b
 
-    with phi at (xi1, xi2, eta2). `variant` replaces the identity legs of
-    A2 with the anchored projections, which realizes the same mixed
-    moments. When eta1 is given, the monotone pair a (x) P_eta2 and
-    1 (x) b on V1 (x) V2 follows in a direct sum with psi at (eta1, eta2):
-    under psi a c-monotone pair is monotone independent. Without eta1 the
-    realization is the phi block alone.
+    with phi at (xi1, xi2, eta2), and the psi block is the monotone pair
+    a (x) P_eta2, 1 (x) b on V1 (x) V2 with psi at (eta1, eta2).
     """
-    (xi1, eta1), (xi2, eta2) = states1, states2
-    p_xi2, p_eta2 = sparse_projection(d2, xi2), sparse_projection(d2, eta2)
-    p1, p1c = sparse_projection(d1, xi1), sparse_complement(d1, xi1)
-    i2 = sparse_identity(d2)
-    mid, right = (p_xi2, p_eta2) if variant else (i2, i2)
-    first = {name: sparse_kron(a, p_xi2, p_eta2) for name, a in ops1.items()}
-    second = {
-        name: sparse_sum(sparse_kron(p1, b, right), sparse_kron(p1c, mid, b))
-        for name, b in ops2.items()
-    }
-    dim = d1 * d2 * d2
-    phi_index = tensor_index((d1, d2, d2), (xi1, xi2, eta2))
+    keys = sorted(factors)
+    legs = []  # (dim, anchor) of each phi leg, in leg order
+    for n, j in enumerate(keys):
+        _, d, (xi, eta) = factors[j]
+        legs.extend((d, c) for c in ((xi, eta) if n else (xi,)))
+    proj = [sparse_projection(d, c) for d, c in legs]
+    operators = {}
+    for n, j in enumerate(keys):
+        ops, d = factors[j][:2]
+        if n == 0:
+            for name, a in ops.items():
+                operators[(j, name)] = sparse_kron(a, *proj[1:])
+            continue
+        # legs 0 .. below - 1 lie below j, and j owns legs below and below + 1
+        below, high = 2 * n - 1, proj[2 * n + 1 :]
+        mid = right = sparse_identity(d)
+        if variant:
+            mid, right = proj[below], proj[below + 1]
+        perp = [
+            proj[:k]
+            + [sparse_complement(*legs[k])]
+            + [sparse_identity(e) for e, _ in legs[k + 1 : below]]
+            for k in range(below)
+        ]
+        for name, a in ops.items():
+            operators[(j, name)] = sparse_sum(
+                sparse_kron(*proj[:below], a, right, *high),
+                *(sparse_kron(*p, mid, a, *high) for p in perp),
+            )
+    dim = prod(d for d, _ in legs)
+    phi_index = tensor_index(*zip(*legs))
     psi_index = None
-    if eta1 is not None:
-        psi_index = dim + tensor_index((d1, d2), (eta1, eta2))
-        i1 = sparse_identity(d1)
-        for name, a in ops1.items():
-            first[name] = sparse_direct_sum(first[name], sparse_kron(a, p_eta2))
-        for name, b in ops2.items():
-            second[name] = sparse_direct_sum(second[name], sparse_kron(i1, b))
-        dim += d1 * d2
-    operators = {(1, name): op for name, op in first.items()}
-    operators.update({(2, name): op for name, op in second.items()})
+    dims = [factors[j][1] for j in keys]
+    etas = [factors[j][2][1] for j in keys]
+    if etas[0] is not None:
+        psi_index = dim + tensor_index(dims, etas)
+        for n, j in enumerate(keys):
+            low = [sparse_identity(d) for d in dims[:n]]
+            high = [
+                sparse_projection(d, e) for d, e in zip(dims[n + 1 :], etas[n + 1 :])
+            ]
+            for name, a in factors[j][0].items():
+                key = (j, name)
+                psi_op = sparse_kron(*low, a, *high)
+                operators[key] = sparse_direct_sum(operators[key], psi_op)
+        dim += prod(dims)
     return Realization(operators, dim, phi_index, psi_index)
+
+
+def _model_factors(models: dict) -> dict:
+    """The `build_cmonotone` factors of two-state models by algebra index."""
+    if not all(m.two_state for m in models.values()):
+        raise ValueError("c-monotone realizations need two-state models")
+    return {
+        j: (
+            {name: sparse_columns(a) for name, a in m.elements.items()},
+            m.dim,
+            (m.xi, m.eta),
+        )
+        for j, m in models.items()
+    }
 
 
 def realize_cmonotone_pair(
     model1: AlgebraModel, model2: AlgebraModel, variant: bool = False
 ) -> Realization:
-    """Two-state tensor realization of a c-monotone pair: both models must
-    carry two state coordinates, and the operators are those of
-    build_cmonotone_pair at (xi, eta) of each model, on the ambient space
-    (V1 (x) V2 (x) V2) (+) (V1 (x) V2)."""
-    if not (model1.two_state and model2.two_state):
-        raise ValueError("c-monotone realizations need two-state models")
-    return build_cmonotone_pair(
-        {name: sparse_columns(a) for name, a in model1.elements.items()},
-        {name: sparse_columns(b) for name, b in model2.elements.items()},
-        model1.dim,
-        model2.dim,
-        (model1.xi, model1.eta),
-        (model2.xi, model2.eta),
-        variant,
-    )
-
-
-def _family_block(models, anchors):
-    """One anchored block of the general family realization.
-
-    `anchors[k]` is the pair of coordinates carried by the two legs of
-    algebra k. Element a of algebra j acts as
-
-        (a (x) 1) (x) p_j  +  (1 (x) a) (x) (p_j' - p_j)
-
-    where p_j projects every other leg pair onto its anchors and p_j' only
-    the leg pairs of larger indices.
-    """
-    n = len(models)
-    dims = []
-    for m in models:
-        dims.extend((m.dim, m.dim))
-    idents = [sparse_identity(d) for d in dims]
-
-    def leg_proj(k, which):
-        return sparse_projection(models[k].dim, anchors[k][which])
-
-    ops: dict = {}
-    for j, model in enumerate(models):
-        for name, a in model.elements.items():
-            a = sparse_columns(a)
-
-            def legs(term):
-                out = []
-                for k in range(n):
-                    if k == j:
-                        out.extend((a, idents[2 * k + 1]) if term == 1 else (idents[2 * k], a))
-                    elif term == 2 and k < j:
-                        out.extend((idents[2 * k], idents[2 * k + 1]))
-                    else:
-                        out.extend((leg_proj(k, 0), leg_proj(k, 1)))
-                return out
-
-            ops[(j, name)] = sparse_sum(
-                sparse_kron(*legs(1)),
-                sparse_kron(*legs(2)),
-                sparse_kron(*legs(3)),
-                signs=(1, 1, -1),
-            )
-    vector = []
-    for k in range(n):
-        vector.extend(anchors[k])
-    return ops, dims, vector
+    """Two-state tensor realization of a c-monotone pair of two-state
+    models, algebras 1 and 2: `build_cmonotone` at (xi, eta) of each model,
+    on the ambient space (V1 (x) V2 (x) V2) (+) (V1 (x) V2)."""
+    return build_cmonotone(_model_factors({1: model1, 2: model2}), variant)
 
 
 def realize_cmonotone_family(models) -> Realization:
-    """General tensor realization of a c-monotone family over a linearly
-    ordered index set (the list order of `models`).
+    """Two-state tensor realization of a c-monotone family of two-state
+    models, algebra k the k-th model of the list (`build_cmonotone`).
 
-    Each algebra contributes two legs. In the phi-anchored block the first
-    leg of algebra k carries the projection onto xi_k and the second onto
-    eta_k; the psi-anchored block anchors both legs at eta_k. The ambient
-    dimension grows as the square of the product of the model dimensions,
-    so the family size is capped at FAMILY_CAP.
+    The phi block has dimension d_0 * prod_{k>=1} d_k^2 and the psi block
+    prod_k d_k, so the ambient dimension still grows as a product of
+    squares, and the family size is capped at FAMILY_CAP.
     """
     models = list(models)
     if len(models) > FAMILY_CAP:
         raise ValueError(f"family size {len(models)} exceeds cap {FAMILY_CAP}")
     if not models:
         raise ValueError("empty family")
-    for m in models:
-        if not m.two_state:
-            raise ValueError("c-monotone realizations need two-state models")
-    phi_anchors = [(m.xi, m.eta) for m in models]
-    psi_anchors = [(m.eta, m.eta) for m in models]
-    phi_ops, dims, phi_vec = _family_block(models, phi_anchors)
-    psi_ops, _, psi_vec = _family_block(models, psi_anchors)
-    block = 1
-    for d in dims:
-        block *= d
-    operators = {
-        key: sparse_direct_sum(phi_ops[key], psi_ops[key]) for key in phi_ops
-    }
-    phi_index = tensor_index(dims, phi_vec)
-    psi_index = block + tensor_index(dims, psi_vec)
-    return Realization(operators, 2 * block, phi_index, psi_index)
+    return build_cmonotone(_model_factors(dict(enumerate(models))))
 
 
 def two_state_pairs(models: dict) -> dict:

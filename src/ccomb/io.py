@@ -11,8 +11,9 @@ Graph file format (UTF-8, key = value lines, `#` starts a comment):
 Edge entries are `[i, j]` or `[i, j, color]` with color 1 or 2; an entry
 `[i, j]` means `[i, j, 1]`, so both forms read into equal graphs. A file
 mixing the two forms is rejected, as are duplicate edges (same pair and
-color) and out-of-range indices. Writers always emit `[i, j, color]`, keys
-in a fixed order and edges sorted, so output is deterministic.
+color), out-of-range indices and more than MAX_VERTICES vertices. Writers
+always emit `[i, j, color]`, keys in a fixed order and edges sorted, so
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .graphs import colored
 
 __all__ = [
     "GraphFormatError",
+    "MAX_VERTICES",
     "parse_graph",
     "load_graph",
     "format_graph",
@@ -40,6 +42,7 @@ class GraphFormatError(ValueError):
 
 
 _KNOWN_KEYS = ("vertices", "root", "second_root", "edges", "labels")
+MAX_VERTICES = 1_000_000  # larger graphs would exhaust memory in any command
 
 
 def _is_index(x) -> bool:
@@ -72,6 +75,8 @@ def parse_graph(text: str):
         raw_edges = json.loads(fields["edges"])
     except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad field value: {exc}") from exc
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertices = {n} exceeds the limit {MAX_VERTICES}")
     labels = None
     if "labels" in fields:
         try:

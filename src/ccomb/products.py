@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_columns, colored, disjoint_union
-from .independence import build_cmonotone_pair
+from .independence import build_cmonotone
 from .linalg import sparse_identity, sparse_sum, subspace_restrict, tensor_index
 
 __all__ = [
@@ -282,7 +282,7 @@ ADDITIVE_WALK_PRODUCTS = {
 
 def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
     """The one operator builder: the c-monotone pair of the factor
-    adjacencies (independence.build_cmonotone_pair) at the roots e and f.
+    adjacencies (independence.build_cmonotone) at the roots e and f.
     The comb-at block on V1 x V2 x V2 is
 
         S1 = a1 (x) P_e2 (x) P_f2
@@ -304,13 +304,11 @@ def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
         a1 = sparse_sum(a1, sparse_identity(len(a1)), signs=(1, -1))
         a2 = sparse_sum(a2, sparse_identity(len(a2)), signs=(1, -1))
     f1 = None if product.graph.second_root is None else g1.second_root
-    pair = build_cmonotone_pair(
-        {"a": a1},
-        {"a": a2},
-        g1.vertex_count,
-        g2.vertex_count,
-        (g1.root, f1),
-        (g2.root, g2.second_root),
+    pair = build_cmonotone(
+        {
+            1: ({"a": a1}, g1.vertex_count, (g1.root, f1)),
+            2: ({"a": a2}, g2.vertex_count, (g2.root, g2.second_root)),
+        }
     )
     cols1, cols2 = pair.operators[(1, "a")], pair.operators[(2, "a")]
     if loops:

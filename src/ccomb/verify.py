@@ -406,22 +406,14 @@ def check_comb_loop_loops(rng, samples: int):
     return f"{samples} loop-free cases"
 
 
-def _eta_routes(g1: Graph, g2: Graph, order: int):
-    prod = c_comb_loop_product(g1, g2)
-    eta_e = eta_from_moments(two_step_moments(prod.graph, order))
-    eta_f = eta_from_moments(
-        two_step_moments(prod.graph, order, at=prod.graph.second_root)
-    )
-    eta1 = eta_from_moments(root_moments(g1, order))
-    eta2 = eta_from_moments(root_moments(g2, order))
-    eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
-    return prod, eta_e, eta_f, eta1, eta2, eta_nu
-
-
 @_check("multiplicative-eta-three-route")
 def check_multiplicative_three_route(pairs, order: int):
     for k, (g1, g2) in enumerate(pairs):
-        _prod, eta_e, _eta_f, eta1, eta2, eta_nu = _eta_routes(g1, g2, order)
+        prod = c_comb_loop_product(g1, g2).graph
+        eta_e = eta_from_moments(two_step_moments(prod, order))
+        eta1 = eta_from_moments(root_moments(g1, order))
+        eta2 = eta_from_moments(root_moments(g2, order))
+        eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
         engine = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
         assert (
             eta_e.coeffs == engine.coeffs
@@ -439,8 +431,10 @@ def check_multiplicative_three_route(pairs, order: int):
 @_check("multiplicative-second-root-monotone")
 def check_multiplicative_second_root(pairs, order: int):
     for k, (g1, g2) in enumerate(pairs):
-        _prod, _eta_e, eta_f, _e1, _e2, eta_nu = _eta_routes(g1, g2, order)
+        prod = c_comb_loop_product(g1, g2).graph
+        eta_f = eta_from_moments(two_step_moments(prod, order, at=prod.second_root))
         nu1 = eta_from_moments(root_moments(g1, order, at=g1.second_root))
+        eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
         expect = multiplicative_convolve("monotone", nu1, eta_nu)
         assert (
             eta_f.coeffs == expect.coeffs
@@ -790,7 +784,9 @@ def check_family_pair_consistency(model_pairs, word_len: int):
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
         fam = realize_cmonotone_family([m1, m2])
-        pair = realize_cmonotone_pair(m1, m2)
+        # the family of two is the plain pair under keys 0, 1; the variant
+        # pair is a different construction of the same moments
+        pair = realize_cmonotone_pair(m1, m2, variant=True)
         fam_ops = {(1, "a"): (0, "a"), (2, "a"): (1, "a")}
         ev_fam = {s: fam.evaluator(s) for s in ("phi", "psi")}
         ev_pair = {s: pair.evaluator(s) for s in ("phi", "psi")}

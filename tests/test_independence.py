@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 from hypothesis import given
 import hypothesis.strategies as st
@@ -291,6 +292,54 @@ def test_family_single_algebra_is_plain_moments():
         w = [(0, "a")] * n
         assert fam.moment(w, "phi") == m.vector_state(("a",) * n, m.xi)
         assert fam.moment(w, "psi") == m.vector_state(("a",) * n, m.eta)
+
+
+def _family_dim(dims):
+    # phi block: one leg for the lowest algebra, two for each other one;
+    # psi block: one leg per algebra
+    return dims[0] * prod(d * d for d in dims[1:]) + prod(dims)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_family_matches_oracle_mixed_dims_and_names(seed):
+    rng = random.Random(40 + seed)
+    size = seed % 3 + 1
+    models = [
+        random_model(
+            rng,
+            dim=rng.choice((2, 3)),
+            names=("a", "b"),
+            two_state=True,
+            use_fractions=seed % 2 == 1,
+        )
+        for _ in range(size)
+    ]
+    fam = realize_cmonotone_family(models)
+    assert fam.dim == _family_dim([m.dim for m in models])
+    pairs = two_state_pairs(dict(enumerate(models)))
+    letters = [(j, name) for j in range(size) for name in ("a", "b")]
+    phi, psi = fam.evaluator("phi"), fam.evaluator("psi")
+    memo = {}
+    for w in all_words(letters, 4):
+        assert (phi.moment(w), psi.moment(w)) == oracle_cmonotone(w, pairs, memo), w
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_family_of_two_is_the_pair(dims):
+    rng = random.Random(sum(dims) * dims[0])
+    m1, m2 = (
+        random_model(rng, dim=d, names=("a", "b"), two_state=True) for d in dims
+    )
+    fam = realize_cmonotone_family([m1, m2])
+    pair = realize_cmonotone_pair(m1, m2)
+    keys = {0: 1, 1: 2}
+    assert {(keys[j], n): op for (j, n), op in fam.operators.items()} == pair.operators
+    assert (fam.dim, fam.phi_index, fam.psi_index) == (
+        pair.dim,
+        pair.phi_index,
+        pair.psi_index,
+    )
+    assert fam.dim == _family_dim(dims)
 
 
 def test_model_validation():

@@ -56,6 +56,7 @@ def test_parse_colored_and_labels():
         "vertices = 2\nroot = 0",  # missing edges
         "vertices = 2\nroot = 0\nedges = []\nwhat = 1",  # unknown key
         "vertices = 2\nroot = 0\nroot = 1\nedges = []",  # duplicate key
+        "vertices = 1000001\nroot = 0\nedges = []",  # above MAX_VERTICES
     ],
 )
 def test_parse_rejects(text):
