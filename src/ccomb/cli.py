@@ -11,10 +11,12 @@ Product kinds: star, comb, orthogonal, comb-at, c-comb, comb-loop,
 c-comb-loop. Convolve families: additive and multiplicative; kinds:
 monotone, boolean, orthogonal, c-monotone. Inputs are graph files (see the
 io module for the format) or moment CSV tables starting at n = 0 (the
-multiplicative family converts them to eta-series); the c-monotone kinds
-read nu2 from the second root of a birooted second graph, or from a third
-table. When inputs are graphs, the emitted table carries the matching
-product-graph walk column with an equality flag.
+multiplicative family converts them to eta-series). Every kind takes two
+inputs. The c-monotone kinds read nu2 at the second root of the second
+input, and take a third input for nu2 exactly when the second is not a
+birooted graph; any other count exits 2. When inputs are graphs, the
+emitted table carries the matching product-graph walk column with an
+equality flag (for c-monotone, only when nu2 comes from the second graph).
 
 `word-moment` takes two birooted graph files and a word in index:name
 syntax such as `1:a 2:a 1:a` (index 1 letters act as the first operator of
@@ -178,13 +180,11 @@ _MULTIPLICATIVE_WALK_PRODUCTS = {
 
 def _walk_column(products, kind, g1, g2):
     """Product graph whose root moments give the walk column, or None when
-    the inputs are tables, a c-monotone second graph has no second root, or
-    a multiplicative first graph has color-2 edges: its loop product keeps
+    an input is a table (g2 is None also when nu2 came from a third input)
+    or a multiplicative first graph has color-2 edges: its loop product keeps
     them, so the two-step operator no longer realizes the convolution. The
     product is still built, so factors it cannot glue exit 2."""
     if g1 is None or g2 is None or kind not in products:
-        return None
-    if kind == "c-monotone" and g2.second_root is None:
         return None
     prod = _build_product(products[kind], g1, g2).graph
     if products is _MULTIPLICATIVE_WALK_PRODUCTS and g1.monochrome_edges(2):
@@ -192,39 +192,23 @@ def _walk_column(products, kind, g1, g2):
     return prod
 
 
-def _nu2_fallback(inputs, order):
-    """nu2 of a c-monotone kind whose second graph is not birooted."""
-    if len(inputs) < 3:
-        raise _CliError(
-            "c-monotone needs a birooted second graph or a third table for nu2"
-        )
-    return _load_additive_input(inputs[2], order)[1]
-
-
-def _check_input_count(kind, inputs):
-    """Every kind takes two inputs; c-monotone takes a third, the nu2 table,
-    which is checked against the second input once that is loaded."""
-    if len(inputs) == 2 or (len(inputs) == 3 and kind == "c-monotone"):
-        return
-    allowed = "2 or 3 inputs" if kind == "c-monotone" else "2 inputs"
-    raise _CliError(f"convolve {kind} takes {allowed}, got {len(inputs)}")
-
-
 def _cmd_convolve(args) -> int:
-    order = args.order
-    kind = args.kind
-    _check_input_count(kind, args.inputs)
-    g1, mu1, _ = _load_additive_input(args.inputs[0], order)
-    g2, mu2, nu2 = _load_additive_input(args.inputs[1], order)
+    order, kind, paths = args.order, args.kind, args.inputs
+    g1, mu1, _ = _load_additive_input(paths[0], order)
+    g2, mu2, nu2 = None, None, None
+    if len(paths) > 1:
+        g2, mu2, nu2 = _load_additive_input(paths[1], order)
     if kind != "c-monotone":
         nu2 = None
-    elif nu2 is None:
-        nu2 = _nu2_fallback(args.inputs, order)
-    elif len(args.inputs) == 3:
-        raise _CliError(
-            "convolve c-monotone takes a third input only when the second has "
-            "no second root"
-        )
+    want = 3 if kind == "c-monotone" and nu2 is None else 2
+    if len(paths) != want:
+        allowed = "2 inputs"
+        if kind == "c-monotone":
+            allowed += ", or 3 with nu2 when the second is not a birooted graph"
+        raise _CliError(f"convolve {kind} takes {allowed}, got {len(paths)}")
+    if want == 3:
+        # a c-monotone walk column needs nu2 from the second graph
+        g2, nu2 = None, _load_additive_input(paths[2], order)[1]
     try:
         if args.family == "additive":
             values = additive_convolve(kind, mu1, mu2, nu2).coeffs
@@ -358,6 +342,8 @@ def main(argv=None) -> int:
         parser.error("order must be at least 1")
     if getattr(args, "max_word", 1) < 1:
         parser.error("word cap must be positive")
+    if min(getattr(args, "graphs", 0), getattr(args, "models", 0)) < 0:
+        parser.error("sample counts must not be negative")
     try:
         return args.func(args)
     except _CliError as exc:

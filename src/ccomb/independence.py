@@ -472,12 +472,12 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
         L (x) a (x) 1 (x) H  +  L-perp (x) 1 (x) a (x) H
 
     and an element of the lowest algebra as a (x) H, with phi at the
-    anchors. L-perp is built leg by leg: over the legs k below j, the sum
-    of P_0 (x) ... (x) P_k-perp (x) 1 (x) ... (x) 1. `variant` replaces the
-    two identity legs of j with its own anchor projections, which realizes
-    the same mixed moments. When the lowest eta is given, the monotone
-    family 1 (x) a (x) H' on one leg per algebra, H' projecting the legs
-    above onto their etas, follows in a direct sum with psi at the etas:
+    anchors. L-perp is built as 1 - L, so an element is the signed sum of
+    three Kronecker terms. `variant` replaces the two identity legs of j
+    with its own anchor projections, which realizes the same mixed
+    moments. When the lowest eta is given, the monotone family
+    1 (x) a (x) H' on one leg per algebra, H' projecting the legs above
+    onto their etas, follows in a direct sum with psi at the etas:
     under psi a c-monotone family is monotone independent. Without it the
     realization is the phi block alone.
 
@@ -507,16 +507,14 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
         mid = right = sparse_identity(d)
         if variant:
             mid, right = proj[below], proj[below + 1]
-        perp = [
-            proj[:k]
-            + [sparse_complement(*legs[k])]
-            + [sparse_identity(e) for e, _ in legs[k + 1 : below]]
-            for k in range(below)
-        ]
+        low = sparse_kron(*proj[:below])
+        one = sparse_identity(len(low))
         for name, a in ops.items():
             operators[(j, name)] = sparse_sum(
-                sparse_kron(*proj[:below], a, right, *high),
-                *(sparse_kron(*p, mid, a, *high) for p in perp),
+                sparse_kron(low, a, right, *high),
+                sparse_kron(one, mid, a, *high),
+                sparse_kron(low, mid, a, *high),
+                signs=(1, 1, -1),
             )
     dim = prod(d for d, _ in legs)
     phi_index = tensor_index(*zip(*legs))

@@ -97,6 +97,7 @@ __all__ = [
 
 
 MULT_ORDER = 8  # eta order of the multiplicative product checks
+WITNESS_ORDER = 4  # lowest order at which both commutation witnesses separate
 WALK_ORDER = 12  # longest d-walk counted exhaustively
 FAMILY_WORD = 6  # word length of the family checks
 DEEP_WALK_ORDER = 12  # walk length of the deep cases of the walk cross-oracle
@@ -561,6 +562,7 @@ def check_boolean_commutative(rng, samples: int, order: int):
 
 @_check("additive-noncommutative-witnesses")
 def check_noncommutative_witnesses(order: int):
+    order = max(order, WITNESS_ORDER)
     edge = moment_series(tuple((n + 1) % 2 for n in range(order + 1)))
     loop = point_mass_moments(1, order)
     ab = additive_convolve("monotone", edge, loop)
@@ -841,7 +843,8 @@ def check_local_max_choice(model_pairs):
 @_check("psi-equals-phi-monotone-collapse")
 def check_psi_equals_phi_collapse(model_pairs, max_word: int):
     words = all_words(PAIR_LETTERS, min(max_word, 7))
-    for k, (m1, m2) in enumerate(model_pairs[:15]):
+    subset = model_pairs[:15]
+    for k, (m1, m2) in enumerate(subset):
         fns = _pair_functionals(m1, m2)
         degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
         cmonotone_memo: dict = {}
@@ -851,13 +854,14 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
             mono = oracle_moment("monotone", w, fns, monotone_memo)
             assert phi_val == mono, f"model {k}, word {w}: phi"
             assert psi_val == mono, f"model {k}, word {w}: psi"
-    return f"15 models, words to length {min(max_word, 7)}"
+    return f"{len(subset)} models, words to length {min(max_word, 7)}"
 
 
 @_check("separating-projection-splits-moments")
 def check_separating_projection(model_pairs):
     fam_words = all_words(((0, "a"), (1, "a")), 3)
-    for k, (m1, m2) in enumerate(model_pairs[:10]):
+    subset = model_pairs[:10]
+    for k, (m1, m2) in enumerate(subset):
         fam = realize_cmonotone_family([m1, m2])
         fam.operators["P"] = fam.separating_projection()
         for w1 in fam_words:
@@ -865,7 +869,7 @@ def check_separating_projection(model_pairs):
                 lhs = fam.moment(w1 + ("P",) + w2)
                 rhs = fam.moment(w1) * fam.moment(w2)
                 assert lhs == rhs, f"model {k}, words {w1}|{w2}"
-    return "10 models, flank words to length 3"
+    return f"{len(subset)} models, flank words to length 3"
 
 
 def _graph_bridge_pairs(cfg: VerifyConfig, count: int):

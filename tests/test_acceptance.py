@@ -50,7 +50,7 @@ def test_verify_report_is_pinned():
     cfg = VerifyConfig(order=6, max_word=4, graph_samples=3, model_samples=4, seed=0)
     report_text = verify.format_report(verify.run_suite("all", cfg), cfg)
     assert hashlib.sha256(report_text.encode()).hexdigest() == (
-        "b93ed89eb9f76e36d84b7d5fac911776e641c4d3684ff33bd6f461d4aff1fa42"
+        "789603b680071477e7fecaf235f56f387bdb433e707bc79b580b0c2ee8c8fdef"
     )
 
 
@@ -203,6 +203,16 @@ def test_convolution_collapse_laws():
         ),
     ):
         report(f"collapse laws / {name}", check)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_noncommutative_witnesses_below_their_separating_order(order):
+    # the edge/loop witness separates from order 3 and the c-monotone one
+    # from order 4, so a low --order must not turn the check into a FAIL
+    report(
+        f"non-commutativity witnesses at order {order}",
+        verify.check_noncommutative_witnesses(order),
+    )
 
 
 def test_structural_identities(additive):

@@ -541,11 +541,18 @@ def test_cli_multiplicative_product_first_factor_has_no_walk_column(
 
 @pytest.mark.parametrize(
     "flag, message",
-    [("--order", "order must be at least 1"), ("--max-word", "word cap must be positive")],
+    [
+        ("--order", "order must be at least 1"),
+        ("--max-word", "word cap must be positive"),
+        ("--graphs", "sample counts must not be negative"),
+        ("--models", "sample counts must not be negative"),
+    ],
 )
 def test_cli_rejects_zero_order_and_word_cap(flag, message, capsys):
+    # 0 is the smallest refused order and word cap; a sample count of 0 is valid
+    value = "-1" if flag in ("--graphs", "--models") else "0"
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "transforms", flag, "0"])
+        main(["verify", "transforms", flag, value])
     assert exc.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
 
