@@ -338,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "order", 1) < 1:
-        parser.error("order must be at least 1")
-    if getattr(args, "max_word", 1) < 1:
-        parser.error("word cap must be positive")
-    if min(getattr(args, "graphs", 0), getattr(args, "models", 0)) < 0:
-        parser.error("sample counts must not be negative")
     try:
+        if getattr(args, "order", 1) < 1:
+            raise _CliError("order must be at least 1")
+        if getattr(args, "max_word", 1) < 1:
+            raise _CliError("word cap must be positive")
+        if min(getattr(args, "graphs", 0), getattr(args, "models", 0)) < 0:
+            raise _CliError("sample counts must not be negative")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ independence and their finite matrix-model tensor realizations.
 A word is a sequence of letters ``(algebra_index, element_name)``; algebra
 indices come from a linearly ordered set of ints. Adjacent letters from the
 same algebra are collapsed by in-algebra multiplication before any recursion
-runs, so non-alternating words are accepted everywhere.
+runs, so non-alternating words are accepted everywhere, and a word that
+`collapse_word` has already collapsed is accepted as it is.
 
 Oracles evaluate the defining moment recursions exactly:
 
@@ -51,6 +52,7 @@ from .linalg import (
     sparse_kron,
     sparse_projection,
     sparse_sum,
+    sparse_transpose,
     tensor_index,
 )
 
@@ -159,13 +161,27 @@ def parse_word(text: str) -> tuple:
 
 
 def collapse_word(word) -> tuple:
-    """Merge adjacent letters with equal algebra index into name tuples."""
+    """Merge adjacent letters with equal algebra index into name tuples.
+
+    A letter whose name is a tuple is read as a run already merged, so a
+    collapsed word (every name a tuple, adjacent indices distinct) is
+    returned as it is: the oracles accept either form, and a caller can
+    collapse a word list once for many oracle calls.
+    """
+    prev = None
+    for j, name in word:
+        if j == prev or type(name) is not tuple:
+            break
+        prev = j
+    else:
+        return tuple(word)
     out: list = []
     for j, name in word:
+        names = name if type(name) is tuple else (name,)
         if out and out[-1][0] == j:
-            out[-1] = (j, out[-1][1] + (name,))
+            out[-1] = (j, out[-1][1] + names)
         else:
-            out.append((j, (name,)))
+            out.append((j, names))
     return tuple(out)
 
 
@@ -208,20 +224,17 @@ def _memo_table(memo, functionals, recursion: str) -> dict:
     return memo.setdefault(recursion, {})
 
 
-def _monotone(w: tuple, functionals: dict, memo: dict):
+def _monotone(w: tuple, functionals: dict, memo: dict, slot: int | None = None):
+    """The monotone recursion; with `slot`, `functionals` maps each index to
+    a functional pair and the recursion reads entry `slot` of the pair."""
     if not w:
         return 1
     if w in memo:
         return memo[w]
-    if len(w) == 1:
-        j, names = w[0]
-        out = functionals[j](names)
-    else:
-        i = _first_local_max(w)
-        j, names = w[i]
-        out = functionals[j](names) * _monotone(
-            _drop_and_merge(w, i), functionals, memo
-        )
+    i = _first_local_max(w)
+    j, names = w[i]
+    fn = functionals[j] if slot is None else functionals[j][slot]
+    out = fn(names) * _monotone(_drop_and_merge(w, i), functionals, memo, slot)
     memo[w] = out
     return out
 
@@ -254,7 +267,8 @@ def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
     the orthogonal kind exactly two indices take part and the functional of
     the higher index is read as the psi-state of the orthogonal algebra.
     `memo`, owned by the caller, carries the recursion values from word to
-    word; it must serve this `functionals` dict only.
+    word; it must serve this `functionals` dict only. `word` may be raw or
+    already collapsed (see collapse_word); a collapsed word is used as it is.
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown independence kind {kind!r}")
@@ -315,13 +329,13 @@ def oracle_cmonotone(word, pairs: dict, memo: dict | None = None):
     psi functionals. The phi recursion removes the first local maximum; the
     value does not depend on that choice (see oracle_cmonotone_all_orders).
     `memo`, owned by the caller, carries both recursions' values from word
-    to word; it must serve this `pairs` dict only.
+    to word; it must serve this `pairs` dict only. `word` is raw or
+    collapsed, as in oracle_moment.
     """
     w = collapse_word(word)
-    psi_fns = {j: p[1] for j, p in pairs.items()}
     return (
         _cmonotone_phi(w, pairs, _memo_table(memo, pairs, "phi")),
-        _monotone(w, psi_fns, _memo_table(memo, pairs, "psi")),
+        _monotone(w, pairs, _memo_table(memo, pairs, "psi"), slot=1),
     )
 
 
@@ -329,8 +343,8 @@ def oracle_cmonotone_all_orders(
     word, pairs: dict, memo: dict | None = None
 ) -> frozenset:
     """All phi values reachable by choosing local maxima in any order;
-    a singleton set certifies choice independence for this word. `memo` is
-    as in oracle_cmonotone."""
+    a singleton set certifies choice independence for this word. `word` and
+    `memo` are as in oracle_cmonotone."""
     table = _memo_table(memo, pairs, "all_orders")
 
     def values(v: tuple) -> frozenset:
@@ -402,21 +416,52 @@ class Realization:
 
 
 class WordMomentEvaluator:
-    """Batch moment evaluation that shares suffix vectors between words."""
+    """Batch moment evaluation by half-words, reading only the
+    realization's operators.
+
+    A word w = u v, split at len(w) // 2, has the moment (U^T e)·(V e),
+    where e is the state vector and U, V multiply the operators of u and
+    v left to right. V e is applied right to left as in
+    `Realization.moment`; U^T e applies the transposed operators, built
+    once per key when the evaluator is made, to the letters of u left to
+    right. Both half-word vectors are memoized, so a word list costs one
+    sparse apply per distinct half and one exact sparse dot product per
+    word.
+    """
 
     def __init__(self, realization: Realization, state: str = "phi"):
         self.r = realization
         self.at = realization._state_index(state)
-        self._vectors = {(): {self.at: 1}}
+        self._columns = {(): {self.at: 1}}  # V e by suffix v
+        self._rows = {(): {self.at: 1}}  # U^T e by prefix u
+        self._transposed = {
+            key: sparse_transpose(op) for key, op in realization.operators.items()
+        }
 
-    def _vector(self, word: tuple) -> dict:
-        if word not in self._vectors:
-            tail = self._vector(word[1:])
-            self._vectors[word] = sparse_apply(self.r.operators[word[0]], tail)
-        return self._vectors[word]
+    def _column(self, word: tuple) -> dict:
+        vec = self._columns.get(word)
+        if vec is None:
+            tail = self._column(word[1:])
+            vec = self._columns[word] = sparse_apply(self.r.operators[word[0]], tail)
+        return vec
+
+    def _row(self, word: tuple) -> dict:
+        vec = self._rows.get(word)
+        if vec is None:
+            head = self._row(word[:-1])
+            vec = self._rows[word] = sparse_apply(self._transposed[word[-1]], head)
+        return vec
 
     def moment(self, word):
-        return self._vector(tuple(word)).get(self.at, 0)
+        word = tuple(word)
+        half = len(word) // 2
+        row, col = self._row(word[:half]), self._column(word[half:])
+        out = 0
+        for i, x in row.items():
+            y = col.get(i)
+            if y is not None:
+                out += x * y
+        return out
 
 
 def all_words(letters, max_len: int):

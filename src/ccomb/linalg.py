@@ -13,9 +13,9 @@ the list of its ``(row, value)`` nonzeros in increasing row order. Builders
 (`sparse_identity`, `sparse_projection`, `sparse_complement`, `sparse_kron`,
 `sparse_sum`, `sparse_direct_sum`) and `subspace_restrict` keep that order,
 so two operators are equal exactly when their column lists are.
-`sparse_apply` maps a sparse vector ``{index: value}`` and `sparse_moments`
-is the one moment kernel. The dense `Matrix` serves the factor-size oracle
-models only.
+`sparse_apply` maps a sparse vector ``{index: value}``, `sparse_transpose`
+turns columns into rows, and `sparse_moments` is the one moment kernel.
+The dense `Matrix` serves the factor-size oracle models only.
 
 Index convention, fixed project-wide: the Kronecker product ``kron(A, B)``
 uses the composite index ``(i, k) -> i * dim_B + k``, i.e. leg order is
@@ -36,6 +36,7 @@ __all__ = [
     "tensor_index",
     "sparse_columns",
     "sparse_apply",
+    "sparse_transpose",
     "sparse_identity",
     "sparse_projection",
     "sparse_complement",
@@ -321,6 +322,16 @@ def sparse_apply(cols: list, vec: dict) -> dict:
         for r, v in cols[c]:
             out[r] = out.get(r, 0) + v * x
     return {k: v for k, v in out.items() if v}
+
+
+def sparse_transpose(cols: list) -> list:
+    """The transpose of a square column-sparse operator, rows still
+    increasing within each column."""
+    out: list = [[] for _ in cols]
+    for c, col in enumerate(cols):
+        for r, v in col:
+            out[r].append((c, v))
+    return out
 
 
 def sparse_moments(steps, order: int, at: int) -> tuple:

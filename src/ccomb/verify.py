@@ -31,6 +31,7 @@ from .independence import (
     AlgebraModel,
     ModelFunctional,
     all_words,
+    collapse_word,
     oracle_cmonotone,
     oracle_cmonotone_all_orders,
     oracle_moment,
@@ -701,17 +702,24 @@ def _pair_functionals(m1: AlgebraModel, m2: AlgebraModel):
     return {1: ModelFunctional(m1, m1.xi), 2: ModelFunctional(m2, m2.xi)}
 
 
+def _collapsed_words(letters, max_len: int) -> list:
+    """Each word of `all_words` with its collapsed form: a check collapses
+    its word list once, and its oracle calls read the collapsed words."""
+    return [(w, collapse_word(w)) for w in all_words(letters, max_len)]
+
+
 def _assert_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
     """Each realization's phi and psi moments equal the c-monotone oracle on
-    every word; `realizations` maps a message prefix to a realization. The
-    oracle's memo serves `pairs` only and is dropped on return."""
+    every (word, collapsed word) of `words`; `realizations` maps a message
+    prefix to a realization. The oracle's memo serves `pairs` only and is
+    dropped on return."""
     evs = [
         (tag, r.evaluator("phi"), r.evaluator("psi"))
         for tag, r in realizations.items()
     ]
     memo: dict = {}
-    for w in words:
-        phi_expect, psi_expect = oracle_cmonotone(w, pairs, memo)
+    for w, cw in words:
+        phi_expect, psi_expect = oracle_cmonotone(cw, pairs, memo)
         for tag, ev_phi, ev_psi in evs:
             assert ev_phi.moment(w) == phi_expect, f"{where}, word {w}: {tag}phi"
             assert ev_psi.moment(w) == psi_expect, f"{where}, word {w}: {tag}psi"
@@ -733,15 +741,15 @@ def model_pairs(cfg: VerifyConfig):
 
 @_check("pair-kind-oracle-equality")
 def check_pair_kinds(model_pairs, max_word: int):
-    words = all_words(PAIR_LETTERS, max_word)
+    words = _collapsed_words(PAIR_LETTERS, max_word)
     for k, (m1, m2) in enumerate(model_pairs):
         fns = _pair_functionals(m1, m2)
         for kind in ("boolean", "monotone", "orthogonal", "tensor"):
             realization = realize_pair(kind, m1, m2)
             ev = realization.evaluator("phi")
             memo: dict = {}
-            for w in words:
-                expect = oracle_moment(kind, w, fns, memo)
+            for w, cw in words:
+                expect = oracle_moment(kind, cw, fns, memo)
                 got = ev.moment(w)
                 assert got == expect, f"model {k}, {kind}, word {w}"
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
@@ -769,7 +777,7 @@ def check_single_letter_states(model_pairs):
 
 @_check("cmonotone-pair-oracle-equality")
 def check_cmonotone_pair(model_pairs, max_word: int):
-    words = all_words(PAIR_LETTERS, max_word)
+    words = _collapsed_words(PAIR_LETTERS, max_word)
     for k, (m1, m2) in enumerate(model_pairs):
         realizations = {
             "": realize_cmonotone_pair(m1, m2),
@@ -819,7 +827,7 @@ def family_models(cfg: VerifyConfig):
 
 @_check("family-three-oracle-equality")
 def check_family_three(family_models, word_len: int):
-    words = all_words(((0, "a"), (1, "a"), (2, "a")), word_len)
+    words = _collapsed_words(((0, "a"), (1, "a"), (2, "a")), word_len)
     for k, models in enumerate(family_models):
         fam = realize_cmonotone_family(models)
         pairs = two_state_pairs(dict(enumerate(models)))
@@ -829,29 +837,29 @@ def check_family_three(family_models, word_len: int):
 
 @_check("local-maximum-choice-independence")
 def check_local_max_choice(model_pairs):
-    words = all_words(PAIR_LETTERS, ALL_ORDERS_WORD)
+    words = _collapsed_words(PAIR_LETTERS, ALL_ORDERS_WORD)
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         pairs = two_state_pairs({1: m1, 2: m2})
         memo: dict = {}
-        for w in words:
-            vals = oracle_cmonotone_all_orders(w, pairs, memo)
+        for w, cw in words:
+            vals = oracle_cmonotone_all_orders(cw, pairs, memo)
             assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 
 
 @_check("psi-equals-phi-monotone-collapse")
 def check_psi_equals_phi_collapse(model_pairs, max_word: int):
-    words = all_words(PAIR_LETTERS, min(max_word, 7))
+    words = _collapsed_words(PAIR_LETTERS, min(max_word, 7))
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
         fns = _pair_functionals(m1, m2)
         degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
         cmonotone_memo: dict = {}
         monotone_memo: dict = {}
-        for w in words:
-            phi_val, psi_val = oracle_cmonotone(w, degenerate, cmonotone_memo)
-            mono = oracle_moment("monotone", w, fns, monotone_memo)
+        for w, cw in words:
+            phi_val, psi_val = oracle_cmonotone(cw, degenerate, cmonotone_memo)
+            mono = oracle_moment("monotone", cw, fns, monotone_memo)
             assert phi_val == mono, f"model {k}, word {w}: phi"
             assert psi_val == mono, f"model {k}, word {w}: psi"
     return f"{len(subset)} models, words to length {min(max_word, 7)}"
@@ -890,7 +898,7 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
     decompose = c_comb_loop_decomposition if loops else c_comb_decomposition
     demo = fixtures.multiplicative_demo_pair if loops else fixtures.additive_demo_pair
     cases = [demo()] + _graph_bridge_pairs(cfg, 8)
-    words = all_words(PAIR_LETTERS, max_word)
+    words = _collapsed_words(PAIR_LETTERS, max_word)
     for k, (g1, g2) in enumerate(cases):
         realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2, loops)
         _assert_cmonotone({"": realization}, words, pairs, f"pair {k}")

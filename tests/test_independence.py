@@ -6,8 +6,10 @@ import hypothesis.strategies as st
 import pytest
 import sympy as sp
 
+from ccomb import fixtures
 from ccomb.graphs import adjacency_matrix
 from ccomb.independence import (
+    ORACLE_KINDS,
     _drop_and_merge,
     AlgebraModel,
     ModelFunctional,
@@ -472,3 +474,69 @@ def test_memo_refuses_a_second_functional_set():
     oracle_cmonotone(((1, "a"), (2, "a")), two_state_pairs(models), memo)
     with pytest.raises(ValueError):
         oracle_cmonotone(((1, "a"), (2, "a")), two_state_pairs(models), memo)
+
+
+def _evaluator_cases():
+    """Each realization the evaluator serves, with its letters and states."""
+    rng = random.Random(21)
+    m1, m2 = (random_model(rng, two_state=True, use_fractions=True) for _ in range(2))
+    pair = ((1, "a"), (2, "a"))
+    cases = {
+        f"{kind} pair": (realize_pair(kind, m1, m2), pair, ("phi",))
+        for kind in ORACLE_KINDS
+    }
+    both = ("phi", "psi")
+    cases["c-monotone pair"] = (realize_cmonotone_pair(m1, m2), pair, both)
+    cases["variant pair"] = (realize_cmonotone_pair(m1, m2, variant=True), pair, both)
+    family = [random_model(rng, dim=2, two_state=True) for _ in range(3)]
+    letters = ((0, "a"), (1, "a"), (2, "a"))
+    cases["family of 3"] = (realize_cmonotone_family(family), letters, both)
+    g1, g2 = fixtures.additive_demo_pair()
+    graph_pair, _ = realize_graph_pair(c_comb_decomposition(g1, g2), g1, g2)
+    cases["c-comb decomposition"] = (graph_pair, pair, both)
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_evaluator_cases()))
+def test_evaluator_equals_the_direct_route(case):
+    # the half-word product must equal one full right-to-left apply for every
+    # split: empty, odd and even lengths, in any request order and word type
+    realization, letters, states = _evaluator_cases()[case]
+    words = [()] + all_words(letters, 7)
+    shuffled = list(words)
+    random.Random(5).shuffle(shuffled)
+    orders = (words, words[::-1], shuffled, [list(w) for w in shuffled])
+    for state in states:
+        direct = {w: realization.moment(w, state) for w in words}
+        for order in orders:
+            ev = realization.evaluator(state)
+            for w in order:
+                assert ev.moment(w) == direct[tuple(w)], (state, w)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=12))
+def test_collapse_word_accepts_a_collapsed_word_as_it_is(word):
+    w = collapse_word(word)
+    assert collapse_word(w) is w
+    assert collapse_word(list(w)) == w
+    for k in range(len(word) + 1):
+        # two collapsed halves joined may put two runs of one index side by side
+        assert collapse_word(collapse_word(word[:k]) + collapse_word(word[k:])) == w
+
+
+@given(st.lists(st.tuples(st.sampled_from((1, 2)), st.sampled_from("ab")), max_size=8))
+def test_oracles_agree_on_a_word_and_its_collapse(word):
+    w = collapse_word(word)
+    rng = random.Random(40)
+    models = {
+        j: random_model(rng, names=("a", "b"), two_state=True, use_fractions=True)
+        for j in (1, 2)
+    }
+    fns = {j: ModelFunctional(m, m.xi) for j, m in models.items()}
+    pairs = two_state_pairs(models)
+    for kind in ORACLE_KINDS:
+        assert oracle_moment(kind, word, fns) == oracle_moment(kind, w, fns), kind
+    assert oracle_cmonotone(word, pairs) == oracle_cmonotone(w, pairs)
+    assert oracle_cmonotone_all_orders(word, pairs) == oracle_cmonotone_all_orders(
+        w, pairs
+    )

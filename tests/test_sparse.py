@@ -23,6 +23,7 @@ from ccomb.linalg import (
     sparse_moments,
     sparse_projection,
     sparse_sum,
+    sparse_transpose,
     state_moments,
 )
 from ccomb.products import (
@@ -177,3 +178,14 @@ def test_alternating_moments_match_dense_two_step(g1, g2):
             v = z * v
             dense.append(v.entry(at, 0))
         assert two_step_moments(g, 6, at).coeffs == tuple(dense)
+
+
+@given(matrices(max_dim=5))
+def test_sparse_transpose_is_the_dense_transpose(a):
+    cols = sparse_columns(a)
+    t = sparse_transpose(cols)
+    assert sparse_to_matrix(t) == a.transpose()
+    assert sparse_transpose(t) == cols
+    for col in t:
+        rows = [r for r, _ in col]
+        assert rows == sorted(set(rows))
