@@ -74,6 +74,13 @@ PRODUCT_KINDS = {
 BIROOTED_SECOND = ("comb-at", "c-comb", "c-comb-loop")
 BIROOTED_FIRST = ("c-comb", "c-comb-loop")
 
+# size caps, refused before any work: a series kernel allocates order + 1
+# coefficients per list, `all_words` builds 2^(W+1) - 2 words for a word cap
+# W, and the sample lists hold one entry per sample
+MAX_ORDER = 1024
+MAX_WORD = 16
+MAX_SAMPLES = 10_000
+
 
 def _out_dir(arg) -> Path:
     if arg:
@@ -338,13 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    order = getattr(args, "order", 1)
+    max_word = getattr(args, "max_word", 1)
+    samples = (getattr(args, "graphs", 0), getattr(args, "models", 0))
     try:
-        if getattr(args, "order", 1) < 1:
+        if order < 1:
             raise _CliError("order must be at least 1")
-        if getattr(args, "max_word", 1) < 1:
+        if order > MAX_ORDER:
+            raise _CliError(f"order must be at most {MAX_ORDER}")
+        if max_word < 1:
             raise _CliError("word cap must be positive")
-        if min(getattr(args, "graphs", 0), getattr(args, "models", 0)) < 0:
+        if max_word > MAX_WORD:
+            raise _CliError(f"word cap must be at most {MAX_WORD}")
+        if min(samples) < 0:
             raise _CliError("sample counts must not be negative")
+        if max(samples) > MAX_SAMPLES:
+            raise _CliError(f"sample counts must be at most {MAX_SAMPLES}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

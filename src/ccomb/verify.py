@@ -2,11 +2,13 @@
 modules.
 
 Each check runs one invariant across a batch of fixture and randomized
-inputs and reports a single pass/fail line. A check is a plain function that
-asserts and returns its detail line; the `_check` decorator turns it into a
-`Check`, so checks never raise and failures are report content. All
-randomness flows from the seed in the config, so a given config yields
-byte-identical reports.
+inputs and reports a single pass/fail line. A check compares through
+`_same(got, expected, witness, *args)`, which formats its witness only on a
+mismatch, and returns its detail line; `_check` turns it into a `Check` and
+alone decides PASS or FAIL, with no assert (so `python -O` agrees). The
+random-case identities go through `_sampled`, which owns the sample loop,
+the draws and the `sample {k}` witness prefix. All randomness flows from the
+seed in the config, so a given config yields byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from fractions import Fraction
 
 from . import fixtures
 from .graphs import (
-    Graph,
     adjacency_columns,
     birooted,
     brute_force_closed_walks,
@@ -122,21 +123,59 @@ class Check:
     detail: str = ""
 
 
+class _Mismatch(Exception):
+    """Two sides of a check differ; the message is the FAIL witness."""
+
+
+def _same(got, expected, witness: str = "", *args) -> None:
+    """Raise `_Mismatch` unless the sides are equal; only then is the witness
+    text `witness.format(*args)` built."""
+    if got != expected:
+        raise _Mismatch(witness.format(*args))
+
+
 def _check(name: str):
     """Decorator turning a function that returns its detail line into a
-    check: an AssertionError becomes FAIL with its message, any other
-    exception FAIL with `error: ...`."""
+    check, the one place a verdict is made: a `_Mismatch` becomes FAIL with
+    its witness, any other exception FAIL with `error: ...`."""
 
     def decorate(fn):
         @functools.wraps(fn)
         def check(*args, **kwargs) -> Check:
             try:
                 detail = fn(*args, **kwargs)
-            except AssertionError as exc:
+            except _Mismatch as exc:
                 return Check(name, False, str(exc))
             except Exception as exc:  # report, never crash the suite
                 return Check(name, False, f"error: {exc!r}")
             return Check(name, True, detail or "")
+
+        return check
+
+    return decorate
+
+
+def _sampled(
+    name: str, *samplers, detail="{samples} samples, order {order}", after=None
+):
+    """Decorator turning `body(order, *drawn)`, which compares one random
+    case, into `check(rng, samples, order)`. Case k draws from each sampler,
+    `sampler(rng, order)`, in turn, and a mismatch's witness starts `sample
+    {k}`. Once every case agrees, `after(order)` makes fixed comparisons."""
+
+    def decorate(body):
+        @_check(name)
+        @functools.wraps(body)
+        def check(rng, samples: int, order: int):
+            for k in range(samples):
+                drawn = [draw(rng, order) for draw in samplers]
+                try:
+                    body(order, *drawn)
+                except _Mismatch as exc:
+                    raise _Mismatch(f"sample {k}{exc}") from None
+            if after is not None:
+                after(order)
+            return detail.format(samples=samples, order=order)
 
         return check
 
@@ -209,15 +248,10 @@ def random_eta_series(rng, order):
 def additive_pairs(cfg: VerifyConfig):
     """Demo pair plus seeded random birooted pairs of at most 6 vertices."""
     rng = random.Random(cfg.seed)
-    pairs = [fixtures.additive_demo_pair()]
-    for _ in range(cfg.graph_samples):
-        pairs.append(
-            (
-                random_birooted_graph(rng, 1, 6),
-                random_birooted_graph(rng, 1, 6),
-            )
-        )
-    return pairs
+    return [fixtures.additive_demo_pair()] + [
+        (random_birooted_graph(rng, 1, 6), random_birooted_graph(rng, 1, 6))
+        for _ in range(cfg.graph_samples)
+    ]
 
 
 def multiplicative_pairs(cfg: VerifyConfig):
@@ -239,24 +273,18 @@ def multiplicative_pairs(cfg: VerifyConfig):
 # -- products suite -------------------------------------------------------------
 
 
-def _essential_three_routes(g1: Graph, g2: Graph, order: int):
-    ess = comb_at_product(g1, g2)
-    walk = root_moments(ess.graph, order).coeffs
-    dec = essential_decomposition(g1, g2)
-    operator = sparse_moments((dec.total_columns(),), order, dec.phi_index)
-    mu1 = root_moments(g1, order)
-    mu2 = root_moments(g2, order)
-    nu2 = root_moments(g2, order, at=g2.second_root)
-    transform = additive_convolve("c-monotone", mu1, mu2, nu2).coeffs
-    return walk, operator, transform
-
-
 @_check("additive-three-route")
 def check_additive_three_route(pairs, order: int):
     for k, (g1, g2) in enumerate(pairs):
-        walk, operator, transform = _essential_three_routes(g1, g2, order)
-        assert walk == operator, f"pair {k}: walk vs operator moments differ"
-        assert walk == transform, f"pair {k}: walk vs transform moments differ"
+        walk = root_moments(comb_at_product(g1, g2).graph, order).coeffs
+        dec = essential_decomposition(g1, g2)
+        operator = sparse_moments((dec.total_columns(),), order, dec.phi_index)
+        mu1 = root_moments(g1, order)
+        mu2 = root_moments(g2, order)
+        nu2 = root_moments(g2, order, at=g2.second_root)
+        transform = additive_convolve("c-monotone", mu1, mu2, nu2).coeffs
+        _same(walk, operator, "pair {}: walk vs operator moments differ", k)
+        _same(walk, transform, "pair {}: walk vs transform moments differ", k)
     return f"{len(pairs)} pairs, order {order}"
 
 
@@ -268,7 +296,7 @@ def check_second_root_split(pairs, order: int):
         nu1 = root_moments(g1, order, at=g1.second_root)
         nu2 = root_moments(g2, order, at=g2.second_root)
         expect = additive_convolve("monotone", nu1, nu2).coeffs
-        assert at_f == expect, f"pair {k}: second-root moments differ"
+        _same(at_f, expect, "pair {}: second-root moments differ", k)
     return f"{len(pairs)} pairs, order {order}"
 
 
@@ -278,20 +306,18 @@ def check_vertex_count_formulas(rng, samples: int):
         g1 = random_rooted_graph(rng, 1, 6)
         g2 = random_birooted_graph(rng, 1, 6)
         n1, n2 = g1.vertex_count, g2.vertex_count
-        assert star_product(g1, g2).vertex_count == n1 + n2 - 1, f"star {k}"
-        assert comb_product(g1, g2).vertex_count == n1 * n2, f"comb {k}"
-        assert (
-            orthogonal_product(g1, g2).vertex_count == (n1 - 1) * n2 + 1
-        ), f"orthogonal {k}"
-        assert (
-            comb_at_product(g1, g2).vertex_count == (n1 - 1) * n2 + n2
-        ), f"comb-at {k}"
+        _same(star_product(g1, g2).vertex_count, n1 + n2 - 1, "star {}", k)
+        _same(comb_product(g1, g2).vertex_count, n1 * n2, "comb {}", k)
+        orth = orthogonal_product(g1, g2).vertex_count
+        _same(orth, (n1 - 1) * n2 + 1, "orthogonal {}", k)
+        comb_at = comb_at_product(g1, g2).vertex_count
+        _same(comb_at, (n1 - 1) * n2 + n2, "comb-at {}", k)
         added = sum(
             1
             for i, j, c in comb_loop_product(g1, g2).graph.colored_edges
             if i == j and c == 1 and (i % n2) != g2.root
         )
-        assert added == n1 * (n2 - 1), f"comb-loop {k}"
+        _same(added, n1 * (n2 - 1), "comb-loop {}", k)
     return f"{samples} samples"
 
 
@@ -307,9 +333,8 @@ def check_superposition(rng, samples: int):
         so = star_product(orth.graph, g2)
         cmb = comb_product(g1, g2)
         mapping = superposition_map(g1, g2)
-        assert relabel_isomorphic(
-            so.graph, cmb.graph, mapping
-        ), f"case {k}: superposition map is not an isomorphism"
+        isomorphic = relabel_isomorphic(so.graph, cmb.graph, mapping)
+        _same(isomorphic, True, "case {}: superposition map is not an isomorphism", k)
     return f"{len(cases)} cases"
 
 
@@ -322,9 +347,8 @@ def check_comb_at_collapse(rng, samples: int):
         prod = comb_at_product(g1, g2)
         cmb = comb_product(g1, g2r)
         mapping = comb_at_collapse_map(g1, g2)
-        assert relabel_isomorphic(
-            prod.graph, cmb.graph, mapping
-        ), f"case {k}: comb-at with equal roots is not the comb product"
+        witness = "case {}: comb-at with equal roots is not the comb product"
+        _same(relabel_isomorphic(prod.graph, cmb.graph, mapping), True, witness, k)
     return f"{samples} cases"
 
 
@@ -341,9 +365,9 @@ def check_restriction_equalities(pairs):
             dec, prod = decompose(g1, g2), build(g1, g2)
             for c in colors:
                 which = label if c is None else f"{label} color-{c}"
-                assert dec.restricted(c) == adjacency_columns(
-                    prod.graph, c
-                ), f"pair {k}: {which} restriction differs"
+                expect = adjacency_columns(prod.graph, c)
+                witness = "pair {}: {} restriction differs"
+                _same(dec.restricted(c), expect, witness, k, which)
     return f"{len(pairs)} pairs, entrywise"
 
 
@@ -364,18 +388,17 @@ def check_walk_cross_oracle(rng, samples: int):
     for g in deep_products:
         moments = root_moments(g, DEEP_WALK_ORDER).coeffs
         for n in (DEEP_WALK_ORDER - 1, DEEP_WALK_ORDER):
-            assert moments[n] == brute_force_closed_walks(
-                g, n
-            ), f"deep walk count mismatch at length {n}"
+            walks = brute_force_closed_walks(g, n)
+            _same(moments[n], walks, "deep walk count mismatch at length {}", n)
     for k in range(samples):
         g1 = random_rooted_graph(rng, 1, 3)
         g2 = random_birooted_graph(rng, 1, 3)
         g = comb_at_product(g1, g2).graph
         moments = root_moments(g, 8).coeffs
         for n in range(9):
-            assert moments[n] == brute_force_closed_walks(
-                g, n
-            ), f"sample {k}: walk count mismatch at length {n}"
+            walks = brute_force_closed_walks(g, n)
+            witness = "sample {}: walk count mismatch at length {}"
+            _same(moments[n], walks, witness, k, n)
     return f"{len(deep_products)} deep cases to order {DEEP_WALK_ORDER}, {samples} samples to order 8"
 
 
@@ -383,14 +406,13 @@ def check_walk_cross_oracle(rng, samples: int):
 def check_colored_split(pairs):
     for k, (g1, g2) in enumerate(pairs):
         g = c_comb_loop_product(g1, g2).graph
-        assert adjacency_columns(g) == sparse_sum(
-            adjacency_columns(g, 1), adjacency_columns(g, 2)
-        ), f"pair {k}: color split does not sum"
+        split = sparse_sum(adjacency_columns(g, 1), adjacency_columns(g, 2))
+        _same(adjacency_columns(g), split, "pair {}: color split does not sum", k)
         z_moments = two_step_moments(g, 4).coeffs
         for n in range(1, 5):
-            assert z_moments[n] == brute_force_closed_walks(
-                g, 2 * n, alternating=True
-            ), f"pair {k}: alternating walks differ at length {2 * n}"
+            walks = brute_force_closed_walks(g, 2 * n, alternating=True)
+            witness = "pair {}: alternating walks differ at length {}"
+            _same(z_moments[n], walks, witness, k, 2 * n)
     return f"{len(pairs)} pairs"
 
 
@@ -404,7 +426,7 @@ def check_comb_loop_loops(rng, samples: int):
             1 for i, j, c in prod.graph.colored_edges if i == j and c == 1
         )
         expect = g1.vertex_count * (g2.vertex_count - 1)
-        assert added == expect, f"case {k}: {added} loops, expected {expect}"
+        _same(added, expect, "case {}: {} loops, expected {}", k, added, expect)
     return f"{samples} loop-free cases"
 
 
@@ -417,16 +439,15 @@ def check_multiplicative_three_route(pairs, order: int):
         eta2 = eta_from_moments(root_moments(g2, order))
         eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
         engine = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
-        assert (
-            eta_e.coeffs == engine.coeffs
-        ), f"pair {k}: graph eta vs series engine differ"
+        witness = "pair {}: graph eta vs series engine differ"
+        _same(eta_e.coeffs, engine.coeffs, witness, k)
         formula = tuple(
             coefficient_formula(
                 "c-monotone", n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
             )
             for n in range(1, order + 1)
         )
-        assert eta_e.coeffs == formula, f"pair {k}: graph eta vs coefficient sums"
+        _same(eta_e.coeffs, formula, "pair {}: graph eta vs coefficient sums", k)
     return f"{len(pairs)} pairs, order {order}"
 
 
@@ -438,24 +459,22 @@ def check_multiplicative_second_root(pairs, order: int):
         nu1 = eta_from_moments(root_moments(g1, order, at=g1.second_root))
         eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
         expect = multiplicative_convolve("monotone", nu1, eta_nu)
-        assert (
-            eta_f.coeffs == expect.coeffs
-        ), f"pair {k}: second-root eta differs from monotone convolution"
+        witness = "pair {}: second-root eta differs from monotone convolution"
+        _same(eta_f.coeffs, expect.coeffs, witness, k)
     return f"{len(pairs)} pairs, order {order}"
 
 
 @_check("d-walk-first-return-counts")
 def check_d_walk_counts(pairs, walk_order: int):
     half = walk_order // 2
+    witness = "pair {}: d-walk count {} vs first-return coefficient {} at length {}"
     for k, (g1, g2) in enumerate(pairs):
         prod = c_comb_loop_product(g1, g2)
         eta_e = eta_from_moments(two_step_moments(prod.graph, half))
         for n in range(1, half + 1):
             counted = count_d_walks(prod.graph, 2 * n)
-            assert counted == eta_e.coeffs[n - 1], (
-                f"pair {k}: d-walk count {counted} vs first-return "
-                f"coefficient {eta_e.coeffs[n - 1]} at length {2 * n}"
-            )
+            first = eta_e.coeffs[n - 1]
+            _same(counted, first, witness, k, counted, first, 2 * n)
     return f"{len(pairs)} pairs, lengths up to {walk_order}"
 
 
@@ -482,83 +501,74 @@ def products_suite(cfg: VerifyConfig) -> list:
 # -- transforms suite -----------------------------------------------------------
 
 
-@_check("moments-F-roundtrip")
-def check_F_roundtrip(rng, samples: int, order: int):
-    for k in range(samples):
-        m = random_moment_series(rng, order)
-        assert (
-            F_to_moments(moments_to_F(m)).coeffs == m.coeffs
-        ), f"sample {k}: F roundtrip failed"
-    edge = moment_series((1, 0, 1, 0, 1))
-    assert moments_to_F(edge).coeffs == (0, -1, 0, 0)
-    return f"{samples} samples, order {order}"
+def _random_F(rng, order):
+    return moments_to_F(random_moment_series(rng, order))
 
 
-@_check("psi-eta-roundtrip")
-def check_psi_eta_roundtrip(rng, samples: int, order: int):
-    for k in range(samples):
-        m = random_moment_series(rng, order)
-        p = psi_from_moments(m)
-        assert psi_from_eta(eta_from_psi(p)).coeffs == p.coeffs, f"sample {k}"
-        assert moments_from_psi(p).coeffs == m.coeffs, f"sample {k}"
-    ones = point_mass_moments(1, order)
-    eta_one = eta_from_moments(ones)
-    assert eta_one.coeffs == (1,) + (0,) * (order - 1), "point mass at 1"
-    return f"{samples} samples, order {order}"
+def _edge_F(order):
+    _same(moments_to_F(moment_series((1, 0, 1, 0, 1))).coeffs, (0, -1, 0, 0))
 
 
-@_check("compose-identity")
-def check_compose_identity(rng, samples: int, order: int):
+@_sampled("moments-F-roundtrip", random_moment_series, after=_edge_F)
+def check_F_roundtrip(order, m):
+    _same(F_to_moments(moments_to_F(m)).coeffs, m.coeffs, ": F roundtrip failed")
+
+
+def _point_mass_eta(order):
+    eta_one = eta_from_moments(point_mass_moments(1, order))
+    _same(eta_one.coeffs, (1,) + (0,) * (order - 1), "point mass at 1")
+
+
+@_sampled("psi-eta-roundtrip", random_moment_series, after=_point_mass_eta)
+def check_psi_eta_roundtrip(order, m):
+    p = psi_from_moments(m)
+    _same(psi_from_eta(eta_from_psi(p)).coeffs, p.coeffs)
+    _same(moments_from_psi(p).coeffs, m.coeffs)
+
+
+def _identity_is_z(order):
     ident = moments_to_F(point_mass_moments(0, order))
-    assert ident.coeffs == (0,) * order, "identity F-series is z"
-    for k in range(samples):
-        f = moments_to_F(random_moment_series(rng, order))
-        assert compose_F(f, ident).coeffs == f.coeffs, f"sample {k}: right identity"
-        assert compose_F(ident, f).coeffs == f.coeffs, f"sample {k}: left identity"
-    return f"{samples} samples"
+    _same(ident.coeffs, (0,) * order, "identity F-series is z")
 
 
-@_check("compose-associativity")
-def check_compose_associativity(rng, samples: int, order: int):
-    for k in range(samples):
-        f1 = moments_to_F(random_moment_series(rng, order))
-        f2 = moments_to_F(random_moment_series(rng, order))
-        f3 = moments_to_F(random_moment_series(rng, order))
-        left = compose_F(compose_F(f1, f2), f3)
-        right = compose_F(f1, compose_F(f2, f3))
-        assert left.coeffs == right.coeffs, f"sample {k}: associativity"
-    return f"{samples} samples, order {order}"
+@_sampled(
+    "compose-identity", _random_F, detail="{samples} samples", after=_identity_is_z
+)
+def check_compose_identity(order, f):
+    ident = moments_to_F(point_mass_moments(0, order))
+    _same(compose_F(f, ident).coeffs, f.coeffs, ": right identity")
+    _same(compose_F(ident, f).coeffs, f.coeffs, ": left identity")
 
 
-@_check("additive-collapse-laws")
-def check_additive_collapses(rng, samples: int, order: int):
-    for k in range(samples):
-        mu1 = random_moment_series(rng, order)
-        mu2 = random_moment_series(rng, order)
-        collapsed = additive_convolve("c-monotone", mu1, mu2, mu2)
-        monotone = additive_convolve("monotone", mu1, mu2)
-        assert collapsed.coeffs == monotone.coeffs, f"sample {k}: nu = mu collapse"
-        delta0 = point_mass_moments(0, order)
-        for kind in ("monotone", "boolean", "orthogonal"):
-            assert (
-                additive_convolve(kind, mu1, delta0).coeffs == mu1.coeffs
-            ), f"sample {k}: {kind} with point mass at 0"
-        assert (
-            additive_convolve("c-monotone", mu1, delta0, delta0).coeffs
-            == mu1.coeffs
-        ), f"sample {k}: c-monotone with point mass at 0"
-    return f"{samples} samples, order {order}"
+@_sampled("compose-associativity", _random_F, _random_F, _random_F)
+def check_compose_associativity(order, f1, f2, f3):
+    left = compose_F(compose_F(f1, f2), f3)
+    right = compose_F(f1, compose_F(f2, f3))
+    _same(left.coeffs, right.coeffs, ": associativity")
 
 
-@_check("boolean-additive-commutative")
-def check_boolean_commutative(rng, samples: int, order: int):
-    for k in range(samples):
-        mu1 = random_moment_series(rng, order)
-        mu2 = random_moment_series(rng, order)
-        ab = additive_convolve("boolean", mu1, mu2)
-        ba = additive_convolve("boolean", mu2, mu1)
-        assert ab.coeffs == ba.coeffs, f"sample {k}"
-    return f"{samples} samples"
+@_sampled("additive-collapse-laws", random_moment_series, random_moment_series)
+def check_additive_collapses(order, mu1, mu2):
+    collapsed = additive_convolve("c-monotone", mu1, mu2, mu2)
+    monotone = additive_convolve("monotone", mu1, mu2)
+    _same(collapsed.coeffs, monotone.coeffs, ": nu = mu collapse")
+    delta0 = point_mass_moments(0, order)
+    for kind in ("monotone", "boolean", "orthogonal", "c-monotone"):
+        nu = delta0 if kind == "c-monotone" else None
+        got = additive_convolve(kind, mu1, delta0, nu).coeffs
+        _same(got, mu1.coeffs, ": {} with point mass at 0", kind)
+
+
+@_sampled(
+    "boolean-additive-commutative",
+    random_moment_series,
+    random_moment_series,
+    detail="{samples} samples",
+)
+def check_boolean_commutative(order, mu1, mu2):
+    ab = additive_convolve("boolean", mu1, mu2)
+    ba = additive_convolve("boolean", mu2, mu1)
+    _same(ab.coeffs, ba.coeffs)
 
 
 @_check("additive-noncommutative-witnesses")
@@ -568,7 +578,7 @@ def check_noncommutative_witnesses(order: int):
     loop = point_mass_moments(1, order)
     ab = additive_convolve("monotone", edge, loop)
     ba = additive_convolve("monotone", loop, edge)
-    assert ab.coeffs != ba.coeffs, "monotone additive unexpectedly commuted"
+    _same(ab.coeffs == ba.coeffs, False, "monotone additive unexpectedly commuted")
     g1, g2 = fixtures.additive_demo_pair()
     mu1 = root_moments(g1, order)
     nu1 = root_moments(g1, order, at=g1.second_root)
@@ -576,102 +586,91 @@ def check_noncommutative_witnesses(order: int):
     nu2 = root_moments(g2, order, at=g2.second_root)
     fwd = additive_convolve("c-monotone", mu1, mu2, nu2)
     rev = additive_convolve("c-monotone", mu2, mu1, nu1)
-    assert fwd.coeffs != rev.coeffs, "c-monotone additive unexpectedly commuted"
+    commuted = fwd.coeffs == rev.coeffs
+    _same(commuted, False, "c-monotone additive unexpectedly commuted")
     return "monotone and c-monotone witnesses verified"
 
 
-@_check("multiplicative-delta1-orthogonal")
-def check_mult_delta1(rng, samples: int, order: int):
+@_sampled("multiplicative-delta1-orthogonal", random_eta_series, random_eta_series)
+def check_mult_delta1(order, eta1, eta_nu):
     delta1 = eta_from_moments(point_mass_moments(1, order))
-    for k in range(samples):
-        eta1 = random_eta_series(rng, order)
-        eta_nu = random_eta_series(rng, order)
-        left = multiplicative_convolve("c-monotone", eta1, delta1, eta_nu)
-        right = multiplicative_convolve("orthogonal", eta1, eta_nu)
-        assert left.coeffs == right.coeffs, f"sample {k}"
-    return f"{samples} samples, order {order}"
+    left = multiplicative_convolve("c-monotone", eta1, delta1, eta_nu)
+    right = multiplicative_convolve("orthogonal", eta1, eta_nu)
+    _same(left.coeffs, right.coeffs)
 
 
-@_check("multiplicative-nu-equals-mu-monotone")
-def check_mult_nu_eq_mu(rng, samples: int, order: int):
-    for k in range(samples):
-        eta1 = random_eta_series(rng, order)
-        eta2 = random_eta_series(rng, order)
-        left = multiplicative_convolve("c-monotone", eta1, eta2, eta2)
-        right = multiplicative_convolve("monotone", eta1, eta2)
-        assert left.coeffs == right.coeffs, f"sample {k}"
-    return f"{samples} samples, order {order}"
+@_sampled(
+    "multiplicative-nu-equals-mu-monotone", random_eta_series, random_eta_series
+)
+def check_mult_nu_eq_mu(order, eta1, eta2):
+    left = multiplicative_convolve("c-monotone", eta1, eta2, eta2)
+    right = multiplicative_convolve("monotone", eta1, eta2)
+    _same(left.coeffs, right.coeffs)
 
 
-@_check("multiplicative-boolean-orthogonal-decomposition")
-def check_mult_decomposition(rng, samples: int, order: int):
-    for k in range(samples):
-        eta1 = random_eta_series(rng, order)
-        eta2 = random_eta_series(rng, order)
-        eta_nu = random_eta_series(rng, order)
-        direct = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
-        orth = multiplicative_convolve("orthogonal", eta1, eta_nu)
-        boxed = multiplicative_convolve("boolean", orth, eta2)
-        assert direct.coeffs == boxed.coeffs, f"sample {k}"
-    return f"{samples} samples, order {order}"
+@_sampled(
+    "multiplicative-boolean-orthogonal-decomposition",
+    random_eta_series,
+    random_eta_series,
+    random_eta_series,
+)
+def check_mult_decomposition(order, eta1, eta2, eta_nu):
+    direct = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
+    orth = multiplicative_convolve("orthogonal", eta1, eta_nu)
+    boxed = multiplicative_convolve("boolean", orth, eta2)
+    _same(direct.coeffs, boxed.coeffs)
 
 
-@_check("multiplicative-identity-element")
-def check_mult_identity(rng, samples: int, order: int):
+@_sampled(
+    "multiplicative-identity-element", random_eta_series, detail="{samples} samples"
+)
+def check_mult_identity(order, h):
     z = eta_from_moments(point_mass_moments(1, order))
-    for k in range(samples):
-        h = random_eta_series(rng, order)
-        assert (
-            multiplicative_convolve("monotone", h, z).coeffs == h.coeffs
-        ), f"sample {k}: right identity"
-        assert (
-            multiplicative_convolve("monotone", z, h).coeffs == h.coeffs
-        ), f"sample {k}: left identity"
-    return f"{samples} samples"
+    right = multiplicative_convolve("monotone", h, z)
+    _same(right.coeffs, h.coeffs, ": right identity")
+    left = multiplicative_convolve("monotone", z, h)
+    _same(left.coeffs, h.coeffs, ": left identity")
 
 
-@_check("coefficient-formula-engine-equality")
-def check_coefficient_formula_engine(rng, samples: int, order: int):
-    for k in range(samples):
-        eta1 = random_eta_series(rng, order)
-        eta2 = random_eta_series(rng, order)
-        eta_nu = random_eta_series(rng, order)
-        engines = {
-            "monotone": multiplicative_convolve("monotone", eta1, eta2),
-            "boolean": multiplicative_convolve("boolean", eta1, eta2),
-            "orthogonal": multiplicative_convolve("orthogonal", eta1, eta2),
-            "c-monotone": multiplicative_convolve(
-                "c-monotone", eta1, eta2, eta_nu
-            ),
-        }
-        for kind, engine in engines.items():
-            for n in range(1, order + 1):
-                val = coefficient_formula(
-                    kind, n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
-                )
-                assert val == engine.coeffs[n - 1], f"sample {k}, {kind}, n={n}"
-        mono = tuple(
-            coefficient_formula("c-monotone", n, eta1.coeffs, eta2.coeffs, eta2.coeffs)
-            for n in range(1, order + 1)
-        )
-        assert mono == engines["monotone"].coeffs, f"sample {k}: substitution"
-    return f"{samples} samples, n up to {order}"
+@_sampled(
+    "coefficient-formula-engine-equality",
+    random_eta_series,
+    random_eta_series,
+    random_eta_series,
+    detail="{samples} samples, n up to {order}",
+)
+def check_coefficient_formula_engine(order, eta1, eta2, eta_nu):
+    engines = {
+        "monotone": multiplicative_convolve("monotone", eta1, eta2),
+        "boolean": multiplicative_convolve("boolean", eta1, eta2),
+        "orthogonal": multiplicative_convolve("orthogonal", eta1, eta2),
+        "c-monotone": multiplicative_convolve("c-monotone", eta1, eta2, eta_nu),
+    }
+    for kind, engine in engines.items():
+        for n in range(1, order + 1):
+            val = coefficient_formula(kind, n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs)
+            _same(val, engine.coeffs[n - 1], ", {}, n={}", kind, n)
+    mono = tuple(
+        coefficient_formula("c-monotone", n, eta1.coeffs, eta2.coeffs, eta2.coeffs)
+        for n in range(1, order + 1)
+    )
+    _same(mono, engines["monotone"].coeffs, ": substitution")
 
 
-@_check("additive-graph-consistency")
-def check_additive_graph_consistency(rng, samples: int, order: int):
-    for k in range(samples):
-        g1 = random_rooted_graph(rng, 1, 4)
-        g2 = random_birooted_graph(rng, 1, 4)
-        mu1 = root_moments(g1, order)
-        mu2 = root_moments(g2, order)
-        nu2 = root_moments(g2, order, at=g2.second_root)
-        for kind, build in ADDITIVE_WALK_PRODUCTS.items():
-            nu = nu2 if kind == "c-monotone" else None
-            expect = additive_convolve(kind, mu1, mu2, nu)
-            got = root_moments(build(g1, g2).graph, order).coeffs
-            assert got == expect.coeffs, f"sample {k}: {kind} graph consistency"
-    return f"{samples} samples, order {order}"
+@_sampled(
+    "additive-graph-consistency",
+    lambda rng, order: random_rooted_graph(rng, 1, 4),
+    lambda rng, order: random_birooted_graph(rng, 1, 4),
+)
+def check_additive_graph_consistency(order, g1, g2):
+    mu1 = root_moments(g1, order)
+    mu2 = root_moments(g2, order)
+    nu2 = root_moments(g2, order, at=g2.second_root)
+    for kind, build in ADDITIVE_WALK_PRODUCTS.items():
+        nu = nu2 if kind == "c-monotone" else None
+        expect = additive_convolve(kind, mu1, mu2, nu)
+        got = root_moments(build(g1, g2).graph, order).coeffs
+        _same(got, expect.coeffs, ": {} graph consistency", kind)
 
 
 def transforms_suite(cfg: VerifyConfig) -> list:
@@ -708,11 +707,11 @@ def _collapsed_words(letters, max_len: int) -> list:
     return [(w, collapse_word(w)) for w in all_words(letters, max_len)]
 
 
-def _assert_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
-    """Each realization's phi and psi moments equal the c-monotone oracle on
-    every (word, collapsed word) of `words`; `realizations` maps a message
-    prefix to a realization. The oracle's memo serves `pairs` only and is
-    dropped on return."""
+def _same_as_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
+    """Compare each realization's phi and psi moments with the c-monotone
+    oracle on every (word, collapsed word) of `words`; `realizations` maps a
+    witness prefix to a realization. The oracle's memo serves `pairs` only
+    and is dropped on return."""
     evs = [
         (tag, r.evaluator("phi"), r.evaluator("psi"))
         for tag, r in realizations.items()
@@ -721,22 +720,19 @@ def _assert_cmonotone(realizations: dict, words, pairs: dict, where: str) -> Non
     for w, cw in words:
         phi_expect, psi_expect = oracle_cmonotone(cw, pairs, memo)
         for tag, ev_phi, ev_psi in evs:
-            assert ev_phi.moment(w) == phi_expect, f"{where}, word {w}: {tag}phi"
-            assert ev_psi.moment(w) == psi_expect, f"{where}, word {w}: {tag}psi"
+            _same(ev_phi.moment(w), phi_expect, "{}, word {}: {}phi", where, w, tag)
+            _same(ev_psi.moment(w), psi_expect, "{}, word {}: {}psi", where, w, tag)
 
 
 def model_pairs(cfg: VerifyConfig):
     rng = random.Random(cfg.seed + 4)
-    out = []
-    for k in range(cfg.model_samples):
-        frac = k < 5
-        out.append(
-            (
-                random_model(rng, two_state=True, use_fractions=frac),
-                random_model(rng, two_state=True, use_fractions=frac),
-            )
+    return [
+        (
+            random_model(rng, two_state=True, use_fractions=k < 5),
+            random_model(rng, two_state=True, use_fractions=k < 5),
         )
-    return out
+        for k in range(cfg.model_samples)
+    ]
 
 
 @_check("pair-kind-oracle-equality")
@@ -750,8 +746,7 @@ def check_pair_kinds(model_pairs, max_word: int):
             memo: dict = {}
             for w, cw in words:
                 expect = oracle_moment(kind, cw, fns, memo)
-                got = ev.moment(w)
-                assert got == expect, f"model {k}, {kind}, word {w}"
+                _same(ev.moment(w), expect, "model {}, {}, word {}", k, kind, w)
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
 
@@ -760,18 +755,15 @@ def check_single_letter_states(model_pairs):
     for k, (m1, m2) in enumerate(model_pairs):
         for kind in ("boolean", "monotone", "orthogonal", "tensor"):
             r = realize_pair(kind, m1, m2)
-            assert r.moment([(1, "a")]) == m1.vector_state(("a",), m1.xi), (
-                f"model {k}: {kind} first marginal"
-            )
+            first = m1.vector_state(("a",), m1.xi)
+            _same(r.moment([(1, "a")]), first, "model {}: {} first marginal", k, kind)
             # the orthogonal state kills the second algebra outright
             second = 0 if kind == "orthogonal" else m2.vector_state(("a",), m2.xi)
-            assert r.moment([(2, "a")]) == second, (
-                f"model {k}: {kind} second marginal"
-            )
+            _same(r.moment([(2, "a")]), second, "model {}: {} second marginal", k, kind)
         r = realize_cmonotone_pair(m1, m2)
         for j, m in ((1, m1), (2, m2)):
-            assert r.moment([(j, "a")], "phi") == m.vector_state(("a",), m.xi)
-            assert r.moment([(j, "a")], "psi") == m.vector_state(("a",), m.eta)
+            _same(r.moment([(j, "a")], "phi"), m.vector_state(("a",), m.xi))
+            _same(r.moment([(j, "a")], "psi"), m.vector_state(("a",), m.eta))
     return f"{len(model_pairs)} models"
 
 
@@ -784,7 +776,7 @@ def check_cmonotone_pair(model_pairs, max_word: int):
             "variant ": realize_cmonotone_pair(m1, m2, variant=True),
         }
         pairs = two_state_pairs({1: m1, 2: m2})
-        _assert_cmonotone(realizations, words, pairs, f"model {k}")
+        _same_as_cmonotone(realizations, words, pairs, f"model {k}")
     return f"{len(model_pairs)} models, words to length {max_word}, with variant"
 
 
@@ -803,9 +795,8 @@ def check_family_pair_consistency(model_pairs, word_len: int):
         for w in words:
             fam_word = [fam_ops[l] for l in w]
             for s in ("phi", "psi"):
-                assert ev_fam[s].moment(fam_word) == ev_pair[s].moment(w), (
-                    f"model {k}, word {w}, state {s}"
-                )
+                got = ev_fam[s].moment(fam_word)
+                _same(got, ev_pair[s].moment(w), "model {}, word {}, state {}", k, w, s)
     return f"{len(subset)} models, words to length {word_len}"
 
 
@@ -831,7 +822,7 @@ def check_family_three(family_models, word_len: int):
     for k, models in enumerate(family_models):
         fam = realize_cmonotone_family(models)
         pairs = two_state_pairs(dict(enumerate(models)))
-        _assert_cmonotone({"": fam}, words, pairs, f"family {k}")
+        _same_as_cmonotone({"": fam}, words, pairs, f"family {k}")
     return f"{len(family_models)} families of 3, words to length {word_len}"
 
 
@@ -844,7 +835,7 @@ def check_local_max_choice(model_pairs):
         memo: dict = {}
         for w, cw in words:
             vals = oracle_cmonotone_all_orders(cw, pairs, memo)
-            assert len(vals) == 1, f"model {k}, word {w}: {len(vals)} values"
+            _same(len(vals), 1, "model {}, word {}: {} values", k, w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 
 
@@ -860,8 +851,8 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
         for w, cw in words:
             phi_val, psi_val = oracle_cmonotone(cw, degenerate, cmonotone_memo)
             mono = oracle_moment("monotone", cw, fns, monotone_memo)
-            assert phi_val == mono, f"model {k}, word {w}: phi"
-            assert psi_val == mono, f"model {k}, word {w}: psi"
+            _same(phi_val, mono, "model {}, word {}: phi", k, w)
+            _same(psi_val, mono, "model {}, word {}: psi", k, w)
     return f"{len(subset)} models, words to length {min(max_word, 7)}"
 
 
@@ -876,19 +867,8 @@ def check_separating_projection(model_pairs):
             for w2 in fam_words:
                 lhs = fam.moment(w1 + ("P",) + w2)
                 rhs = fam.moment(w1) * fam.moment(w2)
-                assert lhs == rhs, f"model {k}, words {w1}|{w2}"
+                _same(lhs, rhs, "model {}, words {}|{}", k, w1, w2)
     return f"{len(subset)} models, flank words to length 3"
-
-
-def _graph_bridge_pairs(cfg: VerifyConfig, count: int):
-    rng = random.Random(cfg.seed + 6)
-    return [
-        (
-            random_birooted_graph(rng, 1, 4),
-            random_birooted_graph(rng, 1, 4),
-        )
-        for _ in range(count)
-    ]
 
 
 def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
@@ -897,11 +877,15 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
     adjacencies (see independence.realize_graph_pair)."""
     decompose = c_comb_loop_decomposition if loops else c_comb_decomposition
     demo = fixtures.multiplicative_demo_pair if loops else fixtures.additive_demo_pair
-    cases = [demo()] + _graph_bridge_pairs(cfg, 8)
+    rng = random.Random(cfg.seed + 6)
+    cases = [demo()] + [
+        (random_birooted_graph(rng, 1, 4), random_birooted_graph(rng, 1, 4))
+        for _ in range(8)
+    ]
     words = _collapsed_words(PAIR_LETTERS, max_word)
     for k, (g1, g2) in enumerate(cases):
         realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2, loops)
-        _assert_cmonotone({"": realization}, words, pairs, f"pair {k}")
+        _same_as_cmonotone({"": realization}, words, pairs, f"pair {k}")
     return f"{len(cases)} graph pairs, words to length {max_word}"
 
 

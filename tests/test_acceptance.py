@@ -5,14 +5,20 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite is seeded and deterministic.
 """
 
+import ast
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
 from ccomb import verify
 from ccomb.independence import TableFunctional, oracle_cmonotone
+from ccomb.linalg import Matrix
 from ccomb.verify import VerifyConfig
 
 CFG = VerifyConfig()  # order 12, words to 8, 20 random graph pairs, 50 models
@@ -52,6 +58,88 @@ def test_verify_report_is_pinned():
     assert hashlib.sha256(report_text.encode()).hexdigest() == (
         "789603b680071477e7fecaf235f56f387bdb433e707bc79b580b0c2ee8c8fdef"
     )
+
+
+def _stable(value):
+    """A recorded argument in a form whose repr is fixed: sets sorted,
+    dicts by key, matrices as their shape and entries."""
+    if isinstance(value, Matrix):
+        return ("Matrix", value.rows, value.cols, value.data)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _stable(v)) for k, v in value.items()))
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_stable(v) for v in value)
+    return value
+
+
+def test_verify_draws_pinned_cases(monkeypatch):
+    # the report pin shows only counts; this pins the cases the suites draw,
+    # so a reordered or changed draw shows up even when every check passes
+    calls = []
+
+    def recording(name, original):
+        def record(*args, **kwargs):
+            calls.append((name, _stable(args), _stable(kwargs)))
+            return original(*args, **kwargs)
+
+        return record
+
+    for name in ("moment_series", "eta_series", "rooted", "birooted", "AlgebraModel"):
+        monkeypatch.setattr(verify, name, recording(name, getattr(verify, name)))
+    cfg = VerifyConfig(order=6, max_word=4, graph_samples=3, model_samples=4, seed=0)
+    assert all(c.passed for c in verify.run_suite("all", cfg))
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
+        "cfa5170dc2303c85041bf2fb1710286ad3b06b49366f359a7a1e99f05efe18a3"
+    )
+
+
+# boolean additive convolution broken to F1 + 2 F2 (on the F(z) - z
+# coefficients), so it no longer commutes
+_BROKEN_BOOLEAN = """
+import random, sys
+from ccomb import verify
+from ccomb.series import F_to_moments, FSeries, moments_to_F
+
+real = verify.additive_convolve
+
+def broken(kind, mu1, mu2, nu2=None):
+    if kind != "boolean":
+        return real(kind, mu1, mu2, nu2)
+    f1, f2 = moments_to_F(mu1).coeffs, moments_to_F(mu2).coeffs
+    return F_to_moments(FSeries("F", tuple(a + 2 * b for a, b in zip(f1, f2))))
+
+verify.additive_convolve = broken
+check = verify.check_boolean_commutative(random.Random(0), 3, 6)
+print(sys.flags.optimize, check.name, check.passed, repr(check.detail))
+"""
+
+
+def test_a_broken_identity_fails_under_python_O():
+    # python -O strips assert statements; a verdict must not depend on them
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_BOOLEAN],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+    assert out == "1 boolean-additive-commutative False 'sample 0'\n"
+
+
+def test_a_check_that_raises_reports_error():
+    @verify._check("raises")
+    def check():
+        raise ValueError("no such case")
+
+    assert check() == verify.Check("raises", False, "error: ValueError('no such case')")
+
+
+def test_verify_has_no_assert_statements():
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 
 
 def test_additive_three_route_agreement(additive):

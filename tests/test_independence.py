@@ -1,12 +1,14 @@
+import ast
 import random
 from math import prod
+from pathlib import Path
 
 from hypothesis import given
 import hypothesis.strategies as st
 import pytest
 import sympy as sp
 
-from ccomb import fixtures
+from ccomb import fixtures, independence, series
 from ccomb.graphs import adjacency_matrix
 from ccomb.independence import (
     ORACLE_KINDS,
@@ -540,3 +542,42 @@ def test_oracles_agree_on_a_word_and_its_collapse(word):
     assert oracle_cmonotone_all_orders(word, pairs) == oracle_cmonotone_all_orders(
         w, pairs
     )
+
+
+# The oracle route: the defining recursions and the factor-size functionals
+# they read. It must not share a kernel with the operator route.
+ORACLE_CODE = (
+    "oracle_moment",
+    "oracle_cmonotone",
+    "oracle_cmonotone_all_orders",
+    "_monotone",
+    "_orthogonal",
+    "_cmonotone_phi",
+    "ModelFunctional",
+    "AlgebraModel",
+)
+
+
+def _module_tree(module):
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def test_series_imports_no_other_ccomb_module():
+    for node in ast.walk(_module_tree(series)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, node.module
+            assert not (node.module or "").startswith("ccomb"), node.module
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "ccomb" for a in node.names)
+
+
+def test_oracle_code_uses_no_sparse_kernel():
+    defs = {
+        node.name: node
+        for node in _module_tree(independence).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for name in ORACLE_CODE:
+        for node in ast.walk(defs[name]):
+            used = getattr(node, "id", None) or getattr(node, "attr", "")
+            assert not used.startswith("sparse_"), (name, used)

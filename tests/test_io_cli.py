@@ -546,13 +546,27 @@ def test_cli_multiplicative_product_first_factor_has_no_walk_column(
         ("--max-word", "word cap must be positive"),
         ("--graphs", "sample counts must not be negative"),
         ("--models", "sample counts must not be negative"),
+        # one above each cap, given as flag=value
+        ("--order=1025", "order must be at most 1024"),
+        ("--max-word=17", "word cap must be at most 16"),
+        ("--graphs=10001", "sample counts must be at most 10000"),
+        ("--models=10001", "sample counts must be at most 10000"),
     ],
 )
 def test_cli_rejects_zero_order_and_word_cap(flag, message, capsys):
     # 0 is the smallest refused order and word cap; a sample count of 0 is valid
     value = "-1" if flag in ("--graphs", "--models") else "0"
-    assert main(["verify", "transforms", flag, value]) == 2
+    flags = [flag] if "=" in flag else [flag, value]
+    assert main(["verify", "transforms", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_accepts_each_cap_value(capsys):
+    # transforms reads min(order, 12) and no word cap or sample count, so the
+    # largest accepted values of all four flags run in well under a second
+    caps = ["--order", "1024", "--max-word", "16", "--graphs", "10000"]
+    assert main(["verify", "transforms", *caps, "--models", "10000"]) == 0
+    assert capsys.readouterr().out.endswith("fail=0 seed=0\n")
 
 
 @pytest.mark.parametrize(
