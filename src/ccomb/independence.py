@@ -11,10 +11,9 @@ Oracles evaluate the defining moment recursions exactly:
 
 * boolean      factorizes an alternating word into single-letter moments
 * monotone     strips a letter at a locally maximal algebra index
-* orthogonal   two algebras with a two-state rule: an inner letter b of the
-  higher algebra contributes psi(b) * (moment with b removed minus the
-  product of the flank moments); words that start or end in the higher
-  algebra vanish
+* orthogonal   two algebras: the c-monotone recursion below with phi = 0
+  on the higher algebra, whose functional is read as its psi; words that
+  start or end in the higher algebra vanish
 * tensor       the product of per-algebra moments with positions preserved
 * c-monotone   two-state recursion: a letter b at a local maximum splits as
   (phi(b) - psi(b)) * phi(left) * phi(right) + psi(b) * phi(contracted),
@@ -46,7 +45,6 @@ from .linalg import (
     Matrix,
     sparse_apply,
     sparse_columns,
-    sparse_complement,
     sparse_direct_sum,
     sparse_identity,
     sparse_kron,
@@ -239,25 +237,9 @@ def _monotone(w: tuple, functionals: dict, memo: dict, slot: int | None = None):
     return out
 
 
-def _orthogonal(w: tuple, lo_fn, hi_fn, lo: int, hi: int, memo: dict):
-    if not w:
-        return 1
-    if w in memo:
-        return memo[w]
-    if len(w) == 1 and w[0][0] == lo:
-        out = lo_fn(w[0][1])
-    elif w[0][0] == hi or w[-1][0] == hi:
-        out = 0
-    else:
-        # w opens in lo, so its first local maximum is the first letter of hi
-        i = _first_local_max(w)
-        psi_b = hi_fn(w[i][1])
-        whole = _orthogonal(_drop_and_merge(w, i), lo_fn, hi_fn, lo, hi, memo)
-        left = _orthogonal(w[:i], lo_fn, hi_fn, lo, hi, memo)
-        right = _orthogonal(w[i + 1 :], lo_fn, hi_fn, lo, hi, memo)
-        out = psi_b * (whole - left * right)
-    memo[w] = out
-    return out
+def _zero(names):
+    """Phi of the higher orthogonal algebra: 0 on every nonempty product."""
+    return 0
 
 
 def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
@@ -265,7 +247,9 @@ def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
 
     `functionals` maps each algebra index to a callable on name tuples. For
     the orthogonal kind exactly two indices take part and the functional of
-    the higher index is read as the psi-state of the orthogonal algebra.
+    the higher index is read as the psi-state of the orthogonal algebra: a
+    word that opens and closes in the lower algebra runs the c-monotone phi
+    recursion with phi = 0 on the higher one, and any other word vanishes.
     `memo`, owned by the caller, carries the recursion values from word to
     word; it must serve this `functionals` dict only. `word` may be raw or
     already collapsed (see collapse_word); a collapsed word is used as it is.
@@ -296,8 +280,11 @@ def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
     lo, hi = keys
     if any(j not in (lo, hi) for j, _ in w):
         raise ValueError("orthogonal words use exactly the two given algebras")
-    table = _memo_table(memo, functionals, kind)
-    return _orthogonal(w, functionals[lo], functionals[hi], lo, hi, table)
+    if w[0][0] == hi or w[-1][0] == hi:
+        return 0
+    # every word the recursion reaches from here opens and closes in lo
+    pairs = {lo: (functionals[lo], None), hi: (_zero, functionals[hi])}
+    return _cmonotone_phi(w, pairs, _memo_table(memo, functionals, kind))
 
 
 def _cmonotone_phi(v: tuple, pairs: dict, memo: dict):
@@ -481,7 +468,7 @@ def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Reali
 
         boolean     P (x) b
         monotone    1 (x) b
-        orthogonal  P-perp (x) b
+        orthogonal  P-perp (x) b, with P-perp built as 1 - P
         tensor      1 (x) b with the first algebra acting as a (x) 1
     """
     if kind not in ORACLE_KINDS:
@@ -494,7 +481,9 @@ def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Reali
     if kind == "boolean":
         left = sparse_projection(d1, model1.xi)
     elif kind == "orthogonal":
-        left = sparse_complement(d1, model1.xi)
+        left = sparse_sum(
+            sparse_identity(d1), sparse_projection(d1, model1.xi), signs=(1, -1)
+        )
     else:
         left = sparse_identity(d1)
     for name, b in model2.elements.items():

@@ -10,9 +10,10 @@ use safe.
 Operators on the ambient tensor spaces and on product graphs are
 column-sparse: a square operator of dimension n is a list of n columns, each
 the list of its ``(row, value)`` nonzeros in increasing row order. Builders
-(`sparse_identity`, `sparse_projection`, `sparse_complement`, `sparse_kron`,
-`sparse_sum`, `sparse_direct_sum`) and `subspace_restrict` keep that order,
-so two operators are equal exactly when their column lists are.
+(`sparse_identity`, `sparse_projection`, `sparse_kron`, `sparse_sum`,
+`sparse_direct_sum`) and `subspace_restrict` keep that order, so two
+operators are equal exactly when their column lists are; a complement
+projection P-perp is built as the signed sum 1 - P.
 `sparse_apply` maps a sparse vector ``{index: value}``, `sparse_transpose`
 turns columns into rows, and `sparse_moments` is the one moment kernel.
 The dense `Matrix` serves the factor-size oracle models only.
@@ -39,7 +40,6 @@ __all__ = [
     "sparse_transpose",
     "sparse_identity",
     "sparse_projection",
-    "sparse_complement",
     "sparse_kron",
     "sparse_sum",
     "sparse_direct_sum",
@@ -258,13 +258,6 @@ def sparse_projection(n: int, i: int) -> list:
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for dimension {n}")
     return [[(i, 1)] if j == i else [] for j in range(n)]
-
-
-def sparse_complement(n: int, i: int) -> list:
-    """Identity minus the coordinate projection."""
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for dimension {n}")
-    return [[] if j == i else [(j, 1)] for j in range(n)]
 
 
 def sparse_kron(*legs) -> list:

@@ -353,15 +353,15 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
     multiplicative convolution; sequences are 1-based (seq[k-1] is N(k)).
 
     boolean      sum over j + k = n + 1 of N1(j) N2(k)
-    orthogonal   sum over r >= 2 of N1(r) * products of N2 over
-                 compositions of n - 1 into r - 1 parts;  n = 1 gives N1(1)
     monotone     sum over r >= 1 of N1(r) * products of N2 over
                  compositions of n into r parts
     c-monotone   as monotone, but in each composition the first r - 1
                  factors come from nu2 and the last factor from mu2
+    orthogonal   c-monotone with nu2 = mu2 and mu2 the point mass at 1,
+                 eta = z: only compositions whose last part is 1 count
 
-    For monotone and c-monotone the sum starts at r = 1, where the nu2-part
-    is the empty product; the r = 1 term contributes N1(1) * N2(n).
+    The sum starts at r = 1, where the nu2-part is the empty product; the
+    r = 1 term contributes N1(1) * N2(n).
     """
     if n < 1:
         raise ValueError("coefficient index must be >= 1")
@@ -369,41 +369,29 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
         return sum(
             n_mu1[j - 1] * n_mu2[n + 1 - j - 1] for j in range(1, n + 1)
         )
-    if kind == "orthogonal":
-        if n == 1:
-            return n_mu1[0]
-        total = 0
-        for r in range(2, n + 1):
-            c = n_mu1[r - 1]
-            if not c:
+    if kind == "orthogonal":  # c-monotone with mu2 the point mass at 1
+        n_mu2, n_nu2 = (1,) + (0,) * (n - 1), n_mu2
+    elif kind == "monotone":
+        n_nu2 = n_mu2
+    elif kind != "c-monotone":
+        raise ValueError(f"unknown coefficient formula kind {kind!r}")
+    elif n_nu2 is None:
+        raise ValueError("c-monotone coefficient formula needs nu2")
+    total = 0
+    for r in range(1, n + 1):
+        c = n_mu1[r - 1]
+        if not c:
+            continue
+        inner = 0
+        for ks in compositions(n, r):
+            term = n_mu2[ks[-1] - 1]
+            if not term:
                 continue
-            inner = 0
-            for ks in compositions(n - 1, r - 1):
-                term = 1
-                for k in ks:
-                    term *= n_mu2[k - 1]
-                inner += term
-            total += c * inner
-        return total
-    if kind in ("monotone", "c-monotone"):
-        if kind == "monotone":
-            n_nu2 = n_mu2
-        elif n_nu2 is None:
-            raise ValueError("c-monotone coefficient formula needs nu2")
-        total = 0
-        for r in range(1, n + 1):
-            c = n_mu1[r - 1]
-            if not c:
-                continue
-            inner = 0
-            for ks in compositions(n, r):
-                term = n_mu2[ks[-1] - 1]
-                for k in ks[:-1]:
-                    term *= n_nu2[k - 1]
-                inner += term
-            total += c * inner
-        return total
-    raise ValueError(f"unknown coefficient formula kind {kind!r}")
+            for k in ks[:-1]:
+                term *= n_nu2[k - 1]
+            inner += term
+        total += c * inner
+    return total
 
 
 def series_csv_rows(values, first_index: int = 0) -> list:

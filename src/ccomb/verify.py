@@ -150,6 +150,7 @@ def _check(name: str):
                 return Check(name, False, f"error: {exc!r}")
             return Check(name, True, detail or "")
 
+        check.check_name = name
         return check
 
     return decorate
@@ -180,6 +181,12 @@ def _sampled(
         return check
 
     return decorate
+
+
+def _drawing(cfg: VerifyConfig, check, *args) -> Check:
+    """Run a check that draws its cases on a stream of its own, seeded by the
+    config seed and the check's name: no other check's draws move them."""
+    return check(random.Random(f"{cfg.seed}:{check.check_name}"), *args)
 
 
 # -- randomized inputs ----------------------------------------------------------
@@ -479,19 +486,19 @@ def check_d_walk_counts(pairs, walk_order: int):
 
 
 def products_suite(cfg: VerifyConfig) -> list:
-    rng = random.Random(cfg.seed + 2)
     pairs = additive_pairs(cfg)
     mpairs = multiplicative_pairs(cfg)
+    few = min(cfg.graph_samples, 12)
     return [
         check_additive_three_route(pairs, cfg.order),
         check_second_root_split(pairs, cfg.order),
-        check_vertex_count_formulas(rng, cfg.graph_samples),
-        check_superposition(rng, min(cfg.graph_samples, 12)),
-        check_comb_at_collapse(rng, min(cfg.graph_samples, 12)),
+        _drawing(cfg, check_vertex_count_formulas, cfg.graph_samples),
+        _drawing(cfg, check_superposition, few),
+        _drawing(cfg, check_comb_at_collapse, few),
         check_restriction_equalities(pairs),
-        check_walk_cross_oracle(rng, 6),
+        _drawing(cfg, check_walk_cross_oracle, 6),
         check_colored_split(mpairs[:6]),
-        check_comb_loop_loops(rng, min(cfg.graph_samples, 12)),
+        _drawing(cfg, check_comb_loop_loops, few),
         check_multiplicative_three_route(mpairs, MULT_ORDER),
         check_multiplicative_second_root(mpairs, MULT_ORDER),
         check_d_walk_counts(mpairs, WALK_ORDER),
@@ -674,23 +681,23 @@ def check_additive_graph_consistency(order, g1, g2):
 
 
 def transforms_suite(cfg: VerifyConfig) -> list:
-    rng = random.Random(cfg.seed + 3)
     order = min(cfg.order, 12)
+    low = min(order, 10)
     n_random = 20
     return [
-        check_F_roundtrip(rng, n_random, order),
-        check_psi_eta_roundtrip(rng, n_random, order),
-        check_compose_identity(rng, 10, min(order, 10)),
-        check_compose_associativity(rng, 10, min(order, 10)),
-        check_additive_collapses(rng, n_random, min(order, 10)),
-        check_boolean_commutative(rng, n_random, order),
+        _drawing(cfg, check_F_roundtrip, n_random, order),
+        _drawing(cfg, check_psi_eta_roundtrip, n_random, order),
+        _drawing(cfg, check_compose_identity, 10, low),
+        _drawing(cfg, check_compose_associativity, 10, low),
+        _drawing(cfg, check_additive_collapses, n_random, low),
+        _drawing(cfg, check_boolean_commutative, n_random, order),
         check_noncommutative_witnesses(order),
-        check_mult_delta1(rng, n_random, 10),
-        check_mult_nu_eq_mu(rng, n_random, 10),
-        check_mult_decomposition(rng, n_random, 10),
-        check_mult_identity(rng, 10, 10),
-        check_coefficient_formula_engine(rng, 8, 10),
-        check_additive_graph_consistency(rng, 10, min(order, 10)),
+        _drawing(cfg, check_mult_delta1, n_random, 10),
+        _drawing(cfg, check_mult_nu_eq_mu, n_random, 10),
+        _drawing(cfg, check_mult_decomposition, n_random, 10),
+        _drawing(cfg, check_mult_identity, 10, 10),
+        _drawing(cfg, check_coefficient_formula_engine, 8, 10),
+        _drawing(cfg, check_additive_graph_consistency, 10, low),
     ]
 
 

@@ -91,8 +91,40 @@ def test_verify_draws_pinned_cases(monkeypatch):
     cfg = VerifyConfig(order=6, max_word=4, graph_samples=3, model_samples=4, seed=0)
     assert all(c.passed for c in verify.run_suite("all", cfg))
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
-        "cfa5170dc2303c85041bf2fb1710286ad3b06b49366f359a7a1e99f05efe18a3"
+        "ab9111c3fa744438ac8e87c02e60ed8f0b4152bd2caf0bcf6a04ada9ea605597"
     )
+
+
+def _identity_witness(seed):
+    cfg = VerifyConfig(order=6, seed=seed)
+    (check,) = [
+        c
+        for c in verify.transforms_suite(cfg)
+        if c.name == "multiplicative-identity-element"
+    ]
+    assert not check.passed
+    return check.detail
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5])
+def test_a_check_draws_its_cases_whatever_earlier_checks_draw(monkeypatch, seed):
+    # monotone multiplicative convolution faulted where the first factor's
+    # first eta coefficient is negative: only the right identity of such a
+    # case fails, so the witness names the first case drawn negative
+    real = verify.multiplicative_convolve
+
+    def faulty(kind, mu1, mu2, nu2=None):
+        out = real(kind, mu1, mu2, nu2)
+        if kind == "monotone" and mu1.coeffs[0] < 0:
+            return verify.eta_series((out.coeffs[0] + 1,) + out.coeffs[1:])
+        return out
+
+    monkeypatch.setattr(verify, "multiplicative_convolve", faulty)
+    witness = _identity_witness(seed)
+    # an earlier check that now draws nothing
+    stub = verify._check("compose-identity")(lambda rng, samples, order: None)
+    monkeypatch.setattr(verify, "check_compose_identity", stub)
+    assert _identity_witness(seed) == witness
 
 
 # boolean additive convolution broken to F1 + 2 F2 (on the F(z) - z

@@ -551,7 +551,7 @@ ORACLE_CODE = (
     "oracle_cmonotone",
     "oracle_cmonotone_all_orders",
     "_monotone",
-    "_orthogonal",
+    "_zero",
     "_cmonotone_phi",
     "ModelFunctional",
     "AlgebraModel",

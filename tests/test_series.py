@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from ccomb.series import (
     DivisorVanishes,
@@ -25,7 +26,7 @@ from ccomb.series import (
     series_csv_rows,
 )
 
-from conftest import eta_sequences, moment_sequences
+from conftest import eta_sequences, moment_sequences, small_fractions
 
 EDGE = moment_series((1, 0, 1, 0, 1))
 
@@ -224,6 +225,35 @@ def test_coefficient_formula_matches_engine(h1, h2, h_nu):
                 coefficient_formula(kind, n, h1.coeffs, h2.coeffs, h_nu.coeffs)
                 == engine.coeffs[n - 1]
             ), (kind, n)
+
+
+def _orthogonal_reference(n, n_mu1, n_mu2):
+    # the direct orthogonal sum: N1(r) times products of N2 over the
+    # compositions of n - 1 into r - 1 parts, r >= 2; n = 1 gives N1(1)
+    if n == 1:
+        return n_mu1[0]
+    total = 0
+    for r in range(2, n + 1):
+        for ks in compositions(n - 1, r - 1):
+            term = n_mu1[r - 1]
+            for k in ks:
+                term *= n_mu2[k - 1]
+            total += term
+    return total
+
+
+_sparse_etas = st.lists(
+    st.one_of(st.just(0), small_fractions), min_size=10, max_size=10
+)
+
+
+@given(_sparse_etas, _sparse_etas)
+def test_orthogonal_coefficient_formula_matches_direct_sum(n_mu1, n_mu2):
+    # orthogonal is the c-monotone sum with mu2 the point mass at 1
+    for n in range(1, 11):
+        assert coefficient_formula("orthogonal", n, n_mu1, n_mu2) == (
+            _orthogonal_reference(n, n_mu1, n_mu2)
+        ), n
 
 
 def test_csv_rows():

@@ -11,12 +11,12 @@ from ccomb.graphs import (
     rooted,
     two_step_moments,
 )
+from ccomb.independence import AlgebraModel, realize_pair
 from ccomb.linalg import (
     Matrix,
     direct_sum,
     kron,
     sparse_columns,
-    sparse_complement,
     sparse_direct_sum,
     sparse_identity,
     sparse_kron,
@@ -101,7 +101,16 @@ def test_sparse_legs_match_dense(n, data):
     i = data.draw(st.integers(0, n - 1))
     assert sparse_identity(n) == sparse_columns(Matrix.identity(n))
     assert sparse_projection(n, i) == sparse_columns(basis_projection(n, i))
-    assert sparse_complement(n, i) == sparse_columns(complement_projection(n, i))
+
+
+@given(matrices(), matrices(), st.data())
+def test_orthogonal_pair_complement_leg_matches_dense(a, b, data):
+    # realize_pair builds P-perp as 1 - P; compare with the dense complement
+    xi1 = data.draw(st.integers(0, a.rows - 1))
+    xi2 = data.draw(st.integers(0, b.rows - 1))
+    m1, m2 = AlgebraModel({"a": a}, xi1), AlgebraModel({"b": b}, xi2)
+    op = realize_pair("orthogonal", m1, m2).operators[(2, "b")]
+    assert op == sparse_columns(kron(complement_projection(a.rows, xi1), b))
 
 
 def test_sparse_shape_errors():
