@@ -147,9 +147,25 @@ def _cmd_moments(args) -> int:
     else:
         at = g.root
     moments = root_moments(g, args.order, at=at)
-    rows = series_csv_rows(moments.coeffs, first_index=0)
-    _write_or_print("\n".join(rows) + "\n", args.out)
+    _write_or_print(_table_text(moments.coeffs, 0), args.out)
     return 0
+
+
+def _table_text(values, first: int, walks=None) -> str:
+    """The CSV text of a coefficient table, with the walk column when
+    `walks` is given; an exact value too long to print exits 2."""
+    try:
+        rows = series_csv_rows(values, first_index=first)
+        if walks is not None:
+            header = rows[0] + ",walk_count,equal"
+            body = [
+                f"{row},{w},{'yes' if v == w else 'no'}"
+                for row, v, w in zip(rows[1:], values, walks)
+            ]
+            rows = [header, *body]
+    except ValueError as exc:  # past the int-to-str digit limit
+        raise _CliError(f"cannot print an exact value: {exc}") from exc
+    return "\n".join(rows) + "\n"
 
 
 def _load_additive_input(path, order):
@@ -237,15 +253,7 @@ def _cmd_convolve(args) -> int:
     except DivisorVanishes as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    rows = series_csv_rows(values, first_index=first)
-    if walks is not None:
-        header = rows[0] + ",walk_count,equal"
-        body = [
-            f"{row},{w},{'yes' if v == w else 'no'}"
-            for row, v, w in zip(rows[1:], values, walks)
-        ]
-        rows = [header, *body]
-    _write_or_print("\n".join(rows) + "\n", args.out)
+    _write_or_print(_table_text(values, first, walks), args.out)
     return 0
 
 

@@ -27,6 +27,7 @@ from .graphs import colored
 __all__ = [
     "GraphFormatError",
     "MAX_VERTICES",
+    "MAX_EXPONENT",
     "parse_graph",
     "load_graph",
     "format_graph",
@@ -43,6 +44,8 @@ class GraphFormatError(ValueError):
 
 _KNOWN_KEYS = ("vertices", "root", "second_root", "edges", "labels")
 MAX_VERTICES = 1_000_000  # larger graphs would exhaust memory in any command
+# a table value's largest decimal exponent: the default int-to-str digit limit
+MAX_EXPONENT = 4300
 
 
 def _is_index(x) -> bool:
@@ -146,6 +149,17 @@ def to_dot(graph, labels=None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _table_value(text: str) -> Fraction:
+    """One exact table value. An exponent beyond MAX_EXPONENT is refused
+    before `Fraction` expands it into a power of ten."""
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    too_long = len(digits) > len(str(MAX_EXPONENT))
+    if e and digits.isdecimal() and (too_long or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"exponent {exponent.strip()} exceeds {MAX_EXPONENT} in size")
+    return Fraction(text)
+
+
 def parse_moment_table(text: str) -> list:
     """Parse a CSV moment table; accepts the emitted `n,fraction,decimal`
     layout or plain `n,value` rows and returns the values M_0, M_1, ... in
@@ -159,7 +173,7 @@ def parse_moment_table(text: str) -> list:
         if len(parts) < 2:
             raise ValueError(f"bad table row {line!r}")
         try:
-            value = Fraction(parts[1])
+            value = _table_value(parts[1])
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in table row {line!r}") from None
         rows.append((int(parts[0]), value))

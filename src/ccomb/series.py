@@ -396,9 +396,14 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
 
 def series_csv_rows(values, first_index: int = 0) -> list:
     """CSV rows `n,value-as-fraction,value-as-decimal` for a coefficient
-    table; exact values are never rounded away, the decimal is advisory."""
+    table; exact values are never rounded away, the decimal is advisory and
+    reads `inf` or `-inf` beyond the float range."""
     rows = ["n,fraction,decimal"]
     for k, v in enumerate(values):
         f = Fraction(v)
-        rows.append(f"{first_index + k},{f},{float(f)!r}")
+        try:
+            decimal = repr(float(f))
+        except OverflowError:
+            decimal = "inf" if f > 0 else "-inf"
+        rows.append(f"{first_index + k},{f},{decimal}")
     return rows

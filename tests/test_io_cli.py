@@ -1,4 +1,7 @@
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +17,7 @@ from ccomb.io import (
     save_graph,
     to_dot,
 )
-from ccomb.series import additive_convolve
+from ccomb.series import additive_convolve, moment_series
 
 def fixture_path(name):
     from pathlib import Path
@@ -596,6 +599,34 @@ def test_cli_accepts_each_cap_value(capsys):
             ["word-moment", "g1", "g2", "3:x"],
             "error: letters must be 1:a or 2:a (one element per algebra)",
         ),
+        # exponents are refused before Fraction expands them; 1e10000000
+        # once spent about 26 s in that expansion
+        pytest.param(
+            ["convolve", "additive", "boolean", "huge", "huge", "--order", "2"],
+            "error: cannot read table {huge}: exponent 5000 exceeds 4300 in size",
+            id="exponent-5000",
+        ),
+        pytest.param(
+            ["convolve", "additive", "boolean", "tiny", "tiny", "--order", "2"],
+            "error: cannot read table {tiny}: exponent -5000 exceeds 4300 in size",
+            id="exponent--5000",
+        ),
+        pytest.param(
+            ["convolve", "additive", "boolean", "vast", "vast", "--order", "2"],
+            "error: cannot read table {vast}: exponent 10000000 exceeds 4300 in size",
+            id="exponent-10000000",
+        ),
+        pytest.param(
+            ["convolve", "additive", "boolean", "big", "big", "--order", "2"],
+            "error: cannot print an exact value: Exceeds the limit (4300 digits) "
+            "for integer string conversion; use sys.set_int_max_str_digits() to "
+            "increase the limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this Python prints integers of any length",
+            ),
+            id="exact-value-4301-digits",
+        ),
     ],
 )
 def test_cli_input_errors_print_one_line_and_exit_2(tmp_path, capsys, args, message):
@@ -606,7 +637,53 @@ def test_cli_input_errors_print_one_line_and_exit_2(tmp_path, capsys, args, mess
         "g2": fixture_path("additive_g2.graph"),
         "rooted": str(plain),
     }
+    tables = {
+        "big": "1e4300",
+        "huge": "1e5000",
+        "tiny": "1e-5000",
+        "vast": "1e10000000",
+    }
+    for name, value in tables.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        Path(paths[name]).write_text(f"0,1\n1,{value}\n2,1\n")
     argv = [paths.get(a, a) for a in args] + ["--out", str(tmp_path / "out")]
+    started = time.perf_counter()
     assert main(argv) == 2
+    # well under the tens of seconds an expanded exponent would take
+    assert time.perf_counter() - started < 5
     out, err = capsys.readouterr()
-    assert out == "" and err == message + "\n"
+    assert out == "" and err == message.format(**paths) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value, kind, decimals",
+    [
+        ("1e400", "monotone", ["1.0", "inf", "inf"]),
+        ("1" + "0" * 400, "monotone", ["1.0", "inf", "inf"]),
+        ("-1e400", "boolean", ["1.0", "-inf", "inf"]),
+    ],
+    ids=["1e400", "401-digit-integer", "-1e400"],
+)
+def test_cli_decimal_column_reads_inf_past_the_float_range(
+    tmp_path, capsys, value, kind, decimals
+):
+    t = tmp_path / "t.csv"
+    t.write_text(f"0,1\n1,{value}\n2,1\n")
+    assert main(["convolve", "additive", kind, str(t), str(t), "--order", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    mu = moment_series(parse_moment_table(t.read_text()))
+    expect = additive_convolve(kind, mu, mu).coeffs
+    assert [row.split(",")[1] for row in rows] == [str(Fraction(v)) for v in expect]
+    assert [row.split(",")[2] for row in rows] == decimals
+
+
+def test_cli_moments_decimal_column_reads_inf_at_high_order(tmp_path, capsys):
+    # 6 vertices, every pair joined and a loop at each: M_n = 6^(n-1),
+    # past the float range from n = 398
+    path = tmp_path / "k6.graph"
+    save_graph(path, rooted(6, [(i, j) for i in range(6) for j in range(i, 6)], 0))
+    assert main(["moments", str(path), "--order", "400"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows[397].split(",")[2] == repr(float(6**396))
+    assert [row.split(",")[2] for row in rows[398:]] == ["inf"] * 3
+    assert rows[400].split(",")[1] == str(6**399)
