@@ -163,7 +163,8 @@ def _table_value(text: str) -> Fraction:
 def parse_moment_table(text: str) -> list:
     """Parse a CSV moment table; accepts the emitted `n,fraction,decimal`
     layout or plain `n,value` rows and returns the values M_0, M_1, ... in
-    index order. The rows must cover n = 0, 1, ... without gaps."""
+    index order. The rows must cover n = 0, 1, ... without gaps, and a
+    decimal exponent may not exceed MAX_EXPONENT in size."""
     rows = []
     for raw in text.splitlines():
         line = raw.strip()

@@ -8,7 +8,9 @@ mismatch, and returns its detail line; `_check` turns it into a `Check` and
 alone decides PASS or FAIL, with no assert (so `python -O` agrees). The
 random-case identities go through `_sampled`, which owns the sample loop,
 the draws and the `sample {k}` witness prefix. All randomness flows from the
-seed in the config, so a given config yields byte-identical reports.
+seed in the config, so a given config yields byte-identical reports; each
+check that draws cases has a stream of its own, seeded by the config seed
+and the check's name, so no other check's draws move its cases.
 """
 
 from __future__ import annotations
