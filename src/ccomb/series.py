@@ -357,8 +357,8 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
                  compositions of n into r parts
     c-monotone   as monotone, but in each composition the first r - 1
                  factors come from nu2 and the last factor from mu2
-    orthogonal   c-monotone with nu2 = mu2 and mu2 the point mass at 1,
-                 eta = z: only compositions whose last part is 1 count
+    orthogonal   c-monotone with nu2 the given N2 and mu2 the point mass
+                 at 1 (eta = z): only compositions ending in 1 count
 
     The sum starts at r = 1, where the nu2-part is the empty product; the
     r = 1 term contributes N1(1) * N2(n).
