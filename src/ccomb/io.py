@@ -27,7 +27,6 @@ from .graphs import colored
 __all__ = [
     "GraphFormatError",
     "MAX_VERTICES",
-    "MAX_EXPONENT",
     "parse_graph",
     "load_graph",
     "format_graph",
@@ -44,8 +43,7 @@ class GraphFormatError(ValueError):
 
 _KNOWN_KEYS = ("vertices", "root", "second_root", "edges", "labels")
 MAX_VERTICES = 1_000_000  # larger graphs would exhaust memory in any command
-# a table value's largest decimal exponent: the default int-to-str digit limit
-MAX_EXPONENT = 4300
+MAX_EXPONENT = 4300  # a table value's largest decimal exponent: the digit limit
 
 
 def _is_index(x) -> bool:
@@ -152,11 +150,11 @@ def to_dot(graph, labels=None) -> str:
 def _table_value(text: str) -> Fraction:
     """One exact table value. An exponent beyond MAX_EXPONENT is refused
     before `Fraction` expands it into a power of ten."""
-    _, e, exponent = text.lower().partition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    exponent = text.lower().partition("e")[2].strip()
+    digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
     too_long = len(digits) > len(str(MAX_EXPONENT))
-    if e and digits.isdecimal() and (too_long or int(digits) > MAX_EXPONENT):
-        raise ValueError(f"exponent {exponent.strip()} exceeds {MAX_EXPONENT} in size")
+    if digits.isdecimal() and (too_long or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"exponent {exponent} exceeds {MAX_EXPONENT} in size")
     return Fraction(text)
 
 
