@@ -43,7 +43,7 @@ def main():
     ).coeffs
 
     print(f"essential component: {essential.vertex_count} vertices,"
-          f" root label {essential.label_of_root()}")
+          f" root label {essential.vertex_labels[essential.graph.root]}")
     print("n  walks      operator   transform  agree")
     for n in range(order + 1):
         ok = walks[n] == operator[n] == transform[n]

@@ -80,6 +80,9 @@ BIROOTED_FIRST = ("c-comb", "c-comb-loop")
 MAX_ORDER = 1024
 MAX_WORD = 16
 MAX_SAMPLES = 10_000
+# `word-moment` builds n1*n2*(n2 + 1) ambient coordinates and n1*n2*nnz(a2)
+# nonzeros in its second operator; memory follows their sum
+MAX_WORD_MOMENT_BUILD = 1_000_000
 
 
 def _out_dir(arg) -> Path:
@@ -203,16 +206,12 @@ _MULTIPLICATIVE_WALK_PRODUCTS = {
 
 def _walk_column(products, kind, g1, g2):
     """Product graph whose root moments give the walk column, or None when
-    an input is a table (g2 is None also when nu2 came from a third input)
-    or a multiplicative first graph has color-2 edges: its loop product keeps
-    them, so the two-step operator no longer realizes the convolution. The
-    product is still built, so factors it cannot glue exit 2."""
+    an input is a table (g2 is None also when nu2 came from a third input).
+    The product is built even where the caller then drops the column, so
+    factors it cannot glue exit 2."""
     if g1 is None or g2 is None or kind not in products:
         return None
-    prod = _build_product(products[kind], g1, g2).graph
-    if products is _MULTIPLICATIVE_WALK_PRODUCTS and g1.monochrome_edges(2):
-        return None
-    return prod
+    return _build_product(products[kind], g1, g2).graph
 
 
 def _cmd_convolve(args) -> int:
@@ -245,11 +244,12 @@ def _cmd_convolve(args) -> int:
             ).coeffs
             first = 1
             prod = _walk_column(_MULTIPLICATIVE_WALK_PRODUCTS, kind, g1, g2)
-            walks = (
-                None
-                if prod is None
-                else eta_from_moments(two_step_moments(prod, order)).coeffs
-            )
+            # a first graph with color-2 edges keeps them in its loop
+            # product, so the two-step operator no longer realizes the
+            # convolution
+            walks = None
+            if prod is not None and not g1.monochrome_edges(2):
+                walks = eta_from_moments(two_step_moments(prod, order)).coeffs
     except DivisorVanishes as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -262,6 +262,14 @@ def _cmd_word_moment(args) -> int:
     g2 = _load_graph_or_fail(args.g2)
     if g1.second_root is None or g2.second_root is None:
         raise _CliError("word moments need two birooted graphs")
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    nnz2 = sum(1 if i == j else 2 for i, j in g2.edges)
+    build = n1 * n2 * (n2 + 1 + nnz2)
+    if build > MAX_WORD_MOMENT_BUILD:
+        raise _CliError(
+            f"word moments would build {build} entries,"
+            f" more than {MAX_WORD_MOMENT_BUILD}"
+        )
     try:
         word = parse_word(args.word)
     except ValueError as exc:

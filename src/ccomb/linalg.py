@@ -94,10 +94,6 @@ class Matrix:
             data[i * n + i] = 1
         return cls(n, n, tuple(data))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def entry(self, i: int, j: int):
         return self.data[i * self.cols + j]
 
@@ -113,15 +109,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
 
     def transpose(self) -> "Matrix":
         data = tuple(

@@ -84,9 +84,6 @@ class ProductGraph:
     def vertex_count(self) -> int:
         return self.graph.vertex_count
 
-    def label_of_root(self):
-        return self.vertex_labels[self.graph.root]
-
 
 @dataclass(frozen=True)
 class OperatorDecomposition:

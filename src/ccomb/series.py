@@ -42,7 +42,6 @@ __all__ = [
     "eta_from_psi",
     "psi_from_eta",
     "eta_from_moments",
-    "moments_from_eta",
     "multiplicative_convolve",
     "coefficient_formula",
     "compositions",
@@ -269,10 +268,6 @@ def psi_from_eta(h: FSeries) -> FSeries:
 
 def eta_from_moments(m: MomentSeries) -> FSeries:
     return eta_from_psi(psi_from_moments(m))
-
-
-def moments_from_eta(h: FSeries) -> MomentSeries:
-    return moments_from_psi(psi_from_eta(h))
 
 
 # -- multiplicative convolutions ---------------------------------------------

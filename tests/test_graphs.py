@@ -81,13 +81,15 @@ def test_disjoint_union():
 
 @given(rooted_graphs())
 def test_adjacency_is_symmetric(g):
-    assert adjacency_matrix(g).is_symmetric()
+    a = adjacency_matrix(g)
+    assert a == a.transpose()
 
 
 def test_colored_adjacency_is_symmetric_per_color():
     g = colored(3, [(0, 1, 1), (1, 2, 2), (0, 2, 2), (1, 1, 1)], 0)
     for color in (1, 2, None):
-        assert adjacency_matrix(g, color).is_symmetric()
+        a = adjacency_matrix(g, color)
+        assert a == a.transpose()
 
 
 @given(rooted_graphs())

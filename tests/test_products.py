@@ -72,7 +72,7 @@ def test_star_glues_at_roots():
         1 for i, j, _c in prod.graph.colored_edges if prod.graph.root in (i, j)
     )
     assert root_degree == 2
-    assert prod.label_of_root() == (0, 0)
+    assert prod.vertex_labels[prod.graph.root] == (0, 0)
 
 
 def test_star_with_isolated_is_neutral():
@@ -120,7 +120,7 @@ def test_comb_at_demo_pair_size():
     g1, g2 = additive_demo_pair()
     prod = comb_at_product(g1, g2)
     assert prod.vertex_count == 12
-    assert prod.label_of_root() == (0, 1, 0)  # (e1, f2, e2)
+    assert prod.vertex_labels[prod.graph.root] == (0, 1, 0)  # (e1, f2, e2)
 
 
 def test_comb_at_label_set_matches_definition():

@@ -2,8 +2,9 @@
 of megabytes; the column-sparse operators keep each well under a second."""
 
 import random
+from time import perf_counter
 
-from ccomb.cli import main
+from ccomb.cli import MAX_WORD_MOMENT_BUILD, main
 from ccomb.graphs import birooted
 from ccomb.io import save_graph
 from ccomb.products import c_comb_decomposition
@@ -49,3 +50,16 @@ def test_multiplicative_c_monotone_walk_column_on_16_vertex_factors(tmp_path, ca
     assert lines[0].endswith(",walk_count,equal")
     assert len(lines) == 9
     assert all(line.endswith(",yes") for line in lines[1:])
+
+
+def test_word_moment_refuses_a_1000_vertex_factor_up_front(tmp_path, capsys):
+    big = tmp_path / "big.graph"
+    save_graph(big, birooted(1000, [(v, v + 1) for v in range(999)], 0, 1))
+    start = perf_counter()
+    code = main(["word-moment", str(big), str(big), "1:a 2:a"])
+    elapsed = perf_counter() - start
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(MAX_WORD_MOMENT_BUILD) in err
+    assert elapsed < 1.0
