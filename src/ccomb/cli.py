@@ -83,6 +83,18 @@ MAX_SAMPLES = 10_000
 # `word-moment` builds n1*n2*(n2 + 1) ambient coordinates and n1*n2*nnz(a2)
 # nonzeros in its second operator; memory follows their sum
 MAX_WORD_MOMENT_BUILD = 1_000_000
+# the oracle of an n-letter word compiles O(n^2) subwords, each a tuple copy,
+# so its time grows about as n^3: 0.35 s at 256 letters, 77 s at 1,600
+MAX_WORD_LETTERS = 256
+
+# the vertex count of each product from its factor sizes, n1 * n2 when not
+# listed; a product above io.MAX_VERTICES is refused before it is built
+_PRODUCT_VERTICES = {
+    star_product: lambda n1, n2: n1 + n2 - 1,
+    orthogonal_product: lambda n1, n2: (n1 - 1) * n2 + 1,
+    c_comb_product: lambda n1, n2: 2 * n1 * n2,
+    c_comb_loop_product: lambda n1, n2: 2 * n1 * n2,
+}
 
 
 def _out_dir(arg) -> Path:
@@ -190,6 +202,12 @@ def _load_additive_input(path, order):
 
 
 def _build_product(build, g1, g2):
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    vertices = _PRODUCT_VERTICES.get(build, lambda n1, n2: n1 * n2)(n1, n2)
+    if vertices > gio.MAX_VERTICES:
+        raise _CliError(
+            f"the product would have {vertices} vertices, more than {gio.MAX_VERTICES}"
+        )
     try:
         return build(g1, g2)
     except ValueError as exc:
@@ -274,6 +292,10 @@ def _cmd_word_moment(args) -> int:
         word = parse_word(args.word)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
+    if len(word) > MAX_WORD_LETTERS:
+        raise _CliError(
+            f"the word has {len(word)} letters, more than {MAX_WORD_LETTERS}"
+        )
     if any(j not in (1, 2) or name != "a" for j, name in word):
         raise _CliError("letters must be 1:a or 2:a (one element per algebra)")
     realization, pairs = realize_graph_pair(c_comb_decomposition(g1, g2), g1, g2)

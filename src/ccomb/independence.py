@@ -20,6 +20,11 @@ Oracles evaluate the defining moment recursions exactly:
   with empty flanks evaluating to one, and the family is monotone
   independent under psi
 
+The shape of each recursion depends on the word alone, so `WordPlan`
+compiles it once per word list and evaluates it per functional set;
+`oracle_moment` and `oracle_cmonotone` are its one-word form. The
+all-orders oracle keeps a recursion of its own over every local maximum.
+
 Realizations model each algebra by named exact matrices with one or two
 distinguished coordinates xi (for phi) and eta (for psi); the adjoined
 separating idempotent of each extended state acts as the coordinate
@@ -37,6 +42,7 @@ the factor adjacencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from math import prod
 
@@ -59,6 +65,7 @@ __all__ = [
     "ModelFunctional",
     "TableFunctional",
     "Realization",
+    "WordPlan",
     "parse_word",
     "collapse_word",
     "oracle_moment",
@@ -211,38 +218,179 @@ def _first_local_max(w: tuple) -> int:
     return len(w) - 1
 
 
-def _memo_table(memo, functionals, recursion: str) -> dict:
-    """The table of one recursion inside a caller-owned memo. A memo holds
-    oracle values of one functional set only: the values of a collapsed
-    word depend on nothing else, so the words of a check can share it."""
-    if memo is None:
-        return {}
-    if memo.setdefault("functionals", functionals) is not functionals:
-        raise ValueError("a memo serves one functional set only")
-    return memo.setdefault(recursion, {})
-
-
-def _monotone(w: tuple, functionals: dict, memo: dict, slot: int | None = None):
-    """The monotone recursion; with `slot`, `functionals` maps each index to
-    a functional pair and the recursion reads entry `slot` of the pair."""
-    if not w:
-        return 1
-    if w in memo:
-        return memo[w]
-    i = _first_local_max(w)
-    j, names = w[i]
-    fn = functionals[j] if slot is None else functionals[j][slot]
-    out = fn(names) * _monotone(_drop_and_merge(w, i), functionals, memo, slot)
-    memo[w] = out
-    return out
-
-
 def _zero(names):
     """Phi of the higher orthogonal algebra: 0 on every nonempty product."""
     return 0
 
 
-def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
+def _phi_split(v: tuple) -> tuple:
+    """The letter the c-monotone phi recursion strips from a collapsed word
+    and the subwords it reads: none for one letter, else the left and right
+    flanks and the contracted word."""
+    if len(v) == 1:
+        return 0, ()
+    i = _first_local_max(v)
+    return i, (v[:i], v[i + 1 :], _drop_and_merge(v, i))
+
+
+def _monotone_split(v: tuple) -> tuple:
+    i = _first_local_max(v)
+    return i, (_drop_and_merge(v, i),)
+
+
+class WordPlan:
+    """The moment recursions of a word list, compiled once and evaluated for
+    any functional set.
+
+    The shape of a recursion depends on the word alone: which letter is the
+    first local maximum, and what its left, right and contracted subwords
+    are. The plan holds that shape: the distinct letters ``(j, names)`` by
+    slot; the c-monotone phi nodes ``(slot, left, right, rest)`` and
+    single-letter leaves ``(slot,)``; the monotone nodes ``(slot, rest)``,
+    also the psi recursion of c-monotone; the boolean and tensor factor
+    slots of each word; and each word's target node. Each is compiled on
+    first use.
+
+    An evaluation reads each letter value it needs once, then fills a flat
+    value list in node order, subwords first and the empty word at 0 with
+    value 1, with no recursion and no hashing. A leaf is phi of its letter
+    as the functional returns it, and every other node repeats the
+    recursion's arithmetic term for term, so values keep their types.
+    Words are raw or collapsed (see collapse_word).
+    """
+
+    def __init__(self, words):
+        self._words = [collapse_word(w) for w in words]
+        self._letters: list = []  # (j, names) by slot
+        self._slots: dict = {}
+
+    def _slot(self, letter: tuple) -> int:
+        if letter not in self._slots:
+            self._slots[letter] = len(self._letters)
+            self._letters.append(letter)
+        return self._slots[letter]
+
+    def _compile(self, split) -> tuple:
+        """(nodes, targets) of one recursion. Node id 0 is the empty word;
+        nodes[k - 1], of id k, is (slot, *subword ids) of one word and comes
+        after its subwords; targets holds each word's id. `split(v)` gives
+        the index of the letter v strips and the subwords it reads."""
+        nodes, ids = [], {(): 0}
+
+        def node(v: tuple) -> int:
+            if v not in ids:
+                i, subwords = split(v)
+                nodes.append((self._slot(v[i]), *map(node, subwords)))
+                ids[v] = len(nodes)
+            return ids[v]
+
+        return nodes, [node(w) for w in self._words]
+
+    @cached_property
+    def _phi(self) -> tuple:
+        return self._compile(_phi_split)
+
+    @cached_property
+    def _monotone(self) -> tuple:
+        return self._compile(_monotone_split)
+
+    @cached_property
+    def _boolean(self) -> list:
+        return [[self._slot(letter) for letter in w] for w in self._words]
+
+    @cached_property
+    def _tensor(self) -> list:
+        lists = []
+        for w in self._words:
+            per_algebra: dict = {}
+            for j, names in w:
+                per_algebra[j] = per_algebra.get(j, ()) + names
+            lists.append([self._slot(letter) for letter in per_algebra.items()])
+        return lists
+
+    def _read(self, functionals: dict, slots) -> list:
+        """Each letter value of `slots` under its algebra's functional, by
+        slot; the others stay None."""
+        values = [None] * len(self._letters)
+        for s in slots:
+            j, names = self._letters[s]
+            values[s] = functionals[j](names)
+        return values
+
+    def _phi_reads(self) -> tuple:
+        """The slots whose phi and whose psi the phi recursion reads."""
+        nodes, _ = self._phi
+        return {node[0] for node in nodes}, {node[0] for node in nodes if len(node) > 1}
+
+    def _run_phi(self, a: list, b: list) -> list:
+        """Phi of each word from the letter values a of phi and b of psi."""
+        nodes, targets = self._phi
+        values = [1]
+        append = values.append
+        for node in nodes:
+            s = node[0]
+            if len(node) == 1:
+                append(a[s])
+                continue
+            _, left, right, rest = node
+            append((a[s] - b[s]) * values[left] * values[right] + b[s] * values[rest])
+        return [values[t] for t in targets]
+
+    def _run_monotone(self, a: list) -> list:
+        nodes, targets = self._monotone
+        values = [1]
+        append = values.append
+        for s, rest in nodes:
+            append(a[s] * values[rest])
+        return [values[t] for t in targets]
+
+    def cmonotone(self, pairs: dict) -> list:
+        """(phi, psi) of each word under c-monotone independence, `pairs` as
+        in oracle_cmonotone."""
+        phi_reads, psi_reads = self._phi_reads()
+        psi_reads |= {s for s, _ in self._monotone[0]}
+        a = self._read({j: p[0] for j, p in pairs.items()}, phi_reads)
+        b = self._read({j: p[1] for j, p in pairs.items()}, psi_reads)
+        return list(zip(self._run_phi(a, b), self._run_monotone(b)))
+
+    def moments(self, kind: str, functionals: dict) -> list:
+        """The moment of each word under independence `kind`, `functionals`
+        as in oracle_moment."""
+        if kind not in ORACLE_KINDS:
+            raise ValueError(f"unknown independence kind {kind!r}")
+        if kind == "monotone":
+            reads = {s for s, _ in self._monotone[0]}
+            return self._run_monotone(self._read(functionals, reads))
+        if kind != "orthogonal":
+            lists = self._boolean if kind == "boolean" else self._tensor
+            a = self._read(functionals, {s for slots in lists for s in slots})
+            out = []
+            for slots in lists:
+                value = 1
+                for s in slots:
+                    value *= a[s]
+                out.append(value)
+            return out
+        if not any(self._words):
+            return [1] * len(self._words)
+        keys = sorted(functionals)
+        if len(keys) != 2:
+            raise ValueError("orthogonal evaluation needs exactly two functionals")
+        lo, hi = keys
+        if any(j not in (lo, hi) for w in self._words for j, _ in w):
+            raise ValueError("orthogonal words use exactly the two given algebras")
+        # a word opening and closing in lo only reaches such words, whose
+        # local maxima all lie in hi; the values of the others are dropped
+        phi_reads, psi_reads = self._phi_reads()
+        a = self._read({lo: functionals[lo], hi: _zero}, phi_reads)
+        b = self._read({hi: functionals[hi]}, psi_reads)
+        return [
+            0 if w and hi in (w[0][0], w[-1][0]) else value
+            for w, value in zip(self._words, self._run_phi(a, b))
+        ]
+
+
+def oracle_moment(kind: str, word, functionals: dict):
     """Evaluate a mixed moment by the defining recursion of `kind`.
 
     `functionals` maps each algebra index to a callable on name tuples. For
@@ -250,89 +398,39 @@ def oracle_moment(kind: str, word, functionals: dict, memo: dict | None = None):
     the higher index is read as the psi-state of the orthogonal algebra: a
     word that opens and closes in the lower algebra runs the c-monotone phi
     recursion with phi = 0 on the higher one, and any other word vanishes.
-    `memo`, owned by the caller, carries the recursion values from word to
-    word; it must serve this `functionals` dict only. `word` may be raw or
-    already collapsed (see collapse_word); a collapsed word is used as it is.
+    `word` may be raw or already collapsed (see collapse_word). This is the
+    one-word `WordPlan`; a word list shares one plan.
     """
-    if kind not in ORACLE_KINDS:
-        raise ValueError(f"unknown independence kind {kind!r}")
-    w = collapse_word(word)
-    if not w:
-        return 1
-    if kind == "boolean":
-        value = 1
-        for j, names in w:
-            value *= functionals[j](names)
-        return value
-    if kind == "monotone":
-        return _monotone(w, functionals, _memo_table(memo, functionals, kind))
-    if kind == "tensor":
-        per_algebra: dict = {}
-        for j, names in w:
-            per_algebra[j] = per_algebra.get(j, ()) + names
-        value = 1
-        for j, names in per_algebra.items():
-            value *= functionals[j](names)
-        return value
-    keys = sorted(functionals)
-    if len(keys) != 2:
-        raise ValueError("orthogonal evaluation needs exactly two functionals")
-    lo, hi = keys
-    if any(j not in (lo, hi) for j, _ in w):
-        raise ValueError("orthogonal words use exactly the two given algebras")
-    if w[0][0] == hi or w[-1][0] == hi:
-        return 0
-    # every word the recursion reaches from here opens and closes in lo
-    pairs = {lo: (functionals[lo], None), hi: (_zero, functionals[hi])}
-    return _cmonotone_phi(w, pairs, _memo_table(memo, functionals, kind))
+    return WordPlan([word]).moments(kind, functionals)[0]
 
 
-def _cmonotone_phi(v: tuple, pairs: dict, memo: dict):
-    if not v:
-        return 1
-    if v in memo:
-        return memo[v]
-    if len(v) == 1:
-        j, names = v[0]
-        out = pairs[j][0](names)
-    else:
-        i = _first_local_max(v)
-        j, names = v[i]
-        a_phi = pairs[j][0](names)
-        a_psi = pairs[j][1](names)
-        left = _cmonotone_phi(v[:i], pairs, memo)
-        right = _cmonotone_phi(v[i + 1 :], pairs, memo)
-        rest = _cmonotone_phi(_drop_and_merge(v, i), pairs, memo)
-        out = (a_phi - a_psi) * left * right + a_psi * rest
-    memo[v] = out
-    return out
-
-
-def oracle_cmonotone(word, pairs: dict, memo: dict | None = None):
+def oracle_cmonotone(word, pairs: dict):
     """Two-state moment of a word under c-monotone independence.
 
     `pairs` maps each algebra index to a (phi, psi) functional pair. Returns
     (phi_value, psi_value); psi_value follows the monotone recursion in the
     psi functionals. The phi recursion removes the first local maximum; the
     value does not depend on that choice (see oracle_cmonotone_all_orders).
-    `memo`, owned by the caller, carries both recursions' values from word
-    to word; it must serve this `pairs` dict only. `word` is raw or
-    collapsed, as in oracle_moment.
+    `word` is raw or collapsed, as in oracle_moment; this is the one-word
+    `WordPlan`.
     """
-    w = collapse_word(word)
-    return (
-        _cmonotone_phi(w, pairs, _memo_table(memo, pairs, "phi")),
-        _monotone(w, pairs, _memo_table(memo, pairs, "psi"), slot=1),
-    )
+    return WordPlan([word]).cmonotone(pairs)[0]
 
 
 def oracle_cmonotone_all_orders(
     word, pairs: dict, memo: dict | None = None
 ) -> frozenset:
     """All phi values reachable by choosing local maxima in any order;
-    a singleton set certifies choice independence for this word. `word` and
-    `memo` are as in oracle_cmonotone."""
-    table = _memo_table(memo, pairs, "all_orders")
+    a singleton set certifies choice independence for this word. It keeps a
+    recursion of its own over every local maximum, apart from the plan's
+    first-local-maximum rule. `memo`, owned by the caller, carries the
+    value sets from word to word; it must serve this `pairs` dict only.
+    `word` is raw or collapsed, as in oracle_cmonotone."""
+    table: dict = {}
+    if memo is not None:
+        if memo.setdefault("pairs", pairs) is not pairs:
+            raise ValueError("a memo serves one functional set only")
+        table = memo.setdefault("values", table)
 
     def values(v: tuple) -> frozenset:
         if not v:

@@ -33,11 +33,10 @@ from .graphs import (
 from .independence import (
     AlgebraModel,
     ModelFunctional,
+    WordPlan,
     all_words,
     collapse_word,
-    oracle_cmonotone,
     oracle_cmonotone_all_orders,
-    oracle_moment,
     realize_cmonotone_family,
     realize_cmonotone_pair,
     realize_graph_pair,
@@ -710,24 +709,15 @@ def _pair_functionals(m1: AlgebraModel, m2: AlgebraModel):
     return {1: ModelFunctional(m1, m1.xi), 2: ModelFunctional(m2, m2.xi)}
 
 
-def _collapsed_words(letters, max_len: int) -> list:
-    """Each word of `all_words` with its collapsed form: a check collapses
-    its word list once, and its oracle calls read the collapsed words."""
-    return [(w, collapse_word(w)) for w in all_words(letters, max_len)]
-
-
-def _same_as_cmonotone(realizations: dict, words, pairs: dict, where: str) -> None:
-    """Compare each realization's phi and psi moments with the c-monotone
-    oracle on every (word, collapsed word) of `words`; `realizations` maps a
-    witness prefix to a realization. The oracle's memo serves `pairs` only
-    and is dropped on return."""
+def _same_as_cmonotone(realizations: dict, words, expected, where: str) -> None:
+    """Compare each realization's phi and psi moments with the expected
+    (phi, psi) of each word, one `WordPlan.cmonotone` evaluation of `words`;
+    `realizations` maps a witness prefix to a realization."""
     evs = [
         (tag, r.evaluator("phi"), r.evaluator("psi"))
         for tag, r in realizations.items()
     ]
-    memo: dict = {}
-    for w, cw in words:
-        phi_expect, psi_expect = oracle_cmonotone(cw, pairs, memo)
+    for w, (phi_expect, psi_expect) in zip(words, expected):
         for tag, ev_phi, ev_psi in evs:
             _same(ev_phi.moment(w), phi_expect, "{}, word {}: {}phi", where, w, tag)
             _same(ev_psi.moment(w), psi_expect, "{}, word {}: {}psi", where, w, tag)
@@ -746,15 +736,13 @@ def model_pairs(cfg: VerifyConfig):
 
 @_check("pair-kind-oracle-equality")
 def check_pair_kinds(model_pairs, max_word: int):
-    words = _collapsed_words(PAIR_LETTERS, max_word)
+    words = all_words(PAIR_LETTERS, max_word)
+    plan = WordPlan(words)
     for k, (m1, m2) in enumerate(model_pairs):
         fns = _pair_functionals(m1, m2)
         for kind in ("boolean", "monotone", "orthogonal", "tensor"):
-            realization = realize_pair(kind, m1, m2)
-            ev = realization.evaluator("phi")
-            memo: dict = {}
-            for w, cw in words:
-                expect = oracle_moment(kind, cw, fns, memo)
+            ev = realize_pair(kind, m1, m2).evaluator("phi")
+            for w, expect in zip(words, plan.moments(kind, fns)):
                 _same(ev.moment(w), expect, "model {}, {}, word {}", k, kind, w)
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
@@ -778,14 +766,15 @@ def check_single_letter_states(model_pairs):
 
 @_check("cmonotone-pair-oracle-equality")
 def check_cmonotone_pair(model_pairs, max_word: int):
-    words = _collapsed_words(PAIR_LETTERS, max_word)
+    words = all_words(PAIR_LETTERS, max_word)
+    plan = WordPlan(words)
     for k, (m1, m2) in enumerate(model_pairs):
         realizations = {
             "": realize_cmonotone_pair(m1, m2),
             "variant ": realize_cmonotone_pair(m1, m2, variant=True),
         }
-        pairs = two_state_pairs({1: m1, 2: m2})
-        _same_as_cmonotone(realizations, words, pairs, f"model {k}")
+        expected = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
+        _same_as_cmonotone(realizations, words, expected, f"model {k}")
     return f"{len(model_pairs)} models, words to length {max_word}, with variant"
 
 
@@ -827,22 +816,24 @@ def family_models(cfg: VerifyConfig):
 
 @_check("family-three-oracle-equality")
 def check_family_three(family_models, word_len: int):
-    words = _collapsed_words(((0, "a"), (1, "a"), (2, "a")), word_len)
+    words = all_words(((0, "a"), (1, "a"), (2, "a")), word_len)
+    plan = WordPlan(words)
     for k, models in enumerate(family_models):
         fam = realize_cmonotone_family(models)
-        pairs = two_state_pairs(dict(enumerate(models)))
-        _same_as_cmonotone({"": fam}, words, pairs, f"family {k}")
+        expected = plan.cmonotone(two_state_pairs(dict(enumerate(models))))
+        _same_as_cmonotone({"": fam}, words, expected, f"family {k}")
     return f"{len(family_models)} families of 3, words to length {word_len}"
 
 
 @_check("local-maximum-choice-independence")
 def check_local_max_choice(model_pairs):
-    words = _collapsed_words(PAIR_LETTERS, ALL_ORDERS_WORD)
+    words = all_words(PAIR_LETTERS, ALL_ORDERS_WORD)
+    collapsed = [collapse_word(w) for w in words]
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         pairs = two_state_pairs({1: m1, 2: m2})
         memo: dict = {}
-        for w, cw in words:
+        for w, cw in zip(words, collapsed):
             vals = oracle_cmonotone_all_orders(cw, pairs, memo)
             _same(len(vals), 1, "model {}, word {}: {} values", k, w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
@@ -850,16 +841,14 @@ def check_local_max_choice(model_pairs):
 
 @_check("psi-equals-phi-monotone-collapse")
 def check_psi_equals_phi_collapse(model_pairs, max_word: int):
-    words = _collapsed_words(PAIR_LETTERS, min(max_word, 7))
+    words = all_words(PAIR_LETTERS, min(max_word, 7))
+    plan = WordPlan(words)
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
         fns = _pair_functionals(m1, m2)
         degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
-        cmonotone_memo: dict = {}
-        monotone_memo: dict = {}
-        for w, cw in words:
-            phi_val, psi_val = oracle_cmonotone(cw, degenerate, cmonotone_memo)
-            mono = oracle_moment("monotone", cw, fns, monotone_memo)
+        expected = zip(plan.cmonotone(degenerate), plan.moments("monotone", fns))
+        for w, ((phi_val, psi_val), mono) in zip(words, expected):
             _same(phi_val, mono, "model {}, word {}: phi", k, w)
             _same(psi_val, mono, "model {}, word {}: psi", k, w)
     return f"{len(subset)} models, words to length {min(max_word, 7)}"
@@ -891,10 +880,12 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
         (random_birooted_graph(rng, 1, 4), random_birooted_graph(rng, 1, 4))
         for _ in range(8)
     ]
-    words = _collapsed_words(PAIR_LETTERS, max_word)
+    words = all_words(PAIR_LETTERS, max_word)
+    plan = WordPlan(words)
     for k, (g1, g2) in enumerate(cases):
         realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2, loops)
-        _same_as_cmonotone({"": realization}, words, pairs, f"pair {k}")
+        expected = plan.cmonotone(pairs)
+        _same_as_cmonotone({"": realization}, words, expected, f"pair {k}")
     return f"{len(cases)} graph pairs, words to length {max_word}"
 
 

@@ -1,8 +1,8 @@
 """Fuzz tests: malformed graph text and random CLI calls end cleanly.
 
 A graph text either parses or raises GraphFormatError. A `convolve`,
-`product` or `moments` call returns 0, 2 or 3 and never raises; on exit 2
-it prints exactly one error line.
+`product`, `moments` or `word-moment` call returns 0, 2 or 3 and never
+raises; on exit 2 it prints exactly one error line.
 """
 
 import contextlib
@@ -13,7 +13,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 import pytest
 
-from ccomb.cli import PRODUCT_KINDS, main
+from ccomb.cli import MAX_WORD_LETTERS, PRODUCT_KINDS, main
 from ccomb.graphs import rooted
 from ccomb.io import GraphFormatError, load_graph, parse_graph, save_graph
 from ccomb.products import star_product
@@ -78,12 +78,22 @@ def _run(argv):
 
 
 _orders = st.integers(1, 6).map(lambda n: ["--order", str(n)])
+_TOKENS = ("1:a", "2:a", "3:a", "1:b", "x")
+# a word repeats a short pattern of good and bad tokens up to a length that
+# reaches the letter cap and one past it
+_words = st.builds(
+    lambda pattern, n: " ".join((pattern * n)[:n]),
+    st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3),
+    st.sampled_from((0, 1, 3, 8, MAX_WORD_LETTERS, MAX_WORD_LETTERS + 1)),
+)
 
 
 @given(st.data())
 def test_cli_calls_exit_0_2_or_3_with_one_error_line(inputs, data):
     outdir, paths = inputs
-    command = data.draw(st.sampled_from(("convolve", "product", "moments")))
+    command = data.draw(
+        st.sampled_from(("convolve", "product", "moments", "word-moment"))
+    )
     if command == "convolve":
         argv = [
             "convolve",
@@ -101,6 +111,15 @@ def test_cli_calls_exit_0_2_or_3_with_one_error_line(inputs, data):
             *data.draw(st.lists(st.sampled_from(paths), min_size=2, max_size=2)),
             "--out",
             str(outdir / "products"),
+        ]
+    elif command == "word-moment":
+        # the fixture graphs are birooted, so most words reach the letter checks
+        fixtures = [p for p in paths if p.startswith(str(FIXTURES))]
+        graph = st.one_of(st.sampled_from(fixtures), st.sampled_from(paths))
+        argv = [
+            "word-moment",
+            *data.draw(st.lists(graph, min_size=2, max_size=2)),
+            data.draw(_words),
         ]
     else:
         argv = [

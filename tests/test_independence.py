@@ -16,6 +16,7 @@ from ccomb.independence import (
     AlgebraModel,
     ModelFunctional,
     TableFunctional,
+    WordPlan,
     all_words,
     collapse_word,
     oracle_cmonotone,
@@ -34,6 +35,7 @@ from ccomb.verify import random_model
 
 from conftest import birooted_graphs
 from dense_reference import sparse_to_matrix
+from oracle_reference import drop_and_merge, reference_cmonotone, reference_moment
 
 
 def symbols(names):
@@ -323,9 +325,9 @@ def test_family_matches_oracle_mixed_dims_and_names(seed):
     pairs = two_state_pairs(dict(enumerate(models)))
     letters = [(j, name) for j in range(size) for name in ("a", "b")]
     phi, psi = fam.evaluator("phi"), fam.evaluator("psi")
-    memo = {}
-    for w in all_words(letters, 4):
-        assert (phi.moment(w), psi.moment(w)) == oracle_cmonotone(w, pairs, memo), w
+    words = all_words(letters, 4)
+    for w, expect in zip(words, WordPlan(words).cmonotone(pairs)):
+        assert (phi.moment(w), psi.moment(w)) == expect, w
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
@@ -411,18 +413,6 @@ def test_separating_projection_matrix():
     assert p.entry(fam.psi_index, fam.psi_index) == 1
 
 
-def _reference_drop_and_merge(w, i):
-    """Drop letter i, then collapse the whole rest: the definition the O(1)
-    kernel must agree with."""
-    out = []
-    for j, names in w[:i] + w[i + 1 :]:
-        if out and out[-1][0] == j:
-            out[-1] = (j, out[-1][1] + names)
-        else:
-            out.append((j, names))
-    return tuple(out)
-
-
 @given(
     st.lists(
         st.tuples(st.integers(0, 3), st.sampled_from("abc")), min_size=1, max_size=12
@@ -431,51 +421,109 @@ def _reference_drop_and_merge(w, i):
 def test_drop_and_merge_matches_full_collapse(word):
     w = collapse_word(word)
     for i in range(len(w)):
-        assert _drop_and_merge(w, i) == _reference_drop_and_merge(w, i)
+        # the reference collapses the whole rest again: the definition the
+        # O(1) kernel must agree with
+        assert _drop_and_merge(w, i) == drop_and_merge(w, i)
+
+
+def _models_and_functionals(rng, indices):
+    models = {
+        j: random_model(rng, names=("a", "b"), two_state=True, use_fractions=True)
+        for j in indices
+    }
+    fns = {j: ModelFunctional(m, m.xi) for j, m in models.items()}
+    return two_state_pairs(models), fns
 
 
 @pytest.mark.parametrize(
     "letters",
     [((1, "a"), (1, "b"), (2, "a")), ((0, "a"), (1, "a"), (2, "a"))],
 )
-def test_shared_memo_equals_fresh_calls_in_any_fill_order(letters):
-    rng = random.Random(11)
+def test_plan_equals_one_word_oracles_for_a_list_and_its_reverse(letters):
     indices = sorted({j for j, _ in letters})
-    models = {
-        j: random_model(rng, names=("a", "b"), two_state=True, use_fractions=True)
-        for j in indices
-    }
-    pairs = two_state_pairs(models)
-    fns = {j: ModelFunctional(m, m.xi) for j, m in models.items()}
-    kinds = ["monotone"] + (["orthogonal"] if len(indices) == 2 else [])
+    pairs, fns = _models_and_functionals(random.Random(11), indices)
+    kinds = [k for k in ORACLE_KINDS if k != "orthogonal" or len(indices) == 2]
     words = all_words(letters, 6)
-    fresh = {
-        w: (
-            oracle_cmonotone(w, pairs),
-            oracle_cmonotone_all_orders(w, pairs),
-            [oracle_moment(kind, w, fns) for kind in kinds],
-        )
-        for w in words
-    }
     for order in (words, words[::-1]):
-        cmonotone_memo, all_orders_memo = {}, {}
-        kind_memos = {kind: {} for kind in kinds}
-        for w in order:
-            shared = (
-                oracle_cmonotone(w, pairs, cmonotone_memo),
-                oracle_cmonotone_all_orders(w, pairs, all_orders_memo),
-                [oracle_moment(kind, w, fns, kind_memos[kind]) for kind in kinds],
-            )
-            assert shared == fresh[w], w
+        plan = WordPlan(order)
+        assert plan.cmonotone(pairs) == [oracle_cmonotone(w, pairs) for w in order]
+        for kind in kinds:
+            fresh = [oracle_moment(kind, w, fns) for w in order]
+            assert plan.moments(kind, fns) == fresh, kind
+        # the all-orders oracle keeps its own recursion and a caller-owned memo
+        memo = {}
+        shared = [oracle_cmonotone_all_orders(w, pairs, memo) for w in order]
+        assert shared == [oracle_cmonotone_all_orders(w, pairs) for w in order]
 
 
-def test_memo_refuses_a_second_functional_set():
+def test_plan_gives_each_functional_set_its_fresh_values():
+    rng = random.Random(3)
+    words = all_words(((1, "a"), (1, "b"), (2, "a")), 5)
+    plan = WordPlan(words)
+    seen = []
+    for _ in range(2):
+        pairs, fns = _models_and_functionals(rng, (1, 2))
+        values = [plan.cmonotone(pairs)] + [plan.moments(k, fns) for k in ORACLE_KINDS]
+        fresh = [[oracle_cmonotone(w, pairs) for w in words]] + [
+            [oracle_moment(k, w, fns) for w in words] for k in ORACLE_KINDS
+        ]
+        assert values == fresh
+        seen.append(values)
+    assert seen[0] != seen[1]
+
+
+def test_all_orders_memo_refuses_a_second_functional_set():
     rng = random.Random(3)
     models = {j: random_model(rng, two_state=True) for j in (1, 2)}
     memo = {}
-    oracle_cmonotone(((1, "a"), (2, "a")), two_state_pairs(models), memo)
+    oracle_cmonotone_all_orders(((1, "a"), (2, "a")), two_state_pairs(models), memo)
     with pytest.raises(ValueError):
-        oracle_cmonotone(((1, "a"), (2, "a")), two_state_pairs(models), memo)
+        oracle_cmonotone_all_orders(((1, "a"), (2, "a")), two_state_pairs(models), memo)
+
+
+@st.composite
+def _word_lists(draw):
+    """Words over two or three algebras, with runs of one index, and for
+    each algebra whether its phi and its psi model have Fraction or int
+    entries."""
+    indices = draw(st.sampled_from(((1, 2), (0, 1, 2), (2, 5))))
+    letter = st.tuples(st.sampled_from(indices), st.sampled_from("ab"))
+    words = draw(st.lists(st.lists(letter, max_size=7).map(tuple), max_size=6))
+    types = st.tuples(st.booleans(), st.booleans())
+    fractions = draw(st.lists(types, min_size=3, max_size=3))
+    return indices, words, dict(zip(indices, fractions))
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+@given(_word_lists(), st.integers(0, 2**32))
+def test_plan_equals_the_recursive_reference_in_value_and_type(case, seed):
+    # phi and psi come from two models, so an int value can meet a Fraction
+    # one: the plan must repeat the recursion's arithmetic, leaves included
+    indices, words, fractions = case
+    rng = random.Random(seed)
+    models = {
+        j: [
+            random_model(rng, names=("a", "b"), two_state=True, use_fractions=f)
+            for f in fractions[j]
+        ]
+        for j in indices
+    }
+    fns = {j: ModelFunctional(m, m.xi) for j, (m, _) in models.items()}
+    pairs = {
+        j: (fns[j], ModelFunctional(m, m.eta)) for j, (_, m) in models.items()
+    }
+    plan = WordPlan(words)
+    for kind in ORACLE_KINDS:
+        if kind == "orthogonal" and len(indices) != 2:
+            continue
+        want = [reference_moment(kind, w, fns) for w in words]
+        assert _typed(plan.moments(kind, fns)) == _typed(want), kind
+    got = [v for pair in plan.cmonotone(pairs) for v in pair]
+    want = [v for w in words for v in reference_cmonotone(w, pairs)]
+    assert _typed(got) == _typed(want)
 
 
 def _evaluator_cases():
@@ -550,9 +598,8 @@ ORACLE_CODE = (
     "oracle_moment",
     "oracle_cmonotone",
     "oracle_cmonotone_all_orders",
-    "_monotone",
+    "WordPlan",
     "_zero",
-    "_cmonotone_phi",
     "ModelFunctional",
     "AlgebraModel",
 )

@@ -2,12 +2,18 @@
 of megabytes; the column-sparse operators keep each well under a second."""
 
 import random
+from pathlib import Path
 from time import perf_counter
 
-from ccomb.cli import MAX_WORD_MOMENT_BUILD, main
-from ccomb.graphs import birooted
+import pytest
+
+from ccomb import cli, io as gio
+from ccomb.cli import MAX_WORD_LETTERS, MAX_WORD_MOMENT_BUILD, PRODUCT_KINDS, main
+from ccomb.graphs import birooted, rooted
 from ccomb.io import save_graph
 from ccomb.products import c_comb_decomposition
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def seeded_graph(seed, n=16):
@@ -63,3 +69,62 @@ def test_word_moment_refuses_a_1000_vertex_factor_up_front(tmp_path, capsys):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert str(MAX_WORD_MOMENT_BUILD) in err
     assert elapsed < 1.0
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    assert all(needle in err for needle in needles), err
+
+
+def test_word_moment_refuses_a_word_over_the_letter_cap(monkeypatch, capsys):
+    pair = [str(FIXTURES / f"multiplicative_g{i}.graph") for i in (1, 2)]
+    at_cap = " ".join(["1:a 2:a"] * (MAX_WORD_LETTERS // 2))
+    assert main(["word-moment", *pair, at_cap]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert all(line.endswith(",yes") for line in lines[1:])
+
+    def no_build(*args):
+        raise AssertionError("built a decomposition for a refused word")
+
+    monkeypatch.setattr(cli, "c_comb_decomposition", no_build)
+    assert main(["word-moment", *pair, at_cap + " 1:a"]) == 2
+    _one_error_line(capsys, f"{MAX_WORD_LETTERS + 1} letters", str(MAX_WORD_LETTERS))
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
+def test_product_vertex_limit_follows_the_factor_sizes(
+    kind, tmp_path, monkeypatch, capsys
+):
+    # the count the refusal predicts is the built product's: at the limit the
+    # product is built, one vertex below it the command exits 2
+    g1 = birooted(3, [(0, 1), (1, 2)], 0, 2)
+    g2 = birooted(4, [(0, 1), (1, 2), (2, 3), (3, 3)], 0, 3)
+    paths = [str(tmp_path / "g1.graph"), str(tmp_path / "g2.graph")]
+    save_graph(paths[0], g1)
+    save_graph(paths[1], g2)
+    vertices = PRODUCT_KINDS[kind](g1, g2).vertex_count
+    argv = ["product", kind, *paths, "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(gio, "MAX_VERTICES", vertices)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(gio, "MAX_VERTICES", vertices - 1)
+    assert main(argv) == 2
+    _one_error_line(capsys, f"{vertices} vertices")
+
+
+def test_products_just_over_the_vertex_limit_are_refused_up_front(tmp_path, capsys):
+    # 101 * 9901 = 1,000,001 vertices, one over io.MAX_VERTICES
+    assert 101 * 9901 == gio.MAX_VERTICES + 1
+    paths = [str(tmp_path / "g1.graph"), str(tmp_path / "g2.graph")]
+    save_graph(paths[0], rooted(101, [], 0))
+    save_graph(paths[1], rooted(9901, [(0, 1)], 0))
+    for argv in (
+        ["product", "comb", *paths, "--out", str(tmp_path / "out")],
+        ["convolve", "additive", "monotone", *paths, "--order", "4"],
+    ):
+        start = perf_counter()
+        assert main(argv) == 2, argv
+        assert perf_counter() - start < 2.0, argv
+        _one_error_line(capsys, "1000001 vertices", str(gio.MAX_VERTICES))
+    assert not (tmp_path / "out").exists()
