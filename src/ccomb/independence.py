@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 from math import prod
 
 from .graphs import adjacency_matrix
@@ -66,6 +66,7 @@ __all__ = [
     "TableFunctional",
     "Realization",
     "WordPlan",
+    "HalfWordPlan",
     "parse_word",
     "collapse_word",
     "oracle_moment",
@@ -124,18 +125,41 @@ class AlgebraModel:
 
 
 class ModelFunctional:
-    """Moment functional backed by a matrix model's vector state."""
+    """Moment functional backed by a matrix model's vector state.
+
+    A value is read from row `at` of the product alone, that row multiplied
+    by one element at a time left to right with `Matrix.__mul__`'s zero skip
+    and summation order, so it equals `model.vector_state` in value and type.
+    The row of every name prefix is kept, by (parent prefix id, name).
+    """
 
     def __init__(self, model: AlgebraModel, at: int):
         self.model = model
         self.at = at
         self._cache: dict = {}
+        self._rows: list = [None]  # by prefix id; 0 is the empty product
+        self._prefixes: dict = {}  # (parent id, name) -> prefix id
 
     def __call__(self, names: tuple):
         names = tuple(names)
         if names not in self._cache:
-            self._cache[names] = self.model.vector_state(names, self.at)
+            self._cache[names] = self._row(names)[self.at] if names else 1
         return self._cache[names]
+
+    def _row(self, names: tuple) -> tuple:
+        rows, node = self._rows, 0
+        for name in names:
+            m = self.model.elements[name]
+            parent, node = node, self._prefixes.setdefault((node, name), len(rows))
+            if node < len(rows):
+                continue
+            if parent:
+                nonzero = [(t, x) for t, x in enumerate(rows[parent]) if x]
+                columns = map(m.column, range(m.cols))
+                rows.append(tuple(sum(x * c[t] for t, x in nonzero) for c in columns))
+            else:
+                rows.append(m.row(self.at))
+        return rows[node]
 
 
 class TableFunctional:
@@ -249,7 +273,8 @@ class WordPlan:
     single-letter leaves ``(slot,)``; the monotone nodes ``(slot, rest)``,
     also the psi recursion of c-monotone; the boolean and tensor factor
     slots of each word; and each word's target node. Each is compiled on
-    first use.
+    first use. The orthogonal kind runs the phi nodes of a plan of the words
+    it keeps only, so no node is evaluated for a word it sends to 0.
 
     An evaluation reads each letter value it needs once, then fills a flat
     value list in node order, subwords first and the empty word at 0 with
@@ -263,6 +288,7 @@ class WordPlan:
         self._words = [collapse_word(w) for w in words]
         self._letters: list = []  # (j, names) by slot
         self._slots: dict = {}
+        self._inner: dict = {}  # orthogonal, by hi: the words kept and their plan
 
     def _slot(self, letter: tuple) -> int:
         if letter not in self._slots:
@@ -380,14 +406,16 @@ class WordPlan:
         if any(j not in (lo, hi) for w in self._words for j, _ in w):
             raise ValueError("orthogonal words use exactly the two given algebras")
         # a word opening and closing in lo only reaches such words, whose
-        # local maxima all lie in hi; the values of the others are dropped
-        phi_reads, psi_reads = self._phi_reads()
-        a = self._read({lo: functionals[lo], hi: _zero}, phi_reads)
-        b = self._read({hi: functionals[hi]}, psi_reads)
-        return [
-            0 if w and hi in (w[0][0], w[-1][0]) else value
-            for w, value in zip(self._words, self._run_phi(a, b))
-        ]
+        # local maxima all lie in hi; only these words' plan is run
+        if hi not in self._inner:
+            kept = [not (w and hi in (w[0][0], w[-1][0])) for w in self._words]
+            self._inner[hi] = kept, WordPlan(compress(self._words, kept))
+        kept, inner = self._inner[hi]
+        phi_reads, psi_reads = inner._phi_reads()
+        a = inner._read({lo: functionals[lo], hi: _zero}, phi_reads)
+        b = inner._read({hi: functionals[hi]}, psi_reads)
+        values = iter(inner._run_phi(a, b))
+        return [next(values) if keep else 0 for keep in kept]
 
 
 def oracle_moment(kind: str, word, functionals: dict):
@@ -500,53 +528,74 @@ class Realization:
         return [[(j, 1)] if j in states else [] for j in range(self.dim)]
 
 
+class HalfWordPlan:
+    """The half-words of a word list, compiled once for any realization.
+
+    Each word w = u v is split at len(w) // 2. `prefixes` holds the distinct
+    u as nodes ``(parent id, letter)``, u being its parent plus the letter,
+    and `suffixes` the distinct v as nodes ``(child id, letter)``, v being
+    the letter plus its child; id 0 is the empty half, and node k, of id
+    k + 1, comes after the node it extends. `splits` holds each word's
+    ``(prefix id, suffix id)``.
+    """
+
+    def __init__(self, words):
+        prefixes: dict = {}  # node -> id, in id order
+        suffixes: dict = {}
+        self.splits: list = []
+        for word in words:
+            word = tuple(word)
+            half = len(word) // 2
+            u = v = 0
+            for i in range(half):
+                u = prefixes.setdefault((u, word[i]), len(prefixes) + 1)
+            for i in range(len(word) - 1, half - 1, -1):
+                v = suffixes.setdefault((v, word[i]), len(suffixes) + 1)
+            self.splits.append((u, v))
+        self.prefixes, self.suffixes = list(prefixes), list(suffixes)
+
+
 class WordMomentEvaluator:
     """Batch moment evaluation by half-words, reading only the
     realization's operators.
 
-    A word w = u v, split at len(w) // 2, has the moment (U^T e)·(V e),
-    where e is the state vector and U, V multiply the operators of u and
-    v left to right. V e is applied right to left as in
-    `Realization.moment`; U^T e applies the transposed operators, built
-    once per key when the evaluator is made, to the letters of u left to
-    right. Both half-word vectors are memoized, so a word list costs one
-    sparse apply per distinct half and one exact sparse dot product per
-    word.
+    A word w = u v of a `HalfWordPlan` has the moment (U^T e)·(V e), where
+    e is the state vector and U, V multiply the operators of u and v left to
+    right. V e is applied right to left as in `Realization.moment`; U^T e
+    applies the transposed operators, built once per key when the evaluator
+    is made, to the letters of u left to right. Each half node costs one
+    sparse apply from the vector of the node it extends, in node order, and
+    each word one exact sparse dot product.
     """
 
     def __init__(self, realization: Realization, state: str = "phi"):
         self.r = realization
         self.at = realization._state_index(state)
-        self._columns = {(): {self.at: 1}}  # V e by suffix v
-        self._rows = {(): {self.at: 1}}  # U^T e by prefix u
         self._transposed = {
             key: sparse_transpose(op) for key, op in realization.operators.items()
         }
 
-    def _column(self, word: tuple) -> dict:
-        vec = self._columns.get(word)
-        if vec is None:
-            tail = self._column(word[1:])
-            vec = self._columns[word] = sparse_apply(self.r.operators[word[0]], tail)
-        return vec
-
-    def _row(self, word: tuple) -> dict:
-        vec = self._rows.get(word)
-        if vec is None:
-            head = self._row(word[:-1])
-            vec = self._rows[word] = sparse_apply(self._transposed[word[-1]], head)
-        return vec
+    def moments(self, plan: HalfWordPlan) -> list:
+        """The moment of each word of `plan`, in its order."""
+        start = {self.at: 1}
+        rows, columns = [start], [start]  # U^T e by prefix id, V e by suffix id
+        for parent, letter in plan.prefixes:
+            rows.append(sparse_apply(self._transposed[letter], rows[parent]))
+        for child, letter in plan.suffixes:
+            columns.append(sparse_apply(self.r.operators[letter], columns[child]))
+        out = []
+        for u, v in plan.splits:
+            col = columns[v]
+            value = 0
+            for i, x in rows[u].items():
+                y = col.get(i)
+                if y is not None:
+                    value += x * y
+            out.append(value)
+        return out
 
     def moment(self, word):
-        word = tuple(word)
-        half = len(word) // 2
-        row, col = self._row(word[:half]), self._column(word[half:])
-        out = 0
-        for i, x in row.items():
-            y = col.get(i)
-            if y is not None:
-                out += x * y
-        return out
+        return self.moments(HalfWordPlan([word]))[0]
 
 
 def all_words(letters, max_len: int):

@@ -32,6 +32,7 @@ from .graphs import (
 )
 from .independence import (
     AlgebraModel,
+    HalfWordPlan,
     ModelFunctional,
     WordPlan,
     all_words,
@@ -133,6 +134,15 @@ def _same(got, expected, witness: str = "", *args) -> None:
     text `witness.format(*args)` built."""
     if got != expected:
         raise _Mismatch(witness.format(*args))
+
+
+def _same_lists(words, sides: dict, witness: str, *args) -> None:
+    """`_same` on whole lists, `sides` mapping a side to (got, expected) by word;
+    on a difference the first witness is `witness.format(*args, word, side)`."""
+    if any(got != expected for got, expected in sides.values()):
+        for n, w in enumerate(words):
+            for side, (got, expected) in sides.items():
+                _same(got[n], expected[n], witness, *args, w, side)
 
 
 def _check(name: str):
@@ -562,8 +572,7 @@ def check_additive_collapses(order, mu1, mu2):
     _same(collapsed.coeffs, monotone.coeffs, ": nu = mu collapse")
     delta0 = point_mass_moments(0, order)
     for kind in ("monotone", "boolean", "orthogonal", "c-monotone"):
-        nu = delta0 if kind == "c-monotone" else None
-        got = additive_convolve(kind, mu1, delta0, nu).coeffs
+        got = additive_convolve(kind, mu1, delta0, delta0).coeffs
         _same(got, mu1.coeffs, ": {} with point mass at 0", kind)
 
 
@@ -649,10 +658,8 @@ def check_mult_identity(order, h):
 )
 def check_coefficient_formula_engine(order, eta1, eta2, eta_nu):
     engines = {
-        "monotone": multiplicative_convolve("monotone", eta1, eta2),
-        "boolean": multiplicative_convolve("boolean", eta1, eta2),
-        "orthogonal": multiplicative_convolve("orthogonal", eta1, eta2),
-        "c-monotone": multiplicative_convolve("c-monotone", eta1, eta2, eta_nu),
+        kind: multiplicative_convolve(kind, eta1, eta2, eta_nu)
+        for kind in ("monotone", "boolean", "orthogonal", "c-monotone")
     }
     for kind, engine in engines.items():
         for n in range(1, order + 1):
@@ -675,8 +682,7 @@ def check_additive_graph_consistency(order, g1, g2):
     mu2 = root_moments(g2, order)
     nu2 = root_moments(g2, order, at=g2.second_root)
     for kind, build in ADDITIVE_WALK_PRODUCTS.items():
-        nu = nu2 if kind == "c-monotone" else None
-        expect = additive_convolve(kind, mu1, mu2, nu)
+        expect = additive_convolve(kind, mu1, mu2, nu2)
         got = root_moments(build(g1, g2).graph, order).coeffs
         _same(got, expect.coeffs, ": {} graph consistency", kind)
 
@@ -705,22 +711,16 @@ def transforms_suite(cfg: VerifyConfig) -> list:
 # -- independence suite ---------------------------------------------------------
 
 
-def _pair_functionals(m1: AlgebraModel, m2: AlgebraModel):
-    return {1: ModelFunctional(m1, m1.xi), 2: ModelFunctional(m2, m2.xi)}
-
-
-def _same_as_cmonotone(realizations: dict, words, expected, where: str) -> None:
-    """Compare each realization's phi and psi moments with the expected
-    (phi, psi) of each word, one `WordPlan.cmonotone` evaluation of `words`;
+def _same_as_cmonotone(realizations: dict, words, halves, expected, where: str):
+    """Compare each realization's phi and psi moments of `words`, `halves`
+    their HalfWordPlan, with the expected (phi, psi) of each word;
     `realizations` maps a witness prefix to a realization."""
-    evs = [
-        (tag, r.evaluator("phi"), r.evaluator("psi"))
+    sides = {
+        tag + state: (r.evaluator(state).moments(halves), [e[n] for e in expected])
         for tag, r in realizations.items()
-    ]
-    for w, (phi_expect, psi_expect) in zip(words, expected):
-        for tag, ev_phi, ev_psi in evs:
-            _same(ev_phi.moment(w), phi_expect, "{}, word {}: {}phi", where, w, tag)
-            _same(ev_psi.moment(w), psi_expect, "{}, word {}: {}psi", where, w, tag)
+        for n, state in enumerate(("phi", "psi"))
+    }
+    _same_lists(words, sides, "{0}, word {1}: {2}", where)
 
 
 def model_pairs(cfg: VerifyConfig):
@@ -737,13 +737,13 @@ def model_pairs(cfg: VerifyConfig):
 @_check("pair-kind-oracle-equality")
 def check_pair_kinds(model_pairs, max_word: int):
     words = all_words(PAIR_LETTERS, max_word)
-    plan = WordPlan(words)
+    plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (m1, m2) in enumerate(model_pairs):
-        fns = _pair_functionals(m1, m2)
+        fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
         for kind in ("boolean", "monotone", "orthogonal", "tensor"):
-            ev = realize_pair(kind, m1, m2).evaluator("phi")
-            for w, expect in zip(words, plan.moments(kind, fns)):
-                _same(ev.moment(w), expect, "model {}, {}, word {}", k, kind, w)
+            got = realize_pair(kind, m1, m2).evaluator("phi").moments(halves)
+            sides = {kind: (got, plan.moments(kind, fns))}
+            _same_lists(words, sides, "model {0}, {2}, word {1}", k)
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
 
@@ -767,34 +767,33 @@ def check_single_letter_states(model_pairs):
 @_check("cmonotone-pair-oracle-equality")
 def check_cmonotone_pair(model_pairs, max_word: int):
     words = all_words(PAIR_LETTERS, max_word)
-    plan = WordPlan(words)
+    plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (m1, m2) in enumerate(model_pairs):
         realizations = {
             "": realize_cmonotone_pair(m1, m2),
             "variant ": realize_cmonotone_pair(m1, m2, variant=True),
         }
         expected = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
-        _same_as_cmonotone(realizations, words, expected, f"model {k}")
+        _same_as_cmonotone(realizations, words, halves, expected, f"model {k}")
     return f"{len(model_pairs)} models, words to length {max_word}, with variant"
 
 
 @_check("family-pair-consistency")
 def check_family_pair_consistency(model_pairs, word_len: int):
     words = all_words(PAIR_LETTERS, word_len)
+    halves = HalfWordPlan(words)
+    fam_halves = HalfWordPlan([[(j - 1, name) for j, name in w] for w in words])
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
         fam = realize_cmonotone_family([m1, m2])
         # the family of two is the plain pair under keys 0, 1; the variant
         # pair is a different construction of the same moments
         pair = realize_cmonotone_pair(m1, m2, variant=True)
-        fam_ops = {(1, "a"): (0, "a"), (2, "a"): (1, "a")}
-        ev_fam = {s: fam.evaluator(s) for s in ("phi", "psi")}
-        ev_pair = {s: pair.evaluator(s) for s in ("phi", "psi")}
-        for w in words:
-            fam_word = [fam_ops[l] for l in w]
-            for s in ("phi", "psi"):
-                got = ev_fam[s].moment(fam_word)
-                _same(got, ev_pair[s].moment(w), "model {}, word {}, state {}", k, w, s)
+        sides = {
+            s: (fam.evaluator(s).moments(fam_halves), pair.evaluator(s).moments(halves))
+            for s in ("phi", "psi")
+        }
+        _same_lists(words, sides, "model {0}, word {1}, state {2}", k)
     return f"{len(subset)} models, words to length {word_len}"
 
 
@@ -817,11 +816,11 @@ def family_models(cfg: VerifyConfig):
 @_check("family-three-oracle-equality")
 def check_family_three(family_models, word_len: int):
     words = all_words(((0, "a"), (1, "a"), (2, "a")), word_len)
-    plan = WordPlan(words)
+    plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, models in enumerate(family_models):
         fam = realize_cmonotone_family(models)
         expected = plan.cmonotone(two_state_pairs(dict(enumerate(models))))
-        _same_as_cmonotone({"": fam}, words, expected, f"family {k}")
+        _same_as_cmonotone({"": fam}, words, halves, expected, f"family {k}")
     return f"{len(family_models)} families of 3, words to length {word_len}"
 
 
@@ -845,7 +844,7 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
     plan = WordPlan(words)
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
-        fns = _pair_functionals(m1, m2)
+        fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
         degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
         expected = zip(plan.cmonotone(degenerate), plan.moments("monotone", fns))
         for w, ((phi_val, psi_val), mono) in zip(words, expected):
@@ -881,11 +880,11 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
         for _ in range(8)
     ]
     words = all_words(PAIR_LETTERS, max_word)
-    plan = WordPlan(words)
+    plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (g1, g2) in enumerate(cases):
         realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2, loops)
         expected = plan.cmonotone(pairs)
-        _same_as_cmonotone({"": realization}, words, expected, f"pair {k}")
+        _same_as_cmonotone({"": realization}, words, halves, expected, f"pair {k}")
     return f"{len(cases)} graph pairs, words to length {max_word}"
 
 

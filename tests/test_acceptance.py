@@ -18,7 +18,7 @@ import sympy as sp
 
 from ccomb import verify
 from ccomb.independence import TableFunctional, oracle_cmonotone
-from ccomb.linalg import Matrix
+from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
 
 CFG = VerifyConfig()  # order 12, words to 8, 20 random graph pairs, 50 models
@@ -167,6 +167,59 @@ def test_a_check_that_raises_reports_error():
         raise ValueError("no such case")
 
     assert check() == verify.Check("raises", False, "error: ValueError('no such case')")
+
+
+def test_a_broken_word_fails_with_the_first_witness_of_a_word_walk(monkeypatch):
+    # the word checks compare whole value lists and walk the words only on a
+    # difference, word first, then tag, then phi before psi: the witness is
+    # the one a comparison word by word names first
+    cfg = VerifyConfig(model_samples=3, graph_samples=2)
+    models = verify.model_pairs(cfg)
+    cmonotone, moments = verify.WordPlan.cmonotone, verify.WordPlan.moments
+
+    def shifted_cmonotone(plan, pairs):
+        values = cmonotone(plan, pairs)
+        values[9] = (values[9][0] + 1, values[9][1])
+        values[5] = (values[5][0], values[5][1] + 1)
+        return values
+
+    def shifted_moments(plan, kind, functionals):
+        values = moments(plan, kind, functionals)
+        if kind == "tensor":
+            values[4] += 1
+        return values
+
+    pair = verify.realize_cmonotone_pair
+
+    def doubled_variant(m1, m2, variant=False):
+        r = pair(m1, m2, variant)
+        if variant:
+            op = r.operators[(2, "a")]
+            r.operators[(2, "a")] = sparse_sum(op, op)
+        return r
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify.WordPlan, "cmonotone", shifted_cmonotone)
+        patch.setattr(verify.WordPlan, "moments", shifted_moments)
+        oracle_broken = [
+            verify.check_pair_kinds(models, 4),
+            verify.check_cmonotone_pair(models, 4),
+            verify.check_family_three(verify.family_models(cfg), 3),
+            verify.check_c_comb_bridge(cfg, 4),
+        ]
+    monkeypatch.setattr(verify, "realize_cmonotone_pair", doubled_variant)
+    variant_broken = [
+        verify.check_family_pair_consistency(models, 4),
+        verify.check_cmonotone_pair(models, 4),
+    ]
+    assert [c.detail for c in oracle_broken + variant_broken] == [
+        "model 0, tensor, word ((2, 'a'), (1, 'a'))",
+        "model 0, word ((2, 'a'), (2, 'a')): psi",
+        "family 0, word ((0, 'a'), (2, 'a')): psi",
+        "pair 0, word ((2, 'a'), (2, 'a')): psi",
+        "model 0, word ((2, 'a'),), state phi",
+        "model 0, word ((2, 'a'),): variant phi",
+    ]
 
 
 def test_verify_has_no_assert_statements():

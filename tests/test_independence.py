@@ -1,5 +1,6 @@
 import ast
 import random
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from ccomb.independence import (
     ORACLE_KINDS,
     _drop_and_merge,
     AlgebraModel,
+    HalfWordPlan,
     ModelFunctional,
     TableFunctional,
     WordPlan,
@@ -29,7 +31,13 @@ from ccomb.independence import (
     realize_pair,
     two_state_pairs,
 )
-from ccomb.linalg import Matrix, sparse_identity, sparse_sum
+from ccomb.linalg import (
+    Matrix,
+    sparse_apply,
+    sparse_identity,
+    sparse_sum,
+    sparse_transpose,
+)
 from ccomb.products import c_comb_decomposition, c_comb_loop_decomposition
 from ccomb.verify import random_model
 
@@ -544,6 +552,9 @@ def _evaluator_cases():
     g1, g2 = fixtures.additive_demo_pair()
     graph_pair, _ = realize_graph_pair(c_comb_decomposition(g1, g2), g1, g2)
     cases["c-comb decomposition"] = (graph_pair, pair, both)
+    g1, g2 = fixtures.multiplicative_demo_pair()
+    loop_pair, _ = realize_graph_pair(c_comb_loop_decomposition(g1, g2), g1, g2, True)
+    cases["c-comb loop decomposition"] = (loop_pair, pair, both)
     return cases
 
 
@@ -562,6 +573,92 @@ def test_evaluator_equals_the_direct_route(case):
             ev = realization.evaluator(state)
             for w in order:
                 assert ev.moment(w) == direct[tuple(w)], (state, w)
+
+
+def _tuple_memo_moments(realization, state, words):
+    """The half-word route with tuple-keyed memos of both halves, filled by
+    recursion: the reference the compiled plan repeats term for term."""
+    at = realization._state_index(state)
+    ops = realization.operators
+    rows, columns = {(): {at: 1}}, {(): {at: 1}}
+
+    def row(u):
+        if u not in rows:
+            rows[u] = sparse_apply(sparse_transpose(ops[u[-1]]), row(u[:-1]))
+        return rows[u]
+
+    def column(v):
+        if v not in columns:
+            columns[v] = sparse_apply(ops[v[0]], column(v[1:]))
+        return columns[v]
+
+    out = []
+    for w in map(tuple, words):
+        u, v = row(w[: len(w) // 2]), column(w[len(w) // 2 :])
+        out.append(sum((x * v[i] for i, x in u.items() if i in v), 0))
+    return out
+
+
+@pytest.mark.parametrize("case", list(_evaluator_cases()))
+def test_batch_moments_equal_the_direct_route_and_the_memoized_halves(case):
+    # one plan over a list with the empty word, repeats and list-typed words.
+    # A dot product that cancels gives Fraction(0) where the direct route
+    # filters the zero and gives int 0, as the memoized halves always did: the
+    # types must match the direct route on nonzero values, the reference on all
+    realization, letters, states = _evaluator_cases()[case]
+    words = [()] + all_words(letters, 6)
+    words += [list(w) for w in words[::-1]]
+    plan = HalfWordPlan(words)
+    for state in states:
+        got = realization.evaluator(state).moments(plan)
+        direct = [realization.moment(w, state) for w in words]
+        assert got == direct, state
+        assert [type(g) for g in got if g] == [type(d) for d in direct if d], state
+        want = _tuple_memo_moments(realization, state, words)
+        assert _typed(got) == _typed(want), state
+
+
+def test_a_long_word_needs_no_recursion():
+    # 4,096 letters: the half-word plan and the functional's prefix rows are
+    # walked in loops, where a recursion over 2,048-letter halves overflowed
+    rng = random.Random(8)
+    m1, m2 = (random_model(rng, two_state=True) for _ in range(2))
+    realization = realize_cmonotone_pair(m1, m2)
+    word = ((1, "a"), (2, "a")) * 2048
+    for state in ("phi", "psi"):
+        assert realization.evaluator(state).moment(word) == realization.moment(
+            word, state
+        )
+    names = ("a",) * 4096
+    assert ModelFunctional(m1, m1.xi)(names) == m1.vector_state(names, m1.xi)
+
+
+_ENTRIES = st.sampled_from((0, 1, -1, 2, Fraction(0), Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def _mixed_models(draw):
+    """A model of two elements whose entries mix int and Fraction, zeros of
+    both types included."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(_ENTRIES, min_size=dim, max_size=dim)
+    square = st.lists(row, min_size=dim, max_size=dim)
+    elements = {name: Matrix.from_rows(draw(square)) for name in "ab"}
+    return AlgebraModel(elements, 0)
+
+
+@given(
+    _mixed_models(),
+    st.lists(st.lists(st.sampled_from("ab"), max_size=6).map(tuple), max_size=8),
+)
+def test_model_functional_equals_the_vector_state_in_value_and_type(model, products):
+    # one functional serves the products in turn, so a later product reads
+    # the rows an earlier one kept for a shared prefix
+    for at in range(model.dim):
+        functional = ModelFunctional(model, at)
+        got = [functional(names) for names in products]
+        want = [model.vector_state(names, at) for names in products]
+        assert _typed(got) == _typed(want), at
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=12))
