@@ -5,7 +5,10 @@ Builds the c-comb loop product of the bundled demo pair, forms the operator
 Z = A2 * A1 from the one-color adjacency matrices, and prints its
 first-return (eta) coefficients at the root next to the c-monotone
 multiplicative convolution of the factor eta-series, the direct coefficient
-sums, and exhaustive alternating d-walk counts.
+sums, exhaustive alternating d-walk counts, and the two-step powers R2 * R1
+of the loop pair that `c_comb_loop_decomposition` builds from the factor
+adjacencies (the operator column). At the second root it prints the graph,
+the operator and the monotone convolution.
 
 Usage:
     python scripts/multiplicative_demo.py [--order N]
@@ -15,12 +18,21 @@ import argparse
 
 from ccomb.fixtures import multiplicative_demo_pair
 from ccomb.graphs import count_d_walks, root_moments, two_step_moments
-from ccomb.products import c_comb_loop_product
+from ccomb.linalg import sparse_moments
+from ccomb.products import c_comb_loop_decomposition, c_comb_loop_product
 from ccomb.series import (
     coefficient_formula,
     eta_from_moments,
+    moment_series,
     multiplicative_convolve,
 )
+
+
+def operator_eta(dec, order: int, at: int):
+    """Eta-coefficients of the two-step powers R2 * R1 of a loop pair at the
+    ambient coordinate `at`."""
+    moments = sparse_moments((dec.cols1, dec.cols2), order, at)
+    return eta_from_moments(moment_series(moments)).coeffs
 
 
 def main():
@@ -42,21 +54,22 @@ def main():
         for n in range(1, order + 1)
     ]
     dwalks = [count_d_walks(prod.graph, 2 * n) for n in range(1, order + 1)]
+    dec = c_comb_loop_decomposition(g1, g2)
+    operator = operator_eta(dec, order, dec.phi_index)
 
     print(f"loop product: {prod.vertex_count} vertices, root {prod.graph.root}")
-    print("n  graph      series     sums       d-walks    agree")
+    print("n  graph      series     sums       d-walks    operator   agree")
     for n in range(1, order + 1):
         values = (
             eta_graph.coeffs[n - 1],
             engine.coeffs[n - 1],
             sums[n - 1],
             dwalks[n - 1],
+            operator[n - 1],
         )
         ok = len(set(values)) == 1
-        print(
-            f"{n:<2} {values[0]:<10} {values[1]:<10} {values[2]:<10} "
-            f"{values[3]:<10} {'yes' if ok else 'NO'}"
-        )
+        cells = " ".join(f"{v:<10}" for v in values)
+        print(f"{n:<2} {cells} {'yes' if ok else 'NO'}")
 
     at_f = eta_from_moments(
         two_step_moments(prod.graph, order, at=prod.graph.second_root)
@@ -66,11 +79,14 @@ def main():
         eta_from_moments(root_moments(g1, order, at=g1.second_root)),
         eta_nu,
     )
+    operator_f = operator_eta(dec, order, dec.psi_index)
     print("\nsecond root vs monotone multiplicative convolution")
-    print("n  graph      monotone   agree")
+    print("n  graph      operator   monotone   agree")
     for n in range(1, order + 1):
-        a, b = at_f.coeffs[n - 1], monotone.coeffs[n - 1]
-        print(f"{n:<2} {a:<10} {b:<10} {'yes' if a == b else 'NO'}")
+        values = (at_f.coeffs[n - 1], operator_f[n - 1], monotone.coeffs[n - 1])
+        ok = len(set(values)) == 1
+        cells = " ".join(f"{v:<10}" for v in values)
+        print(f"{n:<2} {cells} {'yes' if ok else 'NO'}")
 
 
 if __name__ == "__main__":

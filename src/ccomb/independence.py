@@ -63,7 +63,6 @@ from .linalg import (
 __all__ = [
     "AlgebraModel",
     "ModelFunctional",
-    "TableFunctional",
     "Realization",
     "WordPlan",
     "HalfWordPlan",
@@ -160,22 +159,6 @@ class ModelFunctional:
             else:
                 rows.append(m.row(self.at))
         return rows[node]
-
-
-class TableFunctional:
-    """Moment functional backed by an explicit table of word values."""
-
-    def __init__(self, table: dict):
-        self.table = dict(table)
-
-    def __call__(self, names: tuple):
-        names = tuple(names)
-        if not names:
-            return 1
-        try:
-            return self.table[names]
-        except KeyError:
-            raise KeyError(f"no table value for the product {names!r}") from None
 
 
 def parse_word(text: str) -> tuple:

@@ -171,20 +171,6 @@ class Matrix:
             return Matrix(self.rows, self.cols, tuple(other * a for a in self.data))
         return NotImplemented
 
-    def __pow__(self, n: int) -> "Matrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result = Matrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} {self.to_rows()!r})"
 

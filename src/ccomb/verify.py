@@ -7,10 +7,14 @@ inputs and reports a single pass/fail line. A check compares through
 mismatch, and returns its detail line; `_check` turns it into a `Check` and
 alone decides PASS or FAIL, with no assert (so `python -O` agrees). The
 random-case identities go through `_sampled`, which owns the sample loop,
-the draws and the `sample {k}` witness prefix. All randomness flows from the
-seed in the config, so a given config yields byte-identical reports; each
-check that draws cases has a stream of its own, seeded by the config seed
-and the check's name, so no other check's draws move its cases.
+the draws and the `sample {k}` witness prefix; the graph-pair identities go
+through `_pairwise`, which compares each route of a pair (walks, operator,
+series, formula, d-walks, enumerated) with the first and names both in its
+witness `pair {k}: {first} vs {route} differ at n={n}`, n the coefficient's
+own index (M_n from 0, eta N(n) from 1). All randomness flows from the seed
+in the config, so a given config yields byte-identical reports; each check
+that draws cases has a stream of its own, seeded by the config seed and the
+check's name, so no other check's draws move its cases.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import fixtures
 from .graphs import (
@@ -64,6 +69,7 @@ from .products import (
     superposition_map,
 )
 from .series import (
+    MomentSeries,
     additive_convolve,
     coefficient_formula,
     eta_from_moments,
@@ -194,6 +200,33 @@ def _sampled(
     return decorate
 
 
+def _pairwise(name: str, detail="{pairs} pairs, order {order}", start=0):
+    """Decorator turning `routes(g1, g2, order)`, one pair's sequences by
+    route name, into `check(pairs, order)`; the first coefficient has index
+    `start`. The pairs are counted as they run: `pairs` may be a generator."""
+
+    def decorate(routes):
+        @_check(name)
+        @functools.wraps(routes)
+        def check(pairs, order=None):
+            witness = "pair {}: {} vs {} differ at n={}"
+            count = 0
+            for k, (g1, g2) in enumerate(pairs):
+                try:
+                    (first, expect), *others = routes(g1, g2, order).items()
+                except _Mismatch as exc:
+                    raise _Mismatch(f"pair {k}: {exc}") from None
+                for route, got in others:
+                    for n, (a, b) in enumerate(zip_longest(got, expect), start):
+                        _same(a, b, witness, k, first, route, n)
+                count += 1
+            return detail.format(pairs=count, order=order)
+
+        return check
+
+    return decorate
+
+
 def _drawing(cfg: VerifyConfig, check, *args) -> Check:
     """Run a check that draws its cases on a stream of its own, seeded by the
     config seed and the check's name: no other check's draws move them."""
@@ -237,9 +270,7 @@ def random_model(rng, dim=None, names=("a",), two_state=False, use_fractions=Fal
                 for _ in range(dim)
             ]
         else:
-            entries = [
-                [rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)
-            ]
+            entries = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
         elements[name] = Matrix.from_rows(entries)
     xi = rng.randrange(dim)
     eta = None
@@ -291,31 +322,37 @@ def multiplicative_pairs(cfg: VerifyConfig):
 # -- products suite -------------------------------------------------------------
 
 
-@_check("additive-three-route")
-def check_additive_three_route(pairs, order: int):
-    for k, (g1, g2) in enumerate(pairs):
-        walk = root_moments(comb_at_product(g1, g2).graph, order).coeffs
-        dec = essential_decomposition(g1, g2)
-        operator = sparse_moments((dec.total_columns(),), order, dec.phi_index)
-        mu1 = root_moments(g1, order)
-        mu2 = root_moments(g2, order)
-        nu2 = root_moments(g2, order, at=g2.second_root)
-        transform = additive_convolve("c-monotone", mu1, mu2, nu2).coeffs
-        _same(walk, operator, "pair {}: walk vs operator moments differ", k)
-        _same(walk, transform, "pair {}: walk vs transform moments differ", k)
-    return f"{len(pairs)} pairs, order {order}"
+def _walks_and_operator(g1, g2, order: int, at: str, loops=False) -> dict:
+    """The walk route on the c-comb (loop) product and the operator route of its
+    decomposition from the factor adjacencies, at `at` "e" or "f"; eta with `loops`."""
+    build = c_comb_loop_product if loops else c_comb_product
+    decompose = c_comb_loop_decomposition if loops else c_comb_decomposition
+    graph, dec = build(g1, g2).graph, decompose(g1, g2)
+    root = graph.root if at == "e" else graph.second_root
+    index = dec.phi_index if at == "e" else dec.psi_index
+    steps = (dec.cols1, dec.cols2) if loops else (dec.total_columns(),)
+    walks = (two_step_moments if loops else root_moments)(graph, order, at=root)
+    operator = MomentSeries(sparse_moments(steps, order, index))
+    if loops:
+        walks, operator = eta_from_moments(walks), eta_from_moments(operator)
+    return {"walks": walks.coeffs, "operator": operator.coeffs}
 
 
-@_check("additive-second-root-split")
-def check_second_root_split(pairs, order: int):
-    for k, (g1, g2) in enumerate(pairs):
-        prod = c_comb_product(g1, g2)
-        at_f = root_moments(prod.graph, order, at=prod.graph.second_root).coeffs
-        nu1 = root_moments(g1, order, at=g1.second_root)
-        nu2 = root_moments(g2, order, at=g2.second_root)
-        expect = additive_convolve("monotone", nu1, nu2).coeffs
-        _same(at_f, expect, "pair {}: second-root moments differ", k)
-    return f"{len(pairs)} pairs, order {order}"
+@_pairwise("additive-three-route")
+def check_additive_three_route(g1, g2, order: int):
+    mu1 = root_moments(g1, order)
+    mu2 = root_moments(g2, order)
+    nu2 = root_moments(g2, order, at=g2.second_root)
+    series = additive_convolve("c-monotone", mu1, mu2, nu2)
+    return {**_walks_and_operator(g1, g2, order, "e"), "series": series.coeffs}
+
+
+@_pairwise("additive-second-root-split")
+def check_second_root_split(g1, g2, order: int):
+    nu1 = root_moments(g1, order, at=g1.second_root)
+    nu2 = root_moments(g2, order, at=g2.second_root)
+    series = additive_convolve("monotone", nu1, nu2)
+    return {**_walks_and_operator(g1, g2, order, "f"), "series": series.coeffs}
 
 
 @_check("vertex-count-formulas")
@@ -420,18 +457,13 @@ def check_walk_cross_oracle(rng, samples: int):
     return f"{len(deep_products)} deep cases to order {DEEP_WALK_ORDER}, {samples} samples to order 8"
 
 
-@_check("colored-adjacency-split")
-def check_colored_split(pairs):
-    for k, (g1, g2) in enumerate(pairs):
-        g = c_comb_loop_product(g1, g2).graph
-        split = sparse_sum(adjacency_columns(g, 1), adjacency_columns(g, 2))
-        _same(adjacency_columns(g), split, "pair {}: color split does not sum", k)
-        z_moments = two_step_moments(g, 4).coeffs
-        for n in range(1, 5):
-            walks = brute_force_closed_walks(g, 2 * n, alternating=True)
-            witness = "pair {}: alternating walks differ at length {}"
-            _same(z_moments[n], walks, witness, k, 2 * n)
-    return f"{len(pairs)} pairs"
+@_pairwise("colored-adjacency-split", detail="{pairs} pairs", start=1)
+def check_colored_split(g1, g2, _order):
+    g = c_comb_loop_product(g1, g2).graph
+    split = sparse_sum(adjacency_columns(g, 1), adjacency_columns(g, 2))
+    _same(adjacency_columns(g), split, "color split does not sum")
+    walks = [brute_force_closed_walks(g, 2 * n, alternating=True) for n in range(1, 5)]
+    return {"walks": two_step_moments(g, 4).coeffs[1:], "enumerated": walks}
 
 
 @_check("comb-loop-added-loops")
@@ -440,60 +472,44 @@ def check_comb_loop_loops(rng, samples: int):
         g1 = random_rooted_graph(rng, 1, 5, loop_p=0)
         g2 = random_rooted_graph(rng, 1, 5, loop_p=0)
         prod = comb_loop_product(g1, g2)
-        added = sum(
-            1 for i, j, c in prod.graph.colored_edges if i == j and c == 1
-        )
+        added = sum(1 for i, j, c in prod.graph.colored_edges if i == j and c == 1)
         expect = g1.vertex_count * (g2.vertex_count - 1)
         _same(added, expect, "case {}: {} loops, expected {}", k, added, expect)
     return f"{samples} loop-free cases"
 
 
-@_check("multiplicative-eta-three-route")
-def check_multiplicative_three_route(pairs, order: int):
-    for k, (g1, g2) in enumerate(pairs):
-        prod = c_comb_loop_product(g1, g2).graph
-        eta_e = eta_from_moments(two_step_moments(prod, order))
-        eta1 = eta_from_moments(root_moments(g1, order))
-        eta2 = eta_from_moments(root_moments(g2, order))
-        eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
-        engine = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu)
-        witness = "pair {}: graph eta vs series engine differ"
-        _same(eta_e.coeffs, engine.coeffs, witness, k)
-        formula = tuple(
-            coefficient_formula(
-                "c-monotone", n, eta1.coeffs, eta2.coeffs, eta_nu.coeffs
-            )
-            for n in range(1, order + 1)
-        )
-        _same(eta_e.coeffs, formula, "pair {}: graph eta vs coefficient sums", k)
-    return f"{len(pairs)} pairs, order {order}"
+@_pairwise("multiplicative-eta-three-route", start=1)
+def check_multiplicative_three_route(g1, g2, order: int):
+    eta1 = eta_from_moments(root_moments(g1, order))
+    eta2 = eta_from_moments(root_moments(g2, order))
+    eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
+    etas = eta1.coeffs, eta2.coeffs, eta_nu.coeffs
+    series = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu).coeffs
+    formula = [coefficient_formula("c-monotone", n, *etas) for n in range(1, order + 1)]
+    routes = _walks_and_operator(g1, g2, order, "e", loops=True)
+    return {**routes, "series": series, "formula": formula}
 
 
-@_check("multiplicative-second-root-monotone")
-def check_multiplicative_second_root(pairs, order: int):
-    for k, (g1, g2) in enumerate(pairs):
-        prod = c_comb_loop_product(g1, g2).graph
-        eta_f = eta_from_moments(two_step_moments(prod, order, at=prod.second_root))
-        nu1 = eta_from_moments(root_moments(g1, order, at=g1.second_root))
-        eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
-        expect = multiplicative_convolve("monotone", nu1, eta_nu)
-        witness = "pair {}: second-root eta differs from monotone convolution"
-        _same(eta_f.coeffs, expect.coeffs, witness, k)
-    return f"{len(pairs)} pairs, order {order}"
+@_pairwise("multiplicative-second-root-monotone", start=1)
+def check_multiplicative_second_root(g1, g2, order: int):
+    nu1 = eta_from_moments(root_moments(g1, order, at=g1.second_root))
+    eta_nu = eta_from_moments(root_moments(g2, order, at=g2.second_root))
+    series = multiplicative_convolve("monotone", nu1, eta_nu).coeffs
+    return {**_walks_and_operator(g1, g2, order, "f", loops=True), "series": series}
 
 
-@_check("d-walk-first-return-counts")
-def check_d_walk_counts(pairs, walk_order: int):
+@_pairwise(
+    "d-walk-first-return-counts", detail="{pairs} pairs, lengths up to {order}", start=1
+)
+def check_d_walk_counts(g1, g2, walk_order: int):
     half = walk_order // 2
-    witness = "pair {}: d-walk count {} vs first-return coefficient {} at length {}"
-    for k, (g1, g2) in enumerate(pairs):
-        prod = c_comb_loop_product(g1, g2)
-        eta_e = eta_from_moments(two_step_moments(prod.graph, half))
-        for n in range(1, half + 1):
-            counted = count_d_walks(prod.graph, 2 * n)
-            first = eta_e.coeffs[n - 1]
-            _same(counted, first, witness, k, counted, first, 2 * n)
-    return f"{len(pairs)} pairs, lengths up to {walk_order}"
+    graph = c_comb_loop_product(g1, g2).graph
+    eta1 = eta_from_moments(root_moments(g1, half))
+    eta2 = eta_from_moments(root_moments(g2, half))
+    eta_nu = eta_from_moments(root_moments(g2, half, at=g2.second_root))
+    series = multiplicative_convolve("c-monotone", eta1, eta2, eta_nu).coeffs
+    d_walks = [count_d_walks(graph, 2 * n) for n in range(1, half + 1)]
+    return {"d-walks": d_walks, "series": series}
 
 
 def products_suite(cfg: VerifyConfig) -> list:
@@ -603,8 +619,7 @@ def check_noncommutative_witnesses(order: int):
     nu2 = root_moments(g2, order, at=g2.second_root)
     fwd = additive_convolve("c-monotone", mu1, mu2, nu2)
     rev = additive_convolve("c-monotone", mu2, mu1, nu1)
-    commuted = fwd.coeffs == rev.coeffs
-    _same(commuted, False, "c-monotone additive unexpectedly commuted")
+    _same(fwd.coeffs == rev.coeffs, False, "c-monotone additive unexpectedly commuted")
     return "monotone and c-monotone witnesses verified"
 
 

@@ -2,8 +2,8 @@
 
 Tests build an operator both ways and compare: the library builds every
 operator above factor size column-sparse, and these product-size dense
-constructions exist only to check it. `matrix_power_entry` takes a real dense
-power, so walk counts and moments checked against it do not share the
+constructions exist only to check it. `matrix_power` takes a real dense
+power, and `matrix_power_entry` reads one entry of it, so walk counts and moments checked against it do not share the
 sparse moment kernel.
 """
 
@@ -60,10 +60,26 @@ def sparse_to_matrix(cols: list) -> Matrix:
     return Matrix(n, n, tuple(data))
 
 
+def matrix_power(a: Matrix, n: int) -> Matrix:
+    """The dense n-th power, by repeated squaring."""
+    if not a.is_square:
+        raise ValueError("power of a non-square matrix")
+    if n < 0:
+        raise ValueError("negative matrix power")
+    result = Matrix.identity(a.rows)
+    base = a
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
 def matrix_power_entry(a: Matrix, n: int, i: int, j: int):
     """Entry (i, j) of the dense n-th power."""
     if not a.is_square:
         raise ValueError("matrix_power_entry requires a square matrix")
     if not (0 <= i < a.rows and 0 <= j < a.rows):
         raise IndexError("index out of range")
-    return (a**n).entry(i, j)
+    return matrix_power(a, n).entry(i, j)

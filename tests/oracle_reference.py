@@ -5,8 +5,25 @@ flat node list. These are the defining recursions written out directly, one
 call per subword with a per-call memo, on word helpers of their own: the
 full collapse, the first local maximum by its definition, and a letter
 dropped by collapsing the rest again. Tests compare the plan with them in
-value and in type.
+value and in type. `TableFunctional` reads a functional's values from an
+explicit table, so a test can hand the oracles symbolic moments.
 """
+
+
+class TableFunctional:
+    """Moment functional backed by an explicit table of word values."""
+
+    def __init__(self, table: dict):
+        self.table = dict(table)
+
+    def __call__(self, names: tuple):
+        names = tuple(names)
+        if not names:
+            return 1
+        try:
+            return self.table[names]
+        except KeyError:
+            raise KeyError(f"no table value for the product {names!r}") from None
 
 
 def collapse(word) -> tuple:

@@ -6,6 +6,7 @@ lines; the whole suite is seeded and deterministic.
 """
 
 import ast
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -17,9 +18,10 @@ import pytest
 import sympy as sp
 
 from ccomb import verify
-from ccomb.independence import TableFunctional, oracle_cmonotone
+from ccomb.independence import oracle_cmonotone
 from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
+from oracle_reference import TableFunctional
 
 CFG = VerifyConfig()  # order 12, words to 8, 20 random graph pairs, 50 models
 
@@ -220,6 +222,65 @@ def test_a_broken_word_fails_with_the_first_witness_of_a_word_walk(monkeypatch):
         "model 0, word ((2, 'a'),), state phi",
         "model 0, word ((2, 'a'),): variant phi",
     ]
+
+
+def _products_failures():
+    cfg = VerifyConfig(order=6, graph_samples=3)
+    return {c.name: c.detail for c in verify.products_suite(cfg) if not c.passed}
+
+
+@pytest.mark.parametrize(
+    "decompose, check",
+    [
+        ("c_comb_decomposition", "additive-second-root-split"),
+        ("c_comb_loop_decomposition", "multiplicative-second-root-monotone"),
+    ],
+)
+@pytest.mark.parametrize("shift", [1, -1])
+def test_a_wrong_second_root_index_fails_on_the_operator_route(
+    monkeypatch, decompose, check, shift
+):
+    # the operator route reads the decomposition at psi_index: a state one
+    # coordinate off must disagree with the walks at f, in this check alone
+    real = getattr(verify, decompose)
+
+    def shifted(g1, g2):
+        dec = real(g1, g2)
+        return dataclasses.replace(dec, psi_index=dec.psi_index + shift)
+
+    monkeypatch.setattr(verify, decompose, shifted)
+    failures = _products_failures()
+    assert list(failures) == [check]
+    assert failures[check].startswith("pair 0: walks vs operator differ at n=")
+
+
+def test_a_broken_series_fails_on_the_series_route(monkeypatch):
+    # the last additive moment shifted by one: walks and operator still
+    # agree, so the witness names the series route at its index
+    real = verify.additive_convolve
+
+    def shifted(kind, mu1, mu2, nu2=None):
+        out = real(kind, mu1, mu2, nu2).coeffs
+        return verify.moment_series(out[:-1] + (out[-1] + 1,))
+
+    monkeypatch.setattr(verify, "additive_convolve", shifted)
+    failures = _products_failures()
+    assert failures["additive-three-route"] == "pair 0: walks vs series differ at n=6"
+    assert failures["additive-second-root-split"] == (
+        "pair 0: walks vs series differ at n=6"
+    )
+
+
+def test_a_pair_check_takes_a_generator_and_prefixes_a_routes_witness(monkeypatch):
+    pairs = verify.multiplicative_pairs(VerifyConfig(graph_samples=2))
+    check = verify.check_multiplicative_second_root((p for p in pairs), 4)
+    assert check == verify.Check(
+        "multiplicative-second-root-monotone", True, "3 pairs, order 4"
+    )
+    # a mismatch raised inside the routes gets the pair prefix too
+    monkeypatch.setattr(verify, "sparse_sum", lambda *ops: ops[0])
+    check = verify.check_colored_split(p for p in pairs)
+    assert check.detail == "pair 0: color split does not sum"
 
 
 def test_verify_has_no_assert_statements():

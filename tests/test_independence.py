@@ -17,7 +17,6 @@ from ccomb.independence import (
     AlgebraModel,
     HalfWordPlan,
     ModelFunctional,
-    TableFunctional,
     WordPlan,
     all_words,
     collapse_word,
@@ -43,7 +42,12 @@ from ccomb.verify import random_model
 
 from conftest import birooted_graphs
 from dense_reference import sparse_to_matrix
-from oracle_reference import drop_and_merge, reference_cmonotone, reference_moment
+from oracle_reference import (
+    TableFunctional,
+    drop_and_merge,
+    reference_cmonotone,
+    reference_moment,
+)
 
 
 def symbols(names):

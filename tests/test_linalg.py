@@ -21,6 +21,7 @@ from dense_reference import (
     complement_projection,
     flip23_permutation,
     kron_all,
+    matrix_power,
     matrix_power_entry,
     sparse_to_matrix,
 )
@@ -160,8 +161,8 @@ def test_restriction_commutes_with_powers(a, n):
     if not basis:
         return
     restricted = sparse_to_matrix(subspace_restrict(sparse_columns(blocked), basis))
-    powered = subspace_restrict(sparse_columns(blocked**n), basis)
-    assert sparse_to_matrix(powered) == restricted**n
+    powered = subspace_restrict(sparse_columns(matrix_power(blocked, n)), basis)
+    assert sparse_to_matrix(powered) == matrix_power(restricted, n)
 
 
 def test_flip23_permutation_swaps_legs():
