@@ -19,12 +19,24 @@ A product, reciprocal or composition of order-N inputs is exact to order N;
 this holds for every operation below, including the nested
 composition-plus-quotient shapes, because each is evaluated in a form whose
 coefficient of index n only consumes input coefficients of index <= n.
+
+Rationals run on integers. Dilating a distribution by lam scales M_k, N(k)
+and psi_k by lam**k and c_j by lam**(j+1), and the convolutions commute with
+it. So each kernel call dilates its `Fraction` inputs to integers by a lam
+built up from their denominators, runs the ring-generic loops on them, and
+divides coefficient k by its power of lam on the way out. A series that a
+multiplicative convolution uses linearly (eta1, the boolean factors) is
+multiplied by the lcm of the denominators instead. Integers, and a call with
+an input in any other ring, get lam = 1: the loops run on the values given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
+from operator import sub
 
 __all__ = [
     "MomentSeries",
@@ -151,8 +163,32 @@ def _power_sum(c, x, n):
     return acc
 
 
-def _is_zero(seq) -> bool:
-    return all(x == 0 for x in seq)
+def _dilation(first, *seqs, linear=False) -> int:
+    """A lam making every seq[k] * lam**(k + first) an integer, or with
+    `linear` every seq[k] * lam; built up from the denominators, it divides
+    their lcm. It is 1 unless every entry is an int or a `Fraction`."""
+    lam = 1
+    if all(type(x) in (int, Fraction) for s in seqs for x in s):
+        for s in seqs:
+            for k, x in enumerate(s, first):
+                power = lam if linear else lam**k
+                lam *= x.denominator // gcd(x.denominator, power)
+    return lam
+
+
+def _dilate(seq, lam, first=0, scale=1) -> list:
+    """The integers seq[k] * scale * lam**(k + first), or seq if both are 1."""
+    if lam == scale == 1:
+        return list(seq)
+    ks = enumerate(seq, first)
+    return [x.numerator * (scale * lam**k // x.denominator) for k, x in ks]
+
+
+def _undilate(seq, lam, first=0, scale=1) -> tuple:
+    """seq[k] / (scale * lam**(k + first)), the inverse of `_dilate`."""
+    if lam == scale == 1:
+        return tuple(seq)
+    return tuple(Fraction(x, scale * lam**k) for k, x in enumerate(seq, first))
 
 
 def _same_order(*series):
@@ -169,16 +205,18 @@ def moments_to_F(m: MomentSeries) -> FSeries:
     """Reciprocal of the G-series, computed as an exact series reciprocal
     in the variable w = 1/z."""
     n = m.order
-    q = _recip(list(m.coeffs), n + 1)
-    return FSeries("F", tuple(q[1:]))
+    lam = _dilation(0, m.coeffs)
+    q = _recip(_dilate(m.coeffs, lam), n + 1)
+    return FSeries("F", _undilate(q[1:], lam, 1))
 
 
 def F_to_moments(f: FSeries) -> MomentSeries:
     if f.kind != "F":
         raise ValueError("expected an F-series")
     n = f.order
-    m = _recip([1, *f.coeffs], n + 1)
-    return MomentSeries(tuple(m))
+    lam = _dilation(1, f.coeffs)
+    m = _recip([1, *_dilate(f.coeffs, lam, 1)], n + 1)
+    return MomentSeries(_undilate(m, lam))
 
 
 def compose_F(f1: FSeries, f2: FSeries) -> FSeries:
@@ -191,9 +229,11 @@ def compose_F(f1: FSeries, f2: FSeries) -> FSeries:
     if f1.kind != "F" or f2.kind != "F":
         raise ValueError("compose_F expects F-series")
     n = _same_order(f1, f2)
-    w_over_u = [0, *_recip([1, *f2.coeffs], n)[: n - 1]]
-    comp = _power_sum(f1.coeffs, w_over_u, n)
-    return FSeries("F", tuple(a + b for a, b in zip(f2.coeffs, comp)))
+    lam = _dilation(1, f1.coeffs, f2.coeffs)
+    c1, c2 = _dilate(f1.coeffs, lam, 1), _dilate(f2.coeffs, lam, 1)
+    w_over_u = [0, *_recip([1, *c2], n)[: n - 1]]
+    comp = _power_sum(c1, w_over_u, n)
+    return FSeries("F", _undilate([a + b for a, b in zip(c2, comp)], lam, 1))
 
 
 def additive_convolve(
@@ -252,18 +292,20 @@ def eta_from_psi(p: FSeries) -> FSeries:
     if p.kind != "psi":
         raise ValueError("expected a psi-series")
     n = p.order
-    inv = _recip([1, *p.coeffs], n + 1)
-    h = _mul([0, *p.coeffs], inv, n + 1)
-    return FSeries("eta", tuple(h[1:]))
+    lam = _dilation(1, p.coeffs)
+    c = _dilate(p.coeffs, lam, 1)
+    h = _mul([0, *c], _recip([1, *c], n + 1), n + 1)
+    return FSeries("eta", _undilate(h[1:], lam, 1))
 
 
 def psi_from_eta(h: FSeries) -> FSeries:
     if h.kind != "eta":
         raise ValueError("expected an eta-series")
     n = h.order
-    inv = _recip([1, *(-c for c in h.coeffs)], n + 1)
-    p = _mul([0, *h.coeffs], inv, n + 1)
-    return FSeries("psi", tuple(p[1:]))
+    lam = _dilation(1, h.coeffs)
+    c = _dilate(h.coeffs, lam, 1)
+    p = _mul([0, *c], _recip([1, *(-x for x in c)], n + 1), n + 1)
+    return FSeries("psi", _undilate(p[1:], lam, 1))
 
 
 def eta_from_moments(m: MomentSeries) -> FSeries:
@@ -271,10 +313,6 @@ def eta_from_moments(m: MomentSeries) -> FSeries:
 
 
 # -- multiplicative convolutions ---------------------------------------------
-
-
-def _eta_poly(h: FSeries) -> list:
-    return [0, *h.coeffs]
 
 
 def multiplicative_convolve(
@@ -304,43 +342,40 @@ def multiplicative_convolve(
     if kind == "c-monotone" and nu2 is None:
         raise ValueError("c-monotone multiplicative convolution needs nu2")
     n = _same_order(mu1, mu2, *((nu2,) if nu2 is not None else ()))
-    p2 = _eta_poly(mu2)
-    if kind == "monotone":
-        out = _power_sum(_eta_poly(mu1), p2, n + 1)  # sum_r N1(r) eta2^r
-        return FSeries("eta", tuple(out[1:]))
-    if kind == "boolean":
-        return FSeries("eta", tuple(_mul(mu1.coeffs, mu2.coeffs, n)))
-    if kind == "orthogonal":
-        if _is_zero(mu2.coeffs):
-            raise DivisorVanishes(
-                "second eta-series vanishes to this order "
-                "(distribution concentrated at zero)"
-            )
-        return FSeries("eta", tuple(_power_sum(mu1.coeffs, p2, n)))
-    # c-monotone
-    if _is_zero(nu2.coeffs):
+    divisor = {"orthogonal": ("second", mu2), "c-monotone": ("nu2", nu2)}
+    if kind in divisor and not any(divisor[kind][1].coeffs):
         raise DivisorVanishes(
-            "nu2 eta-series vanishes to this order "
+            f"{divisor[kind][0]} eta-series vanishes to this order "
             "(distribution concentrated at zero)"
         )
-    s = _power_sum(mu1.coeffs, _eta_poly(nu2), n + 1)
-    out = _mul(p2, s, n + 1)
-    return FSeries("eta", tuple(out[1:]))
+    # a series used linearly (eta1, a boolean factor) is multiplied by the lcm d
+    # of all denominators, one composed or raised to powers is dilated by lam:
+    # coefficient k carries d * lam**k. Another ring among the inputs gives 1s.
+    seqs = (mu1.coeffs, mu2.coeffs, nu2.coeffs if kind == "c-monotone" else ())
+    d = _dilation(1, *seqs, linear=True)
+    e1 = _dilate(mu1.coeffs, 1, scale=d)
+    if kind == "boolean":
+        out = _mul(e1, _dilate(mu2.coeffs, 1, scale=d), n)
+        return FSeries("eta", _undilate(out, 1, scale=d * d))
+    lam = _dilation(1, *seqs)
+    p2 = [0, *_dilate(mu2.coeffs, lam, 1)]
+    if kind == "orthogonal":  # sum_r N1(r) eta2^(r-1)
+        return FSeries("eta", _undilate(_power_sum(e1, p2, n), lam, 0, d))
+    if kind == "monotone":
+        out = _power_sum([0, *e1], p2, n + 1)  # sum_r N1(r) eta2^r
+    else:
+        out = _mul(p2, _power_sum(e1, [0, *_dilate(seqs[2], lam, 1)], n + 1), n + 1)
+    return FSeries("eta", _undilate(out[1:], lam, 1, d))
 
 
 def compositions(total: int, parts: int):
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+    """All tuples of `parts` positive integers summing to `total`, one for
+    each choice of `parts - 1` cut points among 1 .. total - 1."""
+    if parts < 1 or total < parts:
+        yield from [()] * (total == parts == 0)
         return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
@@ -372,6 +407,18 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
         raise ValueError(f"unknown coefficient formula kind {kind!r}")
     elif n_nu2 is None:
         raise ValueError("c-monotone coefficient formula needs nu2")
+    # N1 is cleared by its lcm d1, and N2 and N_nu are dilated by a shared
+    # lam (N(k) times lam**k): every term then carries d1 * lam**n
+    seqs, d1, lam = (n_mu1[:n], n_mu2[:n], n_nu2[:n]), 1, 1
+    if all(type(x) in (int, Fraction) for s in seqs for x in s):
+        d1 = lcm(*(x.denominator for x in seqs[0]))
+        lam = lcm(*(x.denominator for s in seqs[1:] for x in s))
+    if d1 * lam > 1:
+        n_mu1 = [x.numerator * (d1 // x.denominator) for x in seqs[0]]
+        n_mu2, n_nu2 = (
+            [x.numerator * (lam**k // x.denominator) for k, x in enumerate(s, 1)]
+            for s in seqs[1:]
+        )
     total = 0
     for r in range(1, n + 1):
         c = n_mu1[r - 1]
@@ -386,7 +433,7 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
                 term *= n_nu2[k - 1]
             inner += term
         total += c * inner
-    return total
+    return total if d1 == lam == 1 else Fraction(total, d1 * lam**n)
 
 
 def series_csv_rows(values, first_index: int = 0) -> list:

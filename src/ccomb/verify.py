@@ -178,19 +178,20 @@ def _sampled(
 ):
     """Decorator turning `body(order, *drawn)`, which compares one random
     case, into `check(rng, samples, order)`. Case k draws from each sampler,
-    `sampler(rng, order)`, in turn, and a mismatch's witness starts `sample
-    {k}`. Once every case agrees, `after(order)` makes fixed comparisons."""
+    `sampler(rng, order)`, in turn; a mismatch's witness, or an error in the
+    draw or the body, starts `sample {k}`. Once every case agrees,
+    `after(order)` makes fixed comparisons."""
 
     def decorate(body):
         @_check(name)
         @functools.wraps(body)
         def check(rng, samples: int, order: int):
             for k in range(samples):
-                drawn = [draw(rng, order) for draw in samplers]
                 try:
-                    body(order, *drawn)
-                except _Mismatch as exc:
-                    raise _Mismatch(f"sample {k}{exc}") from None
+                    body(order, *[draw(rng, order) for draw in samplers])
+                except Exception as exc:
+                    why = exc if isinstance(exc, _Mismatch) else f": error: {exc!r}"
+                    raise _Mismatch(f"sample {k}{why}") from None
             if after is not None:
                 after(order)
             return detail.format(samples=samples, order=order)
@@ -203,7 +204,8 @@ def _sampled(
 def _pairwise(name: str, detail="{pairs} pairs, order {order}", start=0):
     """Decorator turning `routes(g1, g2, order)`, one pair's sequences by
     route name, into `check(pairs, order)`; the first coefficient has index
-    `start`. The pairs are counted as they run: `pairs` may be a generator."""
+    `start`, and an error in `routes` starts `pair {k}: error:`. The pairs are
+    counted as they run: `pairs` may be a generator."""
 
     def decorate(routes):
         @_check(name)
@@ -214,8 +216,9 @@ def _pairwise(name: str, detail="{pairs} pairs, order {order}", start=0):
             for k, (g1, g2) in enumerate(pairs):
                 try:
                     (first, expect), *others = routes(g1, g2, order).items()
-                except _Mismatch as exc:
-                    raise _Mismatch(f"pair {k}: {exc}") from None
+                except Exception as exc:
+                    why = exc if isinstance(exc, _Mismatch) else f"error: {exc!r}"
+                    raise _Mismatch(f"pair {k}: {why}") from None
                 for route, got in others:
                     for n, (a, b) in enumerate(zip_longest(got, expect), start):
                         _same(a, b, witness, k, first, route, n)

@@ -9,6 +9,8 @@ import ast
 import dataclasses
 import hashlib
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from ccomb import verify
+from ccomb import series, verify
 from ccomb.independence import oracle_cmonotone
 from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
@@ -169,6 +171,49 @@ def test_a_check_that_raises_reports_error():
         raise ValueError("no such case")
 
     assert check() == verify.Check("raises", False, "error: ValueError('no such case')")
+
+
+def test_an_error_names_its_sample_or_its_pair():
+    # an exception other than a mismatch keeps the index of the case it hit
+    @verify._sampled("sampled", lambda rng, order: next(cases))
+    def sampled(order, k):
+        if k == 2:
+            raise ValueError("case two")
+
+    cases = iter(range(5))
+    assert sampled(random.Random(0), 5, 3) == verify.Check(
+        "sampled", False, "sample 2: error: ValueError('case two')"
+    )
+
+    @verify._pairwise("paired")
+    def paired(g1, g2, order):
+        if g1 == 2:
+            raise ValueError("pair two")
+        return {"left": (g1,), "right": (g2,)}
+
+    assert paired([(k, k) for k in range(5)], 3) == verify.Check(
+        "paired", False, "pair 2: error: ValueError('pair two')"
+    )
+
+
+@pytest.mark.parametrize("helper", ["_dilate", "_undilate"])
+def test_a_series_route_dilated_one_degree_off_fails_verify_transforms(
+    monkeypatch, helper
+):
+    # a dilation one power of lam off in the kernels: the formula route does
+    # its own scaling, so the engine-formula check disagrees at its first case
+    real = getattr(series, helper)
+
+    def off(seq, lam, first=0, scale=1):
+        return real(seq, lam, first + 1, scale)
+
+    monkeypatch.setattr(series, helper, off)
+    checks = verify.run_suite("transforms", CFG)
+    failures = {c.name: c.detail for c in checks if not c.passed}
+    assert failures["transforms/coefficient-formula-engine-equality"] == (
+        "sample 0, monotone, n=1"
+    )
+    assert all(re.match(r"sample \d+", d) for d in failures.values()), failures
 
 
 def test_a_broken_word_fails_with_the_first_witness_of_a_word_walk(monkeypatch):

@@ -48,3 +48,17 @@ def test_importing_series_loads_no_other_ccomb_module():
         check=True,
     )
     assert result.stdout.split() == ["ccomb", "ccomb.series"]
+
+
+def test_coefficient_formula_shares_no_helper_with_the_series_kernels():
+    # the formula route does its own scaling: a scaling bug in the kernels'
+    # helpers must make the engine route and the formula route disagree
+    tree = ast.parse((ROOT / "src" / "ccomb" / "series.py").read_text("utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    private = {name for name in functions if name.startswith("_")}
+    assert {"_mul", "_recip", "_power_sum", "_dilation", "_dilate"} <= private
+    used = {
+        n.id for n in ast.walk(functions["coefficient_formula"])
+        if isinstance(n, ast.Name)
+    }
+    assert used & set(functions) == {"compositions"}
