@@ -1,67 +1,41 @@
 #!/usr/bin/env python3
-"""Three independent computations of the same moment table.
+"""The route tables of the additive graph-pair checks of `ccomb verify`.
 
-Builds the c-comb product of the bundled demo pair and prints, for each n,
-the number of closed walks at the root of the essential component computed
-by (a) walk counting on the product graph, (b) powers of the tensor-operator
-decomposition, and (c) the c-monotone additive convolution of the factor
-moment sequences. The second table shows the moments at the second root
-against the plain monotone convolution.
+For the bundled demo pair, prints what each check's `routes` compares, one
+column per route: at the root e (`additive-three-route`) the c-comb product's
+closed walks, its decomposition's moments (operator) and the c-monotone
+convolution (series); at the second root f (`additive-second-root-split`)
+the walks and operator at f and the monotone convolution. A row reads `yes`
+when its routes agree.
 
 Usage:
     python scripts/additive_demo.py [--order N]
 """
 
 import argparse
+from itertools import zip_longest
 
-from ccomb.fixtures import additive_demo_pair
-from ccomb.graphs import root_moments
-from ccomb.linalg import sparse_moments
-from ccomb.products import c_comb_product, comb_at_product, essential_decomposition
-from ccomb.series import additive_convolve
+from ccomb import fixtures, verify
+
+
+def print_table(title, routes, start):
+    """One row per coefficient index n from `start`, one column per route."""
+    print(title)
+    print("n  " + " ".join(f"{name:<10}" for name in routes) + " agree")
+    for n, values in enumerate(zip_longest(*routes.values()), start):
+        cells = " ".join(f"{str(v):<10}" for v in values)
+        print(f"{n:<2} {cells} {'yes' if len(set(values)) == 1 else 'NO'}")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--order", type=int, default=12)
-    args = parser.parse_args()
-    order = args.order
-
-    g1, g2 = additive_demo_pair()
-    essential = comb_at_product(g1, g2)
-    decomposition = essential_decomposition(g1, g2)
-
-    walks = root_moments(essential.graph, order).coeffs
-    operator = sparse_moments(
-        (decomposition.total_columns(),), order, decomposition.phi_index
-    )
-    transform = additive_convolve(
-        "c-monotone",
-        root_moments(g1, order),
-        root_moments(g2, order),
-        root_moments(g2, order, at=g2.second_root),
-    ).coeffs
-
-    print(f"essential component: {essential.vertex_count} vertices,"
-          f" root label {essential.vertex_labels[essential.graph.root]}")
-    print("n  walks      operator   transform  agree")
-    for n in range(order + 1):
-        ok = walks[n] == operator[n] == transform[n]
-        print(f"{n:<2} {walks[n]:<10} {operator[n]:<10} {transform[n]:<10} "
-              f"{'yes' if ok else 'NO'}")
-
-    full = c_comb_product(g1, g2)
-    at_f = root_moments(full.graph, order, at=full.graph.second_root).coeffs
-    monotone = additive_convolve(
-        "monotone",
-        root_moments(g1, order, at=g1.second_root),
-        root_moments(g2, order, at=g2.second_root),
-    ).coeffs
-    print("\nsecond root (comb component) vs monotone convolution")
-    print("n  walks      monotone   agree")
-    for n in range(order + 1):
-        print(f"{n:<2} {at_f[n]:<10} {monotone[n]:<10} "
-              f"{'yes' if at_f[n] == monotone[n] else 'NO'}")
+    order = parser.parse_args().order
+    g1, g2 = fixtures.additive_demo_pair()
+    at_e = verify.check_additive_three_route.routes(g1, g2, order)
+    print_table("root e: walks, operator and c-monotone convolution", at_e, 0)
+    at_f = verify.check_second_root_split.routes(g1, g2, order)
+    print_table("\nsecond root f: walks, operator and monotone convolution", at_f, 0)
 
 
 if __name__ == "__main__":

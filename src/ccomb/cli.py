@@ -88,12 +88,13 @@ MAX_WORD_MOMENT_BUILD = 1_000_000
 MAX_WORD_LETTERS = 256
 
 # the vertex count of each product from its factor sizes, n1 * n2 when not
-# listed; a product above io.MAX_VERTICES is refused before it is built
+# listed; a product above io.MAX_VERTICES is refused before it is built. Keyed
+# by the builder's name, which a `functools.wraps` wrapper keeps
 _PRODUCT_VERTICES = {
-    star_product: lambda n1, n2: n1 + n2 - 1,
-    orthogonal_product: lambda n1, n2: (n1 - 1) * n2 + 1,
-    c_comb_product: lambda n1, n2: 2 * n1 * n2,
-    c_comb_loop_product: lambda n1, n2: 2 * n1 * n2,
+    "star_product": lambda n1, n2: n1 + n2 - 1,
+    "orthogonal_product": lambda n1, n2: (n1 - 1) * n2 + 1,
+    "c_comb_product": lambda n1, n2: 2 * n1 * n2,
+    "c_comb_loop_product": lambda n1, n2: 2 * n1 * n2,
 }
 
 
@@ -203,7 +204,7 @@ def _load_additive_input(path, order):
 
 def _build_product(build, g1, g2):
     n1, n2 = g1.vertex_count, g2.vertex_count
-    vertices = _PRODUCT_VERTICES.get(build, lambda n1, n2: n1 * n2)(n1, n2)
+    vertices = _PRODUCT_VERTICES.get(build.__name__, lambda n1, n2: n1 * n2)(n1, n2)
     if vertices > gio.MAX_VERTICES:
         raise _CliError(
             f"the product would have {vertices} vertices, more than {gio.MAX_VERTICES}"

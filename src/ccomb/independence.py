@@ -428,20 +428,13 @@ def oracle_cmonotone(word, pairs: dict):
     return WordPlan([word]).cmonotone(pairs)[0]
 
 
-def oracle_cmonotone_all_orders(
-    word, pairs: dict, memo: dict | None = None
-) -> frozenset:
-    """All phi values reachable by choosing local maxima in any order;
-    a singleton set certifies choice independence for this word. It keeps a
-    recursion of its own over every local maximum, apart from the plan's
-    first-local-maximum rule. `memo`, owned by the caller, carries the
-    value sets from word to word; it must serve this `pairs` dict only.
-    `word` is raw or collapsed, as in oracle_cmonotone."""
+def oracle_cmonotone_all_orders(words, pairs: dict) -> list:
+    """For each word, all phi values reachable by choosing local maxima in
+    any order; a singleton set certifies choice independence for that word.
+    It keeps a recursion of its own over every local maximum, apart from the
+    plan's first-local-maximum rule, and one value table across the list.
+    Each word is raw or collapsed, as in oracle_cmonotone."""
     table: dict = {}
-    if memo is not None:
-        if memo.setdefault("pairs", pairs) is not pairs:
-            raise ValueError("a memo serves one functional set only")
-        table = memo.setdefault("values", table)
 
     def values(v: tuple) -> frozenset:
         if not v:
@@ -465,7 +458,7 @@ def oracle_cmonotone_all_orders(
         table[v] = out
         return out
 
-    return values(collapse_word(word))
+    return [values(collapse_word(w)) for w in words]
 
 
 # -- realizations ---------------------------------------------------------------

@@ -41,7 +41,6 @@ from .independence import (
     ModelFunctional,
     WordPlan,
     all_words,
-    collapse_word,
     oracle_cmonotone_all_orders,
     realize_cmonotone_family,
     realize_cmonotone_pair,
@@ -205,7 +204,8 @@ def _pairwise(name: str, detail="{pairs} pairs, order {order}", start=0):
     """Decorator turning `routes(g1, g2, order)`, one pair's sequences by
     route name, into `check(pairs, order)`; the first coefficient has index
     `start`, and an error in `routes` starts `pair {k}: error:`. The pairs are
-    counted as they run: `pairs` may be a generator."""
+    counted as they run: `pairs` may be a generator. `check.routes` is the
+    route function itself, so a caller can print what the check compares."""
 
     def decorate(routes):
         @_check(name)
@@ -225,6 +225,7 @@ def _pairwise(name: str, detail="{pairs} pairs, order {order}", start=0):
                 count += 1
             return detail.format(pairs=count, order=order)
 
+        check.routes = routes
         return check
 
     return decorate
@@ -845,13 +846,10 @@ def check_family_three(family_models, word_len: int):
 @_check("local-maximum-choice-independence")
 def check_local_max_choice(model_pairs):
     words = all_words(PAIR_LETTERS, ALL_ORDERS_WORD)
-    collapsed = [collapse_word(w) for w in words]
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         pairs = two_state_pairs({1: m1, 2: m2})
-        memo: dict = {}
-        for w, cw in zip(words, collapsed):
-            vals = oracle_cmonotone_all_orders(cw, pairs, memo)
+        for w, vals in zip(words, oracle_cmonotone_all_orders(words, pairs)):
             _same(len(vals), 1, "model {}, word {}: {} values", k, w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 

@@ -48,6 +48,7 @@ from oracle_reference import (
     reference_cmonotone,
     reference_moment,
 )
+from ring_reference import mod_p
 
 
 def symbols(names):
@@ -197,7 +198,7 @@ def test_local_maximum_choice_independence_symbolic():
     }
     # two non-adjacent local maxima: both reductions must agree
     word = ((2, "b"), (1, "a"), (3, "c"))
-    values = oracle_cmonotone_all_orders(word, pairs)
+    [values] = oracle_cmonotone_all_orders([word], pairs)
     expanded = {sp.expand(v) for v in values}
     assert len(expanded) == 1
 
@@ -462,10 +463,9 @@ def test_plan_equals_one_word_oracles_for_a_list_and_its_reverse(letters):
         for kind in kinds:
             fresh = [oracle_moment(kind, w, fns) for w in order]
             assert plan.moments(kind, fns) == fresh, kind
-        # the all-orders oracle keeps its own recursion and a caller-owned memo
-        memo = {}
-        shared = [oracle_cmonotone_all_orders(w, pairs, memo) for w in order]
-        assert shared == [oracle_cmonotone_all_orders(w, pairs) for w in order]
+        # the all-orders oracle keeps its own recursion and one table per list
+        shared = oracle_cmonotone_all_orders(order, pairs)
+        assert shared == [oracle_cmonotone_all_orders([w], pairs)[0] for w in order]
 
 
 def test_plan_gives_each_functional_set_its_fresh_values():
@@ -484,13 +484,49 @@ def test_plan_gives_each_functional_set_its_fresh_values():
     assert seen[0] != seen[1]
 
 
-def test_all_orders_memo_refuses_a_second_functional_set():
-    rng = random.Random(3)
-    models = {j: random_model(rng, two_state=True) for j in (1, 2)}
-    memo = {}
-    oracle_cmonotone_all_orders(((1, "a"), (2, "a")), two_state_pairs(models), memo)
-    with pytest.raises(ValueError):
-        oracle_cmonotone_all_orders(((1, "a"), (2, "a")), two_state_pairs(models), memo)
+def _mod_p_model(model):
+    """The model with every entry reduced mod p (the trusted `Matrix` path:
+    `from_rows` admits only rationals)."""
+    elements = {
+        name: Matrix(a.rows, a.cols, mod_p(a.data))
+        for name, a in model.elements.items()
+    }
+    return AlgebraModel(elements, model.xi, model.eta)
+
+
+def test_oracle_and_realization_kernels_on_integers_mod_p():
+    # both kernels use only +, -, * and tests against 0 and 1: on the integers
+    # mod p they give the Fraction results reduced mod p, and never a Fraction
+    rng = random.Random("mod-p")
+    exact = [random_model(rng, two_state=True, use_fractions=True) for _ in range(3)]
+    ring = [_mod_p_model(m) for m in exact]
+    words = all_words(((1, "a"), (2, "a")), 5)
+    plan, halves = WordPlan(words), HalfWordPlan(words)
+    family_halves = HalfWordPlan(all_words(((0, "a"), (1, "a"), (2, "a")), 4))
+
+    def routes(models):
+        """The values of every oracle and realization route, by route."""
+        m1, m2 = models[:2]
+        fns = {1: ModelFunctional(m1, m1.xi), 2: ModelFunctional(m2, m2.xi)}
+        cmonotone = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
+        out = {f"oracle {kind}": plan.moments(kind, fns) for kind in ORACLE_KINDS}
+        for n, state in enumerate(("phi", "psi")):
+            out[f"oracle c-monotone {state}"] = [values[n] for values in cmonotone]
+        realizations = {
+            "pair": (realize_cmonotone_pair(m1, m2), halves),
+            "variant": (realize_cmonotone_pair(m1, m2, variant=True), halves),
+            "family of 3": (realize_cmonotone_family(models), family_halves),
+        }
+        for label, (realization, word_halves) in realizations.items():
+            for state in ("phi", "psi"):
+                evaluator = realization.evaluator(state)
+                out[f"{label} {state}"] = evaluator.moments(word_halves)
+        return out
+
+    want = routes(exact)
+    for route, got in routes(ring).items():
+        assert not any(isinstance(v, Fraction) for v in got), route
+        assert tuple(got) == mod_p(want[route]), route
 
 
 @st.composite
@@ -688,8 +724,8 @@ def test_oracles_agree_on_a_word_and_its_collapse(word):
     for kind in ORACLE_KINDS:
         assert oracle_moment(kind, word, fns) == oracle_moment(kind, w, fns), kind
     assert oracle_cmonotone(word, pairs) == oracle_cmonotone(w, pairs)
-    assert oracle_cmonotone_all_orders(word, pairs) == oracle_cmonotone_all_orders(
-        w, pairs
+    assert oracle_cmonotone_all_orders([word], pairs) == oracle_cmonotone_all_orders(
+        [w], pairs
     )
 
 

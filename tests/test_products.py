@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -18,6 +21,7 @@ from ccomb.linalg import (
     subspace_restrict,
 )
 from ccomb.products import (
+    ADDITIVE_WALK_PRODUCTS,
     c_comb_decomposition,
     c_comb_loop_decomposition,
     c_comb_loop_product,
@@ -34,6 +38,8 @@ from ccomb.products import (
     star_product,
     superposition_map,
 )
+from ccomb.series import additive_convolve, moment_series
+from ccomb.verify import random_birooted_graph
 
 from conftest import birooted_graphs, rooted_graphs
 from dense_reference import (
@@ -414,3 +420,34 @@ def test_product_output_is_pinned():
             digest.update(format_graph(prod.graph, prod.vertex_labels).encode())
             digest.update(to_dot(prod.graph, prod.vertex_labels).encode())
     assert digest.hexdigest() == PRODUCT_OUTPUT_DIGEST
+
+
+def test_halved_root_moments_convolve_to_the_halved_walks_and_operator():
+    # M_k / 2^k are the moments of the adjacency halved, and every additive
+    # convolution commutes with that dilation; integer walk counts (as in
+    # `verify products`) never run the series kernels' dilation, these do
+    half = Fraction(1, 2)
+
+    def halved(moments):
+        return moment_series([m * half**k for k, m in enumerate(moments.coeffs)])
+
+    rng = random.Random("halved")
+    pairs = [additive_demo_pair()] + [
+        (random_birooted_graph(rng, 2, 5), random_birooted_graph(rng, 2, 5))
+        for _ in range(4)
+    ]
+    order = 8
+    for g1, g2 in pairs:
+        mu1, mu2 = halved(root_moments(g1, order)), halved(root_moments(g2, order))
+        nu1 = halved(root_moments(g1, order, at=g1.second_root))
+        nu2 = halved(root_moments(g2, order, at=g2.second_root))
+        for kind, build in ADDITIVE_WALK_PRODUCTS.items():
+            series = additive_convolve(kind, mu1, mu2, nu2)
+            walks = halved(root_moments(build(g1, g2).graph, order))
+            assert series.coeffs == walks.coeffs, kind
+        dec = c_comb_decomposition(g1, g2)
+        operator = [[(r, v * half) for r, v in col] for col in dec.total_columns()]
+        at_e = additive_convolve("c-monotone", mu1, mu2, nu2)
+        assert at_e.coeffs == sparse_moments((operator,), order, dec.phi_index)
+        at_f = additive_convolve("monotone", nu1, nu2)
+        assert at_f.coeffs == sparse_moments((operator,), order, dec.psi_index)

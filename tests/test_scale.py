@@ -1,6 +1,7 @@
 """CLI runs at sizes where a dense ambient build takes seconds and hundreds
 of megabytes; the column-sparse operators keep each well under a second."""
 
+import functools
 import random
 from pathlib import Path
 from time import perf_counter
@@ -92,12 +93,21 @@ def test_word_moment_refuses_a_word_over_the_letter_cap(monkeypatch, capsys):
     _one_error_line(capsys, f"{MAX_WORD_LETTERS + 1} letters", str(MAX_WORD_LETTERS))
 
 
+def _wrap_every_product_kind(monkeypatch):
+    """Replace each `PRODUCT_KINDS` builder by a `functools.wraps`
+    passthrough, as a tracer that times the builders does."""
+    for kind, build in list(PRODUCT_KINDS.items()):
+        passthrough = functools.wraps(build)(lambda *args, build=build: build(*args))
+        monkeypatch.setitem(PRODUCT_KINDS, kind, passthrough)
+
+
 @pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
 def test_product_vertex_limit_follows_the_factor_sizes(
     kind, tmp_path, monkeypatch, capsys
 ):
     # the count the refusal predicts is the built product's: at the limit the
-    # product is built, one vertex below it the command exits 2
+    # product is built, one vertex below it the command exits 2; so too with
+    # every builder wrapped, as a tracer wraps them
     g1 = birooted(3, [(0, 1), (1, 2)], 0, 2)
     g2 = birooted(4, [(0, 1), (1, 2), (2, 3), (3, 3)], 0, 3)
     paths = [str(tmp_path / "g1.graph"), str(tmp_path / "g2.graph")]
@@ -105,12 +115,26 @@ def test_product_vertex_limit_follows_the_factor_sizes(
     save_graph(paths[1], g2)
     vertices = PRODUCT_KINDS[kind](g1, g2).vertex_count
     argv = ["product", kind, *paths, "--out", str(tmp_path / "out")]
-    monkeypatch.setattr(gio, "MAX_VERTICES", vertices)
-    assert main(argv) == 0
-    capsys.readouterr()
-    monkeypatch.setattr(gio, "MAX_VERTICES", vertices - 1)
-    assert main(argv) == 2
-    _one_error_line(capsys, f"{vertices} vertices")
+    for wrapped in (False, True):
+        if wrapped:
+            _wrap_every_product_kind(monkeypatch)
+        monkeypatch.setattr(gio, "MAX_VERTICES", vertices)
+        assert main(argv) == 0, wrapped
+        capsys.readouterr()
+        monkeypatch.setattr(gio, "MAX_VERTICES", vertices - 1)
+        assert main(argv) == 2, wrapped
+        _one_error_line(capsys, f"{vertices} vertices")
+
+
+def test_a_wrapped_builder_keeps_its_vertex_count(tmp_path, monkeypatch, capsys):
+    # the star product of two 1,001-vertex paths has 2,001 vertices, not the
+    # n1 * n2 = 1,002,001 of the fallback count
+    _wrap_every_product_kind(monkeypatch)
+    path = tmp_path / "path.graph"
+    save_graph(path, rooted(1001, [(v, v + 1) for v in range(1000)], 0))
+    out = tmp_path / "out"
+    assert main(["product", "star", str(path), str(path), "--out", str(out)]) == 0
+    assert "vertices" not in capsys.readouterr().err
 
 
 def test_products_just_over_the_vertex_limit_are_refused_up_front(tmp_path, capsys):

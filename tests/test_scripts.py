@@ -1,4 +1,5 @@
-"""Smoke test: both demo scripts run and every row agrees."""
+"""Smoke test: both demo scripts run, print the route tables of the verify
+pair checks under the checks' route names, and every row agrees."""
 
 import os
 import subprocess
@@ -9,8 +10,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+HEADERS = {
+    "additive_demo.py": [
+        "n  walks      operator   series     agree",
+        "n  walks      operator   series     agree",
+    ],
+    "multiplicative_demo.py": [
+        "n  walks      operator   series     formula    d-walks    agree",
+        "n  walks      operator   series     agree",
+    ],
+}
 
-@pytest.mark.parametrize("script", ["additive_demo.py", "multiplicative_demo.py"])
+
+@pytest.mark.parametrize("script", sorted(HEADERS))
 def test_demo_script_rows_agree(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
@@ -21,5 +33,6 @@ def test_demo_script_rows_agree(script):
         check=True,
     )
     rows = result.stdout.splitlines()
+    assert [row for row in rows if row.startswith("n  ")] == HEADERS[script]
     assert sum(row.endswith(" yes") for row in rows) >= 8
     assert not any(row.endswith(" NO") for row in rows)

@@ -29,6 +29,7 @@ from ccomb.series import (
 )
 
 from conftest import eta_sequences, moment_sequences, small_fractions
+from ring_reference import ModP, mod_p
 
 EDGE = moment_series((1, 0, 1, 0, 1))
 
@@ -268,59 +269,6 @@ def test_csv_rows():
 # -- the kernels on rings other than the rationals ------------------------------
 
 
-class ModP:
-    """The integers mod a prime: a ring that is neither int nor Fraction, so
-    the series kernels run their generic loops on it as given."""
-
-    P = 1_000_003  # larger than every denominator below, so each is invertible
-
-    def __init__(self, value):
-        if isinstance(value, Fraction):
-            value = value.numerator * pow(value.denominator, -1, self.P)
-        self.v = value % self.P
-
-    @staticmethod
-    def _of(other):
-        return other.v if isinstance(other, ModP) else ModP(other).v
-
-    def __add__(self, other):
-        return ModP(self.v + ModP._of(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ModP(self.v - ModP._of(other))
-
-    def __rsub__(self, other):
-        return ModP(ModP._of(other) - self.v)
-
-    def __mul__(self, other):
-        return ModP(self.v * ModP._of(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModP(-self.v)
-
-    def __eq__(self, other):
-        if not isinstance(other, (int, Fraction, ModP)):
-            return NotImplemented
-        return self.v == ModP._of(other)
-
-    def __hash__(self):
-        return hash(self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"ModP({self.v})"
-
-
-def _mod(values):
-    return tuple(ModP(x) for x in values)
-
-
 def _random_fractions(rng, count):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(count)]
 
@@ -330,26 +278,26 @@ def test_kernels_on_integers_mod_p_match_the_rationals_reduced_mod_p():
     order = 8
     moments = [moment_series([1, *_random_fractions(rng, order)]) for _ in range(3)]
     etas = [eta_series(_random_fractions(rng, order)) for _ in range(3)]
-    ring_moments = [moment_series(_mod(m.coeffs)) for m in moments]
-    ring_etas = [eta_series(_mod(h.coeffs)) for h in etas]
+    ring_moments = [moment_series(mod_p(m.coeffs)) for m in moments]
+    ring_etas = [eta_series(mod_p(h.coeffs)) for h in etas]
     for kind in ADDITIVE_KINDS:
         exact = additive_convolve(kind, *moments).coeffs
         ring = additive_convolve(kind, *ring_moments).coeffs
         assert all(type(x) is ModP for x in ring[1:]), kind
-        assert ring == _mod(exact), kind
+        assert ring == mod_p(exact), kind
         # a call may mix Fraction inputs with the ring's
         mixed = additive_convolve(kind, moments[0], *ring_moments[1:]).coeffs
-        assert mixed == _mod(exact), kind
+        assert mixed == mod_p(exact), kind
     for kind in MULTIPLICATIVE_KINDS:
         exact = multiplicative_convolve(kind, *etas).coeffs
         ring = multiplicative_convolve(kind, *ring_etas).coeffs
         assert all(type(x) is ModP for x in ring), kind
-        assert ring == _mod(exact), kind
+        assert ring == mod_p(exact), kind
         mixed = multiplicative_convolve(kind, etas[0], *ring_etas[1:]).coeffs
-        assert mixed == _mod(exact), kind
+        assert mixed == mod_p(exact), kind
         for n in range(1, order + 1):
             seqs = [h.coeffs for h in etas]
-            value = coefficient_formula(kind, n, *(_mod(c) for c in seqs))
+            value = coefficient_formula(kind, n, *(mod_p(c) for c in seqs))
             assert type(value) is ModP, (kind, n)
             assert value == ModP(coefficient_formula(kind, n, *seqs)), (kind, n)
 
