@@ -38,7 +38,8 @@ DEFAULT_WALK_CAP = 16
 
 
 class WalkCapExceeded(Exception):
-    """Requested walk length exceeds the exhaustive-enumeration cap."""
+    """Requested walk length exceeds the walk counters' cap, kept as the
+    API's bound on its input."""
 
 
 def _norm_pair(i: int, j: int) -> tuple:
@@ -144,12 +145,18 @@ def adjacency_columns(g: Graph, color: int | None = None) -> list:
     return [sorted(col.items()) for col in cols]
 
 
-def root_moments(g, order: int, at: int | None = None) -> MomentSeries:
-    """Closed-walk counts at a vertex: M_n = (a^n)[at][at] for n = 0..order."""
+def _vertex(g: Graph, at: int | None) -> int:
+    """`at`, or the root if None; a vertex outside the graph is refused."""
     if at is None:
-        at = g.root
+        return g.root
     if not 0 <= at < g.vertex_count:
         raise ValueError("vertex out of range")
+    return at
+
+
+def root_moments(g, order: int, at: int | None = None) -> MomentSeries:
+    """Closed-walk counts at a vertex: M_n = (a^n)[at][at] for n = 0..order."""
+    at = _vertex(g, at)
     return MomentSeries(sparse_moments((adjacency_columns(g),), order, at))
 
 
@@ -157,8 +164,7 @@ def two_step_moments(g: Graph, order: int, at: int | None = None) -> MomentSerie
     """Moments <delta_at, Z^n delta_at> of the two-step operator
     Z = A2 * A1 built from the color-1 and color-2 adjacencies: each step
     applies A1, then A2."""
-    if at is None:
-        at = g.root
+    at = _vertex(g, at)
     steps = (adjacency_columns(g, 1), adjacency_columns(g, 2))
     return MomentSeries(sparse_moments(steps, order, at))
 
@@ -174,49 +180,29 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 
 
 def _closed_walks(g: Graph, length: int, at, colors: tuple, first_return: bool):
-    """Exhaustive DFS count of closed walks of the given length at `at`
-    whose k-th edge (k = 0, 1, ...) has color colors[k % len(colors)], a
-    color of None allowing every edge. With `first_return`, walks that
-    revisit `at` after an even, non-final number of steps are skipped.
+    """Count the closed walks of the given length at `at` whose k-th edge
+    (k = 0, 1, ...) has color colors[k % len(colors)], a color of None
+    allowing every edge. With `first_return`, walks that revisit `at` after
+    an even, non-final number of steps are not counted.
 
-    reach[p][k][v] says a k-step walk from v back to `at` exists when its
-    first edge has color colors[p]; this pruning only skips subtrees that
-    cannot close, it never changes the count.
+    count[p][v] is the number of k-step walks from v back to `at` whose
+    first edge has color colors[p]; level k sums level k - 1 over the
+    neighbor lists, so a call costs O(length * period * edges).
     """
-    if at is None:
-        at = g.root
-    if length == 0:
-        return 1
+    at = _vertex(g, at)
     period = len(colors)
-    nxt = [(p + 1) % period for p in range(period)]
     adj = [_neighbor_lists(g, c) for c in colors]
-    n = g.vertex_count
-    reach = [[[False] * n for _ in range(length + 1)] for _ in colors]
-    for p in range(period):
-        reach[p][0][at] = True
+    count = [[int(v == at) for v in range(g.vertex_count)] for _ in colors]
     for k in range(1, length + 1):
-        for p in range(period):
-            prev = reach[nxt[p]][k - 1]
-            cur = reach[p][k]
-            for v in range(n):
-                cur[v] = any(prev[w] for w in adj[p][v])
-    # skip[k]: with k steps left, the next step must not land on `at`
-    skip = [
-        first_return and (length - k + 1) % 2 == 0 and k > 1
-        for k in range(length + 1)
-    ]
-
-    def go(v, p, k):
-        if k == 1:
-            return adj[p][v].count(at)
-        if not reach[p][k][v]:
-            return 0
-        q = nxt[p]
-        if skip[k]:
-            return sum(go(w, q, k - 1) for w in adj[p][v] if w != at)
-        return sum(go(w, q, k - 1) for w in adj[p][v])
-
-    return go(at, 0, length)
+        if first_return and k > 1 and (length - k + 1) % 2 == 0:
+            # the step lands at an even, non-final time: it must miss `at`
+            for prev in count:
+                prev[at] = 0
+        count = [
+            [sum(count[(p + 1) % period][w] for w in nbrs) for nbrs in adj[p]]
+            for p in range(period)
+        ]
+    return count[0][at]
 
 
 def brute_force_closed_walks(
@@ -226,7 +212,8 @@ def brute_force_closed_walks(
     alternating: bool = False,
     cap: int = DEFAULT_WALK_CAP,
 ) -> int:
-    """Exhaustive count of closed walks of the given length at a vertex.
+    """Count the closed walks of the given length at a vertex by the
+    level table of `_closed_walks`; `cap` stays as the bound on `length`.
 
     With `alternating`, consecutive edges must differ in color and the first
     edge must have color 1, so a graph without color-2 edges has none of
@@ -244,7 +231,8 @@ def count_d_walks(
     at: int | None = None,
     cap: int = DEFAULT_WALK_CAP,
 ) -> int:
-    """Exhaustive count of first-return d-walks of even length.
+    """Count the first-return d-walks of even length by the level table of
+    `_closed_walks`; `cap` stays as the bound on `length`.
 
     A d-walk is a closed walk with alternating edge colors originating with
     color 1 that does not revisit the base vertex at any intermediate even

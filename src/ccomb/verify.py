@@ -107,7 +107,7 @@ __all__ = [
 
 MULT_ORDER = 8  # eta order of the multiplicative product checks
 WITNESS_ORDER = 4  # lowest order at which both commutation witnesses separate
-WALK_ORDER = 12  # longest d-walk counted exhaustively
+WALK_ORDER = 12  # longest d-walk the d-walk check counts
 FAMILY_WORD = 6  # word length of the family checks
 DEEP_WALK_ORDER = 12  # walk length of the deep cases of the walk cross-oracle
 ALL_ORDERS_WORD = 7  # word length of the local-maximum choice check
@@ -308,9 +308,9 @@ def additive_pairs(cfg: VerifyConfig):
 
 
 def multiplicative_pairs(cfg: VerifyConfig):
-    """Demo pair plus seeded random birooted pairs kept small enough for
-    exhaustive d-walk counting, with loops biased onto the roots and the
-    second factor never concentrated at zero at its second root."""
+    """Demo pair plus seeded random birooted pairs of at most 4 vertices
+    each, with loops biased onto the roots and the second factor never
+    concentrated at zero at its second root."""
     rng = random.Random(cfg.seed + 1)
     pairs = [fixtures.multiplicative_demo_pair()]
     while len(pairs) < cfg.graph_samples + 1:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from ccomb import series, verify
+from ccomb import graphs, series, verify
 from ccomb.independence import oracle_cmonotone
 from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
@@ -313,6 +313,22 @@ def test_a_broken_series_fails_on_the_series_route(monkeypatch):
     assert failures["additive-three-route"] == "pair 0: walks vs series differ at n=6"
     assert failures["additive-second-root-split"] == (
         "pair 0: walks vs series differ at n=6"
+    )
+
+
+def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
+    # the walk counters share no code with the moment kernel, so a kernel
+    # that gets M_12 one too high disagrees with the walks at length 12
+    real = graphs.sparse_moments
+
+    def high(steps, order, at):
+        out = real(steps, order, at)
+        return out[:12] + (out[12] + 1,) + out[13:] if order >= 12 else out
+
+    monkeypatch.setattr(graphs, "sparse_moments", high)
+    check = verify._drawing(CFG, verify.check_walk_cross_oracle, 6)
+    assert check == verify.Check(
+        "walk-count-cross-oracle", False, "deep walk count mismatch at length 12"
     )
 
 

@@ -62,3 +62,28 @@ def test_coefficient_formula_shares_no_helper_with_the_series_kernels():
         if isinstance(n, ast.Name)
     }
     assert used & set(functions) == {"compositions"}
+
+
+def test_walk_counters_stay_off_the_moment_kernel():
+    # the walk route is the operator route's independent witness: a moment
+    # kernel bug must make them disagree, so no walk counter reaches it,
+    # also not through a helper of its own module
+    tree = ast.parse((ROOT / "src" / "ccomb" / "graphs.py").read_text("utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    kernel = {
+        "sparse_apply", "sparse_moments", "adjacency_columns",
+        "adjacency_matrix", "root_moments", "two_step_moments",
+    }
+    for counter in ("_closed_walks", "brute_force_closed_walks", "count_d_walks"):
+        reached, todo = set(), [counter]
+        while todo:
+            name = todo.pop()
+            reached.add(name)
+            named = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(functions[name])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            assert not named & kernel, (counter, name, named & kernel)
+            todo.extend(named & set(functions) - reached)
+        assert {"_closed_walks", "_neighbor_lists", "_vertex"} <= reached

@@ -12,11 +12,13 @@ from ccomb.graphs import (
     disjoint_union,
     root_moments,
     rooted,
+    two_step_moments,
 )
 from ccomb.linalg import Matrix, direct_sum
 
 from conftest import rooted_graphs
 from dense_reference import matrix_power_entry
+from walk_reference import closed_walks
 
 
 def test_adjacency_conventions():
@@ -117,6 +119,47 @@ def test_brute_force_matches_matrix_powers(g, n):
         assert brute_force_closed_walks(g, n, at=at) == matrix_power_entry(
             a, n, at, at
         )
+
+
+@st.composite
+def colored_graphs(draw, max_vertices=5, max_edges=6):
+    # at most 6 edges keep the reference's one call per walk under a
+    # second per graph at length 10
+    n = draw(st.integers(1, max_vertices))
+    candidates = [(i, j, c) for i in range(n) for j in range(i, n) for c in (1, 2)]
+    edges = draw(st.sets(st.sampled_from(candidates), max_size=max_edges))
+    return colored(n, edges, 0)
+
+
+@given(colored_graphs())
+def test_walk_counters_equal_the_literal_enumerator_in_value_and_type(g):
+    for at in range(g.vertex_count):
+        for n in range(11):
+            cases = [
+                (brute_force_closed_walks(g, n, at=at), (None,), False),
+                (brute_force_closed_walks(g, n, at=at, alternating=True), (1, 2), False),
+            ]
+            if n >= 2 and n % 2 == 0:
+                cases.append((count_d_walks(g, n, at=at), (1, 2), True))
+            for got, colors, first_return in cases:
+                want = closed_walks(g, n, at, colors, first_return)
+                assert type(got) is int
+                assert got == want, (at, n, colors, first_return)
+
+
+@pytest.mark.parametrize("at", [-1, 2])
+def test_walk_counters_refuse_a_vertex_outside_the_graph(at):
+    g = rooted(2, [(0, 1), (1, 1)], 0)
+    calls = [
+        lambda: brute_force_closed_walks(g, 2, at=at),
+        lambda: brute_force_closed_walks(g, 2, at=at, alternating=True),
+        lambda: count_d_walks(g, 2, at=at),
+        lambda: root_moments(g, 2, at=at),
+        lambda: two_step_moments(g, 2, at=at),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^vertex out of range$"):
+            call()
 
 
 def test_walk_cap():
