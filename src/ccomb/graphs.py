@@ -174,9 +174,9 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     result is birooted at (root of g1, shifted root of g2) and the argument
     order is significant."""
     n1 = g1.vertex_count
-    edges = list(g1.colored_edges)
-    edges.extend((i + n1, j + n1, c) for i, j, c in g2.colored_edges)
-    return colored(n1 + g2.vertex_count, edges, g1.root, n1 + g2.root)
+    shifted = frozenset((i + n1, j + n1, c) for i, j, c in g2.colored_edges)
+    edges = g1.colored_edges | shifted
+    return Graph(n1 + g2.vertex_count, edges, g1.root, n1 + g2.root)
 
 
 def _closed_walks(g: Graph, length: int, at, colors: tuple, first_return: bool):

@@ -112,10 +112,10 @@ def format_graph(graph, labels=None) -> str:
     lines = [f"vertices = {graph.vertex_count}", f"root = {graph.root}"]
     if graph.second_root is not None:
         lines.append(f"second_root = {graph.second_root}")
-    edges = [list(e) for e in sorted(graph.colored_edges)]
-    lines.append(f"edges = {json.dumps(edges)}")
+    # JSON writes the edge and label tuples as lists
+    lines.append(f"edges = {json.dumps(sorted(graph.colored_edges))}")
     if labels is not None:
-        lines.append(f"labels = {json.dumps([list(lab) for lab in labels])}")
+        lines.append(f"labels = {json.dumps(labels)}")
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +136,7 @@ def to_dot(graph, labels=None) -> str:
         elif second is not None and v == second:
             attrs.append("shape=square")
         if labels is not None:
-            text = ",".join(str(c) for c in labels[v])
+            text = ",".join(map(str, labels[v]))
             attrs.append(f'label="{v}:({text})"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         out.append(f"  {v}{suffix};")

@@ -15,7 +15,10 @@ the list of its ``(row, value)`` nonzeros in increasing row order. Builders
 operators are equal exactly when their column lists are; a complement
 projection P-perp is built as the signed sum 1 - P.
 `sparse_apply` maps a sparse vector ``{index: value}``, `sparse_transpose`
-turns columns into rows, and `sparse_moments` is the one moment kernel.
+turns columns into rows, and `sparse_moments` is the one moment kernel. It
+walks half the chain: with v_k = Z^k delta and w_k = (Z^T)^k delta,
+M_2k = <w_k, v_k> and M_2k+1 = <w_k, v_k+1>; a self-adjoint Z (a graph
+adjacency, a symmetric decomposition total) has w = v.
 The dense `Matrix` serves the factor-size oracle models only.
 
 Index convention, fixed project-wide: the Kronecker product ``kron(A, B)``
@@ -300,19 +303,42 @@ def sparse_transpose(cols: list) -> list:
     return out
 
 
+def _dot(u: dict, v: dict):
+    """<u, v> of two sparse vectors; a zero sum is the int 0."""
+    if len(u) > len(v):
+        u, v = v, u
+    total = sum(x * v[i] for i, x in u.items() if i in v)
+    return total if total else 0
+
+
 def sparse_moments(steps, order: int, at: int) -> tuple:
     """The sequence <delta_at, Z^n delta_at> for n = 0..order, where one
     step Z applies the column-sparse operators of `steps` in turn (first
     operator first): closed-walk counts for ``(A,)``, two-step moments of
-    Z = A2 * A1 for ``(A1, A2)``."""
+    Z = A2 * A1 for ``(A1, A2)``.
+
+    Half the chain suffices: with v_k = Z^k delta and w_k = (Z^T)^k delta,
+    M_2k = <w_k, v_k> and M_2k+1 = <w_k, v_k+1>. When the transposed steps,
+    in reverse order, equal the steps, Z is self-adjoint and w is v, so Z
+    is applied ceil(order / 2) times; otherwise both chains are walked.
+    Only the current vectors are held, never the chain."""
     if not 0 <= at < len(steps[0]):
         raise IndexError("state index out of range")
-    vec = {at: 1}
+    back = [sparse_transpose(cols) for cols in reversed(steps)]
+    if back == list(steps):
+        back = None
+    v = w = {at: 1}
     out = [1]
-    for _ in range(order):
-        for cols in steps:
-            vec = sparse_apply(cols, vec)
-        out.append(vec.get(at, 0))
+    for n in range(1, order + 1):
+        if n % 2:
+            for cols in steps:
+                v = sparse_apply(cols, v)
+        elif back is None:
+            w = v
+        else:
+            for cols in back:
+                w = sparse_apply(cols, w)
+        out.append(_dot(w, v))
     return tuple(out)
 
 

@@ -232,11 +232,13 @@ def c_comb_product(g1: Graph, g2: Graph) -> ProductGraph:
 def _loops_off_spine(base: ProductGraph, spine: tuple) -> ProductGraph:
     """The loop rule: a color-1 loop on every vertex off the spine, i.e.
     whose label past its G1 coordinate differs from `spine`."""
-    edges = list(base.graph.colored_edges)
-    for v, label in enumerate(base.vertex_labels):
-        if label[1:] != spine:
-            edges.append((v, v, 1))
-    graph = colored(base.vertex_count, edges, base.graph.root)
+    edges = base.graph.colored_edges
+    loops = frozenset(
+        (v, v, 1) for v, label in enumerate(base.vertex_labels) if label[1:] != spine
+    )
+    if loops & edges:
+        raise ValueError("duplicate edges (same pair and color)")
+    graph = Graph(base.vertex_count, edges | loops, base.graph.root)
     return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
 
 

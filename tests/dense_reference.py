@@ -4,10 +4,11 @@ Tests build an operator both ways and compare: the library builds every
 operator above factor size column-sparse, and these product-size dense
 constructions exist only to check it. `matrix_power` takes a real dense
 power, and `matrix_power_entry` reads one entry of it, so walk counts and moments checked against it do not share the
-sparse moment kernel.
+sparse moment kernel. `full_chain_moments` is the kernel's plain loop over
+the whole chain, kept as the reference for its half-chain form.
 """
 
-from ccomb.linalg import Matrix, kron, tensor_index
+from ccomb.linalg import Matrix, kron, sparse_apply, tensor_index
 
 
 def kron_all(*mats: Matrix) -> Matrix:
@@ -83,3 +84,16 @@ def matrix_power_entry(a: Matrix, n: int, i: int, j: int):
     if not (0 <= i < a.rows and 0 <= j < a.rows):
         raise IndexError("index out of range")
     return matrix_power(a, n).entry(i, j)
+
+
+def full_chain_moments(steps, order: int, at: int) -> tuple:
+    """<delta_at, Z^n delta_at> for n = 0..order, applying Z order times."""
+    if not 0 <= at < len(steps[0]):
+        raise IndexError("state index out of range")
+    vec = {at: 1}
+    out = [1]
+    for _ in range(order):
+        for cols in steps:
+            vec = sparse_apply(cols, vec)
+        out.append(vec.get(at, 0))
+    return tuple(out)

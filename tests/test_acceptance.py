@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from ccomb import graphs, series, verify
+from ccomb import graphs, linalg, series, verify
 from ccomb.independence import oracle_cmonotone
 from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
@@ -330,6 +330,24 @@ def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
     assert check == verify.Check(
         "walk-count-cross-oracle", False, "deep walk count mismatch at length 12"
     )
+
+
+class _EqualToAll:
+    def __eq__(self, other):
+        return True
+
+
+def test_a_kernel_that_takes_every_step_tuple_as_self_adjoint_fails(monkeypatch):
+    # the half-chain kernel may read M_2k as <v_k, v_k> only for a
+    # self-adjoint step; a self-adjointness test that always says yes breaks
+    # the two-step moments of every alternating walk and eta check
+    monkeypatch.setattr(linalg, "sparse_transpose", lambda cols: _EqualToAll())
+    failures = _products_failures()
+    assert failures == {
+        "colored-adjacency-split": "pair 0: walks vs enumerated differ at n=2",
+        "multiplicative-eta-three-route": "pair 0: walks vs series differ at n=2",
+        "multiplicative-second-root-monotone": "pair 0: walks vs series differ at n=2",
+    }
 
 
 def test_a_pair_check_takes_a_generator_and_prefixes_a_routes_witness(monkeypatch):

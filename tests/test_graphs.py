@@ -200,13 +200,16 @@ def test_d_walks_are_first_return_decomposition():
     # closed alternating walk counts decompose over first returns
     g = colored(
         3,
-        [(0, 0, 1), (0, 1, 1), (1, 2, 2), (0, 2, 2), (1, 1, 2)],
+        [(0, 0, 1), (0, 1, 1), (1, 2, 2), (0, 2, 2), (1, 1, 2), (2, 2, 1)],
         0,
     )
     z_moments = [1] + [
         brute_force_closed_walks(g, 2 * n, alternating=True) for n in range(1, 6)
     ]
     first_returns = [count_d_walks(g, 2 * n) for n in range(1, 6)]
+    # nonzero counts, so the identity below cannot hold as 0 == 0
+    assert z_moments == [1, 0, 2, 1, 6, 5]
+    assert first_returns == [0, 2, 1, 2, 1]
     for n in range(1, 6):
         total = sum(
             first_returns[k - 1] * z_moments[n - k] for k in range(1, n + 1)

@@ -1,9 +1,13 @@
 """Column-sparse operators against their dense references."""
 
+import math
+import tracemalloc
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ccomb import linalg
 from ccomb.graphs import (
     adjacency_columns,
     adjacency_matrix,
@@ -16,6 +20,7 @@ from ccomb.linalg import (
     Matrix,
     direct_sum,
     kron,
+    sparse_apply,
     sparse_columns,
     sparse_direct_sum,
     sparse_identity,
@@ -34,14 +39,16 @@ from ccomb.products import (
     essential_loop_decomposition,
 )
 
-from conftest import birooted_graphs, matrices, rooted_graphs
+from conftest import birooted_graphs, matrices, rooted_graphs, small_fractions
 from dense_reference import (
     basis_projection,
     complement_projection,
+    full_chain_moments,
     kron_all,
     matrix_power_entry,
     sparse_to_matrix,
 )
+from ring_reference import ModP
 
 
 @st.composite
@@ -127,6 +134,82 @@ def test_single_step_moments_match_state_moments(a, order):
     moments = sparse_moments((sparse_columns(a),), order, 0)
     assert moments == state_moments(a, order, 0)
     assert moments == tuple(matrix_power_entry(a, n, 0, 0) for n in range(order + 1))
+
+
+@st.composite
+def step_tuples(draw):
+    """1-3 column-sparse steps of one dimension with int entries, or with
+    int and Fraction entries mixed; the steps symmetric or not. A mirrored
+    tuple (S1, M, S1^T) or (S1, S1^T) is self-adjoint when M is."""
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    entries = draw(st.sampled_from([ints, st.one_of(ints, small_fractions)]))
+    symmetric = draw(st.booleans())
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i if symmetric else 0, n):
+                rows[i][j] = draw(entries)
+                if symmetric:
+                    rows[j][i] = rows[i][j]
+        steps.append(sparse_columns(Matrix.from_rows(rows)))
+    if draw(st.booleans()):
+        half = steps[: len(steps) // 2]
+        mirror = [sparse_transpose(cols) for cols in reversed(half)]
+        steps = half + steps[len(half) : len(steps) - len(half)] + mirror
+    return steps
+
+
+def _modp(steps):
+    return [[[(r, ModP(v)) for r, v in col] for col in cols] for cols in steps]
+
+
+@given(step_tuples(), st.integers(0, 8), st.data())
+def test_half_chain_kernel_matches_the_full_chain(steps, order, data):
+    at = data.draw(st.integers(0, len(steps[0]) - 1))
+    moments = sparse_moments(steps, order, at)
+    assert moments == full_chain_moments(steps, order, at)
+    z = Matrix.identity(len(steps[0]))
+    for cols in steps:
+        z = sparse_to_matrix(cols) * z
+    assert moments == tuple(matrix_power_entry(z, n, at, at) for n in range(order + 1))
+    if all(type(v) is int for cols in steps for col in cols for _r, v in col):
+        assert all(type(x) is int for x in moments)
+    ring = sparse_moments(_modp(steps), order, at)
+    reference = full_chain_moments(_modp(steps), order, at)
+    assert ring == reference == tuple(ModP(x) for x in moments)
+    assert [type(x) for x in ring] == [type(x) for x in reference]
+
+
+def test_a_self_adjoint_step_tuple_walks_half_the_chain(monkeypatch):
+    calls = []
+
+    def counted(cols, vec):
+        calls.append(vec)
+        return sparse_apply(cols, vec)
+
+    monkeypatch.setattr(linalg, "sparse_apply", counted)
+    g = colored(3, [(0, 1, 1), (1, 2, 2), (0, 0, 2)], 0)
+    sparse_moments((adjacency_columns(g),), 9, 0)
+    assert len(calls) == 5
+    calls.clear()
+    sparse_moments((adjacency_columns(g, 1), adjacency_columns(g, 2)), 9, 0)
+    assert len(calls) == 18
+
+
+def test_the_moment_kernel_streams_the_chain():
+    # a kernel that kept the chain would hold 256 vectors of ~500 big ints
+    n = 1000
+    cols = adjacency_columns(rooted(n, [(v, (v + 1) % n) for v in range(n)], 0))
+    tracemalloc.start()
+    try:
+        moments = sparse_moments((cols,), 512, 0)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert moments[512] == math.comb(512, 256)
+    assert peak < 1_000_000
 
 
 # -- decompositions against the dense tensor formulas ---------------------------
