@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import io as gio
 from .graphs import root_moments, two_step_moments
-from .independence import oracle_cmonotone, parse_word, realize_graph_pair
+from .independence import oracle_cmonotone, parse_word
 from .products import (
     ADDITIVE_WALK_PRODUCTS,
     c_comb_decomposition,
@@ -49,6 +49,7 @@ from .products import (
     comb_product,
     essential_loop_product,
     orthogonal_product,
+    realize_graph_pair,
     star_product,
 )
 from .series import (

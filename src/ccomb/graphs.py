@@ -21,7 +21,6 @@ from .series import MomentSeries
 
 __all__ = [
     "Graph",
-    "WalkCapExceeded",
     "rooted",
     "birooted",
     "colored",
@@ -33,14 +32,6 @@ __all__ = [
     "brute_force_closed_walks",
     "count_d_walks",
 ]
-
-DEFAULT_WALK_CAP = 16
-
-
-class WalkCapExceeded(Exception):
-    """Requested walk length exceeds the walk counters' cap, kept as the
-    API's bound on its input."""
-
 
 def _norm_pair(i: int, j: int) -> tuple:
     return (i, j) if i <= j else (j, i)
@@ -206,33 +197,22 @@ def _closed_walks(g: Graph, length: int, at, colors: tuple, first_return: bool):
 
 
 def brute_force_closed_walks(
-    g: Graph,
-    length: int,
-    at: int | None = None,
-    alternating: bool = False,
-    cap: int = DEFAULT_WALK_CAP,
+    g: Graph, length: int, at: int | None = None, alternating: bool = False
 ) -> int:
     """Count the closed walks of the given length at a vertex by the
-    level table of `_closed_walks`; `cap` stays as the bound on `length`.
+    level table of `_closed_walks`.
 
     With `alternating`, consecutive edges must differ in color and the first
     edge must have color 1, so a graph without color-2 edges has none of
     positive length.
     """
-    if length > cap:
-        raise WalkCapExceeded(f"walk length {length} exceeds cap {cap}")
     colors = (1, 2) if alternating else (None,)
     return _closed_walks(g, length, at, colors, first_return=False)
 
 
-def count_d_walks(
-    g: Graph,
-    length: int,
-    at: int | None = None,
-    cap: int = DEFAULT_WALK_CAP,
-) -> int:
+def count_d_walks(g: Graph, length: int, at: int | None = None) -> int:
     """Count the first-return d-walks of even length by the level table of
-    `_closed_walks`; `cap` stays as the bound on `length`.
+    `_closed_walks`.
 
     A d-walk is a closed walk with alternating edge colors originating with
     color 1 that does not revisit the base vertex at any intermediate even
@@ -241,6 +221,4 @@ def count_d_walks(
     """
     if length % 2 != 0 or length < 2:
         raise ValueError("d-walk length must be a positive even number")
-    if length > cap:
-        raise WalkCapExceeded(f"walk length {length} exceeds cap {cap}")
     return _closed_walks(g, length, at, (1, 2), first_return=True)

@@ -36,7 +36,9 @@ c-monotone operators for any ordered family: the phi block gives each
 algebra above the lowest two legs, and the psi block is the monotone family
 on one leg per algebra. The pair and family realizations are its output on
 matrix models, and the c-comb decompositions in `products` its output on
-the factor adjacencies.
+the factor adjacencies; `products.realize_graph_pair` reads those back as a
+realization. The module imports only `linalg` from the package, so its
+realizations and oracles do not depend on `graphs`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from functools import cached_property
 from itertools import compress, product as iter_product
 from math import prod
 
-from .graphs import adjacency_matrix
 from .linalg import (
     Matrix,
     sparse_apply,
@@ -75,7 +76,6 @@ __all__ = [
     "build_cmonotone",
     "realize_cmonotone_pair",
     "realize_cmonotone_family",
-    "realize_graph_pair",
     "two_state_pairs",
     "all_words",
     "FAMILY_CAP",
@@ -739,25 +739,3 @@ def two_state_pairs(models: dict) -> dict:
         j: (ModelFunctional(m, m.xi), ModelFunctional(m, m.eta))
         for j, m in models.items()
     }
-
-
-def realize_graph_pair(dec, g1, g2, loops: bool = False):
-    """The c-comb decomposition `dec` of the birooted graphs (g1, g2) as a
-    two-state realization, letters (1, "a") and (2, "a") acting as its two
-    operators, plus the (phi, psi) functional pairs of the factor
-    adjacencies at (root, second root). With `loops` (a loop
-    decomposition) the identity is subtracted on both sides. The pair is
-    c-monotone independent, so the realized moments equal oracle_cmonotone
-    under these pairs."""
-    ops = {(1, "a"): dec.cols1, (2, "a"): dec.cols2}
-    adj = {1: adjacency_matrix(g1), 2: adjacency_matrix(g2)}
-    if loops:
-        one = sparse_identity(dec.ambient_dim)
-        ops = {key: sparse_sum(op, one, signs=(1, -1)) for key, op in ops.items()}
-        adj = {j: a - Matrix.identity(a.rows) for j, a in adj.items()}
-    realization = Realization(ops, dec.ambient_dim, dec.phi_index, dec.psi_index)
-    models = {
-        j: AlgebraModel({"a": adj[j]}, g.root, g.second_root)
-        for j, g in ((1, g1), (2, g2))
-    }
-    return realization, two_state_pairs(models)

@@ -26,14 +26,17 @@ products of the one-color adjacency matrices count alternating d-walks.
 Since the first factor keeps its colors, a product can itself be a first
 factor. A second-factor pair that already carries both colors would become
 two color-2 edges, so building such a product raises ValueError instead of
-merging them. The rule also makes the constructions exact when both factors
+merging them. The operator decompositions and `realize_graph_pair` read the
+two factor adjacencies alone, build no product graph, and accept such a
+factor. The rule also makes the constructions exact when both factors
 have loops at a glued vertex: the product keeps one loop per color there
 and the adjacency diagonal counts both, matching the tensor formulas. A
 product that needs a second root its factor lacks raises TypeError.
 
 Every product records its vertex coordinate labels plus the list of
-composite indices embedding it into the ambient tensor space, so the
-operator decompositions can be compared entrywise after restriction.
+composite indices embedding it into the ambient tensor space; it is the
+one holder of that embedding, and `OperatorDecomposition.restricted(product,
+color)` compares a decomposition with it entrywise.
 The three-leg embeddings use leg order (V1, V2-at-e2, V2-at-f2): the swap of
 the second and third legs relative to the two-step construction order is
 explicit in the embedding, never an implicit relabeling; the dense
@@ -44,9 +47,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, adjacency_columns, colored, disjoint_union
-from .independence import build_cmonotone
-from .linalg import sparse_identity, sparse_sum, subspace_restrict, tensor_index
+from .graphs import Graph, adjacency_columns, adjacency_matrix, colored, disjoint_union
+from .independence import AlgebraModel, Realization, build_cmonotone, two_state_pairs
+from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict, tensor_index
 
 __all__ = [
     "ProductGraph",
@@ -64,6 +67,7 @@ __all__ = [
     "c_comb_decomposition",
     "essential_loop_decomposition",
     "c_comb_loop_decomposition",
+    "realize_graph_pair",
     "superposition_map",
     "comb_at_collapse_map",
     "relabel_isomorphic",
@@ -87,33 +91,34 @@ class ProductGraph:
 
 @dataclass(frozen=True)
 class OperatorDecomposition:
-    """A pair of ambient tensor operators whose sum, restricted to the
-    embedded span, equals the adjacency matrix of the associated product.
+    """A pair of ambient tensor operators, built from the two factor
+    adjacencies alone, whose sum restricted to the embedded span of the
+    associated product equals its adjacency matrix.
 
     `cols1` / `cols2` hold the two operators column-sparse (see linalg).
     `phi_index` / `psi_index` are the ambient coordinates of the one or two
-    distinguished vector states.
+    distinguished vector states; `loops` marks a loop pair (R1, R2).
     """
 
     cols1: list
     cols2: list
     ambient_dim: int
-    embedding: tuple
+    loops: bool
     phi_index: int
     psi_index: int | None = None
 
     def total_columns(self) -> list:
         return sparse_sum(self.cols1, self.cols2)
 
-    def restricted(self, color: int | None = None) -> list:
+    def restricted(self, product: ProductGraph, color: int | None = None) -> list:
         """The operator of `color` (1 or 2, None for their sum) restricted
-        to the embedded span, column-sparse: the counterpart of
-        `adjacency_columns(product.graph, color)`."""
+        to the embedded span of `product`, column-sparse: the counterpart
+        of `adjacency_columns(product.graph, color)`."""
         if color is None:
             op = self.total_columns()
         else:
             op = {1: self.cols1, 2: self.cols2}[color]
-        return subspace_restrict(op, self.embedding)
+        return subspace_restrict(op, product.embedding)
 
 
 def _pair(i: int, j: int) -> tuple:
@@ -279,21 +284,26 @@ ADDITIVE_WALK_PRODUCTS = {
 # -- operator decompositions ---------------------------------------------------
 
 
-def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
+def _decomposition(g1: Graph, g2: Graph, psi: bool, loops: bool):
     """The one operator builder: the c-monotone pair of the factor
-    adjacencies (independence.build_cmonotone) at the roots e and f.
-    The comb-at block on V1 x V2 x V2 is
+    adjacencies (independence.build_cmonotone) at the roots e and f, read
+    from the two factors alone. The comb-at block on V1 x V2 x V2 is
 
         S1 = a1 (x) P_e2 (x) P_f2
         S2 = P_e1 (x) a2 (x) 1  +  P_e1-perp (x) 1 (x) a2
 
-    with phi at (e1, e2, f2). When the product has a second root, the comb
-    block on V1 x V2, S1' = a1 (x) P_f2 and S2' = 1 (x) a2, follows in a
-    direct sum with psi at (f1, f2). With `loops` the pair is built from
-    a - 1 for both factors and the ambient identity is added to each
-    operator: (R1, R2) = 1 + the pair of (a1 - 1, a2 - 1). R1 is built from
-    all of a1, so a loop pair refuses a first factor with color-2 edges:
-    R1 would not restrict to the color-1 adjacency of the product."""
+    with phi at (e1, e2, f2). With `psi` (the c-comb kinds) the comb block
+    on V1 x V2, S1' = a1 (x) P_f2 and S2' = 1 (x) a2, follows in a direct
+    sum with psi at (f1, f2). With `loops` the pair is built from a - 1
+    for both factors and the ambient identity is added to each operator:
+    (R1, R2) = 1 + the pair of (a1 - 1, a2 - 1). R1 is built from all of
+    a1, so a loop pair refuses a first factor with color-2 edges: R1 would
+    not restrict to the color-1 adjacency of the product."""
+    if g2.second_root is None:
+        raise TypeError("the second factor must be birooted")
+    if psi and g1.second_root is None:
+        raise TypeError("graph has no second root")
+    f1 = g1.second_root if psi else None
     a1, a2 = adjacency_columns(g1), adjacency_columns(g2)
     if loops:
         if g1.monochrome_edges(2):
@@ -302,7 +312,6 @@ def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
             )
         a1 = sparse_sum(a1, sparse_identity(len(a1)), signs=(1, -1))
         a2 = sparse_sum(a2, sparse_identity(len(a2)), signs=(1, -1))
-    f1 = None if product.graph.second_root is None else g1.second_root
     pair = build_cmonotone(
         {
             1: ({"a": a1}, g1.vertex_count, (g1.root, f1)),
@@ -314,15 +323,15 @@ def _decomposition(g1: Graph, g2: Graph, product: ProductGraph, loops: bool):
         one = sparse_identity(pair.dim)
         cols1, cols2 = sparse_sum(one, cols1), sparse_sum(one, cols2)
     return OperatorDecomposition(
-        cols1, cols2, pair.dim, product.embedding, pair.phi_index, pair.psi_index
+        cols1, cols2, pair.dim, loops, pair.phi_index, pair.psi_index
     )
 
 
 def essential_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     """Tensor pair (S1, S2) for the comb-at component (see _decomposition):
-    the embedded span is invariant under both operators and their sum
-    restricts to the adjacency matrix of the comb-at product."""
-    return _decomposition(g1, g2, comb_at_product(g1, g2), loops=False)
+    the embedded span of comb_at_product is invariant under both operators
+    and their sum restricts to its adjacency matrix."""
+    return _decomposition(g1, g2, psi=False, loops=False)
 
 
 def c_comb_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
@@ -330,7 +339,7 @@ def c_comb_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     (V1 x V2 x V2) (+) (V1 x V2), exposing phi at the embedded e and psi at
     the embedded f; the pair (S1, S2) is c-monotone independent with respect
     to them."""
-    return _decomposition(g1, g2, c_comb_product(g1, g2), loops=False)
+    return _decomposition(g1, g2, psi=True, loops=False)
 
 
 def essential_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
@@ -340,7 +349,7 @@ def essential_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     loops; R1 and R2 restrict to the color-1 and color-2 adjacency matrices
     of the essential loop product. Raises ValueError when g1 has color-2
     edges."""
-    return _decomposition(g1, g2, essential_loop_product(g1, g2), loops=True)
+    return _decomposition(g1, g2, psi=False, loops=True)
 
 
 def c_comb_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
@@ -349,7 +358,29 @@ def c_comb_loop_decomposition(g1: Graph, g2: Graph) -> OperatorDecomposition:
     states at the embedded roots e and f, and R1 and R2 restrict to its
     color-1 and color-2 adjacency matrices. Raises ValueError when g1 has
     color-2 edges."""
-    return _decomposition(g1, g2, c_comb_loop_product(g1, g2), loops=True)
+    return _decomposition(g1, g2, psi=True, loops=True)
+
+
+def realize_graph_pair(dec: OperatorDecomposition, g1: Graph, g2: Graph):
+    """The c-comb decomposition `dec` of the birooted graphs (g1, g2) as a
+    two-state realization, letters (1, "a") and (2, "a") acting as its two
+    operators, plus the (phi, psi) functional pairs of the factor
+    adjacencies at (root, second root). For a loop decomposition the
+    identity is subtracted on both sides. The pair is c-monotone
+    independent, so the realized moments equal oracle_cmonotone under these
+    pairs."""
+    ops = {(1, "a"): dec.cols1, (2, "a"): dec.cols2}
+    adj = {1: adjacency_matrix(g1), 2: adjacency_matrix(g2)}
+    if dec.loops:
+        one = sparse_identity(dec.ambient_dim)
+        ops = {key: sparse_sum(op, one, signs=(1, -1)) for key, op in ops.items()}
+        adj = {j: a - Matrix.identity(a.rows) for j, a in adj.items()}
+    realization = Realization(ops, dec.ambient_dim, dec.phi_index, dec.psi_index)
+    models = {
+        j: AlgebraModel({"a": adj[j]}, g.root, g.second_root)
+        for j, g in ((1, g1), (2, g2))
+    }
+    return realization, two_state_pairs(models)
 
 
 # -- canonical isomorphisms ----------------------------------------------------

@@ -44,7 +44,6 @@ from .independence import (
     oracle_cmonotone_all_orders,
     realize_cmonotone_family,
     realize_cmonotone_pair,
-    realize_graph_pair,
     realize_pair,
     two_state_pairs,
 )
@@ -63,6 +62,7 @@ from .products import (
     essential_loop_decomposition,
     essential_loop_product,
     orthogonal_product,
+    realize_graph_pair,
     relabel_isomorphic,
     star_product,
     superposition_map,
@@ -426,7 +426,7 @@ def check_restriction_equalities(pairs):
                 which = label if c is None else f"{label} color-{c}"
                 expect = adjacency_columns(prod.graph, c)
                 witness = "pair {}: {} restriction differs"
-                _same(dec.restricted(c), expect, witness, k, which)
+                _same(dec.restricted(prod, c), expect, witness, k, which)
     return f"{len(pairs)} pairs, entrywise"
 
 
@@ -887,7 +887,7 @@ def check_separating_projection(model_pairs):
 def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
     """The two bridge checks: the c-comb decomposition of each graph pair
     (its loop pair with `loops`) against the c-monotone oracle of the factor
-    adjacencies (see independence.realize_graph_pair)."""
+    adjacencies (see products.realize_graph_pair)."""
     decompose = c_comb_loop_decomposition if loops else c_comb_decomposition
     demo = fixtures.multiplicative_demo_pair if loops else fixtures.additive_demo_pair
     rng = random.Random(cfg.seed + 6)
@@ -898,7 +898,7 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
     words = all_words(PAIR_LETTERS, max_word)
     plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (g1, g2) in enumerate(cases):
-        realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2, loops)
+        realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2)
         expected = plan.cmonotone(pairs)
         _same_as_cmonotone({"": realization}, words, halves, expected, f"pair {k}")
     return f"{len(cases)} graph pairs, words to length {max_word}"

@@ -87,3 +87,53 @@ def test_walk_counters_stay_off_the_moment_kernel():
             assert not named & kernel, (counter, name, named & kernel)
             todo.extend(named & set(functions) - reached)
         assert {"_closed_walks", "_neighbor_lists", "_vertex"} <= reached
+
+
+def test_decompositions_build_no_product_graph():
+    # the operator route reads the two factors alone: a product builder bug
+    # must make it disagree with the walks, so nothing it reaches in its own
+    # module names a builder or a gluing helper
+    tree = ast.parse((ROOT / "src" / "ccomb" / "products.py").read_text("utf-8"))
+    defs = {
+        n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    builders = {
+        "star_product", "comb_product", "orthogonal_product", "comb_at_product",
+        "c_comb_product", "comb_loop_product", "essential_loop_product",
+        "c_comb_loop_product", "ADDITIVE_WALK_PRODUCTS",
+        "_glue", "_two_leg", "_union", "_loops_off_spine",
+    }
+    assert builders - {"ADDITIVE_WALK_PRODUCTS"} <= set(defs)
+    roots = (
+        "realize_graph_pair", "essential_decomposition", "c_comb_decomposition",
+        "essential_loop_decomposition", "c_comb_loop_decomposition",
+    )
+    for root in roots:
+        reached, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            reached.add(name)
+            named = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(defs[name])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            assert not named & builders, (root, name, named & builders)
+            todo.extend(named & set(defs) - reached)
+    assert {"_decomposition", "OperatorDecomposition"} <= reached
+
+
+def test_independence_imports_only_linalg_from_the_package():
+    # its realizations and oracles are model-level: graphs reach them only
+    # through products
+    tree = ast.parse((ROOT / "src" / "ccomb" / "independence.py").read_text("utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package.add(node.module or ".")  # `from . import x` too
+            elif node.module.split(".")[0] == "ccomb":
+                package.add(node.module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("ccomb"))
+    assert package == {"linalg"}

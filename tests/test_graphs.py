@@ -3,7 +3,6 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ccomb.graphs import (
-    WalkCapExceeded,
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,
@@ -15,6 +14,7 @@ from ccomb.graphs import (
     two_step_moments,
 )
 from ccomb.linalg import Matrix, direct_sum
+from ccomb.series import eta_from_moments
 
 from conftest import rooted_graphs
 from dense_reference import matrix_power_entry
@@ -162,11 +162,9 @@ def test_walk_counters_refuse_a_vertex_outside_the_graph(at):
             call()
 
 
-def test_walk_cap():
-    g = rooted(1, [(0, 0)], 0)
-    with pytest.raises(WalkCapExceeded):
-        brute_force_closed_walks(g, 17)
-    assert brute_force_closed_walks(g, 17, cap=20) == 1
+def test_walk_counters_run_past_length_16():
+    # the level table costs O(length * period * edges): no length cap
+    assert brute_force_closed_walks(rooted(1, [(0, 0)], 0), 17) == 1
 
 
 def test_alternating_walks_need_colors():
@@ -192,8 +190,7 @@ def test_d_walk_counts():
     assert count_d_walks(g, 4) == 0
     with pytest.raises(ValueError):
         count_d_walks(g, 3)
-    with pytest.raises(WalkCapExceeded):
-        count_d_walks(g, 18)
+    assert count_d_walks(g, 18) == 0
 
 
 def test_d_walks_are_first_return_decomposition():
@@ -215,6 +212,13 @@ def test_d_walks_are_first_return_decomposition():
             first_returns[k - 1] * z_moments[n - k] for k in range(1, n + 1)
         )
         assert z_moments[n] == total
+    # to length 24, against the two-step operator's moments and their
+    # eta-series (the first-return series, stored as N(1), N(2), ...)
+    moments = two_step_moments(g, 12)
+    eta = eta_from_moments(moments).coeffs
+    for n in range(1, 13):
+        assert brute_force_closed_walks(g, 2 * n, alternating=True) == moments.coeffs[n]
+        assert count_d_walks(g, 2 * n) == eta[n - 1]
 
 
 def test_graph_validation():

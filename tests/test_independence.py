@@ -26,7 +26,6 @@ from ccomb.independence import (
     parse_word,
     realize_cmonotone_family,
     realize_cmonotone_pair,
-    realize_graph_pair,
     realize_pair,
     two_state_pairs,
 )
@@ -37,7 +36,11 @@ from ccomb.linalg import (
     sparse_sum,
     sparse_transpose,
 )
-from ccomb.products import c_comb_decomposition, c_comb_loop_decomposition
+from ccomb.products import (
+    c_comb_decomposition,
+    c_comb_loop_decomposition,
+    realize_graph_pair,
+)
 from ccomb.verify import random_model
 
 from conftest import birooted_graphs
@@ -593,7 +596,7 @@ def _evaluator_cases():
     graph_pair, _ = realize_graph_pair(c_comb_decomposition(g1, g2), g1, g2)
     cases["c-comb decomposition"] = (graph_pair, pair, both)
     g1, g2 = fixtures.multiplicative_demo_pair()
-    loop_pair, _ = realize_graph_pair(c_comb_loop_decomposition(g1, g2), g1, g2, True)
+    loop_pair, _ = realize_graph_pair(c_comb_loop_decomposition(g1, g2), g1, g2)
     cases["c-comb loop decomposition"] = (loop_pair, pair, both)
     return cases
 

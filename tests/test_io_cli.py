@@ -270,6 +270,23 @@ def test_cli_word_moment_rejects_bad_letters(tmp_path, capsys):
     )
 
 
+def test_cli_word_moment_reads_a_second_factor_pair_with_both_colors(
+    tmp_path, capsys
+):
+    # the operators come from the factors alone, so a pair that carries both
+    # colors reaches them; the product itself still refuses it in one line
+    g1, g2 = tmp_path / "g1.graph", tmp_path / "g2.graph"
+    head = "vertices = 2\nroot = 0\nsecond_root = 1\n"
+    g1.write_text(head + "edges = [[0, 1]]\n", encoding="utf-8")
+    g2.write_text(head + "edges = [[0, 1, 1], [0, 1, 2]]\n", encoding="utf-8")
+    assert main(["word-moment", str(g1), str(g2), "2:a 2:a"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["state,realized,oracle,equal", "phi,4,4,yes", "psi,4,4,yes"]
+    assert main(["product", "c-comb", str(g1), str(g2), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cannot build the product" in err[0], err
+
+
 def test_cli_missing_inputs_exit_cleanly(tmp_path, capsys):
     assert main(["moments", str(tmp_path / "nope.graph")]) == 2
     assert "cannot read graph" in capsys.readouterr().err

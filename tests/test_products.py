@@ -9,6 +9,7 @@ from ccomb.graphs import (
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,
+    colored,
     root_moments,
     rooted,
 )
@@ -246,7 +247,7 @@ def test_essential_decomposition_restriction():
     g1, g2 = additive_demo_pair()
     dec = essential_decomposition(g1, g2)
     prod = comb_at_product(g1, g2)
-    assert sparse_to_matrix(dec.restricted()) == adjacency_matrix(prod.graph)
+    assert sparse_to_matrix(dec.restricted(prod)) == adjacency_matrix(prod.graph)
     walks = root_moments(prod.graph, 12).coeffs
     assert walks == sparse_moments((dec.total_columns(),), 12, dec.phi_index)
 
@@ -254,14 +255,14 @@ def test_essential_decomposition_restriction():
 def test_essential_decomposition_trivial():
     g = birooted(1, [], 0, 0)
     dec = essential_decomposition(g, g)
-    assert dec.restricted() == [[]]
+    assert dec.restricted(comb_at_product(g, g)) == [[]]
 
 
 @given(birooted_graphs(max_vertices=4), birooted_graphs(max_vertices=4))
 def test_decomposition_invariance(g1, g2):
     dec = essential_decomposition(g1, g2)
     prod = comb_at_product(g1, g2)
-    assert sparse_to_matrix(dec.restricted()) == adjacency_matrix(prod.graph)
+    assert sparse_to_matrix(dec.restricted(prod)) == adjacency_matrix(prod.graph)
 
 
 def test_flip_connects_two_step_operator_to_decomposition():
@@ -283,19 +284,20 @@ def test_flip_connects_two_step_operator_to_decomposition():
     sigma = flip23_permutation(n1, n2, n2)
     flipped = sigma * pre * sigma
     dec = essential_decomposition(g1, g2)
+    prod = comb_at_product(g1, g2)
     # identity legs in the decomposition act like the swapped projections
     # on the span, so the restrictions agree even though the ambient
     # operators differ
     flipped = sparse_columns(flipped)
     assert flipped != dec.total_columns()
-    assert subspace_restrict(flipped, dec.embedding) == dec.restricted()
+    assert subspace_restrict(flipped, prod.embedding) == dec.restricted(prod)
 
 
 def test_c_comb_decomposition_restriction_and_states():
     g1, g2 = additive_demo_pair()
     dec = c_comb_decomposition(g1, g2)
     prod = c_comb_product(g1, g2)
-    assert sparse_to_matrix(dec.restricted()) == adjacency_matrix(prod.graph)
+    assert sparse_to_matrix(dec.restricted(prod)) == adjacency_matrix(prod.graph)
     assert dec.psi_index is not None
     at_f = sparse_moments((dec.total_columns(),), 8, dec.psi_index)
     assert at_f == root_moments(prod.graph, 8, at=prod.graph.second_root).coeffs
@@ -305,13 +307,14 @@ def test_loop_decomposition_colors():
     g1, g2 = multiplicative_demo_pair()
     dec = essential_loop_decomposition(g1, g2)
     prod = essential_loop_product(g1, g2)
-    assert sparse_to_matrix(dec.restricted(1)) == adjacency_matrix(prod.graph, 1)
-    assert sparse_to_matrix(dec.restricted(2)) == adjacency_matrix(prod.graph, 2)
+    assert sparse_to_matrix(dec.restricted(prod, 1)) == adjacency_matrix(prod.graph, 1)
+    assert sparse_to_matrix(dec.restricted(prod, 2)) == adjacency_matrix(prod.graph, 2)
 
 
 def test_loop_decompositions_refuse_a_first_factor_with_color_2_edges():
     # R1 is built from all of a1, so with color-2 edges in g1 neither
-    # restricted(1) nor restricted(2) would be the per-color adjacency
+    # restricted(prod, 1) nor restricted(prod, 2) would be the per-color
+    # adjacency
     a1, a2 = additive_demo_pair()
     _m1, m2 = multiplicative_demo_pair()
     star = star_product(a1, a2).graph
@@ -329,22 +332,23 @@ def test_c_comb_loop_decomposition_trivial():
     prod = c_comb_loop_product(g, g)
     assert prod.vertex_count == 2
     assert not prod.graph.colored_edges
-    assert sparse_to_matrix(dec.restricted()) == adjacency_matrix(prod.graph)
+    assert sparse_to_matrix(dec.restricted(prod)) == adjacency_matrix(prod.graph)
 
 
 def test_c_comb_loop_decomposition_demo():
     g1, g2 = multiplicative_demo_pair()
     dec = c_comb_loop_decomposition(g1, g2)
     prod = c_comb_loop_product(g1, g2)
-    assert sparse_to_matrix(dec.restricted(1)) == adjacency_matrix(prod.graph, 1)
-    assert sparse_to_matrix(dec.restricted(2)) == adjacency_matrix(prod.graph, 2)
+    assert sparse_to_matrix(dec.restricted(prod, 1)) == adjacency_matrix(prod.graph, 1)
+    assert sparse_to_matrix(dec.restricted(prod, 2)) == adjacency_matrix(prod.graph, 2)
 
 
 def test_embedding_flags_wrong_span():
     g1, g2 = additive_demo_pair()
     dec = essential_decomposition(g1, g2)
+    embedding = comb_at_product(g1, g2).embedding
     with pytest.raises(NotInvariant):
-        subspace_restrict(dec.total_columns(), dec.embedding[:-1])
+        subspace_restrict(dec.total_columns(), embedding[:-1])
 
 
 @given(rooted_graphs(max_vertices=4), rooted_graphs(max_vertices=4))
@@ -387,6 +391,45 @@ def test_birooted_factor_requirements():
         comb_at_product(EDGE, EDGE)
     with pytest.raises(TypeError):
         c_comb_product(birooted(1, [], 0, 0), EDGE)
+
+
+def test_decompositions_refuse_what_their_products_refuse_for_lack_of_roots():
+    # built from the factors alone, they still need the roots their
+    # product reads: f2 always, f1 for the c-comb kinds (never a dropped
+    # psi block)
+    pair = birooted(2, [(0, 1)], 0, 1)
+    kinds = (
+        (essential_decomposition, False),
+        (essential_loop_decomposition, False),
+        (c_comb_decomposition, True),
+        (c_comb_loop_decomposition, True),
+    )
+    for decompose, psi in kinds:
+        with pytest.raises(TypeError):
+            decompose(pair, EDGE)
+        if psi:
+            with pytest.raises(TypeError):
+                decompose(EDGE, pair)
+        else:
+            assert decompose(EDGE, pair).psi_index is None
+
+
+def test_decompositions_accept_a_second_factor_pair_with_both_colors():
+    # the products refuse it (two color-2 edges on one pair); the operators
+    # read its adjacency, entry 2 on that pair, and match the series route
+    g1 = birooted(2, [(0, 1)], 0, 1)
+    g2 = colored(2, [(0, 1, 1), (0, 1, 2)], 0, 1)
+    with pytest.raises(ValueError, match="duplicate edges"):
+        c_comb_product(g1, g2)
+    order = 8
+    mu1, mu2 = root_moments(g1, order), root_moments(g2, order)
+    nu1, nu2 = (root_moments(g, order, at=g.second_root) for g in (g1, g2))
+    dec = c_comb_decomposition(g1, g2)
+    total = (dec.total_columns(),)
+    at_e = additive_convolve("c-monotone", mu1, mu2, nu2)
+    assert at_e.coeffs == sparse_moments(total, order, dec.phi_index)
+    at_f = additive_convolve("monotone", nu1, nu2)
+    assert at_f.coeffs == sparse_moments(total, order, dec.psi_index)
 
 
 # sha256 of format_graph + to_dot (with labels) for every product kind over
