@@ -14,18 +14,9 @@ Usage:
 """
 
 import argparse
-from itertools import zip_longest
 
+from additive_demo import print_table
 from ccomb import fixtures, verify
-
-
-def print_table(title, routes, start):
-    """One row per coefficient index n from `start`, one column per route."""
-    print(title)
-    print("n  " + " ".join(f"{name:<10}" for name in routes) + " agree")
-    for n, values in enumerate(zip_longest(*routes.values()), start):
-        cells = " ".join(f"{str(v):<10}" for v in values)
-        print(f"{n:<2} {cells} {'yes' if len(set(values)) == 1 else 'NO'}")
 
 
 def main():

@@ -112,7 +112,7 @@ class _CliError(Exception):
 def _load_graph_or_fail(path):
     try:
         return gio.load_graph(path)
-    except (OSError, gio.GraphFormatError) as exc:
+    except (OSError, ValueError) as exc:
         raise _CliError(f"cannot read graph {path}: {exc}") from exc
 
 

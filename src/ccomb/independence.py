@@ -4,8 +4,9 @@ independence and their finite matrix-model tensor realizations.
 A word is a sequence of letters ``(algebra_index, element_name)``; algebra
 indices come from a linearly ordered set of ints. Adjacent letters from the
 same algebra are collapsed by in-algebra multiplication before any recursion
-runs, so non-alternating words are accepted everywhere, and a word that
-`collapse_word` has already collapsed is accepted as it is.
+runs, so non-alternating words are accepted everywhere. `collapse_word`
+reads a tuple name as a run already merged, so a collapsed word is accepted
+too and collapses to an equal word.
 
 Oracles evaluate the defining moment recursions exactly:
 
@@ -176,17 +177,10 @@ def collapse_word(word) -> tuple:
     """Merge adjacent letters with equal algebra index into name tuples.
 
     A letter whose name is a tuple is read as a run already merged, so a
-    collapsed word (every name a tuple, adjacent indices distinct) is
-    returned as it is: the oracles accept either form, and a caller can
-    collapse a word list once for many oracle calls.
+    collapsed word (every name a tuple, adjacent indices distinct) comes
+    back equal, as a new tuple: the oracles accept either form, and a caller
+    can collapse a word list once for many oracle calls.
     """
-    prev = None
-    for j, name in word:
-        if j == prev or type(name) is not tuple:
-            break
-        prev = j
-    else:
-        return tuple(word)
     out: list = []
     for j, name in word:
         names = name if type(name) is tuple else (name,)

@@ -163,12 +163,13 @@ def _power_sum(c, x, n):
     return acc
 
 
-def _dilation(first, *seqs, linear=False) -> int:
+def _dilation(first, *seqs, linear=False, among=()) -> int:
     """A lam making every seq[k] * lam**(k + first) an integer, or with
     `linear` every seq[k] * lam; built up from the denominators, it divides
-    their lcm. It is 1 unless every entry is an int or a `Fraction`."""
+    their lcm. It is 1 unless every entry of `seqs`, and of the sequences in
+    `among`, is an int or a `Fraction`."""
     lam = 1
-    if all(type(x) in (int, Fraction) for s in seqs for x in s):
+    if all(type(x) in (int, Fraction) for s in (*seqs, *among) for x in s):
         for s in seqs:
             for k, x in enumerate(s, first):
                 power = lam if linear else lam**k
@@ -348,16 +349,16 @@ def multiplicative_convolve(
             f"{divisor[kind][0]} eta-series vanishes to this order "
             "(distribution concentrated at zero)"
         )
-    # a series used linearly (eta1, a boolean factor) is multiplied by the lcm d
-    # of all denominators, one composed or raised to powers is dilated by lam:
-    # coefficient k carries d * lam**k. Another ring among the inputs gives 1s.
+    # eta1 (and eta2 for boolean), used linearly, is multiplied by the lcm d of
+    # its denominators; eta2 and eta_nu, composed, are dilated by lam: coefficient
+    # k carries d * lam**k. Another ring among any of the inputs gives 1s.
     seqs = (mu1.coeffs, mu2.coeffs, nu2.coeffs if kind == "c-monotone" else ())
-    d = _dilation(1, *seqs, linear=True)
+    d = _dilation(1, *seqs[: 1 + (kind == "boolean")], linear=True, among=seqs)
     e1 = _dilate(mu1.coeffs, 1, scale=d)
     if kind == "boolean":
         out = _mul(e1, _dilate(mu2.coeffs, 1, scale=d), n)
         return FSeries("eta", _undilate(out, 1, scale=d * d))
-    lam = _dilation(1, *seqs)
+    lam = _dilation(1, *seqs[1:], among=seqs)
     p2 = [0, *_dilate(mu2.coeffs, lam, 1)]
     if kind == "orthogonal":  # sum_r N1(r) eta2^(r-1)
         return FSeries("eta", _undilate(_power_sum(e1, p2, n), lam, 0, d))

@@ -176,15 +176,15 @@ def _sampled(
     name: str, *samplers, detail="{samples} samples, order {order}", after=None
 ):
     """Decorator turning `body(order, *drawn)`, which compares one random
-    case, into `check(rng, samples, order)`. Case k draws from each sampler,
-    `sampler(rng, order)`, in turn; a mismatch's witness, or an error in the
-    draw or the body, starts `sample {k}`. Once every case agrees,
-    `after(order)` makes fixed comparisons."""
+    case, into `check(rng, samples, order=None)`. Case k draws from each
+    sampler, `sampler(rng, order)`, in turn; a mismatch's witness, or an
+    error in the draw or the body, starts `sample {k}`. Once every case
+    agrees, `after(order)` makes fixed comparisons."""
 
     def decorate(body):
         @_check(name)
         @functools.wraps(body)
-        def check(rng, samples: int, order: int):
+        def check(rng, samples: int, order=None):
             for k in range(samples):
                 try:
                     body(order, *[draw(rng, order) for draw in samplers])
@@ -359,25 +359,24 @@ def check_second_root_split(g1, g2, order: int):
     return {**_walks_and_operator(g1, g2, order, "f"), "series": series.coeffs}
 
 
-@_check("vertex-count-formulas")
-def check_vertex_count_formulas(rng, samples: int):
-    for k in range(samples):
-        g1 = random_rooted_graph(rng, 1, 6)
-        g2 = random_birooted_graph(rng, 1, 6)
-        n1, n2 = g1.vertex_count, g2.vertex_count
-        _same(star_product(g1, g2).vertex_count, n1 + n2 - 1, "star {}", k)
-        _same(comb_product(g1, g2).vertex_count, n1 * n2, "comb {}", k)
-        orth = orthogonal_product(g1, g2).vertex_count
-        _same(orth, (n1 - 1) * n2 + 1, "orthogonal {}", k)
-        comb_at = comb_at_product(g1, g2).vertex_count
-        _same(comb_at, (n1 - 1) * n2 + n2, "comb-at {}", k)
-        added = sum(
-            1
-            for i, j, c in comb_loop_product(g1, g2).graph.colored_edges
-            if i == j and c == 1 and (i % n2) != g2.root
-        )
-        _same(added, n1 * (n2 - 1), "comb-loop {}", k)
-    return f"{samples} samples"
+@_sampled(
+    "vertex-count-formulas",
+    lambda rng, order: random_rooted_graph(rng, 1, 6),
+    lambda rng, order: random_birooted_graph(rng, 1, 6),
+    detail="{samples} samples",
+)
+def check_vertex_count_formulas(order, g1, g2):
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    _same(star_product(g1, g2).vertex_count, n1 + n2 - 1, ": star")
+    _same(comb_product(g1, g2).vertex_count, n1 * n2, ": comb")
+    _same(orthogonal_product(g1, g2).vertex_count, (n1 - 1) * n2 + 1, ": orthogonal")
+    _same(comb_at_product(g1, g2).vertex_count, (n1 - 1) * n2 + n2, ": comb-at")
+    added = sum(
+        1
+        for i, j, c in comb_loop_product(g1, g2).graph.colored_edges
+        if i == j and c == 1 and (i % n2) != g2.root
+    )
+    _same(added, n1 * (n2 - 1), ": comb-loop")
 
 
 @_check("superposition-isomorphism")
@@ -397,18 +396,18 @@ def check_superposition(rng, samples: int):
     return f"{len(cases)} cases"
 
 
-@_check("comb-at-root-collapse")
-def check_comb_at_collapse(rng, samples: int):
-    for k in range(samples):
-        g1 = random_rooted_graph(rng, 1, 5)
-        g2r = random_rooted_graph(rng, 1, 5)
-        g2 = birooted(g2r.vertex_count, g2r.edges, g2r.root, g2r.root)
-        prod = comb_at_product(g1, g2)
-        cmb = comb_product(g1, g2r)
-        mapping = comb_at_collapse_map(g1, g2)
-        witness = "case {}: comb-at with equal roots is not the comb product"
-        _same(relabel_isomorphic(prod.graph, cmb.graph, mapping), True, witness, k)
-    return f"{samples} cases"
+@_sampled(
+    "comb-at-root-collapse",
+    lambda rng, order: random_rooted_graph(rng, 1, 5),
+    lambda rng, order: random_rooted_graph(rng, 1, 5),
+    detail="{samples} cases",
+)
+def check_comb_at_collapse(order, g1, g2r):
+    g2 = birooted(g2r.vertex_count, g2r.edges, g2r.root, g2r.root)
+    prod, cmb = comb_at_product(g1, g2), comb_product(g1, g2r)
+    mapping = comb_at_collapse_map(g1, g2)
+    witness = ": comb-at with equal roots is not the comb product"
+    _same(relabel_isomorphic(prod.graph, cmb.graph, mapping), True, witness)
 
 
 @_check("decomposition-restriction-equality")
@@ -470,16 +469,17 @@ def check_colored_split(g1, g2, _order):
     return {"walks": two_step_moments(g, 4).coeffs[1:], "enumerated": walks}
 
 
-@_check("comb-loop-added-loops")
-def check_comb_loop_loops(rng, samples: int):
-    for k in range(samples):
-        g1 = random_rooted_graph(rng, 1, 5, loop_p=0)
-        g2 = random_rooted_graph(rng, 1, 5, loop_p=0)
-        prod = comb_loop_product(g1, g2)
-        added = sum(1 for i, j, c in prod.graph.colored_edges if i == j and c == 1)
-        expect = g1.vertex_count * (g2.vertex_count - 1)
-        _same(added, expect, "case {}: {} loops, expected {}", k, added, expect)
-    return f"{samples} loop-free cases"
+@_sampled(
+    "comb-loop-added-loops",
+    lambda rng, order: random_rooted_graph(rng, 1, 5, loop_p=0),
+    lambda rng, order: random_rooted_graph(rng, 1, 5, loop_p=0),
+    detail="{samples} loop-free cases",
+)
+def check_comb_loop_loops(order, g1, g2):
+    prod = comb_loop_product(g1, g2)
+    added = sum(1 for i, j, c in prod.graph.colored_edges if i == j and c == 1)
+    expect = g1.vertex_count * (g2.vertex_count - 1)
+    _same(added, expect, ": {} loops, expected {}", added, expect)
 
 
 @_pairwise("multiplicative-eta-three-route", start=1)
@@ -544,7 +544,8 @@ def _random_F(rng, order):
 
 
 def _edge_F(order):
-    _same(moments_to_F(moment_series((1, 0, 1, 0, 1))).coeffs, (0, -1, 0, 0))
+    edge_F = moments_to_F(moment_series((1, 0, 1, 0, 1))).coeffs
+    _same(edge_F, (0, -1, 0, 0), "F-series of the edge moments 1, 0, 1, 0, 1")
 
 
 @_sampled("moments-F-roundtrip", random_moment_series, after=_edge_F)
@@ -560,8 +561,8 @@ def _point_mass_eta(order):
 @_sampled("psi-eta-roundtrip", random_moment_series, after=_point_mass_eta)
 def check_psi_eta_roundtrip(order, m):
     p = psi_from_moments(m)
-    _same(psi_from_eta(eta_from_psi(p)).coeffs, p.coeffs)
-    _same(moments_from_psi(p).coeffs, m.coeffs)
+    _same(psi_from_eta(eta_from_psi(p)).coeffs, p.coeffs, ": psi-eta-psi roundtrip")
+    _same(moments_from_psi(p).coeffs, m.coeffs, ": moments-psi-moments roundtrip")
 
 
 def _identity_is_z(order):
@@ -778,8 +779,9 @@ def check_single_letter_states(model_pairs):
             _same(r.moment([(2, "a")]), second, "model {}: {} second marginal", k, kind)
         r = realize_cmonotone_pair(m1, m2)
         for j, m in ((1, m1), (2, m2)):
-            _same(r.moment([(j, "a")], "phi"), m.vector_state(("a",), m.xi))
-            _same(r.moment([(j, "a")], "psi"), m.vector_state(("a",), m.eta))
+            for state, at in (("phi", m.xi), ("psi", m.eta)):
+                got, want = r.moment([(j, "a")], state), m.vector_state(("a",), at)
+                _same(got, want, "model {}: c-monotone {} of algebra {}", k, state, j)
     return f"{len(model_pairs)} models"
 
 
@@ -862,10 +864,9 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
     for k, (m1, m2) in enumerate(subset):
         fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
         degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
-        expected = zip(plan.cmonotone(degenerate), plan.moments("monotone", fns))
-        for w, ((phi_val, psi_val), mono) in zip(words, expected):
-            _same(phi_val, mono, "model {}, word {}: phi", k, w)
-            _same(psi_val, mono, "model {}, word {}: psi", k, w)
+        got, mono = plan.cmonotone(degenerate), plan.moments("monotone", fns)
+        sides = {s: ([p[n] for p in got], mono) for n, s in enumerate(("phi", "psi"))}
+        _same_lists(words, sides, "model {0}, word {1}: {2}", k)
     return f"{len(subset)} models, words to length {min(max_word, 7)}"
 
 

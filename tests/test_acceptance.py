@@ -196,6 +196,74 @@ def test_an_error_names_its_sample_or_its_pair():
     )
 
 
+def test_the_drawn_graph_checks_name_their_sample(monkeypatch):
+    # the vertex-count, comb-at and comb-loop checks run through `_sampled`:
+    # an error and a mismatch both start with the index of the case they hit
+    real_star, calls = verify.star_product, iter(range(100))
+
+    def star_raising_at_case_two(g1, g2):
+        if next(calls) == 2:
+            raise ValueError("case two")
+        return real_star(g1, g2)
+
+    monkeypatch.setattr(verify, "star_product", star_raising_at_case_two)
+    checks = [verify._drawing(CFG, verify.check_vertex_count_formulas, 5)]
+    monkeypatch.setattr(verify, "relabel_isomorphic", lambda *args: False)
+    checks.append(verify._drawing(CFG, verify.check_comb_at_collapse, 5))
+    # a comb product adds no loops to loop-free factors
+    monkeypatch.setattr(verify, "comb_loop_product", verify.comb_product)
+    checks.append(verify._drawing(CFG, verify.check_comb_loop_loops, 5))
+    assert [c.detail for c in checks] == [
+        "sample 2: error: ValueError('case two')",
+        "sample 0: comb-at with equal roots is not the comb product",
+        "sample 0: 0 loops, expected 20",
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, check, detail",
+    [
+        ("eta_from_psi", "psi_eta_roundtrip", "sample 0: psi-eta-psi roundtrip"),
+        (
+            "moments_from_psi",
+            "psi_eta_roundtrip",
+            "sample 0: moments-psi-moments roundtrip",
+        ),
+        ("moments_to_F", "F_roundtrip", "F-series of the edge moments 1, 0, 1, 0, 1"),
+    ],
+)
+def test_a_broken_transform_names_the_comparison_it_fails(
+    monkeypatch, name, check, detail
+):
+    # the last coefficient one too high; moments_to_F only on the edge
+    # sequence of the after-hook, so every drawn case still agrees
+    real = getattr(verify, name)
+
+    def broken(series):
+        out = real(series)
+        if name == "moments_to_F" and series.coeffs != (1, 0, 1, 0, 1):
+            return out
+        return dataclasses.replace(out, coeffs=(*out.coeffs[:-1], out.coeffs[-1] + 1))
+
+    monkeypatch.setattr(verify, name, broken)
+    result = verify._drawing(CFG, getattr(verify, f"check_{check}"), 20, 12)
+    assert not result.passed and result.detail == detail
+
+
+def test_a_broken_c_monotone_marginal_names_its_model_algebra_and_state(monkeypatch):
+    pair = verify.realize_cmonotone_pair
+
+    def doubled(m1, m2, variant=False):
+        r = pair(m1, m2, variant)
+        op = r.operators[(2, "a")]
+        r.operators[(2, "a")] = sparse_sum(op, op)
+        return r
+
+    monkeypatch.setattr(verify, "realize_cmonotone_pair", doubled)
+    check = verify.check_single_letter_states(verify.model_pairs(CFG))
+    assert check.detail == "model 0: c-monotone phi of algebra 2"
+
+
 @pytest.mark.parametrize("helper", ["_dilate", "_undilate"])
 def test_a_series_route_dilated_one_degree_off_fails_verify_transforms(
     monkeypatch, helper

@@ -644,15 +644,33 @@ def test_cli_accepts_each_cap_value(capsys):
             ),
             id="exact-value-4301-digits",
         ),
+        # a graph file that is not UTF-8, on each command that reads graphs
+        *[
+            pytest.param(
+                args,
+                "error: cannot read graph {latin}: 'utf-8' codec can't decode "
+                "byte 0xff in position 0: invalid start byte",
+                id=f"not-utf-8-{args[0]}",
+            )
+            for args in (
+                ["moments", "latin"],
+                ["product", "c-comb", "latin", "g2"],
+                ["word-moment", "g1", "latin", "1:a"],
+                ["convolve", "additive", "monotone", "latin", "g2"],
+            )
+        ],
     ],
 )
 def test_cli_input_errors_print_one_line_and_exit_2(tmp_path, capsys, args, message):
     plain = tmp_path / "rooted.graph"
     save_graph(plain, rooted(2, [(0, 1)], 0))
+    latin = tmp_path / "latin.graph"
+    latin.write_bytes(b"\xff\xfe")
     paths = {
         "g1": fixture_path("additive_g1.graph"),
         "g2": fixture_path("additive_g2.graph"),
         "rooted": str(plain),
+        "latin": str(latin),
     }
     tables = {
         "big": "1e4300",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ccomb import series
 from ccomb.series import (
     ADDITIVE_KINDS,
     MULTIPLICATIVE_KINDS,
@@ -186,6 +187,26 @@ def test_multiplicative_handles_vanishing_first_coefficient():
         for n in range(1, 5)
     )
     assert got.coeffs == expect
+
+
+@pytest.mark.parametrize("kind", ["monotone", "orthogonal", "c-monotone"])
+def test_an_integral_eta1_is_not_scaled_by_the_denominators_of_eta2(monkeypatch, kind):
+    # eta1 enters these kinds linearly: its scale clears its own denominators
+    # alone, while eta2 and eta_nu, composed, are dilated by their own lam
+    scales = []
+    real = series._dilate
+
+    def spy(seq, lam, first=0, scale=1):
+        scales.append((tuple(seq), lam, scale))
+        return real(seq, lam, first, scale)
+
+    monkeypatch.setattr(series, "_dilate", spy)
+    h1 = eta_series((1, 2, -1, 3))
+    h2 = eta_series((Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 7)))
+    got = multiplicative_convolve(kind, h1, h2, h2)
+    assert scales[0] == (h1.coeffs, 1, 1)
+    etas = h1.coeffs, h2.coeffs, h2.coeffs
+    assert got.coeffs == tuple(coefficient_formula(kind, n, *etas) for n in range(1, 5))
 
 
 def test_compositions():
