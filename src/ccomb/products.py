@@ -121,10 +121,6 @@ class OperatorDecomposition:
         return subspace_restrict(op, product.embedding)
 
 
-def _pair(i: int, j: int) -> tuple:
-    return (i, j) if i <= j else (j, i)
-
-
 def _glue(g1, g2, labels, spine, hosts, copy, embed, ambient_dim) -> ProductGraph:
     """The one gluing rule: G1's edges join the spine labels spine(u) with
     their colors kept, and each host u carries a color-2 copy of G2 whose
@@ -431,9 +427,6 @@ def relabel_isomorphic(graph_a: Graph, graph_b: Graph, mapping: dict) -> bool:
         return False
     if sorted(mapping.values()) != list(range(graph_b.vertex_count)):
         return False
-    if mapping[graph_a.root] != graph_b.root:
-        return False
-    mapped = {
-        _pair(mapping[i], mapping[j]) + (c,) for i, j, c in graph_a.colored_edges
-    }
-    return mapped == set(graph_b.colored_edges)
+    edges = [(mapping[i], mapping[j], c) for i, j, c in graph_a.colored_edges]
+    mapped = colored(graph_b.vertex_count, edges, mapping[graph_a.root])
+    return (mapped.root, mapped.colored_edges) == (graph_b.root, graph_b.colored_edges)

@@ -25,9 +25,9 @@ and psi_k by lam**k and c_j by lam**(j+1), and the convolutions commute with
 it. So each kernel call dilates its `Fraction` inputs to integers by a lam
 built up from their denominators, runs the ring-generic loops on them, and
 divides coefficient k by its power of lam on the way out. A series that a
-multiplicative convolution uses linearly (eta1, the boolean factors) is
-multiplied by the lcm of the denominators instead. Integers, and a call with
-an input in any other ring, get lam = 1: the loops run on the values given.
+multiplicative convolution uses linearly (eta1, each boolean factor) is
+multiplied by the lcm of its own denominators instead. Integers, and a call
+with an input in any other ring, get lam = 1: the loops run on the values given.
 """
 
 from __future__ import annotations
@@ -163,17 +163,15 @@ def _power_sum(c, x, n):
     return acc
 
 
-def _dilation(first, *seqs, linear=False, among=()) -> int:
-    """A lam making every seq[k] * lam**(k + first) an integer, or with
-    `linear` every seq[k] * lam; built up from the denominators, it divides
-    their lcm. It is 1 unless every entry of `seqs`, and of the sequences in
-    `among`, is an int or a `Fraction`."""
+def _dilation(first, *seqs) -> int:
+    """A lam making every seq[k] * lam**(k + first) an integer; built up from
+    the denominators, it divides their lcm. It is 1 unless every entry of
+    `seqs` is an int or a `Fraction`."""
     lam = 1
-    if all(type(x) in (int, Fraction) for s in (*seqs, *among) for x in s):
+    if all(type(x) in (int, Fraction) for s in seqs for x in s):
         for s in seqs:
             for k, x in enumerate(s, first):
-                power = lam if linear else lam**k
-                lam *= x.denominator // gcd(x.denominator, power)
+                lam *= x.denominator // gcd(x.denominator, lam**k)
     return lam
 
 
@@ -349,24 +347,25 @@ def multiplicative_convolve(
             f"{divisor[kind][0]} eta-series vanishes to this order "
             "(distribution concentrated at zero)"
         )
-    # eta1 (and eta2 for boolean), used linearly, is multiplied by the lcm d of
-    # its denominators; eta2 and eta_nu, composed, are dilated by lam: coefficient
-    # k carries d * lam**k. Another ring among any of the inputs gives 1s.
+    # eta1 and the boolean eta2, used linearly, each take the lcm of their own
+    # denominators (d1, d2); eta2 and eta_nu, composed, are dilated by lam, so
+    # coefficient k carries d1 * lam**k. Another ring among the inputs gives 1s.
     seqs = (mu1.coeffs, mu2.coeffs, nu2.coeffs if kind == "c-monotone" else ())
-    d = _dilation(1, *seqs[: 1 + (kind == "boolean")], linear=True, among=seqs)
-    e1 = _dilate(mu1.coeffs, 1, scale=d)
+    exact = all(type(x) in (int, Fraction) for s in seqs for x in s)
+    d1, d2 = (lcm(*(x.denominator for x in s)) if exact else 1 for s in seqs[:2])
+    e1 = _dilate(mu1.coeffs, 1, scale=d1)
     if kind == "boolean":
-        out = _mul(e1, _dilate(mu2.coeffs, 1, scale=d), n)
-        return FSeries("eta", _undilate(out, 1, scale=d * d))
-    lam = _dilation(1, *seqs[1:], among=seqs)
+        out = _mul(e1, _dilate(mu2.coeffs, 1, scale=d2), n)
+        return FSeries("eta", _undilate(out, 1, scale=d1 * d2))
+    lam = _dilation(1, *seqs[1:]) if exact else 1
     p2 = [0, *_dilate(mu2.coeffs, lam, 1)]
     if kind == "orthogonal":  # sum_r N1(r) eta2^(r-1)
-        return FSeries("eta", _undilate(_power_sum(e1, p2, n), lam, 0, d))
+        return FSeries("eta", _undilate(_power_sum(e1, p2, n), lam, 0, d1))
     if kind == "monotone":
         out = _power_sum([0, *e1], p2, n + 1)  # sum_r N1(r) eta2^r
     else:
         out = _mul(p2, _power_sum(e1, [0, *_dilate(seqs[2], lam, 1)], n + 1), n + 1)
-    return FSeries("eta", _undilate(out[1:], lam, 1, d))
+    return FSeries("eta", _undilate(out[1:], lam, 1, d1))
 
 
 def compositions(total: int, parts: int):

@@ -169,6 +169,21 @@ def test_superposition_isomorphism():
     assert relabel_isomorphic(so.graph, cmb.graph, superposition_map(g1, g2))
 
 
+def test_relabel_isomorphic_refuses_every_broken_map():
+    # a path 0 -1- 1 -2- 2 rooted at 0, and its image under 0->2, 1->1, 2->0
+    a = colored(3, [(0, 1, 1), (1, 2, 2)], 0)
+    b = colored(3, [(1, 2, 1), (0, 1, 2)], 2)
+    good = {0: 2, 1: 1, 2: 0}
+    assert relabel_isomorphic(a, b, good)
+    assert not relabel_isomorphic(a, colored(4, [(1, 2, 1), (0, 1, 2)], 2), good)
+    assert not relabel_isomorphic(a, b, {0: 2, 1: 1})  # misses vertex 2
+    assert not relabel_isomorphic(a, b, {0: 2, 1: 1, 2: 1})  # not injective
+    assert not relabel_isomorphic(a, colored(3, [(1, 2, 1), (0, 1, 2)], 0), good)
+    assert not relabel_isomorphic(a, colored(3, [(1, 2, 2), (0, 1, 1)], 2), good)
+    # keeps the root but sends the color-1 edge {0, 1} to {2, 0}
+    assert not relabel_isomorphic(a, b, {0: 2, 1: 0, 2: 1})
+
+
 def test_c_comb_of_isolated_pairs():
     g = birooted(1, [], 0, 0)
     prod = c_comb_product(g, g)

@@ -209,6 +209,32 @@ def test_an_integral_eta1_is_not_scaled_by_the_denominators_of_eta2(monkeypatch,
     assert got.coeffs == tuple(coefficient_formula(kind, n, *etas) for n in range(1, 5))
 
 
+@pytest.mark.parametrize(
+    "eta1, d1",
+    [((1, 2, -1, 3), 1), ((Fraction(1, 3), Fraction(-1, 4), 0, 2), 12)],
+    ids=["integral-eta1", "fraction-eta1"],
+)
+def test_each_boolean_factor_is_scaled_by_its_own_denominators(monkeypatch, eta1, d1):
+    # both boolean factors enter linearly: each is multiplied by the lcm of its
+    # own denominators, not by one scale shared with the other factor
+    scales = []
+    real = series._dilate
+
+    def spy(seq, lam, first=0, scale=1):
+        scales.append((tuple(seq), lam, scale))
+        return real(seq, lam, first, scale)
+
+    monkeypatch.setattr(series, "_dilate", spy)
+    h1 = eta_series(eta1)
+    h2 = eta_series((Fraction(1, 2), Fraction(-1, 3), 0, Fraction(5, 7)))
+    got = multiplicative_convolve("boolean", h1, h2)
+    assert scales == [(h1.coeffs, 1, d1), (h2.coeffs, 1, 42)]
+    etas = h1.coeffs, h2.coeffs
+    assert got.coeffs == tuple(
+        coefficient_formula("boolean", n, *etas) for n in range(1, 5)
+    )
+
+
 def test_compositions():
     assert sorted(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
     assert list(compositions(3, 3)) == [(1, 1, 1)]
