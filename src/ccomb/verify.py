@@ -11,14 +11,17 @@ the draws and the `sample {k}` witness prefix; the graph-pair identities go
 through `_pairwise`, which compares each route of a pair (walks, operator,
 series, formula, d-walks, enumerated) with the first and names both in its
 witness `pair {k}: {first} vs {route} differ at n={n}`, n the coefficient's
-own index (M_n from 0, eta N(n) from 1). All randomness flows from the seed
-in the config, so a given config yields byte-identical reports; each check
-that draws cases has a stream of its own, seeded by the config seed and the
-check's name, so no other check's draws move its cases.
+own index (M_n from 0, eta N(n) from 1). A check that loops over its own
+cases names the one an error hits through `_case` (`model {k}: error: ...`).
+All randomness flows from the seed in the config, so a given config yields
+byte-identical reports; each check that draws cases has a stream of its own,
+seeded by the config seed and the check's name, so no other check's draws
+move its cases.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 from dataclasses import dataclass
@@ -148,6 +151,19 @@ def _same_lists(words, sides: dict, witness: str, *args) -> None:
         for n, w in enumerate(words):
             for side, (got, expected) in sides.items():
                 _same(got[n], expected[n], witness, *args, w, side)
+
+
+@contextlib.contextmanager
+def _case(label: str):
+    """Name the case an error hits: an exception other than a `_Mismatch`
+    raised inside becomes the witness `{label}: error: {exc!r}`, as in
+    `_sampled` and `_pairwise`."""
+    try:
+        yield
+    except _Mismatch:
+        raise
+    except Exception as exc:
+        raise _Mismatch(f"{label}: error: {exc!r}") from None
 
 
 def _check(name: str):
@@ -387,12 +403,14 @@ def check_superposition(rng, samples: int):
         for _ in range(samples)
     ]
     for k, (g1, g2) in enumerate(cases):
-        orth = orthogonal_product(g1, g2)
-        so = star_product(orth.graph, g2)
-        cmb = comb_product(g1, g2)
-        mapping = superposition_map(g1, g2)
-        isomorphic = relabel_isomorphic(so.graph, cmb.graph, mapping)
-        _same(isomorphic, True, "case {}: superposition map is not an isomorphism", k)
+        with _case(f"case {k}"):
+            orth = orthogonal_product(g1, g2)
+            so = star_product(orth.graph, g2)
+            cmb = comb_product(g1, g2)
+            mapping = superposition_map(g1, g2)
+            isomorphic = relabel_isomorphic(so.graph, cmb.graph, mapping)
+            witness = "case {}: superposition map is not an isomorphism"
+            _same(isomorphic, True, witness, k)
     return f"{len(cases)} cases"
 
 
@@ -420,12 +438,13 @@ def check_restriction_equalities(pairs):
     )
     for k, (g1, g2) in enumerate(pairs):
         for label, decompose, build, colors in cases:
-            dec, prod = decompose(g1, g2), build(g1, g2)
-            for c in colors:
-                which = label if c is None else f"{label} color-{c}"
-                expect = adjacency_columns(prod.graph, c)
-                witness = "pair {}: {} restriction differs"
-                _same(dec.restricted(prod, c), expect, witness, k, which)
+            with _case(f"pair {k}"):
+                dec, prod = decompose(g1, g2), build(g1, g2)
+                for c in colors:
+                    which = label if c is None else f"{label} color-{c}"
+                    expect = adjacency_columns(prod.graph, c)
+                    witness = "pair {}: {} restriction differs"
+                    _same(dec.restricted(prod, c), expect, witness, k, which)
     return f"{len(pairs)} pairs, entrywise"
 
 
@@ -443,20 +462,22 @@ def check_walk_cross_oracle(rng, samples: int):
         essential_loop_product(tiny1, tiny2).graph,
         c_comb_loop_product(birooted(2, tiny1.edges, 0, 1), tiny2).graph,
     ]
-    for g in deep_products:
-        moments = root_moments(g, DEEP_WALK_ORDER).coeffs
-        for n in (DEEP_WALK_ORDER - 1, DEEP_WALK_ORDER):
-            walks = brute_force_closed_walks(g, n)
-            _same(moments[n], walks, "deep walk count mismatch at length {}", n)
+    for i, g in enumerate(deep_products):
+        with _case(f"deep case {i}"):
+            moments = root_moments(g, DEEP_WALK_ORDER).coeffs
+            for n in (DEEP_WALK_ORDER - 1, DEEP_WALK_ORDER):
+                walks = brute_force_closed_walks(g, n)
+                _same(moments[n], walks, "deep walk count mismatch at length {}", n)
     for k in range(samples):
-        g1 = random_rooted_graph(rng, 1, 3)
-        g2 = random_birooted_graph(rng, 1, 3)
-        g = comb_at_product(g1, g2).graph
-        moments = root_moments(g, 8).coeffs
-        for n in range(9):
-            walks = brute_force_closed_walks(g, n)
-            witness = "sample {}: walk count mismatch at length {}"
-            _same(moments[n], walks, witness, k, n)
+        with _case(f"sample {k}"):
+            g1 = random_rooted_graph(rng, 1, 3)
+            g2 = random_birooted_graph(rng, 1, 3)
+            g = comb_at_product(g1, g2).graph
+            moments = root_moments(g, 8).coeffs
+            for n in range(9):
+                walks = brute_force_closed_walks(g, n)
+                witness = "sample {}: walk count mismatch at length {}"
+                _same(moments[n], walks, witness, k, n)
     return f"{len(deep_products)} deep cases to order {DEEP_WALK_ORDER}, {samples} samples to order 8"
 
 
@@ -759,29 +780,34 @@ def check_pair_kinds(model_pairs, max_word: int):
     words = all_words(PAIR_LETTERS, max_word)
     plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (m1, m2) in enumerate(model_pairs):
-        fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
-        for kind in ("boolean", "monotone", "orthogonal", "tensor"):
-            got = realize_pair(kind, m1, m2).evaluator("phi").moments(halves)
-            sides = {kind: (got, plan.moments(kind, fns))}
-            _same_lists(words, sides, "model {0}, {2}, word {1}", k)
+        with _case(f"model {k}"):
+            fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
+            for kind in ("boolean", "monotone", "orthogonal", "tensor"):
+                got = realize_pair(kind, m1, m2).evaluator("phi").moments(halves)
+                sides = {kind: (got, plan.moments(kind, fns))}
+                _same_lists(words, sides, "model {0}, {2}, word {1}", k)
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
 
 @_check("single-letter-state-restriction")
 def check_single_letter_states(model_pairs):
     for k, (m1, m2) in enumerate(model_pairs):
-        for kind in ("boolean", "monotone", "orthogonal", "tensor"):
-            r = realize_pair(kind, m1, m2)
-            first = m1.vector_state(("a",), m1.xi)
-            _same(r.moment([(1, "a")]), first, "model {}: {} first marginal", k, kind)
-            # the orthogonal state kills the second algebra outright
-            second = 0 if kind == "orthogonal" else m2.vector_state(("a",), m2.xi)
-            _same(r.moment([(2, "a")]), second, "model {}: {} second marginal", k, kind)
-        r = realize_cmonotone_pair(m1, m2)
-        for j, m in ((1, m1), (2, m2)):
-            for state, at in (("phi", m.xi), ("psi", m.eta)):
-                got, want = r.moment([(j, "a")], state), m.vector_state(("a",), at)
-                _same(got, want, "model {}: c-monotone {} of algebra {}", k, state, j)
+        with _case(f"model {k}"):
+            for kind in ("boolean", "monotone", "orthogonal", "tensor"):
+                r = realize_pair(kind, m1, m2)
+                first = m1.vector_state(("a",), m1.xi)
+                witness = "model {}: {} first marginal"
+                _same(r.moment([(1, "a")]), first, witness, k, kind)
+                # the orthogonal state kills the second algebra outright
+                second = 0 if kind == "orthogonal" else m2.vector_state(("a",), m2.xi)
+                witness = "model {}: {} second marginal"
+                _same(r.moment([(2, "a")]), second, witness, k, kind)
+            r = realize_cmonotone_pair(m1, m2)
+            for j, m in ((1, m1), (2, m2)):
+                for state, at in (("phi", m.xi), ("psi", m.eta)):
+                    got, want = r.moment([(j, "a")], state), m.vector_state(("a",), at)
+                    witness = "model {}: c-monotone {} of algebra {}"
+                    _same(got, want, witness, k, state, j)
     return f"{len(model_pairs)} models"
 
 
@@ -790,12 +816,13 @@ def check_cmonotone_pair(model_pairs, max_word: int):
     words = all_words(PAIR_LETTERS, max_word)
     plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (m1, m2) in enumerate(model_pairs):
-        realizations = {
-            "": realize_cmonotone_pair(m1, m2),
-            "variant ": realize_cmonotone_pair(m1, m2, variant=True),
-        }
-        expected = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
-        _same_as_cmonotone(realizations, words, halves, expected, f"model {k}")
+        with _case(f"model {k}"):
+            realizations = {
+                "": realize_cmonotone_pair(m1, m2),
+                "variant ": realize_cmonotone_pair(m1, m2, variant=True),
+            }
+            expected = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
+            _same_as_cmonotone(realizations, words, halves, expected, f"model {k}")
     return f"{len(model_pairs)} models, words to length {max_word}, with variant"
 
 
@@ -806,15 +833,19 @@ def check_family_pair_consistency(model_pairs, word_len: int):
     fam_halves = HalfWordPlan([[(j - 1, name) for j, name in w] for w in words])
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
-        fam = realize_cmonotone_family([m1, m2])
-        # the family of two is the plain pair under keys 0, 1; the variant
-        # pair is a different construction of the same moments
-        pair = realize_cmonotone_pair(m1, m2, variant=True)
-        sides = {
-            s: (fam.evaluator(s).moments(fam_halves), pair.evaluator(s).moments(halves))
-            for s in ("phi", "psi")
-        }
-        _same_lists(words, sides, "model {0}, word {1}, state {2}", k)
+        with _case(f"model {k}"):
+            fam = realize_cmonotone_family([m1, m2])
+            # the family of two is the plain pair under keys 0, 1; the variant
+            # pair is a different construction of the same moments
+            pair = realize_cmonotone_pair(m1, m2, variant=True)
+            sides = {
+                s: (
+                    fam.evaluator(s).moments(fam_halves),
+                    pair.evaluator(s).moments(halves),
+                )
+                for s in ("phi", "psi")
+            }
+            _same_lists(words, sides, "model {0}, word {1}, state {2}", k)
     return f"{len(subset)} models, words to length {word_len}"
 
 
@@ -839,9 +870,10 @@ def check_family_three(family_models, word_len: int):
     words = all_words(((0, "a"), (1, "a"), (2, "a")), word_len)
     plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, models in enumerate(family_models):
-        fam = realize_cmonotone_family(models)
-        expected = plan.cmonotone(two_state_pairs(dict(enumerate(models))))
-        _same_as_cmonotone({"": fam}, words, halves, expected, f"family {k}")
+        with _case(f"family {k}"):
+            fam = realize_cmonotone_family(models)
+            expected = plan.cmonotone(two_state_pairs(dict(enumerate(models))))
+            _same_as_cmonotone({"": fam}, words, halves, expected, f"family {k}")
     return f"{len(family_models)} families of 3, words to length {word_len}"
 
 
@@ -850,9 +882,10 @@ def check_local_max_choice(model_pairs):
     words = all_words(PAIR_LETTERS, ALL_ORDERS_WORD)
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
-        pairs = two_state_pairs({1: m1, 2: m2})
-        for w, vals in zip(words, oracle_cmonotone_all_orders(words, pairs)):
-            _same(len(vals), 1, "model {}, word {}: {} values", k, w, len(vals))
+        with _case(f"model {k}"):
+            pairs = two_state_pairs({1: m1, 2: m2})
+            for w, vals in zip(words, oracle_cmonotone_all_orders(words, pairs)):
+                _same(len(vals), 1, "model {}, word {}: {} values", k, w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 
 
@@ -862,11 +895,14 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
     plan = WordPlan(words)
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
-        fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
-        degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
-        got, mono = plan.cmonotone(degenerate), plan.moments("monotone", fns)
-        sides = {s: ([p[n] for p in got], mono) for n, s in enumerate(("phi", "psi"))}
-        _same_lists(words, sides, "model {0}, word {1}: {2}", k)
+        with _case(f"model {k}"):
+            fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
+            degenerate = {1: (fns[1], fns[1]), 2: (fns[2], fns[2])}
+            got, mono = plan.cmonotone(degenerate), plan.moments("monotone", fns)
+            sides = {
+                s: ([p[n] for p in got], mono) for n, s in enumerate(("phi", "psi"))
+            }
+            _same_lists(words, sides, "model {0}, word {1}: {2}", k)
     return f"{len(subset)} models, words to length {min(max_word, 7)}"
 
 
@@ -875,13 +911,15 @@ def check_separating_projection(model_pairs):
     fam_words = all_words(((0, "a"), (1, "a")), 3)
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
-        fam = realize_cmonotone_family([m1, m2])
-        fam.operators["P"] = fam.separating_projection()
-        flank = {w: fam.moment(w) for w in fam_words}
-        for w1 in fam_words:
-            for w2 in fam_words:
-                lhs = fam.moment(w1 + ("P",) + w2)
-                _same(lhs, flank[w1] * flank[w2], "model {}, words {}|{}", k, w1, w2)
+        with _case(f"model {k}"):
+            fam = realize_cmonotone_family([m1, m2])
+            fam.operators["P"] = fam.separating_projection()
+            flank = {w: fam.moment(w) for w in fam_words}
+            for w1 in fam_words:
+                for w2 in fam_words:
+                    lhs = fam.moment(w1 + ("P",) + w2)
+                    witness = "model {}, words {}|{}"
+                    _same(lhs, flank[w1] * flank[w2], witness, k, w1, w2)
     return f"{len(subset)} models, flank words to length 3"
 
 
@@ -899,9 +937,10 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
     words = all_words(PAIR_LETTERS, max_word)
     plan, halves = WordPlan(words), HalfWordPlan(words)
     for k, (g1, g2) in enumerate(cases):
-        realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2)
-        expected = plan.cmonotone(pairs)
-        _same_as_cmonotone({"": realization}, words, halves, expected, f"pair {k}")
+        with _case(f"pair {k}"):
+            realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2)
+            expected = plan.cmonotone(pairs)
+            _same_as_cmonotone({"": realization}, words, halves, expected, f"pair {k}")
     return f"{len(cases)} graph pairs, words to length {max_word}"
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from ccomb import graphs, linalg, series, verify
+from ccomb import graphs, independence, linalg, series, verify
 from ccomb.independence import oracle_cmonotone
 from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
@@ -173,7 +173,7 @@ def test_a_check_that_raises_reports_error():
     assert check() == verify.Check("raises", False, "error: ValueError('no such case')")
 
 
-def test_an_error_names_its_sample_or_its_pair():
+def test_an_error_names_its_sample_or_its_pair(monkeypatch):
     # an exception other than a mismatch keeps the index of the case it hit
     @verify._sampled("sampled", lambda rng, order: next(cases))
     def sampled(order, k):
@@ -194,6 +194,61 @@ def test_an_error_names_its_sample_or_its_pair():
     assert paired([(k, k) for k in range(5)], 3) == verify.Check(
         "paired", False, "pair 2: error: ValueError('pair two')"
     )
+
+    # a check's own model loop names the model it hit
+    models = verify.model_pairs(CFG)
+    pair = verify.realize_cmonotone_pair
+
+    def raising_at_model_three(m1, m2, variant=False):
+        if m1 is models[3][0]:
+            raise ZeroDivisionError("boom")
+        return pair(m1, m2, variant)
+
+    monkeypatch.setattr(verify, "realize_cmonotone_pair", raising_at_model_three)
+    assert verify.check_cmonotone_pair(models, 4) == verify.Check(
+        "cmonotone-pair-oracle-equality",
+        False,
+        "model 3: error: ZeroDivisionError('boom')",
+    )
+
+
+def _check_cases(name):
+    cfg = VerifyConfig(graph_samples=3, model_samples=3)
+    runs = {
+        "family": lambda: verify.check_family_three(verify.family_models(cfg), 3),
+        "bridge": lambda: verify.check_c_comb_bridge(cfg, 3),
+        "restriction": lambda: verify.check_restriction_equalities(
+            verify.additive_pairs(cfg)
+        ),
+        "superposition": lambda: verify._drawing(cfg, verify.check_superposition, 3),
+        "walks": lambda: verify._drawing(cfg, verify.check_walk_cross_oracle, 3),
+    }
+    return runs[name]
+
+
+@pytest.mark.parametrize(
+    "check, target, detail",
+    [
+        ("family", "realize_cmonotone_family", "family 1: error: ValueError('boom')"),
+        ("bridge", "realize_graph_pair", "pair 1: error: ValueError('boom')"),
+        ("restriction", "c_comb_decomposition", "pair 1: error: ValueError('boom')"),
+        ("superposition", "superposition_map", "case 1: error: ValueError('boom')"),
+        ("walks", "root_moments", "deep case 1: error: ValueError('boom')"),
+    ],
+)
+def test_each_case_loop_names_the_case_an_error_hits(monkeypatch, check, target, detail):
+    # the second call raises; each check's loop names its case, as `_sampled`
+    # and `_pairwise` do
+    real, calls = getattr(verify, target), iter(range(1000))
+
+    def raising_at_call_one(*args, **kwargs):
+        if next(calls) == 1:
+            raise ValueError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, target, raising_at_call_one)
+    result = _check_cases(check)()
+    assert not result.passed and result.detail == detail
 
 
 def test_the_drawn_graph_checks_name_their_sample(monkeypatch):
@@ -282,6 +337,48 @@ def test_a_series_route_dilated_one_degree_off_fails_verify_transforms(
         "sample 0, monotone, n=1"
     )
     assert all(re.match(r"sample \d+", d) for d in failures.values()), failures
+
+
+def _plan_counts_one_power_up(monkeypatch):
+    # each word's scale one power of c_j up for every algebra it uses
+    real = independence.WordPlan._counts.func
+
+    def counts(plan):
+        counts, index = real(plan)
+        return [tuple((j, n + 1) for j, n in c) for c in counts], index
+
+    monkeypatch.setattr(independence.WordPlan, "_counts", property(counts))
+
+
+def _evaluator_divisors_one_power_up(monkeypatch):
+    # each letter divided by d_k ** 2 where its operator was scaled by d_k
+    evaluator = independence.WordMomentEvaluator
+    real = evaluator.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self._scales = {key: d * d for key, d in self._scales.items()}
+
+    monkeypatch.setattr(evaluator, "__init__", init)
+
+
+@pytest.mark.parametrize(
+    "mutate", [_plan_counts_one_power_up, _evaluator_divisors_one_power_up]
+)
+def test_an_independence_route_scaled_one_power_off_fails_verify_independence(
+    monkeypatch, mutate
+):
+    # each route undoes its own integer scaling: a scale one power off on
+    # either side makes the two routes disagree at the first Fraction model
+    # of each check that compares them
+    mutate(monkeypatch)
+    checks = verify.run_suite("independence", CFG)
+    failures = {c.name: c.detail for c in checks if not c.passed}
+    assert failures == {
+        "independence/pair-kind-oracle-equality": "model 0, boolean, word ((1, 'a'),)",
+        "independence/cmonotone-pair-oracle-equality": "model 0, word ((1, 'a'),): phi",
+        "independence/family-three-oracle-equality": "family 0, word ((1, 'a'),): phi",
+    }
 
 
 def test_a_broken_word_fails_with_the_first_witness_of_a_word_walk(monkeypatch):

@@ -137,3 +137,35 @@ def test_independence_imports_only_linalg_from_the_package():
         elif isinstance(node, ast.Import):
             package.update(a.name for a in node.names if a.name.startswith("ccomb"))
     assert package == {"linalg"}
+
+
+def test_the_plan_and_the_evaluator_share_no_scaling_helper():
+    # the oracle route and the realization route each scale their Fraction
+    # inputs to ints on their own: a scaling bug in one must make the two
+    # disagree, so nothing one class reaches in its module is reached by the
+    # other, and each names the stdlib lcm and Fraction itself
+    tree = ast.parse((ROOT / "src" / "ccomb" / "independence.py").read_text("utf-8"))
+    defs = {
+        n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def reached(root):
+        seen, todo = set(), [root]
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            named = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(defs[name])
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            todo.extend(named & set(defs) - seen)
+        return seen
+
+    plan, evaluator = reached("WordPlan"), reached("WordMomentEvaluator")
+    assert {"collapse_word", "_zero"} <= plan
+    assert "HalfWordPlan" in evaluator
+    assert not plan & evaluator, plan & evaluator
+    for cls in ("WordPlan", "WordMomentEvaluator"):
+        named = {n.id for n in ast.walk(defs[cls]) if isinstance(n, ast.Name)}
+        assert {"lcm", "Fraction"} <= named, cls

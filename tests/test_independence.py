@@ -704,6 +704,42 @@ def test_model_functional_equals_the_vector_state_in_value_and_type(model, produ
         assert _typed(got) == _typed(want), at
 
 
+_INTS = st.sampled_from((0, 1, -1, 2))
+_FRACTIONS = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)))
+
+
+@st.composite
+def _two_state_models(draw):
+    """A two-state model of two elements whose entries are all ints, all
+    Fractions or a mix of both, zeros of both types included."""
+    entries = draw(st.sampled_from((_INTS, _FRACTIONS, _ENTRIES)))
+    dim = draw(st.integers(1, 3))
+    row = st.lists(entries, min_size=dim, max_size=dim)
+    square = st.lists(row, min_size=dim, max_size=dim)
+    elements = {name: Matrix.from_rows(draw(square)) for name in "ab"}
+    at = st.integers(0, dim - 1)
+    return AlgebraModel(elements, draw(at), draw(at))
+
+
+@given(_two_state_models(), _two_state_models())
+def test_evaluator_equals_the_memoized_halves_on_mixed_scalars(m1, m2):
+    # an int model beside a Fraction one scales the Fraction keys alone, and
+    # a model mixing both runs its operators unscaled: either way each word
+    # keeps the value and the type of the memoized halves, zeros included
+    words = [()] + all_words(((1, "a"), (1, "b"), (2, "a"), (2, "b")), 4)
+    plan = HalfWordPlan(words)
+    cases = [(realize_pair(kind, m1, m2), ("phi",)) for kind in ORACLE_KINDS]
+    cases += [
+        (realize_cmonotone_pair(m1, m2, variant), ("phi", "psi"))
+        for variant in (False, True)
+    ]
+    for realization, states in cases:
+        for state in states:
+            got = realization.evaluator(state).moments(plan)
+            want = _tuple_memo_moments(realization, state, words)
+            assert _typed(got) == _typed(want), state
+
+
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=12))
 def test_collapse_word_accepts_a_collapsed_word_as_it_is(word):
     w = collapse_word(word)
