@@ -28,13 +28,14 @@ all-orders oracle keeps a recursion of its own over every local maximum.
 
 Both batch routes, `WordPlan` and `WordMomentEvaluator`, run `Fraction`
 models on integers. Each recursion and each realized moment is multilinear
-in the letters, so each route scales its inputs by the lcm of their
-denominators, runs its loops on ints and divides each word's value by that
-word's own scale on the way out; each does so on its own, with no shared
-helper. Values keep their types: a word gets the `Fraction` the unscaled
-loops would give it, an int where they give an int. Int inputs take scale 1,
-and inputs the rule cannot type (another scalar ring, or ints and
-`Fraction`s mixed where one type is needed) run the loops unscaled.
+in the letters, so when every input of an evaluation is a `Fraction`, a
+route scales all of them by one integer, the lcm of their denominators,
+runs its loops on ints and divides each nonempty word's value by the power
+of that scale the word carries; each route does so on its own, with no
+shared helper. Values keep their types: such a word comes out as the
+`Fraction` the unscaled loops would give it. Any other evaluation (int
+inputs, ints and `Fraction`s mixed in one call, or another scalar ring)
+runs the loops on its inputs as they are.
 
 Realizations model each algebra by named exact matrices with one or two
 distinguished coordinates xi (for phi) and eta (for psi); the adjoined
@@ -271,18 +272,17 @@ class WordPlan:
     recursion's arithmetic term for term, so values keep their types.
     Words are raw or collapsed (see collapse_word).
 
-    When every value read for algebra j is a `Fraction` (its phi and psi
-    values alike) and every value read for each other algebra an int, the
-    values are scaled to ints first: c_j is the lcm of algebra j's
-    denominators, a letter ``(j, names)`` scales by c_j ** len(names), and
-    each term of every recursion uses each letter of its word once, so word
-    w scales by the product of c_j ** n_j(w), n_j(w) counting the names of
-    algebra j in w (counted once per plan). The loops run on ints, and each
-    word with a letter of a `Fraction` algebra comes out as the `Fraction`
-    of its value over its scale, the type the unscaled loops give it; any
-    other word keeps its int. `_zero`'s 0, phi of the higher orthogonal
-    algebra, is 0 at any scale and is not typed. Any other mix of types, or
-    another scalar ring, runs the loops on the values as read.
+    When every value an evaluation reads is a `Fraction` (phi and psi
+    values alike, of every algebra), the values are scaled to ints first:
+    c is the lcm of all their denominators, a letter ``(j, names)`` scales
+    by c ** len(names), and each term of every recursion uses each name of
+    its word once, so a word with n names scales by c ** n (n counted once
+    per plan). The loops run on ints, and each nonempty word comes out as
+    the `Fraction` of its value over its scale, the type the unscaled loops
+    give it; the empty word keeps its int 1. `_zero`'s 0, phi of the higher
+    orthogonal algebra, is 0 at any scale and is not typed. Int values,
+    ints and `Fraction`s mixed in one evaluation, and another scalar ring
+    run the loops on the values as read.
     """
 
     def __init__(self, words):
@@ -336,74 +336,35 @@ class WordPlan:
         return lists
 
     @cached_property
-    def _counts(self) -> tuple:
-        """The distinct name counts of the words, each ``((j, n_j), ...)``
-        by algebra, and the index of each word's counts."""
-        counts: dict = {}
-        index = []
-        for w in self._words:
-            n: dict = {}
-            for j, names in w:
-                n[j] = n.get(j, 0) + len(names)
-            index.append(counts.setdefault(tuple(sorted(n.items())), len(counts)))
-        return list(counts), index
+    def _names(self) -> list:
+        """The number of names in each word, the power of c it scales by."""
+        return [sum(len(names) for _, names in w) for w in self._words]
 
-    def _read(self, functionals: dict, slots) -> list:
-        """Each letter value of `slots` under its algebra's functional, by
-        slot; the others stay None."""
-        values = [None] * len(self._letters)
-        for s in slots:
-            j, names = self._letters[s]
-            values[s] = functionals[j](names)
-        return values
-
-    def _scales(self, *reads) -> dict:
-        """c_j of each algebra j whose letter values are all Fractions: the
-        lcm of their denominators. Each read is a functional dict and the
-        values `_read` took from it; `_zero`'s 0 is 0 at any scale and is
-        not looked at. Empty, and the loops run on the values as read, unless
-        some algebra reads only Fractions and each other one only ints."""
-        types: dict = {}
-        scales: dict = {}
-        for functionals, values in reads:
-            for (j, _), x in zip(self._letters, values):
-                if x is None or functionals[j] is _zero:
-                    continue
-                kind = types.setdefault(j, type(x))
-                if kind is not type(x) or kind not in (int, Fraction):
-                    return {}
-                if kind is Fraction:
-                    scales[j] = lcm(scales.get(j, 1), x.denominator)
-        return scales
-
-    def _scaled(self, scales, values) -> list:
-        """`values` by slot with each letter (j, names) of a Fraction algebra
-        times c_j ** len(names), an int since each denominator divides c_j."""
-        if not scales:
-            return values
-        out = list(values)
-        for s, ((j, names), x) in enumerate(zip(self._letters, values)):
-            if x is not None and j in scales:
-                out[s] = x.numerator * (scales[j] ** len(names) // x.denominator)
-        return out
-
-    def _unscaled(self, scales, values) -> list:
-        """Each word's scaled value over its scale, the product of
-        c_j ** n_j(w) over its Fraction algebras, as the Fraction the
-        unscaled loops give it; a word with no letter of a Fraction algebra
-        keeps its int."""
-        if not scales:
-            return values
-        counts, index = self._counts
-        divisors = [
-            prod(scales[j] ** n for j, n in c if j in scales)
-            if any(j in scales for j, _ in c)
-            else None
-            for c in counts
-        ]
+    def _evaluate(self, run, *reads) -> list:
+        """The word value lists `run` gives on the letter values of each
+        ``(functionals, slots)`` read, a list by slot with None where not
+        read, scaled to ints when every value read is a Fraction."""
+        letters = self._letters
+        values, read = [], []
+        for functionals, slots in reads:
+            x = [None] * len(letters)
+            for s in slots:
+                j, names = letters[s]
+                x[s] = functionals[j](names)
+                if functionals[j] is not _zero:
+                    read.append(x[s])
+            values.append(x)
+        if not all(type(v) is Fraction for v in read):
+            return run(*values)
+        c = lcm(*(v.denominator for v in read))
+        powers = [c**n for n in range(max(self._names, default=0) + 1)]
+        for x in values:
+            for s, v in enumerate(x):
+                if type(v) is Fraction:
+                    x[s] = v.numerator * (powers[len(letters[s][1])] // v.denominator)
         return [
-            x if d is None else Fraction(x, d)
-            for x, d in zip(values, map(divisors.__getitem__, index))
+            [Fraction(v, powers[n]) if n else v for v, n in zip(out, self._names)]
+            for out in run(*values)
         ]
 
     def _phi_reads(self) -> tuple:
@@ -440,31 +401,32 @@ class WordPlan:
         psi_reads |= {s for s, _ in self._monotone[0]}
         phi = {j: p[0] for j, p in pairs.items()}
         psi = {j: p[1] for j, p in pairs.items()}
-        a, b = self._read(phi, phi_reads), self._read(psi, psi_reads)
-        scales = self._scales((phi, a), (psi, b))
-        a, b = self._scaled(scales, a), self._scaled(scales, b)
-        phis = self._unscaled(scales, self._run_phi(a, b))
-        return list(zip(phis, self._unscaled(scales, self._run_monotone(b))))
+        phis, psis = self._evaluate(
+            lambda a, b: (self._run_phi(a, b), self._run_monotone(b)),
+            (phi, phi_reads),
+            (psi, psi_reads),
+        )
+        return list(zip(phis, psis))
 
     def moments(self, kind: str, functionals: dict) -> list:
         """The moment of each word under independence `kind`, `functionals`
         as in oracle_moment."""
         if kind not in ORACLE_KINDS:
             raise ValueError(f"unknown independence kind {kind!r}")
+        if kind == "monotone":
+            reads = {s for s, _ in self._monotone[0]}
+            (out,) = self._evaluate(
+                lambda a: (self._run_monotone(a),), (functionals, reads)
+            )
+            return out
         if kind != "orthogonal":
-            if kind == "monotone":
-                reads = {s for s, _ in self._monotone[0]}
-            else:
-                lists = self._boolean if kind == "boolean" else self._tensor
-                reads = {s for slots in lists for s in slots}
-            a = self._read(functionals, reads)
-            scales = self._scales((functionals, a))
-            a = self._scaled(scales, a)
-            if kind == "monotone":
-                out = self._run_monotone(a)
-            else:
-                out = [prod(a[s] for s in slots) for slots in lists]
-            return self._unscaled(scales, out)
+            lists = self._boolean if kind == "boolean" else self._tensor
+            reads = {s for slots in lists for s in slots}
+            (out,) = self._evaluate(
+                lambda a: ([prod(a[s] for s in slots) for slots in lists],),
+                (functionals, reads),
+            )
+            return out
         if not any(self._words):
             return [1] * len(self._words)
         keys = sorted(functionals)
@@ -480,11 +442,12 @@ class WordPlan:
             self._inner[hi] = kept, WordPlan(compress(self._words, kept))
         kept, inner = self._inner[hi]
         phi_reads, psi_reads = inner._phi_reads()
-        phi, psi = {lo: functionals[lo], hi: _zero}, {hi: functionals[hi]}
-        a, b = inner._read(phi, phi_reads), inner._read(psi, psi_reads)
-        scales = inner._scales((phi, a), (psi, b))
-        a, b = inner._scaled(scales, a), inner._scaled(scales, b)
-        values = iter(inner._unscaled(scales, inner._run_phi(a, b)))
+        (out,) = inner._evaluate(
+            lambda a, b: (inner._run_phi(a, b),),
+            ({lo: functionals[lo], hi: _zero}, phi_reads),
+            ({hi: functionals[hi]}, psi_reads),
+        )
+        values = iter(out)
         return [next(values) if keep else 0 for keep in kept]
 
 
@@ -599,13 +562,14 @@ class HalfWordPlan:
     and `suffixes` the distinct v as nodes ``(child id, letter)``, v being
     the letter plus its child; id 0 is the empty half, and node k, of id
     k + 1, comes after the node it extends. `splits` holds each word's
-    ``(prefix id, suffix id)``.
+    ``(prefix id, suffix id)`` and `lengths` its number of letters.
     """
 
     def __init__(self, words):
         prefixes: dict = {}  # node -> id, in id order
         suffixes: dict = {}
         self.splits: list = []
+        self.lengths: list = []
         for word in words:
             word = tuple(word)
             half = len(word) // 2
@@ -615,6 +579,7 @@ class HalfWordPlan:
             for i in range(len(word) - 1, half - 1, -1):
                 v = suffixes.setdefault((v, word[i]), len(suffixes) + 1)
             self.splits.append((u, v))
+            self.lengths.append(len(word))
         self.prefixes, self.suffixes = list(prefixes), list(suffixes)
 
 
@@ -630,50 +595,37 @@ class WordMomentEvaluator:
     sparse apply from the vector of the node it extends, in node order, and
     each word one exact sparse dot product.
 
-    When some operator has only `Fraction` entries and every other only int
-    entries, each operator of the first kind is scaled by d_k, the lcm of
-    its denominators, when the evaluator is made, and the transposes are
-    built from the scaled operators. A moment is linear in each letter's
-    operator, so word w scales by the product of d_k over its letters,
-    carried along the prefix and the suffix nodes; the loops run on ints,
-    and each word with a `Fraction` key comes out as the `Fraction` of its
-    value over its scale where its two halves meet, as the unscaled loops
-    give it, and as int 0 where they do not. Int operators take scale 1;
-    any other entries run the loops on the operators as they are.
+    When every operator entry is a `Fraction`, all operators are scaled by
+    one d, the lcm of all their denominators, when the evaluator is made,
+    and the transposes are built from the scaled operators. A moment is
+    linear in each letter's operator, so a word of n letters scales by
+    d ** n; the loops run on ints, and each nonempty word comes out as the
+    `Fraction` of its value over its scale where its two halves meet, as
+    the unscaled loops give it, and as int 0 where they do not. The type
+    test stops at the first entry that is not a `Fraction`: int operators,
+    ints and `Fraction`s mixed, and any other entries run the loops on the
+    operators as they are.
     """
 
     def __init__(self, realization: Realization, state: str = "phi"):
         self.at = realization._state_index(state)
-        self._scales = self._denominators(realization.operators)
-        self._operators = {
-            key: self._scaled(op, self._scales[key]) if key in self._scales else op
-            for key, op in realization.operators.items()
-        }
-        self._transposed = {
-            key: sparse_transpose(op) for key, op in self._operators.items()
-        }
-
-    @staticmethod
-    def _denominators(operators: dict) -> dict:
-        """d_k of each key whose operator has only Fraction entries: the lcm
-        of their denominators. Empty, and the loops run on the operators as
-        they are, unless some operator has only Fractions and each other one
-        only ints."""
-        scales = {}
-        for key, op in operators.items():
-            types = {type(x) for col in op for _, x in col}
-            if types == {Fraction}:
-                scales[key] = lcm(*(x.denominator for col in op for _, x in col))
-            elif types - {int}:
-                return {}
-        return scales
-
-    @staticmethod
-    def _scaled(op: list, d: int) -> list:
-        """The column-sparse `op` times d, with int entries."""
-        return [
-            [(r, x.numerator * (d // x.denominator)) for r, x in col] for col in op
-        ]
+        ops = realization.operators
+        self._scale = None
+        if all(
+            type(x) is Fraction for op in ops.values() for col in op for _, x in col
+        ):
+            d = self._scale = lcm(
+                *(x.denominator for op in ops.values() for col in op for _, x in col)
+            )
+            ops = {
+                key: [
+                    [(r, x.numerator * (d // x.denominator)) for r, x in col]
+                    for col in op
+                ]
+                for key, op in ops.items()
+            }
+        self._operators = ops
+        self._transposed = {key: sparse_transpose(op) for key, op in ops.items()}
 
     def moments(self, plan: HalfWordPlan) -> list:
         """The moment of each word of `plan`, in its order."""
@@ -692,32 +644,16 @@ class WordMomentEvaluator:
                 if y is not None:
                     value += x * y
             out.append(value)
-        if not self._scales:
+        d = self._scale
+        if d is None:
             return out
-        return self._unscaled(plan, out, rows, columns)
-
-    def _unscaled(self, plan: HalfWordPlan, values, rows, columns) -> list:
-        """Each word's scaled moment over its scale, the product of d_k
-        over its letters, carried along the prefix and the suffix nodes with
-        None until a node has a Fraction key. A word with a Fraction key
-        whose halves meet gets the Fraction the unscaled loops give it; any
-        other keeps its int, 0 where the halves do not meet."""
-        scales = self._scales
-        carried = []
-        for nodes in (plan.prefixes, plan.suffixes):
-            scale = [None]
-            for node, letter in nodes:
-                d, up = scales.get(letter), scale[node]
-                scale.append(up if d is None else d * (up or 1))
-            carried.append(scale)
-        row_scale, column_scale = carried
-        out = []
-        for (u, v), x in zip(plan.splits, values):
-            d, e = row_scale[u], column_scale[v]
-            if (d or e) and (x or not rows[u].keys().isdisjoint(columns[v])):
-                x = Fraction(x, (d or 1) * (e or 1))
-            out.append(x)
-        return out
+        powers = [d**n for n in range(max(plan.lengths, default=0) + 1)]
+        return [
+            Fraction(x, powers[n])
+            if n and (x or not rows[u].keys().isdisjoint(columns[v]))
+            else x
+            for x, n, (u, v) in zip(out, plan.lengths, plan.splits)
+        ]
 
     def moment(self, word):
         return self.moments(HalfWordPlan([word]))[0]

@@ -340,24 +340,24 @@ def test_a_series_route_dilated_one_degree_off_fails_verify_transforms(
 
 
 def _plan_counts_one_power_up(monkeypatch):
-    # each word's scale one power of c_j up for every algebra it uses
-    real = independence.WordPlan._counts.func
+    # each nonempty word divided by one more power of c than its name count
+    real = independence.WordPlan._names.func
 
-    def counts(plan):
-        counts, index = real(plan)
-        return [tuple((j, n + 1) for j, n in c) for c in counts], index
+    def names(plan):
+        return [n + 1 if n else 0 for n in real(plan)]
 
-    monkeypatch.setattr(independence.WordPlan, "_counts", property(counts))
+    monkeypatch.setattr(independence.WordPlan, "_names", property(names))
 
 
 def _evaluator_divisors_one_power_up(monkeypatch):
-    # each letter divided by d_k ** 2 where its operator was scaled by d_k
+    # each letter divided by d ** 2 where the operators were scaled by d
     evaluator = independence.WordMomentEvaluator
     real = evaluator.__init__
 
     def init(self, *args, **kwargs):
         real(self, *args, **kwargs)
-        self._scales = {key: d * d for key, d in self._scales.items()}
+        if self._scale is not None:
+            self._scale *= self._scale
 
     monkeypatch.setattr(evaluator, "__init__", init)
 
@@ -370,14 +370,15 @@ def test_an_independence_route_scaled_one_power_off_fails_verify_independence(
 ):
     # each route undoes its own integer scaling: a scale one power off on
     # either side makes the two routes disagree at the first Fraction model
-    # of each check that compares them
+    # of each check that compares them. Family 0's algebra 0 has integral
+    # Fraction entries only, so it is off by the family's shared scale too
     mutate(monkeypatch)
     checks = verify.run_suite("independence", CFG)
     failures = {c.name: c.detail for c in checks if not c.passed}
     assert failures == {
         "independence/pair-kind-oracle-equality": "model 0, boolean, word ((1, 'a'),)",
         "independence/cmonotone-pair-oracle-equality": "model 0, word ((1, 'a'),): phi",
-        "independence/family-three-oracle-equality": "family 0, word ((1, 'a'),): phi",
+        "independence/family-three-oracle-equality": "family 0, word ((0, 'a'),): psi",
     }
 
 

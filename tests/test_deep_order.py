@@ -3,6 +3,7 @@ byte for byte, and the walk route against the additive series at order 96."""
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +63,31 @@ def test_the_fixture_tables_are_the_seeded_tables(tables):
     for name, path in zip(NAMES, tables):
         fixture = (FIXTURES / f"deep_{name}.csv").read_text(encoding="utf-8")
         assert fixture == Path(path).read_text(encoding="utf-8"), name
+
+
+def test_the_pin_manifest_is_well_formed_and_holds_the_deep_pins():
+    # CI hashes the output of each manifest command against its sha256, and
+    # the workflow holds no pin of its own; three of the manifest's commands
+    # are order-96 rows of PINS, and the two copies must not drift apart
+    pins = {}
+    for line in (FIXTURES / "pins.txt").read_text(encoding="utf-8").splitlines():
+        match = re.fullmatch(r"([0-9a-f]{64})  (\S.*)", line)
+        assert match, line
+        sha, command = match.groups()
+        assert command not in pins, command
+        pins[command] = sha
+    shared = [
+        ("additive", "c-monotone", 96),
+        ("multiplicative", "boolean", 96),
+        ("multiplicative", "c-monotone", 96),
+    ]
+    for family, kind, order in shared:
+        tables = [f"fixtures/deep_{name}.csv" for name in NAMES]
+        inputs = " ".join(tables if kind == "c-monotone" else tables[:2])
+        command = f"ccomb convolve {family} {kind} {inputs} --order {order}"
+        assert pins[command] == PINS[family, kind, order], command
+    workflow = FIXTURES.parent / ".github" / "workflows" / "tests.yml"
+    assert not re.search(r"[0-9a-f]{64}", workflow.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(("family", "kind", "order"), list(PINS))

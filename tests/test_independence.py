@@ -41,7 +41,7 @@ from ccomb.products import (
     c_comb_loop_decomposition,
     realize_graph_pair,
 )
-from ccomb.verify import random_model
+from ccomb.verify import PAIR_LETTERS, VerifyConfig, model_pairs, random_model
 
 from conftest import birooted_graphs
 from dense_reference import sparse_to_matrix
@@ -723,9 +723,10 @@ def _two_state_models(draw):
 
 @given(_two_state_models(), _two_state_models())
 def test_evaluator_equals_the_memoized_halves_on_mixed_scalars(m1, m2):
-    # an int model beside a Fraction one scales the Fraction keys alone, and
-    # a model mixing both runs its operators unscaled: either way each word
-    # keeps the value and the type of the memoized halves, zeros included
+    # only a realization whose entries are all Fractions is scaled; an int
+    # model beside a Fraction one, or a model mixing both, runs unscaled:
+    # either way each word keeps the value and the type of the memoized
+    # halves, zeros included
     words = [()] + all_words(((1, "a"), (1, "b"), (2, "a"), (2, "b")), 4)
     plan = HalfWordPlan(words)
     cases = [(realize_pair(kind, m1, m2), ("phi",)) for kind in ORACLE_KINDS]
@@ -738,6 +739,37 @@ def test_evaluator_equals_the_memoized_halves_on_mixed_scalars(m1, m2):
             got = realization.evaluator(state).moments(plan)
             want = _tuple_memo_moments(realization, state, words)
             assert _typed(got) == _typed(want), state
+
+
+def test_the_first_verify_pair_runs_both_routes_on_ints(monkeypatch):
+    # verify's first model pair has Fraction entries only: the evaluator's
+    # operators and the values the plan's c-monotone loops receive are ints
+    cfg = VerifyConfig()
+    m1, m2 = model_pairs(cfg)[0]
+    seen = []
+    run_phi, run_monotone = WordPlan._run_phi, WordPlan._run_monotone
+
+    def phi(plan, a, b):
+        seen.extend(a + b)
+        return run_phi(plan, a, b)
+
+    def monotone(plan, a):
+        seen.extend(a)
+        return run_monotone(plan, a)
+
+    monkeypatch.setattr(WordPlan, "_run_phi", phi)
+    monkeypatch.setattr(WordPlan, "_run_monotone", monotone)
+    WordPlan(all_words(PAIR_LETTERS, cfg.max_word)).cmonotone(
+        two_state_pairs({1: m1, 2: m2})
+    )
+    assert {type(x) for x in seen if x is not None} == {int}
+    for variant in (False, True):
+        realization = realize_cmonotone_pair(m1, m2, variant)
+        ops = realization.operators.values()
+        assert {type(x) for op in ops for col in op for _, x in col} == {Fraction}
+        for state in ("phi", "psi"):
+            ops = realization.evaluator(state)._operators.values()
+            assert {type(x) for op in ops for col in op for _, x in col} == {int}
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=12))
