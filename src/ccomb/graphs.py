@@ -5,7 +5,10 @@ optional second root, and edges of color 1 or 2. Uncolored input gets
 color 1, so a plain graph is a graph whose edges all have color 1; products
 add color-2 edges. Graphs are non-oriented and simple per color (at most
 one edge per vertex pair and color); loops are allowed and a loop
-contributes 1 per color to the diagonal of the adjacency matrix. All values
+contributes 1 per color to the diagonal of the adjacency matrix. A graph
+keeps its edges as one canonical tuple of (i, j, color) with i <= j, in
+strictly increasing order: `colored` sorts once when a graph is built, and
+every later step reads that order instead of sorting again. All values
 are immutable. Vertex identification never mutates inputs; product
 constructions keep explicit label maps (see the products module).
 """
@@ -33,18 +36,16 @@ __all__ = [
     "count_d_walks",
 ]
 
-def _norm_pair(i: int, j: int) -> tuple:
-    return (i, j) if i <= j else (j, i)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Graph with a root, an optional second root (the two may coincide) and
     edges of color 1 or 2; a pair may carry one edge of each color but never
-    two of the same color."""
+    two of the same color. `colored_edges` is one strictly increasing tuple,
+    so equal graphs have equal tuples; a non-tuple, an edge out of order and
+    a repeated edge are refused."""
 
     vertex_count: int
-    colored_edges: frozenset  # of (i, j, color), i <= j; (i, i, c) is a loop
+    colored_edges: tuple  # of (i, j, color), i <= j; (i, i, c) is a loop
     root: int
     second_root: int | None = None
 
@@ -57,11 +58,20 @@ class Graph:
             0 <= self.second_root < self.vertex_count
         ):
             raise ValueError("second root out of range")
-        for i, j, c in self.colored_edges:
+        if not isinstance(self.colored_edges, tuple):
+            raise TypeError("colored_edges must be a sorted tuple of (i, j, color)")
+        prev = (-1,)  # before every edge, since 0 <= i
+        for edge in self.colored_edges:
+            i, j, c = edge
             if c not in (1, 2):
                 raise ValueError(f"edge color must be 1 or 2, got {c}")
             if not (0 <= i <= j < self.vertex_count):
                 raise ValueError(f"edge ({i}, {j}) out of range or unnormalized")
+            if not prev < edge:
+                if prev == edge:
+                    raise ValueError("duplicate edges (same pair and color)")
+                raise ValueError(f"edge {edge} out of order after {prev}")
+            prev = edge
 
     @property
     def edges(self) -> frozenset:
@@ -81,11 +91,10 @@ class Graph:
 def colored(
     vertex_count: int, edges, root: int, second_root: int | None = None
 ) -> Graph:
-    """Normalizing constructor; edges are (i, j, color)."""
-    norm = [(_norm_pair(i, j) + (c,)) for i, j, c in edges]
-    if len(norm) != len(set(norm)):
-        raise ValueError("duplicate edges (same pair and color)")
-    return Graph(vertex_count, frozenset(norm), root, second_root)
+    """Normalizing constructor; edges are (i, j, color) in any order and
+    orientation. A repeated edge is refused by `Graph`."""
+    norm = sorted((i, j, c) if i <= j else (j, i, c) for i, j, c in edges)
+    return Graph(vertex_count, tuple(norm), root, second_root)
 
 
 def rooted(vertex_count: int, edges, root: int) -> Graph:
@@ -127,13 +136,24 @@ def adjacency_matrix(g: Graph, color: int | None = None) -> Matrix:
 
 def adjacency_columns(g: Graph, color: int | None = None) -> list:
     """Column-sparse adjacency operator built from the edge list, with the
-    multiplicities of `adjacency_matrix`."""
-    cols = [{} for _ in range(g.vertex_count)]
-    for j, nbrs in enumerate(_neighbor_lists(g, color)):
-        col = cols[j]
-        for i in nbrs:
-            col[i] = col.get(i, 0) + 1
-    return [sorted(col.items()) for col in cols]
+    multiplicities of `adjacency_matrix`. One walk over the sorted edges
+    fills column j in increasing row order: the edges (i, j) with i < j, the
+    loop, then (j, k) with k > j. A pair carrying both colors meets its
+    columns twice in a row, and the second meeting adds 1 to the entry."""
+    cols = [[] for _ in range(g.vertex_count)]
+
+    def add(col: list, row: int) -> None:
+        if col and col[-1][0] == row:
+            col[-1] = (row, col[-1][1] + 1)
+        else:
+            col.append((row, 1))
+
+    for i, j, c in g.colored_edges:
+        if color in (None, c):
+            add(cols[j], i)
+            if i != j:
+                add(cols[i], j)
+    return cols
 
 
 def _vertex(g: Graph, at: int | None) -> int:
@@ -165,8 +185,9 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     result is birooted at (root of g1, shifted root of g2) and the argument
     order is significant."""
     n1 = g1.vertex_count
-    shifted = frozenset((i + n1, j + n1, c) for i, j, c in g2.colored_edges)
-    edges = g1.colored_edges | shifted
+    # every shifted index is at least n1, so g2's edges sort after g1's
+    shifted = tuple((i + n1, j + n1, c) for i, j, c in g2.colored_edges)
+    edges = g1.colored_edges + shifted
     return Graph(n1 + g2.vertex_count, edges, g1.root, n1 + g2.root)
 
 

@@ -12,8 +12,8 @@ Edge entries are `[i, j]` or `[i, j, color]` with color 1 or 2; an entry
 `[i, j]` means `[i, j, 1]`, so both forms read into equal graphs. A file
 mixing the two forms is rejected, as are duplicate edges (same pair and
 color), out-of-range indices and more than MAX_VERTICES vertices. Writers
-always emit `[i, j, color]`, keys in a fixed order and edges sorted, so
-output is deterministic.
+always emit `[i, j, color]`, keys in a fixed order and edges in the graph's
+sorted order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -112,8 +112,8 @@ def format_graph(graph, labels=None) -> str:
     lines = [f"vertices = {graph.vertex_count}", f"root = {graph.root}"]
     if graph.second_root is not None:
         lines.append(f"second_root = {graph.second_root}")
-    # JSON writes the edge and label tuples as lists
-    lines.append(f"edges = {json.dumps(sorted(graph.colored_edges))}")
+    # JSON writes the edge and label tuples as lists; the edges are sorted
+    lines.append(f"edges = {json.dumps(graph.colored_edges)}")
     if labels is not None:
         lines.append(f"labels = {json.dumps(labels)}")
     return "\n".join(lines) + "\n"
@@ -123,28 +123,26 @@ def save_graph(path, graph, labels=None) -> None:
     Path(path).write_text(format_graph(graph, labels), encoding="utf-8")
 
 
+_EDGE_STYLES = {1: "solid", 2: "dashed"}
+
+
 def to_dot(graph, labels=None) -> str:
     """DOT rendering: the first root is a double circle, the second a
-    square; color-1 edges are solid, color-2 edges dashed. Vertex order is
-    deterministic."""
-    second = graph.second_root
-    out = ["graph G {", "  node [shape=circle];"]
-    for v in range(graph.vertex_count):
-        attrs = []
-        if v == graph.root:
-            attrs.append("shape=doublecircle")
-        elif second is not None and v == second:
-            attrs.append("shape=square")
+    square; color-1 edges are solid, color-2 edges dashed. Vertices come in
+    index order and edges in the graph's sorted order."""
+    shapes = {graph.second_root: "shape=square", graph.root: "shape=doublecircle"}
+
+    def attrs(v: int) -> str:
+        found = [shapes[v]] if v in shapes else []
         if labels is not None:
-            text = ",".join(map(str, labels[v]))
-            attrs.append(f'label="{v}:({text})"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        out.append(f"  {v}{suffix};")
-    for i, j, c in sorted(graph.colored_edges):
-        style = "solid" if c == 1 else "dashed"
-        out.append(f"  {i} -- {j} [style={style}];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+            found.append(f'label="{v}:({",".join(map(str, labels[v]))})"')
+        return f" [{', '.join(found)}]" if found else ""
+
+    vertices = [f"  {v}{attrs(v)};" for v in range(graph.vertex_count)]
+    edges = [
+        f"  {i} -- {j} [style={_EDGE_STYLES[c]}];" for i, j, c in graph.colored_edges
+    ]
+    return "\n".join(["graph G {", "  node [shape=circle];", *vertices, *edges, "}\n"])
 
 
 def _table_value(text: str) -> Fraction:

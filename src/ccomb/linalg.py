@@ -303,6 +303,23 @@ def sparse_transpose(cols: list) -> list:
     return out
 
 
+def _mirrored(cols: list, mirror: list) -> bool:
+    """Whether `mirror` equals `sparse_transpose(cols)`, found by one walk
+    over the columns of `cols` that stops at the first entry without its
+    mirror; no transposed copy is built. Row r of the transpose lists
+    (c, v) in increasing c, so each column of `mirror` is read in order."""
+    if len(mirror) != len(cols):
+        return False
+    seen = [0] * len(mirror)
+    for c, col in enumerate(cols):
+        for r, v in col:
+            k = seen[r]
+            if k == len(mirror[r]) or mirror[r][k] != (c, v):
+                return False
+            seen[r] = k + 1
+    return all(k == len(row) for k, row in zip(seen, mirror))
+
+
 def _dot(u: dict, v: dict):
     """<u, v> of two sparse vectors; a zero sum is the int 0."""
     if len(u) > len(v):
@@ -320,13 +337,16 @@ def sparse_moments(steps, order: int, at: int) -> tuple:
     Half the chain suffices: with v_k = Z^k delta and w_k = (Z^T)^k delta,
     M_2k = <w_k, v_k> and M_2k+1 = <w_k, v_k+1>. When the transposed steps,
     in reverse order, equal the steps, Z is self-adjoint and w is v, so Z
-    is applied ceil(order / 2) times; otherwise both chains are walked.
-    Only the current vectors are held, never the chain."""
+    is applied ceil(order / 2) times; the first half of the steps decides,
+    since a transpose's transpose is the step itself. Otherwise the
+    transposed steps are built and both chains are walked. Only the
+    current vectors are held, never the chain."""
     if not 0 <= at < len(steps[0]):
         raise IndexError("state index out of range")
-    back = [sparse_transpose(cols) for cols in reversed(steps)]
-    if back == list(steps):
-        back = None
+    back = None
+    half = steps[: (len(steps) + 1) // 2]
+    if not all(_mirrored(a, b) for a, b in zip(reversed(steps), half)):
+        back = [sparse_transpose(cols) for cols in reversed(steps)]
     v = w = {at: 1}
     out = [1]
     for n in range(1, order + 1):

@@ -232,14 +232,14 @@ def c_comb_product(g1: Graph, g2: Graph) -> ProductGraph:
 
 def _loops_off_spine(base: ProductGraph, spine: tuple) -> ProductGraph:
     """The loop rule: a color-1 loop on every vertex off the spine, i.e.
-    whose label past its G1 coordinate differs from `spine`."""
-    edges = base.graph.colored_edges
-    loops = frozenset(
+    whose label past its G1 coordinate differs from `spine`. The loops
+    merge into the edges, and `Graph` refuses a loop already there."""
+    loops = tuple(
         (v, v, 1) for v, label in enumerate(base.vertex_labels) if label[1:] != spine
     )
-    if loops & edges:
-        raise ValueError("duplicate edges (same pair and color)")
-    graph = Graph(base.vertex_count, edges | loops, base.graph.root)
+    # two sorted runs: Timsort merges them in one linear pass
+    edges = tuple(sorted(base.graph.colored_edges + loops))
+    graph = Graph(base.vertex_count, edges, base.graph.root)
     return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
 
 

@@ -498,16 +498,11 @@ def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
     )
 
 
-class _EqualToAll:
-    def __eq__(self, other):
-        return True
-
-
 def test_a_kernel_that_takes_every_step_tuple_as_self_adjoint_fails(monkeypatch):
     # the half-chain kernel may read M_2k as <v_k, v_k> only for a
     # self-adjoint step; a self-adjointness test that always says yes breaks
     # the two-step moments of every alternating walk and eta check
-    monkeypatch.setattr(linalg, "sparse_transpose", lambda cols: _EqualToAll())
+    monkeypatch.setattr(linalg, "_mirrored", lambda cols, mirror: True)
     failures = _products_failures()
     assert failures == {
         "colored-adjacency-split": "pair 0: walks vs enumerated differ at n=2",

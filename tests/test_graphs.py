@@ -3,6 +3,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ccomb.graphs import (
+    Graph,
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,
@@ -230,6 +231,21 @@ def test_graph_validation():
         birooted(2, [], 0, 4)
     with pytest.raises(ValueError):
         colored(2, [(0, 1, 7)], 0)
+
+
+def test_graph_keeps_its_edges_as_one_sorted_tuple():
+    g = colored(3, [(2, 1, 1), (0, 0, 2), (1, 0, 1)], 0)
+    assert g.colored_edges == ((0, 0, 2), (0, 1, 1), (1, 2, 1))
+    for edges, error, message in (
+        (frozenset(g.colored_edges), TypeError, "sorted tuple"),
+        (g.colored_edges[::-1], ValueError, "out of order"),
+        (((0, 1, 1), (0, 1, 1)), ValueError, r"duplicate edges \(same pair and color"),
+    ):
+        with pytest.raises(error, match=message) as refused:
+            Graph(3, edges, 0)
+        assert "\n" not in str(refused.value)
+    with pytest.raises(ValueError, match="duplicate edges"):
+        colored(2, [(0, 1, 1), (1, 0, 1)], 0)
 
 
 def test_birooted_accessors():

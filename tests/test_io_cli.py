@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -28,7 +30,7 @@ def fixture_path(name):
 def test_parse_minimal():
     g, labels = parse_graph("vertices = 2\nroot = 0\nedges = [[0, 1]]\n")
     assert g.second_root is None
-    assert g.colored_edges == frozenset({(0, 1, 1)})
+    assert g.colored_edges == ((0, 1, 1),)
     assert g.edges == frozenset({(0, 1)}) and labels is None
 
 
@@ -44,7 +46,7 @@ def test_parse_colored_and_labels():
         'labels = [[0, 0], [0, 1]]\n'
     )
     g, labels = parse_graph(text)
-    assert g.colored_edges == frozenset({(0, 1, 1), (0, 1, 2)})
+    assert g.colored_edges == ((0, 1, 1), (0, 1, 2))
     assert labels == ((0, 0), (0, 1))
 
 
@@ -285,6 +287,34 @@ def test_cli_word_moment_reads_a_second_factor_pair_with_both_colors(
     assert main(["product", "c-comb", str(g1), str(g2), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "cannot build the product" in err[0], err
+
+
+def test_cli_refuses_a_graph_file_with_a_duplicate_edge(tmp_path, capsys):
+    path = tmp_path / "dup.graph"
+    path.write_text(
+        "vertices = 3\nroot = 0\nedges = [[0, 1], [2, 1], [1, 0]]\n", encoding="utf-8"
+    )
+    assert main(["moments", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "duplicate edges (same pair and color)" in err[0], err
+
+
+def test_product_files_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        subprocess.run(
+            [sys.executable, "-m", "ccomb.cli", "product", "c-comb-loop",
+             fixture_path("additive_g1.graph"), fixture_path("additive_g2.graph"),
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+            capture_output=True,
+            check=True,
+        )
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(written[0]) == ["c_comb_loop.dot", "c_comb_loop.graph"]
+    assert written[0] == written[1]
 
 
 def test_cli_missing_inputs_exit_cleanly(tmp_path, capsys):

@@ -81,6 +81,21 @@ def test_adjacency_columns_colored(g):
         assert adjacency_columns(g, color) == sparse_columns(adjacency_matrix(g, color))
 
 
+@given(colored_graphs(max_vertices=8), st.randoms(use_true_random=False))
+def test_adjacency_columns_read_the_sorted_edges_in_row_order(g, rng):
+    # the same edges handed to `colored` shuffled and turned around give the
+    # same graph, whose columns are the dense columns with rows increasing
+    edges = [
+        (j, i, c) if rng.random() < 0.5 else (i, j, c) for i, j, c in g.colored_edges
+    ]
+    rng.shuffle(edges)
+    assert colored(g.vertex_count, edges, g.root) == g
+    for color in (None, 1, 2):
+        cols = adjacency_columns(g, color)
+        assert cols == sparse_columns(adjacency_matrix(g, color))
+        assert all(a[0] < b[0] for col in cols for a, b in zip(col, col[1:]))
+
+
 @given(matrices(), matrices(), matrices(max_dim=2))
 def test_sparse_kron_matches_dense(a, b, c):
     sa, sb, sc = sparse_columns(a), sparse_columns(b), sparse_columns(c)
@@ -196,6 +211,32 @@ def test_a_self_adjoint_step_tuple_walks_half_the_chain(monkeypatch):
     calls.clear()
     sparse_moments((adjacency_columns(g, 1), adjacency_columns(g, 2)), 9, 0)
     assert len(calls) == 18
+
+
+def test_a_step_pair_one_entry_off_its_transpose_walks_both_chains(monkeypatch):
+    # (A, A^T) is self-adjoint; one changed, extra or missing entry in the
+    # second step makes the pair not so, and the kernel must walk the back
+    # chain too: 18 applies at order 9 instead of 10
+    a = sparse_columns(Matrix.from_rows([[0, 1, 2], [1, 0, 0], [3, 1, 1]]))
+    changed, extra, missing = (sparse_transpose(a) for _ in range(3))
+    changed[2] = changed[2][:-1] + [(2, changed[2][-1][1] + 1)]
+    extra[1] = sorted(extra[1] + [(2, 1)])
+    missing[2] = missing[2][:-1]
+    calls = []
+
+    def counted(cols, vec):
+        calls.append(vec)
+        return sparse_apply(cols, vec)
+
+    monkeypatch.setattr(linalg, "sparse_apply", counted)
+    cases = ((sparse_transpose(a), 10), (changed, 18), (extra, 18), (missing, 18))
+    for second, applies in cases:
+        calls.clear()
+        moments = sparse_moments((a, second), 9, 0)
+        assert len(calls) == applies
+        assert moments == full_chain_moments((a, second), 9, 0)
+        z = sparse_to_matrix(second) * sparse_to_matrix(a)
+        assert moments == tuple(matrix_power_entry(z, n, 0, 0) for n in range(10))
 
 
 def test_the_moment_kernel_streams_the_chain():
