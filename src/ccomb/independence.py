@@ -105,6 +105,8 @@ class AlgebraModel:
     def __init__(self, elements: dict, xi: int, eta: int | None = None):
         if not elements:
             raise ValueError("a model needs at least one element")
+        if any(isinstance(name, tuple) for name in elements):
+            raise ValueError("an element name may not be a tuple (a merged run)")
         dims = {m.rows for m in elements.values()} | {
             m.cols for m in elements.values()
         }

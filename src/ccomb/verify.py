@@ -5,15 +5,18 @@ Each check runs one invariant across a batch of fixture and randomized
 inputs and reports a single pass/fail line. A check compares through
 `_same(got, expected, witness, *args)`, which formats its witness only on a
 mismatch, and returns its detail line; `_check` turns it into a `Check` and
-alone decides PASS or FAIL, with no assert (so `python -O` agrees). The
-random-case identities go through `_sampled`, which owns the sample loop,
-the draws and the `sample {k}` witness prefix; the graph-pair identities go
-through `_pairwise`, which compares each route of a pair (walks, operator,
-series, formula, d-walks, enumerated) with the first and names both in its
-witness `pair {k}: {first} vs {route} differ at n={n}`, n the coefficient's
-own index (M_n from 0, eta N(n) from 1). A check that loops over its own
-cases names the one an error hits through `_case` (`model {k}: error: ...`).
-All randomness flows from the seed in the config, so a given config yields
+alone decides PASS or FAIL, with no assert (so `python -O` agrees). One
+rule names a failing case: each case runs inside `_case(label)`, which puts
+the label in front of a mismatch's witness and turns any other exception
+into `{label}: error: {exc!r}`, so no witness repeats its case index. The
+random-case identities go through `_sampled` (label `sample {k}`), which
+owns the sample loop and the draws; the graph-pair identities go through
+`_pairwise` (label `pair {k}`), which compares each route of a pair (walks,
+operator, series, formula, d-walks, enumerated) with the first and names
+both, `pair {k}: {first} vs {route} differ at n={n}`, n the coefficient's
+own index (M_n from 0, eta N(n) from 1); the other checks loop over cases
+of their own (`model {k}`, `family {k}`, `deep case {k}`, ...). All
+randomness flows from the seed in the config, so a given config yields
 byte-identical reports; each check that draws cases has a stream of its own,
 seeded by the config seed and the check's name, so no other check's draws
 move its cases.
@@ -144,24 +147,24 @@ def _same(got, expected, witness: str = "", *args) -> None:
         raise _Mismatch(witness.format(*args))
 
 
-def _same_lists(words, sides: dict, witness: str, *args) -> None:
+def _same_lists(words, sides: dict, witness: str) -> None:
     """`_same` on whole lists, `sides` mapping a side to (got, expected) by word;
-    on a difference the first witness is `witness.format(*args, word, side)`."""
+    on a difference the first witness is `witness.format(word, side)`."""
     if any(got != expected for got, expected in sides.values()):
         for n, w in enumerate(words):
             for side, (got, expected) in sides.items():
-                _same(got[n], expected[n], witness, *args, w, side)
+                _same(got[n], expected[n], witness, w, side)
 
 
 @contextlib.contextmanager
 def _case(label: str):
-    """Name the case an error hits: an exception other than a `_Mismatch`
-    raised inside becomes the witness `{label}: error: {exc!r}`, as in
-    `_sampled` and `_pairwise`."""
+    """Name the case a failure hits, the one place a case is named: a
+    `_Mismatch` raised inside gets `label` in front of its witness, any other
+    exception becomes the witness `{label}: error: {exc!r}`."""
     try:
         yield
-    except _Mismatch:
-        raise
+    except _Mismatch as exc:
+        raise _Mismatch(f"{label}{exc}") from None
     except Exception as exc:
         raise _Mismatch(f"{label}: error: {exc!r}") from None
 
@@ -193,20 +196,16 @@ def _sampled(
 ):
     """Decorator turning `body(order, *drawn)`, which compares one random
     case, into `check(rng, samples, order=None)`. Case k draws from each
-    sampler, `sampler(rng, order)`, in turn; a mismatch's witness, or an
-    error in the draw or the body, starts `sample {k}`. Once every case
-    agrees, `after(order)` makes fixed comparisons."""
+    sampler, `sampler(rng, order)`, in turn, as `_case(f"sample {k}")`. Once
+    every case agrees, `after(order)` makes fixed comparisons."""
 
     def decorate(body):
         @_check(name)
         @functools.wraps(body)
         def check(rng, samples: int, order=None):
             for k in range(samples):
-                try:
+                with _case(f"sample {k}"):
                     body(order, *[draw(rng, order) for draw in samplers])
-                except Exception as exc:
-                    why = exc if isinstance(exc, _Mismatch) else f": error: {exc!r}"
-                    raise _Mismatch(f"sample {k}{why}") from None
             if after is not None:
                 after(order)
             return detail.format(samples=samples, order=order)
@@ -218,26 +217,22 @@ def _sampled(
 
 def _pairwise(name: str, detail="{pairs} pairs, order {order}", start=0):
     """Decorator turning `routes(g1, g2, order)`, one pair's sequences by
-    route name, into `check(pairs, order)`; the first coefficient has index
-    `start`, and an error in `routes` starts `pair {k}: error:`. The pairs are
-    counted as they run: `pairs` may be a generator. `check.routes` is the
-    route function itself, so a caller can print what the check compares."""
+    route name, into `check(pairs, order)`, pair k as `_case(f"pair {k}")`;
+    the first coefficient has index `start`. The pairs are counted as they
+    run: `pairs` may be a generator. `check.routes` is the route function
+    itself, so a caller can print what the check compares."""
 
     def decorate(routes):
         @_check(name)
         @functools.wraps(routes)
         def check(pairs, order=None):
-            witness = "pair {}: {} vs {} differ at n={}"
             count = 0
             for k, (g1, g2) in enumerate(pairs):
-                try:
+                with _case(f"pair {k}"):
                     (first, expect), *others = routes(g1, g2, order).items()
-                except Exception as exc:
-                    why = exc if isinstance(exc, _Mismatch) else f"error: {exc!r}"
-                    raise _Mismatch(f"pair {k}: {why}") from None
-                for route, got in others:
-                    for n, (a, b) in enumerate(zip_longest(got, expect), start):
-                        _same(a, b, witness, k, first, route, n)
+                    for route, got in others:
+                        for n, (a, b) in enumerate(zip_longest(got, expect), start):
+                            _same(a, b, ": {} vs {} differ at n={}", first, route, n)
                 count += 1
             return detail.format(pairs=count, order=order)
 
@@ -409,8 +404,7 @@ def check_superposition(rng, samples: int):
             cmb = comb_product(g1, g2)
             mapping = superposition_map(g1, g2)
             isomorphic = relabel_isomorphic(so.graph, cmb.graph, mapping)
-            witness = "case {}: superposition map is not an isomorphism"
-            _same(isomorphic, True, witness, k)
+            _same(isomorphic, True, ": superposition map is not an isomorphism")
     return f"{len(cases)} cases"
 
 
@@ -443,8 +437,8 @@ def check_restriction_equalities(pairs):
                 for c in colors:
                     which = label if c is None else f"{label} color-{c}"
                     expect = adjacency_columns(prod.graph, c)
-                    witness = "pair {}: {} restriction differs"
-                    _same(dec.restricted(prod, c), expect, witness, k, which)
+                    witness = ": {} restriction differs"
+                    _same(dec.restricted(prod, c), expect, witness, which)
     return f"{len(pairs)} pairs, entrywise"
 
 
@@ -467,7 +461,7 @@ def check_walk_cross_oracle(rng, samples: int):
             moments = root_moments(g, DEEP_WALK_ORDER).coeffs
             for n in (DEEP_WALK_ORDER - 1, DEEP_WALK_ORDER):
                 walks = brute_force_closed_walks(g, n)
-                _same(moments[n], walks, "deep walk count mismatch at length {}", n)
+                _same(moments[n], walks, ": walk count mismatch at length {}", n)
     for k in range(samples):
         with _case(f"sample {k}"):
             g1 = random_rooted_graph(rng, 1, 3)
@@ -476,8 +470,7 @@ def check_walk_cross_oracle(rng, samples: int):
             moments = root_moments(g, 8).coeffs
             for n in range(9):
                 walks = brute_force_closed_walks(g, n)
-                witness = "sample {}: walk count mismatch at length {}"
-                _same(moments[n], walks, witness, k, n)
+                _same(moments[n], walks, ": walk count mismatch at length {}", n)
     return f"{len(deep_products)} deep cases to order {DEEP_WALK_ORDER}, {samples} samples to order 8"
 
 
@@ -485,7 +478,7 @@ def check_walk_cross_oracle(rng, samples: int):
 def check_colored_split(g1, g2, _order):
     g = c_comb_loop_product(g1, g2).graph
     split = sparse_sum(adjacency_columns(g, 1), adjacency_columns(g, 2))
-    _same(adjacency_columns(g), split, "color split does not sum")
+    _same(adjacency_columns(g), split, ": color split does not sum")
     walks = [brute_force_closed_walks(g, 2 * n, alternating=True) for n in range(1, 5)]
     return {"walks": two_step_moments(g, 4).coeffs[1:], "enumerated": walks}
 
@@ -752,7 +745,7 @@ def transforms_suite(cfg: VerifyConfig) -> list:
 # -- independence suite ---------------------------------------------------------
 
 
-def _same_as_cmonotone(realizations: dict, words, halves, expected, where: str):
+def _same_as_cmonotone(realizations: dict, words, halves, expected):
     """Compare each realization's phi and psi moments of `words`, `halves`
     their HalfWordPlan, with the expected (phi, psi) of each word;
     `realizations` maps a witness prefix to a realization."""
@@ -761,7 +754,7 @@ def _same_as_cmonotone(realizations: dict, words, halves, expected, where: str):
         for tag, r in realizations.items()
         for n, state in enumerate(("phi", "psi"))
     }
-    _same_lists(words, sides, "{0}, word {1}: {2}", where)
+    _same_lists(words, sides, ", word {0}: {1}")
 
 
 def model_pairs(cfg: VerifyConfig):
@@ -785,7 +778,7 @@ def check_pair_kinds(model_pairs, max_word: int):
             for kind in ("boolean", "monotone", "orthogonal", "tensor"):
                 got = realize_pair(kind, m1, m2).evaluator("phi").moments(halves)
                 sides = {kind: (got, plan.moments(kind, fns))}
-                _same_lists(words, sides, "model {0}, {2}, word {1}", k)
+                _same_lists(words, sides, ", {1}, word {0}")
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
 
@@ -796,18 +789,15 @@ def check_single_letter_states(model_pairs):
             for kind in ("boolean", "monotone", "orthogonal", "tensor"):
                 r = realize_pair(kind, m1, m2)
                 first = m1.vector_state(("a",), m1.xi)
-                witness = "model {}: {} first marginal"
-                _same(r.moment([(1, "a")]), first, witness, k, kind)
+                _same(r.moment([(1, "a")]), first, ": {} first marginal", kind)
                 # the orthogonal state kills the second algebra outright
                 second = 0 if kind == "orthogonal" else m2.vector_state(("a",), m2.xi)
-                witness = "model {}: {} second marginal"
-                _same(r.moment([(2, "a")]), second, witness, k, kind)
+                _same(r.moment([(2, "a")]), second, ": {} second marginal", kind)
             r = realize_cmonotone_pair(m1, m2)
             for j, m in ((1, m1), (2, m2)):
                 for state, at in (("phi", m.xi), ("psi", m.eta)):
                     got, want = r.moment([(j, "a")], state), m.vector_state(("a",), at)
-                    witness = "model {}: c-monotone {} of algebra {}"
-                    _same(got, want, witness, k, state, j)
+                    _same(got, want, ": c-monotone {} of algebra {}", state, j)
     return f"{len(model_pairs)} models"
 
 
@@ -822,7 +812,7 @@ def check_cmonotone_pair(model_pairs, max_word: int):
                 "variant ": realize_cmonotone_pair(m1, m2, variant=True),
             }
             expected = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
-            _same_as_cmonotone(realizations, words, halves, expected, f"model {k}")
+            _same_as_cmonotone(realizations, words, halves, expected)
     return f"{len(model_pairs)} models, words to length {max_word}, with variant"
 
 
@@ -845,7 +835,7 @@ def check_family_pair_consistency(model_pairs, word_len: int):
                 )
                 for s in ("phi", "psi")
             }
-            _same_lists(words, sides, "model {0}, word {1}, state {2}", k)
+            _same_lists(words, sides, ", word {0}, state {1}")
     return f"{len(subset)} models, words to length {word_len}"
 
 
@@ -873,7 +863,7 @@ def check_family_three(family_models, word_len: int):
         with _case(f"family {k}"):
             fam = realize_cmonotone_family(models)
             expected = plan.cmonotone(two_state_pairs(dict(enumerate(models))))
-            _same_as_cmonotone({"": fam}, words, halves, expected, f"family {k}")
+            _same_as_cmonotone({"": fam}, words, halves, expected)
     return f"{len(family_models)} families of 3, words to length {word_len}"
 
 
@@ -885,7 +875,7 @@ def check_local_max_choice(model_pairs):
         with _case(f"model {k}"):
             pairs = two_state_pairs({1: m1, 2: m2})
             for w, vals in zip(words, oracle_cmonotone_all_orders(words, pairs)):
-                _same(len(vals), 1, "model {}, word {}: {} values", k, w, len(vals))
+                _same(len(vals), 1, ", word {}: {} values", w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 
 
@@ -902,7 +892,7 @@ def check_psi_equals_phi_collapse(model_pairs, max_word: int):
             sides = {
                 s: ([p[n] for p in got], mono) for n, s in enumerate(("phi", "psi"))
             }
-            _same_lists(words, sides, "model {0}, word {1}: {2}", k)
+            _same_lists(words, sides, ", word {0}: {1}")
     return f"{len(subset)} models, words to length {min(max_word, 7)}"
 
 
@@ -918,8 +908,7 @@ def check_separating_projection(model_pairs):
             for w1 in fam_words:
                 for w2 in fam_words:
                     lhs = fam.moment(w1 + ("P",) + w2)
-                    witness = "model {}, words {}|{}"
-                    _same(lhs, flank[w1] * flank[w2], witness, k, w1, w2)
+                    _same(lhs, flank[w1] * flank[w2], ", words {}|{}", w1, w2)
     return f"{len(subset)} models, flank words to length 3"
 
 
@@ -940,7 +929,7 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
         with _case(f"pair {k}"):
             realization, pairs = realize_graph_pair(decompose(g1, g2), g1, g2)
             expected = plan.cmonotone(pairs)
-            _same_as_cmonotone({"": realization}, words, halves, expected, f"pair {k}")
+            _same_as_cmonotone({"": realization}, words, halves, expected)
     return f"{len(cases)} graph pairs, words to length {max_word}"
 
 

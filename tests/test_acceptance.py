@@ -214,6 +214,8 @@ def test_an_error_names_its_sample_or_its_pair(monkeypatch):
 
 def _check_cases(name):
     cfg = VerifyConfig(graph_samples=3, model_samples=3)
+    models = verify.model_pairs(cfg)
+    walks = lambda: verify._drawing(cfg, verify.check_walk_cross_oracle, 3)
     runs = {
         "family": lambda: verify.check_family_three(verify.family_models(cfg), 3),
         "bridge": lambda: verify.check_c_comb_bridge(cfg, 3),
@@ -221,9 +223,82 @@ def _check_cases(name):
             verify.additive_pairs(cfg)
         ),
         "superposition": lambda: verify._drawing(cfg, verify.check_superposition, 3),
-        "walks": lambda: verify._drawing(cfg, verify.check_walk_cross_oracle, 3),
+        "walks": walks,
+        "walk samples": walks,
+        "pair kinds": lambda: verify.check_pair_kinds(models, 3),
+        "single letter": lambda: verify.check_single_letter_states(models),
+        "c-monotone pair": lambda: verify.check_cmonotone_pair(models, 3),
+        "family pair": lambda: verify.check_family_pair_consistency(models, 3),
+        "local maximum": lambda: verify.check_local_max_choice(models),
+        "collapse": lambda: verify.check_psi_equals_phi_collapse(models, 3),
+        "separating": lambda: verify.check_separating_projection(models),
     }
     return runs[name]
+
+
+def _doubled(realization):
+    """Every operator of a realization twice over: every moment of a word
+    of length n is 2**n times too large."""
+    for key, op in list(realization.operators.items()):
+        realization.operators[key] = sparse_sum(op, op)
+    return realization
+
+
+def _doubled_projection(family):
+    projection = family.separating_projection()
+    family.separating_projection = lambda: sparse_sum(projection, projection)
+    return family
+
+
+def _one_too_high(moments):
+    return verify.moment_series(moments.coeffs[:-1] + (moments.coeffs[-1] + 1,))
+
+
+# each case loop's forced mismatch: (target, call from 0, wrong result), the
+# call in the case its error row names
+_MISMATCHES = {
+    "family": ("realize_cmonotone_family", 1, _doubled),
+    "bridge": ("realize_graph_pair", 1, lambda out: (_doubled(out[0]), out[1])),
+    "restriction": ("adjacency_columns", 6, lambda columns: columns[:-1]),
+    "superposition": ("relabel_isomorphic", 1, lambda isomorphic: False),
+    "walks": ("root_moments", 1, _one_too_high),
+    "walk samples": ("brute_force_closed_walks", 25, lambda count: count + 1),
+    "pair kinds": ("realize_pair", 1, _doubled),
+    "single letter": ("realize_pair", 1, _doubled),
+    "c-monotone pair": ("realize_cmonotone_pair", 1, _doubled),
+    "family pair": ("realize_cmonotone_family", 1, _doubled),
+    "local maximum": (
+        "oracle_cmonotone_all_orders",
+        1,
+        lambda values: [(*v, None) for v in values],
+    ),
+    "collapse": (
+        "WordPlan.cmonotone",
+        1,
+        lambda moments: [(phi + 1, psi) for phi, psi in moments],
+    ),
+    "separating": ("realize_cmonotone_family", 1, _doubled_projection),
+}
+
+
+def _at_call(monkeypatch, target, call, change):
+    """Patch `verify.<target>`, a dotted path, so that its result at call
+    number `call` (from 0) goes through `change`."""
+    *path, name = target.split(".")
+    owner = verify
+    for attribute in path:
+        owner = getattr(owner, attribute)
+    real, calls = getattr(owner, name), iter(range(1000))
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return change(out) if next(calls) == call else out
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _boom(out):
+    raise ValueError("boom")
 
 
 @pytest.mark.parametrize(
@@ -234,21 +309,49 @@ def _check_cases(name):
         ("restriction", "c_comb_decomposition", "pair 1: error: ValueError('boom')"),
         ("superposition", "superposition_map", "case 1: error: ValueError('boom')"),
         ("walks", "root_moments", "deep case 1: error: ValueError('boom')"),
+        (
+            "walk samples",
+            "random_birooted_graph",
+            "sample 1: error: ValueError('boom')",
+        ),
+        ("pair kinds", "realize_pair", "model 0: error: ValueError('boom')"),
+        ("single letter", "realize_pair", "model 0: error: ValueError('boom')"),
+        (
+            "c-monotone pair",
+            "realize_cmonotone_pair",
+            "model 0: error: ValueError('boom')",
+        ),
+        (
+            "family pair",
+            "realize_cmonotone_family",
+            "model 1: error: ValueError('boom')",
+        ),
+        (
+            "local maximum",
+            "oracle_cmonotone_all_orders",
+            "model 1: error: ValueError('boom')",
+        ),
+        ("collapse", "WordPlan.cmonotone", "model 1: error: ValueError('boom')"),
+        (
+            "separating",
+            "realize_cmonotone_family",
+            "model 1: error: ValueError('boom')",
+        ),
     ],
 )
 def test_each_case_loop_names_the_case_an_error_hits(monkeypatch, check, target, detail):
-    # the second call raises; each check's loop names its case, as `_sampled`
-    # and `_pairwise` do
-    real, calls = getattr(verify, target), iter(range(1000))
-
-    def raising_at_call_one(*args, **kwargs):
-        if next(calls) == 1:
-            raise ValueError("boom")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(verify, target, raising_at_call_one)
-    result = _check_cases(check)()
+    # the second call raises; each check's loop names its case through
+    # `_case`, as `_sampled` and `_pairwise` do
+    with monkeypatch.context() as patch:
+        _at_call(patch, target, 1, _boom)
+        result = _check_cases(check)()
     assert not result.passed and result.detail == detail
+    # a mismatch in that case gets the same label in front of its witness
+    label = detail.removesuffix(": error: ValueError('boom')")
+    _at_call(monkeypatch, *_MISMATCHES[check])
+    result = _check_cases(check)()
+    assert not result.passed and "error" not in result.detail, result.detail
+    assert re.match(f"{label}[:,] ", result.detail), result.detail
 
 
 def test_the_drawn_graph_checks_name_their_sample(monkeypatch):
@@ -494,7 +597,9 @@ def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
     monkeypatch.setattr(graphs, "sparse_moments", high)
     check = verify._drawing(CFG, verify.check_walk_cross_oracle, 6)
     assert check == verify.Check(
-        "walk-count-cross-oracle", False, "deep walk count mismatch at length 12"
+        "walk-count-cross-oracle",
+        False,
+        "deep case 0: walk count mismatch at length 12",
     )
 
 
@@ -526,6 +631,22 @@ def test_a_pair_check_takes_a_generator_and_prefixes_a_routes_witness(monkeypatc
 def test_verify_has_no_assert_statements():
     tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
+
+
+def test_verify_names_a_case_in_one_place():
+    # one try makes the verdict (`_check`) and one names the case (`_case`):
+    # a case loop with a try of its own would name its case a second way
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    owners = [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, tries)
+    ]
+    assert owners == ["_case", "_check"]
+    assert sum(isinstance(node, tries) for node in ast.walk(tree)) == 2
 
 
 def test_additive_three_route_agreement(additive):

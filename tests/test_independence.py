@@ -371,6 +371,13 @@ def test_model_validation():
         AlgebraModel({"a": Matrix.identity(2)}, 5)
     with pytest.raises(ValueError):
         AlgebraModel({"a": Matrix.identity(2), "b": Matrix.identity(3)}, 0)
+    # the oracles read a tuple name as a run already merged (collapse_word),
+    # the realizations as one element: a tuple name would split the routes
+    one = Matrix.identity(2)
+    for elements in ({("x",): one}, {"x": one, "y": one, ("x", "y"): one}):
+        with pytest.raises(ValueError, match="tuple") as refusal:
+            AlgebraModel(elements, 0)
+        assert "\n" not in str(refusal.value)
 
 
 def test_realization_rejects_unknown_state():
