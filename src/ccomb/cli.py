@@ -9,14 +9,17 @@
 
 Product kinds: star, comb, orthogonal, comb-at, c-comb, comb-loop,
 c-comb-loop. Convolve families: additive and multiplicative; kinds:
-monotone, boolean, orthogonal, c-monotone. Inputs are graph files (see the
-io module for the format) or moment CSV tables starting at n = 0 (the
-multiplicative family converts them to eta-series). Every kind takes two
-inputs. The c-monotone kinds read nu2 at the second root of the second
-input, and take a third input for nu2 exactly when the second is not a
-birooted graph; any other count exits 2. When inputs are graphs, the
-emitted table carries the matching product-graph walk column with an
-equality flag (for c-monotone, only when nu2 comes from the second graph).
+monotone, boolean, orthogonal, c-monotone. An input whose path ends in
+`.graph` is a graph file (see the io module for the format); any other is
+read as a moment CSV table starting at n = 0 (the multiplicative family
+converts them to eta-series), so a graph file under another name exits 2.
+Every kind takes two inputs. The c-monotone kinds read nu2 at the second
+root of the second input, and take a third input for nu2 exactly when the
+second is not a birooted graph; any other count exits 2. When inputs are
+graphs, the table carries the matching product-graph walk column with an
+equality flag for every additive kind and for the multiplicative monotone
+and c-monotone kinds, except that a c-monotone column needs nu2 from the
+second graph and a multiplicative one a first graph with no color-2 edges.
 
 `word-moment` takes two birooted graph files and a word in index:name
 syntax such as `1:a 2:a 1:a` (index 1 letters act as the first operator of

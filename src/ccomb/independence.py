@@ -239,33 +239,51 @@ def _zero(names):
 
 
 def _phi_split(v: tuple) -> tuple:
-    """The letter the c-monotone phi recursion strips from a collapsed word
-    and the subwords it reads: none for one letter, else the left and right
-    flanks and the contracted word."""
+    """The letter phi strips from a collapsed word and the subwords it reads:
+    none for one letter, else the two flanks and the contracted word."""
     if len(v) == 1:
-        return 0, ()
+        return v[0], ()
     i = _first_local_max(v)
-    return i, (v[:i], v[i + 1 :], _drop_and_merge(v, i))
+    return v[i], (v[:i], v[i + 1 :], _drop_and_merge(v, i))
 
 
 def _monotone_split(v: tuple) -> tuple:
     i = _first_local_max(v)
-    return i, (_drop_and_merge(v, i),)
+    return v[i], (_drop_and_merge(v, i),)
+
+
+def _boolean_split(v: tuple) -> tuple:
+    return v[0], (v[1:],)
+
+
+def _tensor_split(v: tuple) -> tuple:
+    j = v[0][0]
+    (letter,) = collapse_word(x for x in v if x[0] == j)
+    return letter, (collapse_word(x for x in v if x[0] != j),)
+
+
+_SPLITS = {
+    "phi": _phi_split,
+    "boolean": _boolean_split,
+    "monotone": _monotone_split,
+    "tensor": _tensor_split,
+}
 
 
 class WordPlan:
     """The moment recursions of a word list, compiled once and evaluated for
     any functional set.
 
-    The shape of a recursion depends on the word alone: which letter is the
-    first local maximum, and what its left, right and contracted subwords
-    are. The plan holds that shape: the distinct letters ``(j, names)`` by
-    slot; the c-monotone phi nodes ``(slot, left, right, rest)`` and
-    single-letter leaves ``(slot,)``; the monotone nodes ``(slot, rest)``,
-    also the psi recursion of c-monotone; the boolean and tensor factor
-    slots of each word; and each word's target node. Each is compiled on
-    first use. The orthogonal kind runs the phi nodes of a plan of the words
-    it keeps only, so no node is evaluated for a word it sends to 0.
+    The shape of a recursion depends on the word alone: which letter it
+    strips and which subwords it reads. The plan holds that shape: the
+    distinct letters ``(j, names)`` by slot, and the nodes of each
+    recursion (see _compile). Phi nodes are ``(slot, left, right, rest)``
+    and leaves ``(slot,)``; every other kind chains nodes ``(slot, rest)``,
+    a word's value its letter's times rest's: monotone (the psi side of
+    c-monotone) strips the first local maximum, boolean the first letter,
+    tensor the first letter's algebra, its names in word order. The
+    orthogonal kind runs the phi nodes of a plan of the words it keeps
+    only, so no node is evaluated for a word it sends to 0.
 
     An evaluation reads each letter value it needs once, then fills a flat
     value list in node order, subwords first and the empty word at 0 with
@@ -291,6 +309,7 @@ class WordPlan:
         self._words = [collapse_word(w) for w in words]
         self._letters: list = []  # (j, names) by slot
         self._slots: dict = {}
+        self._plans: dict = {}  # by kind, see _compile
         self._inner: dict = {}  # orthogonal, by hi: the words kept and their plan
 
     def _slot(self, letter: tuple) -> int:
@@ -299,43 +318,26 @@ class WordPlan:
             self._letters.append(letter)
         return self._slots[letter]
 
-    def _compile(self, split) -> tuple:
-        """(nodes, targets) of one recursion. Node id 0 is the empty word;
-        nodes[k - 1], of id k, is (slot, *subword ids) of one word and comes
-        after its subwords; targets holds each word's id. `split(v)` gives
-        the index of the letter v strips and the subwords it reads."""
-        nodes, ids = [], {(): 0}
-
-        def node(v: tuple) -> int:
-            if v not in ids:
-                i, subwords = split(v)
-                nodes.append((self._slot(v[i]), *map(node, subwords)))
+    def _compile(self, kind: str) -> tuple:
+        """(nodes, targets) of the recursion of `kind`, compiled on first
+        use. Node id 0 is the empty word; nodes[k - 1], of id k, is (slot,
+        *subword ids) of one word; targets holds each word's id. A split's
+        subwords are shorter than its word, so a stack collects the words
+        and the nodes go out by length, subwords first, with no recursion."""
+        if kind not in self._plans:
+            splits, stack = {}, list(self._words)
+            while stack:
+                v = stack.pop()
+                if v and v not in splits:
+                    splits[v] = _SPLITS[kind](v)
+                    stack.extend(splits[v][1])
+            nodes, ids = [], {(): 0}
+            for v in sorted(splits, key=len):
+                letter, subwords = splits[v]
+                nodes.append((self._slot(letter), *(ids[u] for u in subwords)))
                 ids[v] = len(nodes)
-            return ids[v]
-
-        return nodes, [node(w) for w in self._words]
-
-    @cached_property
-    def _phi(self) -> tuple:
-        return self._compile(_phi_split)
-
-    @cached_property
-    def _monotone(self) -> tuple:
-        return self._compile(_monotone_split)
-
-    @cached_property
-    def _boolean(self) -> list:
-        return [[self._slot(letter) for letter in w] for w in self._words]
-
-    @cached_property
-    def _tensor(self) -> list:
-        lists = []
-        for w in self._words:
-            per_algebra: dict = {}
-            for j, names in w:
-                per_algebra[j] = per_algebra.get(j, ()) + names
-            lists.append([self._slot(letter) for letter in per_algebra.items()])
-        return lists
+            self._plans[kind] = nodes, [ids[w] for w in self._words]
+        return self._plans[kind]
 
     @cached_property
     def _names(self) -> list:
@@ -369,14 +371,15 @@ class WordPlan:
             for out in run(*values)
         ]
 
-    def _phi_reads(self) -> tuple:
-        """The slots whose phi and whose psi the phi recursion reads."""
-        nodes, _ = self._phi
+    def _reads(self, kind: str) -> tuple:
+        """The slots of the nodes of `kind`, and of those that are not leaves:
+        for phi, the slots whose phi and whose psi it reads."""
+        nodes, _ = self._compile(kind)
         return {node[0] for node in nodes}, {node[0] for node in nodes if len(node) > 1}
 
     def _run_phi(self, a: list, b: list) -> list:
         """Phi of each word from the letter values a of phi and b of psi."""
-        nodes, targets = self._phi
+        nodes, targets = self._compile("phi")
         values = [1]
         append = values.append
         for node in nodes:
@@ -388,8 +391,9 @@ class WordPlan:
             append((a[s] - b[s]) * values[left] * values[right] + b[s] * values[rest])
         return [values[t] for t in targets]
 
-    def _run_monotone(self, a: list) -> list:
-        nodes, targets = self._monotone
+    def _run_chain(self, kind: str, a: list) -> list:
+        """Each word's value on the chain of `kind` from letter values a."""
+        nodes, targets = self._compile(kind)
         values = [1]
         append = values.append
         for s, rest in nodes:
@@ -399,14 +403,13 @@ class WordPlan:
     def cmonotone(self, pairs: dict) -> list:
         """(phi, psi) of each word under c-monotone independence, `pairs` as
         in oracle_cmonotone."""
-        phi_reads, psi_reads = self._phi_reads()
-        psi_reads |= {s for s, _ in self._monotone[0]}
+        phi_reads, psi_reads = self._reads("phi")
         phi = {j: p[0] for j, p in pairs.items()}
         psi = {j: p[1] for j, p in pairs.items()}
         phis, psis = self._evaluate(
-            lambda a, b: (self._run_phi(a, b), self._run_monotone(b)),
+            lambda a, b: (self._run_phi(a, b), self._run_chain("monotone", b)),
             (phi, phi_reads),
-            (psi, psi_reads),
+            (psi, psi_reads | self._reads("monotone")[0]),
         )
         return list(zip(phis, psis))
 
@@ -415,18 +418,10 @@ class WordPlan:
         as in oracle_moment."""
         if kind not in ORACLE_KINDS:
             raise ValueError(f"unknown independence kind {kind!r}")
-        if kind == "monotone":
-            reads = {s for s, _ in self._monotone[0]}
-            (out,) = self._evaluate(
-                lambda a: (self._run_monotone(a),), (functionals, reads)
-            )
-            return out
         if kind != "orthogonal":
-            lists = self._boolean if kind == "boolean" else self._tensor
-            reads = {s for slots in lists for s in slots}
             (out,) = self._evaluate(
-                lambda a: ([prod(a[s] for s in slots) for slots in lists],),
-                (functionals, reads),
+                lambda a: (self._run_chain(kind, a),),
+                (functionals, self._reads(kind)[0]),
             )
             return out
         if not any(self._words):
@@ -443,7 +438,7 @@ class WordPlan:
             kept = [not (w and hi in (w[0][0], w[-1][0])) for w in self._words]
             self._inner[hi] = kept, WordPlan(compress(self._words, kept))
         kept, inner = self._inner[hi]
-        phi_reads, psi_reads = inner._phi_reads()
+        phi_reads, psi_reads = inner._reads("phi")
         (out,) = inner._evaluate(
             lambda a, b: (inner._run_phi(a, b),),
             ({lo: functionals[lo], hi: _zero}, phi_reads),

@@ -1,5 +1,8 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -683,6 +686,58 @@ def test_a_long_word_needs_no_recursion():
     assert ModelFunctional(m1, m1.xi)(names) == m1.vector_state(names, m1.xi)
 
 
+_PLAN_UNDER_A_LOW_RECURSION_LIMIT = """
+import random, sys
+from ccomb.independence import (
+    ORACLE_KINDS, ModelFunctional, WordPlan, realize_cmonotone_pair, realize_pair,
+    two_state_pairs,
+)
+from ccomb.verify import random_model
+
+rng = random.Random(30)
+m1, m2 = (random_model(rng, two_state=True) for _ in range(2))
+fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
+# the 299-letter word opens and closes in algebra 1, so orthogonal runs it
+words = [[(1 + i % 2, "a") for i in range(n)] for n in (300, 299)]
+want = {k: [realize_pair(k, m1, m2).moment(w) for w in words] for k in ORACLE_KINDS}
+pair = realize_cmonotone_pair(m1, m2)
+want["cmonotone"] = [(pair.moment(w, "phi"), pair.moment(w, "psi")) for w in words]
+sys.setrecursionlimit(120)
+plan = WordPlan(words)
+got = {k: plan.moments(k, fns) for k in ORACLE_KINDS}
+got["cmonotone"] = plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
+assert got == want
+# no value the 299-letter word compares is a trivial 0
+assert all(want[k][1] for k in ORACLE_KINDS) and all(want["cmonotone"][1])
+"""
+
+
+def test_the_plan_compiles_and_runs_a_long_word_without_recursion():
+    # the boolean chain of the 300-letter word is 300 nodes deep, and its
+    # phi and monotone recursions 150, far past a recursion limit of 120
+    src = Path(independence.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", _PLAN_UNDER_A_LOW_RECURSION_LIMIT],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_each_recursion_takes_one_node_per_distinct_collapsed_word():
+    # every subword a split reads on the verify pair list is itself a word of
+    # the list, so each recursion holds one node per distinct collapsed word
+    words = all_words(PAIR_LETTERS, 8)
+    assert len({collapse_word(w) for w in words}) == 510
+    plan = WordPlan(words)
+    for kind in ("phi", "monotone", "boolean", "tensor"):
+        nodes, targets = plan._compile(kind)
+        assert len(nodes) == 510, kind
+        assert len(set(targets)) == 510, kind
+
+
 _ENTRIES = st.sampled_from((0, 1, -1, 2, Fraction(0), Fraction(1, 2), Fraction(-3, 2)))
 
 
@@ -754,18 +809,18 @@ def test_the_first_verify_pair_runs_both_routes_on_ints(monkeypatch):
     cfg = VerifyConfig()
     m1, m2 = model_pairs(cfg)[0]
     seen = []
-    run_phi, run_monotone = WordPlan._run_phi, WordPlan._run_monotone
+    run_phi, run_chain = WordPlan._run_phi, WordPlan._run_chain
 
     def phi(plan, a, b):
         seen.extend(a + b)
         return run_phi(plan, a, b)
 
-    def monotone(plan, a):
+    def chain(plan, kind, a):
         seen.extend(a)
-        return run_monotone(plan, a)
+        return run_chain(plan, kind, a)
 
     monkeypatch.setattr(WordPlan, "_run_phi", phi)
-    monkeypatch.setattr(WordPlan, "_run_monotone", monotone)
+    monkeypatch.setattr(WordPlan, "_run_chain", chain)
     WordPlan(all_words(PAIR_LETTERS, cfg.max_word)).cmonotone(
         two_state_pairs({1: m1, 2: m2})
     )
