@@ -61,18 +61,7 @@ from functools import cached_property
 from itertools import compress, product as iter_product
 from math import lcm, prod
 
-from .linalg import (
-    Matrix,
-    sparse_apply,
-    sparse_columns,
-    sparse_direct_sum,
-    sparse_identity,
-    sparse_kron,
-    sparse_projection,
-    sparse_sum,
-    sparse_transpose,
-    tensor_index,
-)
+from .linalg import Matrix, sparse_apply, sparse_columns, sparse_transpose, tensor_index
 
 __all__ = [
     "AlgebraModel",
@@ -664,6 +653,26 @@ def all_words(letters, max_len: int):
     return out
 
 
+def _placed(dim: int, a: list, placings) -> list:
+    """The column-sparse operator of dimension `dim` in which the factor
+    `a`, of dimension d, acts on one tensor leg. Each placing ``(outer,
+    inner, size)`` lists indices o of the legs before that leg and i of the
+    legs after it, which span `size` indices (an i may carry a block
+    offset): column x of `a` goes to column (o * d + x) * size + i and each
+    row r to (o * d + r) * size + i. Placings write disjoint columns, and
+    rows stay increasing; every column not written is 0."""
+    op = [[] for _ in range(dim)]
+    d = len(a)
+    for outer, inner, size in placings:
+        for o in outer:
+            for i in inner:
+                base = o * d * size + i
+                for x, col in enumerate(a):
+                    if col:
+                        op[base + x * size] = [(base + r * size, v) for r, v in col]
+    return op
+
+
 def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Realization:
     """Two-algebra tensor realization on the product of the model spaces.
 
@@ -673,27 +682,28 @@ def realize_pair(kind: str, model1: AlgebraModel, model2: AlgebraModel) -> Reali
 
         boolean     P (x) b
         monotone    1 (x) b
-        orthogonal  P-perp (x) b, with P-perp built as 1 - P
+        orthogonal  P-perp (x) b
         tensor      1 (x) b with the first algebra acting as a (x) 1
+
+    Each operator is placed column by column (see _placed): b fills the
+    columns whose first coordinate x is xi1 (boolean), is not xi1
+    (orthogonal) or is any (monotone, tensor), and every other column is 0.
     """
     if kind not in ORACLE_KINDS:
         raise ValueError(f"unknown independence kind {kind!r}")
     d1, d2 = model1.dim, model2.dim
-    right = sparse_identity(d2) if kind == "tensor" else sparse_projection(d2, model2.xi)
+    dim = d1 * d2
+    second = range(d2) if kind == "tensor" else (model2.xi,)
+    first = {
+        "boolean": (model1.xi,),
+        "orthogonal": [x for x in range(d1) if x != model1.xi],
+    }.get(kind, range(d1))
+    placings = {1: (model1, ((0,), second, d2)), 2: (model2, (first, (0,), 1))}
     operators = {}
-    for name, a in model1.elements.items():
-        operators[(1, name)] = sparse_kron(sparse_columns(a), right)
-    if kind == "boolean":
-        left = sparse_projection(d1, model1.xi)
-    elif kind == "orthogonal":
-        left = sparse_sum(
-            sparse_identity(d1), sparse_projection(d1, model1.xi), signs=(1, -1)
-        )
-    else:
-        left = sparse_identity(d1)
-    for name, b in model2.elements.items():
-        operators[(2, name)] = sparse_kron(left, sparse_columns(b))
-    return Realization(operators, d1 * d2, model1.xi * d2 + model2.xi)
+    for j, (model, placing) in placings.items():
+        for name, a in model.elements.items():
+            operators[(j, name)] = _placed(dim, sparse_columns(a), [placing])
+    return Realization(operators, dim, model1.xi * d2 + model2.xi)
 
 
 def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
@@ -711,9 +721,14 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
         L (x) a (x) 1 (x) H  +  L-perp (x) 1 (x) a (x) H
 
     and an element of the lowest algebra as a (x) H, with phi at the
-    anchors. L-perp is built as 1 - L, so an element is the signed sum of
-    three Kronecker terms. `variant` replaces the two identity legs of j
-    with its own anchor projections, which realizes the same mixed
+    anchors. Each operator is placed column by column (see _placed): a
+    column whose high legs are off their anchors is 0; of the others, one
+    whose low legs sit at their anchors takes the L term, a acting on j's
+    first leg, and every other one the L-perp term, a acting on j's second
+    leg, so no two terms meet in a column and nothing cancels. `variant`
+    replaces the two identity legs of j with its own anchor projections,
+    which keeps the L term's columns whose second leg is at eta and the
+    L-perp term's whose first leg is at xi, and realizes the same mixed
     moments. When the lowest eta is given, the monotone family
     1 (x) a (x) H' on one leg per algebra, H' projecting the legs above
     onto their etas, follows in a direct sum with psi at the etas:
@@ -730,48 +745,49 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
     """
     keys = sorted(factors)
     legs = []  # (dim, anchor) of each phi leg, in leg order
+    psi_legs = []  # (dim, eta) of each algebra, the psi block's legs
     for n, j in enumerate(keys):
         _, d, (xi, eta) = factors[j]
         legs.extend((d, c) for c in ((xi, eta) if n else (xi,)))
-    proj = [sparse_projection(d, c) for d, c in legs]
-    operators = {}
+        psi_legs.append((d, eta))
+
+    def anchored(legs):
+        """The size of some legs and the index of their anchors."""
+        dims, anchors = [d for d, _ in legs], [c for _, c in legs]
+        return prod(dims), tensor_index(dims, anchors)
+
+    placings = {}  # the _placed placings of each algebra index
     for n, j in enumerate(keys):
-        ops, d = factors[j][:2]
+        d, (xi, eta) = factors[j][1:]
         if n == 0:
-            for name, a in ops.items():
-                operators[(j, name)] = sparse_kron(a, *proj[1:])
+            size, h = anchored(legs[1:])
+            placings[j] = [((0,), (h,), size)]
             continue
         # legs 0 .. below - 1 lie below j, and j owns legs below and below + 1
-        below, high = 2 * n - 1, proj[2 * n + 1 :]
-        mid = right = sparse_identity(d)
-        if variant:
-            mid, right = proj[below], proj[below + 1]
-        low = sparse_kron(*proj[:below])
-        one = sparse_identity(len(low))
-        for name, a in ops.items():
-            operators[(j, name)] = sparse_sum(
-                sparse_kron(low, a, right, *high),
-                sparse_kron(one, mid, a, *high),
-                sparse_kron(low, mid, a, *high),
-                signs=(1, 1, -1),
-            )
-    dim = prod(d for d, _ in legs)
-    phi_index = tensor_index(*zip(*legs))
+        below = 2 * n - 1
+        low, at = anchored(legs[:below])
+        size, h = anchored(legs[below + 2 :])
+        seconds = (eta,) if variant else range(d)
+        firsts = (xi,) if variant else range(d)
+        placings[j] = [
+            ((at,), [y * size + h for y in seconds], d * size),
+            ([u * d + x for u in range(low) if u != at for x in firsts], (h,), size),
+        ]
+    dim, phi_index = anchored(legs)
     psi_index = None
-    dims = [factors[j][1] for j in keys]
-    etas = [factors[j][2][1] for j in keys]
-    if etas[0] is not None:
-        psi_index = dim + tensor_index(dims, etas)
+    if psi_legs[0][1] is not None:
         for n, j in enumerate(keys):
-            low = [sparse_identity(d) for d in dims[:n]]
-            high = [
-                sparse_projection(d, e) for d, e in zip(dims[n + 1 :], etas[n + 1 :])
-            ]
-            for name, a in factors[j][0].items():
-                key = (j, name)
-                psi_op = sparse_kron(*low, a, *high)
-                operators[key] = sparse_direct_sum(operators[key], psi_op)
-        dim += prod(dims)
+            low, _ = anchored(psi_legs[:n])
+            size, h = anchored(psi_legs[n + 1 :])
+            placings[j].append((range(low), (dim + h,), size))
+        psi_dim, psi_index = anchored(psi_legs)
+        psi_index += dim
+        dim += psi_dim
+    operators = {
+        (j, name): _placed(dim, a, placings[j])
+        for j in keys
+        for name, a in factors[j][0].items()
+    }
     return Realization(operators, dim, phi_index, psi_index)
 
 

@@ -9,11 +9,11 @@ use safe.
 
 Operators on the ambient tensor spaces and on product graphs are
 column-sparse: a square operator of dimension n is a list of n columns, each
-the list of its ``(row, value)`` nonzeros in increasing row order. Builders
-(`sparse_identity`, `sparse_projection`, `sparse_kron`, `sparse_sum`,
-`sparse_direct_sum`) and `subspace_restrict` keep that order, so two
-operators are equal exactly when their column lists are; a complement
-projection P-perp is built as the signed sum 1 - P.
+the list of its ``(row, value)`` nonzeros in increasing row order.
+`sparse_identity`, `sparse_sum` and `subspace_restrict` keep that order, as
+does the one tensor-operator builder (`independence._placed`, which writes
+each factor column straight to its composite columns), so two operators are
+equal exactly when their column lists are.
 `sparse_apply` maps a sparse vector ``{index: value}``, `sparse_transpose`
 turns columns into rows, and `sparse_moments` is the one moment kernel. It
 walks half the chain: with v_k = Z^k delta and w_k = (Z^T)^k delta,
@@ -42,10 +42,7 @@ __all__ = [
     "sparse_apply",
     "sparse_transpose",
     "sparse_identity",
-    "sparse_projection",
-    "sparse_kron",
     "sparse_sum",
-    "sparse_direct_sum",
     "sparse_moments",
 ]
 
@@ -229,29 +226,6 @@ def sparse_identity(n: int) -> list:
     return [[(i, 1)] for i in range(n)]
 
 
-def sparse_projection(n: int, i: int) -> list:
-    """Rank-one projection onto the i-th coordinate axis."""
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for dimension {n}")
-    return [[(i, 1)] if j == i else [] for j in range(n)]
-
-
-def sparse_kron(*legs) -> list:
-    """Kronecker product of square column-sparse legs, same index
-    convention as `kron`; only the nonzeros of the result are visited."""
-    if not legs:
-        raise ValueError("empty Kronecker product")
-    out = legs[0]
-    for leg in legs[1:]:
-        d = len(leg)
-        out = [
-            [(i * d + k, a * b) for i, a in col for k, b in leg_col]
-            for col in out
-            for leg_col in leg
-        ]
-    return out
-
-
 def sparse_sum(*ops, signs=None) -> list:
     """Signed sum of column-sparse operators of one dimension; `signs` holds
     one exact coefficient per operator (all 1 by default)."""
@@ -269,18 +243,6 @@ def sparse_sum(*ops, signs=None) -> list:
             for r, v in op[j]:
                 acc[r] = acc.get(r, 0) + sign * v
         out.append(sorted((r, v) for r, v in acc.items() if v))
-    return out
-
-
-def sparse_direct_sum(*ops) -> list:
-    """Block-diagonal sum; block order follows the argument order."""
-    if not ops:
-        raise ValueError("empty direct sum")
-    out = []
-    off = 0
-    for op in ops:
-        out.extend([(off + r, v) for r, v in col] for col in op)
-        off += len(op)
     return out
 
 

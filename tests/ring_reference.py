@@ -1,8 +1,9 @@
 """A ring that is neither int nor Fraction, for the ring-generic kernels.
 
 The series kernels, the oracle (`WordPlan`) and the realization route
-(`build_cmonotone`, `sparse_apply`, `WordMomentEvaluator`) use only +, -, *
-and tests against 0 and 1, so they run unchanged on any commutative ring.
+(`realize_pair`, `build_cmonotone`, `sparse_apply`, `WordMomentEvaluator`)
+use only +, -, * and tests against 0 and 1, so they run unchanged on any
+commutative ring.
 Tests run them on the integers mod a prime and compare with the `Fraction`
 results reduced mod p, so a kernel that stops being ring-generic fails.
 """

@@ -169,3 +169,41 @@ def test_the_plan_and_the_evaluator_share_no_scaling_helper():
     for cls in ("WordPlan", "WordMomentEvaluator"):
         named = {n.id for n in ast.walk(defs[cls]) if isinstance(n, ast.Name)}
         assert {"lcm", "Fraction"} <= named, cls
+
+
+def _named(tree, strings: bool) -> set:
+    """The names a module's code reads: loaded names, attributes, imported
+    names and, with `strings`, string constants (and their dotted parts)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_all_entry_has_a_reader():
+    # no dead API: each public name is read in its own module, or named in
+    # another ccomb module, a script or the benchmark harness (string
+    # constants count: perfbench's tracer resolves names from strings)
+    sources = {
+        path: ast.parse(path.read_text("utf-8"))
+        for folder in ("src/ccomb", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    assert len(sources) > len(MODULES)
+    unread = []
+    for name in MODULES:
+        own = ROOT / "src" / "ccomb" / f"{name}.py"
+        named = _named(sources[own], strings=False)
+        for path, tree in sources.items():
+            if path != own:
+                named |= _named(tree, strings=True)
+        module = importlib.import_module(f"ccomb.{name}")
+        unread += [(name, p) for p in getattr(module, "__all__", ()) if p not in named]
+    assert not unread, unread

@@ -529,9 +529,14 @@ def test_oracle_and_realization_kernels_on_integers_mod_p():
             "pair": (realize_cmonotone_pair(m1, m2), halves),
             "variant": (realize_cmonotone_pair(m1, m2, variant=True), halves),
             "family of 3": (realize_cmonotone_family(models), family_halves),
+            **{
+                f"{kind} pair": (realize_pair(kind, m1, m2), halves)
+                for kind in ORACLE_KINDS
+            },
         }
         for label, (realization, word_halves) in realizations.items():
-            for state in ("phi", "psi"):
+            states = ("phi",) if realization.psi_index is None else ("phi", "psi")
+            for state in states:
                 evaluator = realization.evaluator(state)
                 out[f"{label} {state}"] = evaluator.moments(word_halves)
         return out

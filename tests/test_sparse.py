@@ -1,6 +1,7 @@
 """Column-sparse operators against their dense references."""
 
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -15,18 +16,21 @@ from ccomb.graphs import (
     rooted,
     two_step_moments,
 )
-from ccomb.independence import AlgebraModel, realize_pair
+from ccomb.independence import (
+    ORACLE_KINDS,
+    AlgebraModel,
+    build_cmonotone,
+    realize_cmonotone_pair,
+    realize_pair,
+)
 from ccomb.linalg import (
     Matrix,
     direct_sum,
     kron,
     sparse_apply,
     sparse_columns,
-    sparse_direct_sum,
     sparse_identity,
-    sparse_kron,
     sparse_moments,
-    sparse_projection,
     sparse_sum,
     sparse_transpose,
     state_moments,
@@ -38,6 +42,7 @@ from ccomb.products import (
     essential_decomposition,
     essential_loop_decomposition,
 )
+from ccomb.verify import random_model
 
 from conftest import birooted_graphs, matrices, rooted_graphs, small_fractions
 from dense_reference import (
@@ -96,38 +101,26 @@ def test_adjacency_columns_read_the_sorted_edges_in_row_order(g, rng):
         assert all(a[0] < b[0] for col in cols for a, b in zip(col, col[1:]))
 
 
-@given(matrices(), matrices(), matrices(max_dim=2))
-def test_sparse_kron_matches_dense(a, b, c):
-    sa, sb, sc = sparse_columns(a), sparse_columns(b), sparse_columns(c)
-    assert sparse_kron(sa, sb) == sparse_columns(kron(a, b))
-    assert sparse_kron(sa, sb, sc) == sparse_columns(kron_all(a, b, c))
-    assert sparse_kron(sa) == sa
-
-
 @given(st.integers(1, 3), st.data())
-def test_sparse_sum_and_direct_sum_match_dense(n, data):
+def test_sparse_sum_matches_dense(n, data):
     a = data.draw(matrices(min_dim=n, max_dim=n))
     b = data.draw(matrices(min_dim=n, max_dim=n))
-    c = data.draw(matrices())
-    sa, sb, sc = sparse_columns(a), sparse_columns(b), sparse_columns(c)
+    sa, sb = sparse_columns(a), sparse_columns(b)
     assert sparse_sum(sa, sb) == sparse_columns(a + b)
     assert sparse_sum(sa, sb, signs=(1, -1)) == sparse_columns(a - b)
     assert sparse_sum(sa, sa, signs=(1, -1)) == [[] for _ in range(n)]
-    assert sparse_direct_sum(sa, sc) == sparse_columns(direct_sum(a, c))
-    assert sparse_direct_sum(sa, sb, sc) == sparse_columns(direct_sum(a, b, c))
     assert sparse_to_matrix(sa) == a
 
 
-@given(st.integers(1, 5), st.data())
-def test_sparse_legs_match_dense(n, data):
-    i = data.draw(st.integers(0, n - 1))
+@given(st.integers(1, 5))
+def test_sparse_legs_match_dense(n):
     assert sparse_identity(n) == sparse_columns(Matrix.identity(n))
-    assert sparse_projection(n, i) == sparse_columns(basis_projection(n, i))
 
 
 @given(matrices(), matrices(), st.data())
 def test_orthogonal_pair_complement_leg_matches_dense(a, b, data):
-    # realize_pair builds P-perp as 1 - P; compare with the dense complement
+    # realize_pair places b on the columns off xi1; compare with the dense
+    # complement 1 - P
     xi1 = data.draw(st.integers(0, a.rows - 1))
     xi2 = data.draw(st.integers(0, b.rows - 1))
     m1, m2 = AlgebraModel({"a": a}, xi1), AlgebraModel({"b": b}, xi2)
@@ -135,11 +128,89 @@ def test_orthogonal_pair_complement_leg_matches_dense(a, b, data):
     assert op == sparse_columns(kron(complement_projection(a.rows, xi1), b))
 
 
+def _typed(op: list) -> list:
+    return [[(r, type(v), v) for r, v in col] for col in op]
+
+
+def _dense_cmonotone(models: list, psi: bool, variant: bool = False) -> dict:
+    """Each element of `build_cmonotone` on the models by list position, as
+    signed sums of Kronecker terms: L (x) a (x) right (x) H + 1 (x) mid (x)
+    a (x) H - L (x) mid (x) a (x) H, mid and right the identity (the
+    projections onto xi and eta with `variant`), and with `psi` the
+    monotone family 1 (x) a (x) H' in direct sum."""
+    legs = [basis_projection(models[0].dim, models[0].xi)]
+    for m in models[1:]:
+        legs += [basis_projection(m.dim, m.xi), basis_projection(m.dim, m.eta)]
+    out = {}
+    for n, m in enumerate(models):
+        below = 2 * n - 1
+        low, high = legs[: max(below, 0)], legs[below + 2 :]
+        mid = right = Matrix.identity(m.dim)
+        if variant and n:
+            mid, right = legs[below], legs[below + 1]
+        one = Matrix.identity(math.prod(leg.rows for leg in low))
+        ones = [Matrix.identity(k.dim) for k in models[:n]]
+        etas = [basis_projection(k.dim, k.eta) for k in models[n + 1 :]]
+        for name, a in m.elements.items():
+            if n == 0:
+                op = kron_all(a, *legs[1:])
+            else:
+                op = (
+                    kron_all(*low, a, right, *high)
+                    + kron_all(one, mid, a, *high)
+                    - kron_all(*low, mid, a, *high)
+                )
+            if psi:
+                op = direct_sum(op, kron_all(*ones, a, *etas))
+            out[(n, name)] = _typed(sparse_columns(op))
+    return out
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_tensor_operators_match_signed_kronecker_sums(fractions):
+    # every operator realize_pair and build_cmonotone place column by column
+    # equals its dense signed Kronecker sum, entry types included
+    rng = random.Random(f"placed {fractions}")
+    for dims in ((2, 3, 2), (3, 2, 1), (2, 2, 3)):
+        models = [
+            random_model(rng, d, ("a", "b"), two_state=True, use_fractions=fractions)
+            for d in dims
+        ]
+        for psi in (True, False):
+            factors = {
+                n: (
+                    {name: sparse_columns(a) for name, a in m.elements.items()},
+                    m.dim,
+                    (m.xi, m.eta if psi or n else None),
+                )
+                for n, m in enumerate(models)
+            }
+            family = build_cmonotone(factors)
+            got = {key: _typed(op) for key, op in family.operators.items()}
+            assert got == _dense_cmonotone(models, psi), (dims, psi)
+        m1, m2 = models[:2]
+        pair = realize_cmonotone_pair(m1, m2, variant=True)
+        got = {(j - 1, name): _typed(op) for (j, name), op in pair.operators.items()}
+        assert got == _dense_cmonotone([m1, m2], True, variant=True), dims
+        p1, p2 = basis_projection(m1.dim, m1.xi), basis_projection(m2.dim, m2.xi)
+        one1, one2 = Matrix.identity(m1.dim), Matrix.identity(m2.dim)
+        for kind in ORACLE_KINDS:
+            second = {
+                "boolean": lambda b: kron(p1, b),
+                "orthogonal": lambda b: kron(one1, b) - kron(p1, b),
+            }.get(kind, lambda b: kron(one1, b))
+            right = one2 if kind == "tensor" else p2
+            want = {(1, n): kron(a, right) for n, a in m1.elements.items()}
+            want |= {(2, n): second(b) for n, b in m2.elements.items()}
+            got = realize_pair(kind, m1, m2).operators
+            assert {key: _typed(op) for key, op in got.items()} == {
+                key: _typed(sparse_columns(op)) for key, op in want.items()
+            }, (dims, kind)
+
+
 def test_sparse_shape_errors():
     with pytest.raises(ValueError):
         sparse_sum(sparse_identity(2), sparse_identity(3))
-    with pytest.raises(IndexError):
-        sparse_projection(2, 2)
     with pytest.raises(IndexError):
         sparse_moments((sparse_identity(2),), 3, 2)
 
