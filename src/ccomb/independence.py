@@ -46,11 +46,13 @@ realization carries a phi block and a psi block in direct sum; phi reads
 the first block, psi the second. `build_cmonotone` is the one builder of
 c-monotone operators for any ordered family: the phi block gives each
 algebra above the lowest two legs, and the psi block is the monotone family
-on one leg per algebra. The pair and family realizations are its output on
-matrix models, and the c-comb decompositions in `products` its output on
-the factor adjacencies; `products.realize_graph_pair` reads those back as a
-realization. The module imports only `linalg` from the package, so its
-realizations and oracles do not depend on `graphs`.
+on one leg per algebra. `realize_cmonotone_family` is its output on the
+two-state models of any number of algebras (the mapping of `two_state_pairs`),
+the pair that family at algebras 1 and 2, and the c-comb decompositions in
+`products` its output on the factor adjacencies, which
+`products.realize_graph_pair` reads back as a realization. The module imports
+only `linalg` from the package, so its realizations and oracles do not depend
+on `graphs`.
 """
 
 from __future__ import annotations
@@ -80,11 +82,13 @@ __all__ = [
     "realize_cmonotone_family",
     "two_state_pairs",
     "all_words",
-    "FAMILY_CAP",
 ]
 
 ORACLE_KINDS = ("boolean", "monotone", "orthogonal", "tensor")
-FAMILY_CAP = 3  # largest c-monotone family `realize_cmonotone_family` builds
+# the largest ambient dimension `build_cmonotone` builds. At least any the CLI
+# lets through: `word-moment` builds n1*n2*(n2 + 1) <= its build count <=
+# cli.MAX_WORD_MOMENT_BUILD coordinates, so the CLI refuses first
+MAX_FAMILY_DIM = 1_000_000
 
 
 class AlgebraModel:
@@ -500,6 +504,11 @@ def oracle_cmonotone_all_orders(words, pairs: dict) -> list:
 # -- realizations ---------------------------------------------------------------
 
 
+def _entries(operators: dict):
+    """Every entry of some column-sparse operators, lazily."""
+    return (x for op in operators.values() for col in op for _, x in col)
+
+
 @dataclass
 class Realization:
     """Realized operator family with one or two product vector states.
@@ -535,9 +544,13 @@ class Realization:
 
     def separating_projection(self) -> list:
         """Rank-one-per-block projection onto the state vectors, column-sparse;
-        inserting it into a word splits the phi moment multiplicatively."""
+        inserting it into a word splits the phi moment multiplicatively. Its
+        entries are `Fraction(1)` when every operator entry is a `Fraction`,
+        so an evaluator still scales the family to ints, and int 1 otherwise."""
+        fractions = all(type(x) is Fraction for x in _entries(self.operators))
+        one = Fraction(1) if fractions else 1
         states = {self.phi_index, self.psi_index}
-        return [[(j, 1)] if j in states else [] for j in range(self.dim)]
+        return [[(j, one)] if j in states else [] for j in range(self.dim)]
 
 
 class HalfWordPlan:
@@ -597,12 +610,8 @@ class WordMomentEvaluator:
         self.at = realization._state_index(state)
         ops = realization.operators
         self._scale = None
-        if all(
-            type(x) is Fraction for op in ops.values() for col in op for _, x in col
-        ):
-            d = self._scale = lcm(
-                *(x.denominator for op in ops.values() for col in op for _, x in col)
-            )
+        if all(type(x) is Fraction for x in _entries(ops)):
+            d = self._scale = lcm(*(x.denominator for x in _entries(ops)))
             ops = {
                 key: [
                     [(r, x.numerator * (d // x.denominator)) for r, x in col]
@@ -733,7 +742,8 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
     1 (x) a (x) H' on one leg per algebra, H' projecting the legs above
     onto their etas, follows in a direct sum with psi at the etas:
     under psi a c-monotone family is monotone independent. Without it the
-    realization is the phi block alone.
+    realization is the phi block alone. An ambient dimension above
+    MAX_FAMILY_DIM is refused before any operator is placed.
 
     For two algebras the phi block is the pair on V1 (x) V2 (x) V2,
 
@@ -783,6 +793,8 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
         psi_dim, psi_index = anchored(psi_legs)
         psi_index += dim
         dim += psi_dim
+    if dim > MAX_FAMILY_DIM:
+        raise ValueError(f"c-monotone dimension {dim} exceeds {MAX_FAMILY_DIM}")
     operators = {
         (j, name): _placed(dim, a, placings[j])
         for j in keys
@@ -791,11 +803,17 @@ def build_cmonotone(factors: dict, variant: bool = False) -> Realization:
     return Realization(operators, dim, phi_index, psi_index)
 
 
-def _model_factors(models: dict) -> dict:
-    """The `build_cmonotone` factors of two-state models by algebra index."""
-    if not all(m.two_state for m in models.values()):
-        raise ValueError("c-monotone realizations need two-state models")
-    return {
+def realize_cmonotone_family(models: dict, variant: bool = False) -> Realization:
+    """Two-state tensor realization of a c-monotone family: `build_cmonotone`
+    at (xi, eta) of each two-state model of `models`, the mapping of
+    `two_state_pairs` from algebra index to model, `variant` as there.
+
+    The phi block has dimension d_0 * prod_{k>=1} d_k^2, d_0 the lowest
+    algebra's, and the psi block prod_k d_k: see MAX_FAMILY_DIM.
+    """
+    if not models or not all(m.two_state for m in models.values()):
+        raise ValueError("a c-monotone family needs one or more two-state models")
+    factors = {
         j: (
             {name: sparse_columns(a) for name, a in m.elements.items()},
             m.dim,
@@ -803,31 +821,15 @@ def _model_factors(models: dict) -> dict:
         )
         for j, m in models.items()
     }
+    return build_cmonotone(factors, variant)
 
 
 def realize_cmonotone_pair(
     model1: AlgebraModel, model2: AlgebraModel, variant: bool = False
 ) -> Realization:
-    """Two-state tensor realization of a c-monotone pair of two-state
-    models, algebras 1 and 2: `build_cmonotone` at (xi, eta) of each model,
-    on the ambient space (V1 (x) V2 (x) V2) (+) (V1 (x) V2)."""
-    return build_cmonotone(_model_factors({1: model1, 2: model2}), variant)
-
-
-def realize_cmonotone_family(models) -> Realization:
-    """Two-state tensor realization of a c-monotone family of two-state
-    models, algebra k the k-th model of the list (`build_cmonotone`).
-
-    The phi block has dimension d_0 * prod_{k>=1} d_k^2 and the psi block
-    prod_k d_k, so the ambient dimension still grows as a product of
-    squares, and the family size is capped at FAMILY_CAP.
-    """
-    models = list(models)
-    if len(models) > FAMILY_CAP:
-        raise ValueError(f"family size {len(models)} exceeds cap {FAMILY_CAP}")
-    if not models:
-        raise ValueError("empty family")
-    return build_cmonotone(_model_factors(dict(enumerate(models))))
+    """The c-monotone family of two models at algebras 1 and 2, on the
+    ambient space (V1 (x) V2 (x) V2) (+) (V1 (x) V2)."""
+    return realize_cmonotone_family({1: model1, 2: model2}, variant)
 
 
 def two_state_pairs(models: dict) -> dict:

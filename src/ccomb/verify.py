@@ -820,19 +820,15 @@ def check_cmonotone_pair(model_pairs, max_word: int):
 def check_family_pair_consistency(model_pairs, word_len: int):
     words = all_words(PAIR_LETTERS, word_len)
     halves = HalfWordPlan(words)
-    fam_halves = HalfWordPlan([[(j - 1, name) for j, name in w] for w in words])
     subset = model_pairs[:15]
     for k, (m1, m2) in enumerate(subset):
         with _case(f"model {k}"):
-            fam = realize_cmonotone_family([m1, m2])
-            # the family of two is the plain pair under keys 0, 1; the variant
-            # pair is a different construction of the same moments
+            fam = realize_cmonotone_family({1: m1, 2: m2})
+            # the family at keys 1, 2 is the plain pair; the variant pair is a
+            # different construction of the same moments
             pair = realize_cmonotone_pair(m1, m2, variant=True)
             sides = {
-                s: (
-                    fam.evaluator(s).moments(fam_halves),
-                    pair.evaluator(s).moments(halves),
-                )
+                s: (fam.evaluator(s).moments(halves), pair.evaluator(s).moments(halves))
                 for s in ("phi", "psi")
             }
             _same_lists(words, sides, ", word {0}, state {1}")
@@ -847,10 +843,10 @@ def family_models(cfg: VerifyConfig):
         if k % 10 == 0:
             dims[rng.randrange(3)] = 3
         out.append(
-            [
-                random_model(rng, dim=d, two_state=True, use_fractions=(k < 3))
-                for d in dims
-            ]
+            {
+                n: random_model(rng, dim=d, two_state=True, use_fractions=(k < 3))
+                for n, d in enumerate(dims)
+            }
         )
     return out
 
@@ -862,7 +858,7 @@ def check_family_three(family_models, word_len: int):
     for k, models in enumerate(family_models):
         with _case(f"family {k}"):
             fam = realize_cmonotone_family(models)
-            expected = plan.cmonotone(two_state_pairs(dict(enumerate(models))))
+            expected = plan.cmonotone(two_state_pairs(models))
             _same_as_cmonotone({"": fam}, words, halves, expected)
     return f"{len(family_models)} families of 3, words to length {word_len}"
 
@@ -904,7 +900,7 @@ def check_separating_projection(model_pairs):
     subset = model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         with _case(f"model {k}"):
-            fam = realize_cmonotone_family([m1, m2])
+            fam = realize_cmonotone_family({0: m1, 1: m2})
             fam.operators["P"] = fam.separating_projection()
             moments = fam.evaluator("phi").moments(halves)
             flank = dict(zip(flanks, moments))

@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 
 from ccomb import fixtures, independence, series
+from ccomb.cli import MAX_WORD_MOMENT_BUILD
 from ccomb.graphs import adjacency_matrix
 from ccomb.independence import (
     ORACLE_KINDS,
@@ -302,17 +303,52 @@ def test_realize_cmonotone_needs_two_states():
         realize_cmonotone_pair(random_model(rng), random_model(rng, two_state=True))
 
 
-def test_family_cap():
+@pytest.mark.parametrize("variant", [False, True])
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("keys, max_len", [((-1, 3, 7, 8), 5), ((-4, -1, 2, 6, 9), 4)])
+def test_families_of_four_and_five_match_the_plan(keys, max_len, fractions, variant):
+    # a family of any size, at keys that are neither 0.. nor contiguous
+    rng = random.Random(f"family {keys} {fractions} {variant}")
+    models = {
+        j: random_model(rng, dim=2, two_state=True, use_fractions=fractions)
+        for j in keys
+    }
+    fam = realize_cmonotone_family(models, variant)
+    assert fam.dim == _family_dim([m.dim for m in models.values()])
+    words = all_words([(j, "a") for j in keys], max_len)
+    halves = HalfWordPlan(words)
+    got = zip(*(fam.evaluator(s).moments(halves) for s in ("phi", "psi")))
+    assert list(got) == WordPlan(words).cmonotone(two_state_pairs(models))
+
+
+def test_family_dimension_cap_refuses_before_placing(monkeypatch):
+    # the CLI's word-moment build count bounds the dimension it asks for, so
+    # the CLI refuses first, with its own message
+    assert independence.MAX_FAMILY_DIM >= MAX_WORD_MOMENT_BUILD
     rng = random.Random(8)
-    models = [random_model(rng, dim=2, two_state=True) for _ in range(4)]
-    with pytest.raises(ValueError):
+    models = {j: random_model(rng, dim=2, two_state=True) for j in range(4)}
+    dim = _family_dim([2] * 4)
+    placed, real = [], independence._placed
+
+    def placing(*args):
+        placed.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(independence, "_placed", placing)
+    monkeypatch.setattr(independence, "MAX_FAMILY_DIM", dim)
+    assert realize_cmonotone_family(models).dim == dim
+    assert placed
+    placed.clear()
+    monkeypatch.setattr(independence, "MAX_FAMILY_DIM", dim - 1)
+    with pytest.raises(ValueError, match=f"dimension {dim} ") as refusal:
         realize_cmonotone_family(models)
+    assert "\n" not in str(refusal.value) and not placed
 
 
 def test_family_single_algebra_is_plain_moments():
     rng = random.Random(9)
     m = random_model(rng, two_state=True)
-    fam = realize_cmonotone_family([m])
+    fam = realize_cmonotone_family({0: m})
     for n in range(1, 6):
         w = [(0, "a")] * n
         assert fam.moment(w, "phi") == m.vector_state(("a",) * n, m.xi)
@@ -329,19 +365,19 @@ def _family_dim(dims):
 def test_family_matches_oracle_mixed_dims_and_names(seed):
     rng = random.Random(40 + seed)
     size = seed % 3 + 1
-    models = [
-        random_model(
+    models = {
+        j: random_model(
             rng,
             dim=rng.choice((2, 3)),
             names=("a", "b"),
             two_state=True,
             use_fractions=seed % 2 == 1,
         )
-        for _ in range(size)
-    ]
+        for j in range(size)
+    }
     fam = realize_cmonotone_family(models)
-    assert fam.dim == _family_dim([m.dim for m in models])
-    pairs = two_state_pairs(dict(enumerate(models)))
+    assert fam.dim == _family_dim([m.dim for m in models.values()])
+    pairs = two_state_pairs(models)
     letters = [(j, name) for j in range(size) for name in ("a", "b")]
     phi, psi = fam.evaluator("phi"), fam.evaluator("psi")
     words = all_words(letters, 4)
@@ -355,7 +391,7 @@ def test_family_of_two_is_the_pair(dims):
     m1, m2 = (
         random_model(rng, dim=d, names=("a", "b"), two_state=True) for d in dims
     )
-    fam = realize_cmonotone_family([m1, m2])
+    fam = realize_cmonotone_family({0: m1, 1: m2})
     pair = realize_cmonotone_pair(m1, m2)
     keys = {0: 1, 1: 2}
     assert {(keys[j], n): op for (j, n), op in fam.operators.items()} == pair.operators
@@ -432,11 +468,24 @@ def test_separating_projection_matrix():
     rng = random.Random(12)
     m1 = random_model(rng, two_state=True)
     m2 = random_model(rng, two_state=True)
-    fam = realize_cmonotone_family([m1, m2])
+    fam = realize_cmonotone_family({0: m1, 1: m2})
     p = sparse_to_matrix(fam.separating_projection())
     assert p * p == p
     assert p.entry(fam.phi_index, fam.phi_index) == 1
     assert p.entry(fam.psi_index, fam.psi_index) == 1
+
+
+def test_separating_projection_is_typed_like_its_family():
+    # a Fraction family gets Fraction(1) entries, so the evaluator still
+    # scales it to ints with the projection inserted; an int family keeps 1
+    pairs = model_pairs(VerifyConfig(seed=1))
+    for k, (m1, m2) in enumerate(pairs[:10]):
+        fam = realize_cmonotone_family({0: m1, 1: m2})
+        fam.operators["P"] = fam.separating_projection()
+        fractions = k < 5
+        entries = {type(x) for col in fam.operators["P"] for _, x in col}
+        assert entries == {Fraction if fractions else int}, k
+        assert (fam.evaluator("phi")._scale is not None) == fractions, k
 
 
 @given(
@@ -528,7 +577,10 @@ def test_oracle_and_realization_kernels_on_integers_mod_p():
         realizations = {
             "pair": (realize_cmonotone_pair(m1, m2), halves),
             "variant": (realize_cmonotone_pair(m1, m2, variant=True), halves),
-            "family of 3": (realize_cmonotone_family(models), family_halves),
+            "family of 3": (
+                realize_cmonotone_family(dict(enumerate(models))),
+                family_halves,
+            ),
             **{
                 f"{kind} pair": (realize_pair(kind, m1, m2), halves)
                 for kind in ORACLE_KINDS
@@ -604,7 +656,7 @@ def _evaluator_cases():
     both = ("phi", "psi")
     cases["c-monotone pair"] = (realize_cmonotone_pair(m1, m2), pair, both)
     cases["variant pair"] = (realize_cmonotone_pair(m1, m2, variant=True), pair, both)
-    family = [random_model(rng, dim=2, two_state=True) for _ in range(3)]
+    family = {j: random_model(rng, dim=2, two_state=True) for j in range(3)}
     letters = ((0, "a"), (1, "a"), (2, "a"))
     cases["family of 3"] = (realize_cmonotone_family(family), letters, both)
     g1, g2 = fixtures.additive_demo_pair()

@@ -160,6 +160,19 @@ def test_comb_at_collapses_to_comb_when_roots_match():
     assert relabel_isomorphic(prod.graph, cmb.graph, mapping)
 
 
+def test_comb_at_is_orthogonal_at_the_second_root_then_star():
+    # the comb-at product is the orthogonal product of (G1, e1) and (G2, f2)
+    # followed by the star product with (G2, e2): same size, same root walks
+    rng = random.Random("comb-at")
+    for _ in range(30):
+        g1, g2 = random_birooted_graph(rng), random_birooted_graph(rng)
+        orthogonal = orthogonal_product(g1, g2.at_second()).graph
+        two_step = star_product(orthogonal, g2).graph
+        prod = comb_at_product(g1, g2).graph
+        assert two_step.vertex_count == prod.vertex_count
+        assert root_moments(two_step, 12) == root_moments(prod, 12)
+
+
 def test_superposition_isomorphism():
     g1 = rooted(3, [(0, 1), (1, 2), (0, 0)], 0)
     g2 = rooted(3, [(0, 1), (1, 2), (1, 1)], 1)

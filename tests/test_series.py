@@ -114,6 +114,21 @@ def test_cmonotone_additive_collapse(m1, m2):
     )
 
 
+def test_cmonotone_additive_is_orthogonal_then_boolean():
+    # F1(F_nu) + F2 - F_nu is the orthogonal F1(F_nu) - F_nu + z, then the
+    # boolean sum with F2
+    rng = random.Random("comb-at")
+    entry = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    for _ in range(50):
+        mu1, mu2, nu2 = (
+            moment_series([1] + [entry() for _ in range(12)]) for _ in range(3)
+        )
+        orthogonal = additive_convolve("orthogonal", mu1, nu2)
+        assert additive_convolve("c-monotone", mu1, mu2, nu2) == additive_convolve(
+            "boolean", orthogonal, mu2
+        )
+
+
 def test_additive_requires_nu2():
     with pytest.raises(ValueError):
         additive_convolve("c-monotone", EDGE, EDGE)
