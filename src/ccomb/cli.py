@@ -84,8 +84,9 @@ BIROOTED_FIRST = ("c-comb", "c-comb-loop")
 MAX_ORDER = 1024
 MAX_WORD = 16
 MAX_SAMPLES = 10_000
-# `word-moment` builds n1*n2*(n2 + 1) ambient coordinates and n1*n2*nnz(a2)
-# nonzeros in its second operator; memory follows their sum
+# `word-moment` builds n1*n2*(n2 + 1) ambient coordinates, n1*n2*nnz(a2)
+# nonzeros in its second operator and the dense n1^2 + n2^2 cells of the
+# factor adjacencies; memory follows their sum
 MAX_WORD_MOMENT_BUILD = 1_000_000
 # the oracle of an n-letter word compiles O(n^2) subwords, each a tuple copy,
 # so its time grows about as n^3: 0.35 s at 256 letters, 77 s at 1,600
@@ -287,7 +288,7 @@ def _cmd_word_moment(args) -> int:
         raise _CliError("word moments need two birooted graphs")
     n1, n2 = g1.vertex_count, g2.vertex_count
     nnz2 = sum(1 if i == j else 2 for i, j in g2.edges)
-    build = n1 * n2 * (n2 + 1 + nnz2)
+    build = n1 * n2 * (n2 + 1 + nnz2) + n1 * n1 + n2 * n2
     if build > MAX_WORD_MOMENT_BUILD:
         raise _CliError(
             f"word moments would build {build} entries,"

@@ -13,8 +13,9 @@ Oracles evaluate the defining moment recursions exactly:
 * boolean      factorizes an alternating word into single-letter moments
 * monotone     strips a letter at a locally maximal algebra index
 * orthogonal   two algebras: the c-monotone recursion below with phi = 0
-  on the higher algebra, whose functional is read as its psi; words that
-  start or end in the higher algebra vanish
+  on the higher algebra, whose functional is read as its psi; a word that
+  starts or ends there vanishes by the recursion itself, as the first local
+  maximum of such a word has an empty flank
 * tensor       the product of per-algebra moments with positions preserved
 * c-monotone   two-state recursion: a letter b at a local maximum splits as
   (phi(b) - psi(b)) * phi(left) * phi(right) + psi(b) * phi(contracted),
@@ -60,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product as iter_product
+from itertools import product as iter_product
 from math import lcm, prod
 
 from .linalg import Matrix, sparse_apply, sparse_columns, sparse_transpose, tensor_index
@@ -226,11 +227,6 @@ def _first_local_max(w: tuple) -> int:
     return len(w) - 1
 
 
-def _zero(names):
-    """Phi of the higher orthogonal algebra: 0 on every nonempty product."""
-    return 0
-
-
 def _phi_split(v: tuple) -> tuple:
     """The letter phi strips from a collapsed word and the subwords it reads:
     none for one letter, else the two flanks and the contracted word."""
@@ -275,8 +271,8 @@ class WordPlan:
     a word's value its letter's times rest's: monotone (the psi side of
     c-monotone) strips the first local maximum, boolean the first letter,
     tensor the first letter's algebra, its names in word order. The
-    orthogonal kind runs the phi nodes of a plan of the words it keeps
-    only, so no node is evaluated for a word it sends to 0.
+    orthogonal kind runs the phi nodes with phi of the higher algebra read
+    as zero times its functional, a zero of its psi's type.
 
     An evaluation reads each letter value it needs once, then fills a flat
     value list in node order, subwords first and the empty word at 0 with
@@ -292,10 +288,9 @@ class WordPlan:
     its word once, so a word with n names scales by c ** n (n counted once
     per plan). The loops run on ints, and each nonempty word comes out as
     the `Fraction` of its value over its scale, the type the unscaled loops
-    give it; the empty word keeps its int 1. `_zero`'s 0, phi of the higher
-    orthogonal algebra, is 0 at any scale and is not typed. Int values,
-    ints and `Fraction`s mixed in one evaluation, and another scalar ring
-    run the loops on the values as read.
+    give it; the empty word keeps its int 1. Int values, ints and
+    `Fraction`s mixed in one evaluation, and another scalar ring run the
+    loops on the values as read.
     """
 
     def __init__(self, words):
@@ -303,7 +298,6 @@ class WordPlan:
         self._letters: list = []  # (j, names) by slot
         self._slots: dict = {}
         self._plans: dict = {}  # by kind, see _compile
-        self._inner: dict = {}  # orthogonal, by hi: the words kept and their plan
 
     def _slot(self, letter: tuple) -> int:
         if letter not in self._slots:
@@ -312,9 +306,11 @@ class WordPlan:
         return self._slots[letter]
 
     def _compile(self, kind: str) -> tuple:
-        """(nodes, targets) of the recursion of `kind`, compiled on first
-        use. Node id 0 is the empty word; nodes[k - 1], of id k, is (slot,
-        *subword ids) of one word; targets holds each word's id. A split's
+        """(nodes, targets, reads, inner) of the recursion of `kind`,
+        compiled on first use. Node id 0 is the empty word; nodes[k - 1], of
+        id k, is (slot, *subword ids) of one word; targets holds each word's
+        id; reads and inner, the slots of all nodes and of those not leaves:
+        for phi, the slots whose phi and whose psi it reads. A split's
         subwords are shorter than its word, so a stack collects the words
         and the nodes go out by length, subwords first, with no recursion."""
         if kind not in self._plans:
@@ -329,7 +325,9 @@ class WordPlan:
                 letter, subwords = splits[v]
                 nodes.append((self._slot(letter), *(ids[u] for u in subwords)))
                 ids[v] = len(nodes)
-            self._plans[kind] = nodes, [ids[w] for w in self._words]
+            reads = {node[0] for node in nodes}
+            inner = {node[0] for node in nodes if len(node) > 1}
+            self._plans[kind] = nodes, [ids[w] for w in self._words], reads, inner
         return self._plans[kind]
 
     @cached_property
@@ -339,16 +337,16 @@ class WordPlan:
 
     def _evaluate(self, run, *reads) -> list:
         """The word value lists `run` gives on the letter values of each
-        ``(functionals, slots)`` read, a list by slot with None where not
-        read, scaled to ints when every value read is a Fraction."""
+        ``(functionals, *slot sets)`` read, a list by slot with None where
+        not read, scaled to ints when every value read is a Fraction."""
         letters = self._letters
         values, read = [], []
-        for functionals, slots in reads:
+        for functionals, *slot_sets in reads:
             x = [None] * len(letters)
-            for s in slots:
-                j, names = letters[s]
-                x[s] = functionals[j](names)
-                if functionals[j] is not _zero:
+            for slots in slot_sets:
+                for s in slots:
+                    j, names = letters[s]
+                    x[s] = functionals[j](names)
                     read.append(x[s])
             values.append(x)
         if not all(type(v) is Fraction for v in read):
@@ -364,15 +362,9 @@ class WordPlan:
             for out in run(*values)
         ]
 
-    def _reads(self, kind: str) -> tuple:
-        """The slots of the nodes of `kind`, and of those that are not leaves:
-        for phi, the slots whose phi and whose psi it reads."""
-        nodes, _ = self._compile(kind)
-        return {node[0] for node in nodes}, {node[0] for node in nodes if len(node) > 1}
-
     def _run_phi(self, a: list, b: list) -> list:
         """Phi of each word from the letter values a of phi and b of psi."""
-        nodes, targets = self._compile("phi")
+        nodes, targets, _, _ = self._compile("phi")
         values = [1]
         append = values.append
         for node in nodes:
@@ -386,7 +378,7 @@ class WordPlan:
 
     def _run_chain(self, kind: str, a: list) -> list:
         """Each word's value on the chain of `kind` from letter values a."""
-        nodes, targets = self._compile(kind)
+        nodes, targets, _, _ = self._compile(kind)
         values = [1]
         append = values.append
         for s, rest in nodes:
@@ -396,13 +388,13 @@ class WordPlan:
     def cmonotone(self, pairs: dict) -> list:
         """(phi, psi) of each word under c-monotone independence, `pairs` as
         in oracle_cmonotone."""
-        phi_reads, psi_reads = self._reads("phi")
+        _, _, phi_reads, psi_reads = self._compile("phi")
         phi = {j: p[0] for j, p in pairs.items()}
         psi = {j: p[1] for j, p in pairs.items()}
         phis, psis = self._evaluate(
             lambda a, b: (self._run_phi(a, b), self._run_chain("monotone", b)),
             (phi, phi_reads),
-            (psi, psi_reads | self._reads("monotone")[0]),
+            (psi, psi_reads, self._compile("monotone")[2]),
         )
         return list(zip(phis, psis))
 
@@ -414,7 +406,7 @@ class WordPlan:
         if kind != "orthogonal":
             (out,) = self._evaluate(
                 lambda a: (self._run_chain(kind, a),),
-                (functionals, self._reads(kind)[0]),
+                (functionals, self._compile(kind)[2]),
             )
             return out
         if not any(self._words):
@@ -425,20 +417,15 @@ class WordPlan:
         lo, hi = keys
         if any(j not in (lo, hi) for w in self._words for j, _ in w):
             raise ValueError("orthogonal words use exactly the two given algebras")
-        # a word opening and closing in lo only reaches such words, whose
-        # local maxima all lie in hi; only these words' plan is run
-        if hi not in self._inner:
-            kept = [not (w and hi in (w[0][0], w[-1][0])) for w in self._words]
-            self._inner[hi] = kept, WordPlan(compress(self._words, kept))
-        kept, inner = self._inner[hi]
-        phi_reads, psi_reads = inner._reads("phi")
-        (out,) = inner._evaluate(
-            lambda a, b: (inner._run_phi(a, b),),
-            ({lo: functionals[lo], hi: _zero}, phi_reads),
+        # every local maximum of a word of length two or more lies in hi
+        _, _, phi_reads, psi_reads = self._compile("phi")
+        phi = {lo: functionals[lo], hi: lambda names: 0 * functionals[hi](names)}
+        (out,) = self._evaluate(
+            lambda a, b: (self._run_phi(a, b),),
+            (phi, phi_reads),
             ({hi: functionals[hi]}, psi_reads),
         )
-        values = iter(out)
-        return [next(values) if keep else 0 for keep in kept]
+        return out
 
 
 def oracle_moment(kind: str, word, functionals: dict):
@@ -446,9 +433,9 @@ def oracle_moment(kind: str, word, functionals: dict):
 
     `functionals` maps each algebra index to a callable on name tuples. For
     the orthogonal kind exactly two indices take part and the functional of
-    the higher index is read as the psi-state of the orthogonal algebra: a
-    word that opens and closes in the lower algebra runs the c-monotone phi
-    recursion with phi = 0 on the higher one, and any other word vanishes.
+    the higher index is read as the psi-state of the orthogonal algebra:
+    each word runs the c-monotone phi recursion with phi = 0 on the higher
+    one, so a word that opens or closes there vanishes.
     `word` may be raw or already collapsed (see collapse_word). This is the
     one-word `WordPlan`; a word list shares one plan.
     """

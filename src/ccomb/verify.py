@@ -541,7 +541,7 @@ def products_suite(cfg: VerifyConfig) -> list:
         _drawing(cfg, check_superposition, few),
         _drawing(cfg, check_comb_at_collapse, few),
         check_restriction_equalities(pairs),
-        _drawing(cfg, check_walk_cross_oracle, 6),
+        _drawing(cfg, check_walk_cross_oracle, min(cfg.graph_samples, 6)),
         check_colored_split(mpairs[:6]),
         _drawing(cfg, check_comb_loop_loops, few),
         check_multiplicative_three_route(mpairs, MULT_ORDER),
@@ -725,6 +725,7 @@ def transforms_suite(cfg: VerifyConfig) -> list:
     order = min(cfg.order, 12)
     low = min(order, 10)
     n_random = 20
+    graphs = min(cfg.graph_samples, 10)
     return [
         _drawing(cfg, check_F_roundtrip, n_random, order),
         _drawing(cfg, check_psi_eta_roundtrip, n_random, order),
@@ -738,7 +739,7 @@ def transforms_suite(cfg: VerifyConfig) -> list:
         _drawing(cfg, check_mult_decomposition, n_random, 10),
         _drawing(cfg, check_mult_identity, 10, 10),
         _drawing(cfg, check_coefficient_formula_engine, 8, 10),
-        _drawing(cfg, check_additive_graph_consistency, 10, low),
+        _drawing(cfg, check_additive_graph_consistency, graphs, low),
     ]
 
 
@@ -918,7 +919,7 @@ def _graph_bridge(cfg: VerifyConfig, max_word: int, loops: bool) -> str:
     rng = random.Random(cfg.seed + 6)
     cases = [demo()] + [
         (random_birooted_graph(rng, 1, 4), random_birooted_graph(rng, 1, 4))
-        for _ in range(8)
+        for _ in range(min(cfg.graph_samples, 8))
     ]
     words = all_words(PAIR_LETTERS, max_word)
     plan, halves = WordPlan(words), HalfWordPlan(words)

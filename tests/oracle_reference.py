@@ -88,10 +88,6 @@ def cmonotone_phi(v: tuple, pairs: dict, memo: dict):
     return out
 
 
-def _zero(names):
-    return 0
-
-
 def reference_moment(kind: str, word, functionals: dict):
     """The moment of `word` under `kind`, by the defining recursion."""
     w = collapse(word)
@@ -111,9 +107,8 @@ def reference_moment(kind: str, word, functionals: dict):
     if kind == "monotone":
         return monotone(w, functionals, {})
     lo, hi = sorted(functionals)
-    if w[0][0] == hi or w[-1][0] == hi:
-        return 0
-    pairs = {lo: (functionals[lo], None), hi: (_zero, functionals[hi])}
+    psi = functionals[hi]
+    pairs = {lo: (functionals[lo], None), hi: (lambda names: 0 * psi(names), psi)}
     return cmonotone_phi(w, pairs, {})
 
 

@@ -60,7 +60,7 @@ def test_verify_report_is_pinned():
     cfg = VerifyConfig(order=6, max_word=4, graph_samples=3, model_samples=4, seed=0)
     report_text = verify.format_report(verify.run_suite("all", cfg), cfg)
     assert hashlib.sha256(report_text.encode()).hexdigest() == (
-        "789603b680071477e7fecaf235f56f387bdb433e707bc79b580b0c2ee8c8fdef"
+        "f53b24b9d358d85820c43d0031e10e6a0ed03f7b9850770fe1c2ed6af529acd4"
     )
 
 
@@ -95,7 +95,7 @@ def test_verify_draws_pinned_cases(monkeypatch):
     cfg = VerifyConfig(order=6, max_word=4, graph_samples=3, model_samples=4, seed=0)
     assert all(c.passed for c in verify.run_suite("all", cfg))
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
-        "ab9111c3fa744438ac8e87c02e60ed8f0b4152bd2caf0bcf6a04ada9ea605597"
+        "97173e57beed1106f11a3168b5abd153ebc86634a04caf3d820d110c31c604ce"
     )
 
 

@@ -143,10 +143,18 @@ def test_the_plan_and_the_evaluator_share_no_scaling_helper():
     # the oracle route and the realization route each scale their Fraction
     # inputs to ints on their own: a scaling bug in one must make the two
     # disagree, so nothing one class reaches in its module is reached by the
-    # other, and each names the stdlib lcm and Fraction itself
+    # other, and each names the stdlib lcm and Fraction itself; a module
+    # table, such as the plan's split functions, counts as reached too
     tree = ast.parse((ROOT / "src" / "ccomb" / "independence.py").read_text("utf-8"))
     defs = {
         n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    defs |= {
+        t.id: n
+        for n in tree.body
+        if isinstance(n, ast.Assign)
+        for t in n.targets
+        if isinstance(t, ast.Name)
     }
 
     def reached(root):
@@ -163,7 +171,7 @@ def test_the_plan_and_the_evaluator_share_no_scaling_helper():
         return seen
 
     plan, evaluator = reached("WordPlan"), reached("WordMomentEvaluator")
-    assert {"collapse_word", "_zero"} <= plan
+    assert {"collapse_word", "_first_local_max"} <= plan
     assert "HalfWordPlan" in evaluator
     assert not plan & evaluator, plan & evaluator
     for cls in ("WordPlan", "WordMomentEvaluator"):

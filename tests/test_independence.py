@@ -644,6 +644,28 @@ def test_plan_equals_the_recursive_reference_in_value_and_type(case, seed):
     assert _typed(got) == _typed(want)
 
 
+@pytest.mark.parametrize("use_fractions", [False, True])
+@pytest.mark.parametrize("keys", [(1, 2), (2, 5)])
+def test_orthogonal_is_cmonotone_phi_with_zero_phi_on_the_higher_algebra(
+    keys, use_fractions
+):
+    # the recursion itself sends a word that opens or closes in the higher
+    # algebra to 0: its first local maximum has an empty flank
+    lo, hi = keys
+    rng = random.Random(hi)
+    models = {j: random_model(rng, use_fractions=use_fractions) for j in keys}
+    fns = {j: ModelFunctional(m, m.xi) for j, m in models.items()}
+    words = all_words(((lo, "a"), (hi, "a")), 8)
+    got = WordPlan(words).moments("orthogonal", fns)
+    psi = fns[hi]
+    pairs = {lo: (fns[lo], fns[lo]), hi: (lambda names: 0 * psi(names), psi)}
+    want = [phi for phi, _ in WordPlan(words).cmonotone(pairs)]
+    assert got == want
+    ends = [hi in (w[0][0], w[-1][0]) for w in words]
+    assert all(v == 0 for v, end in zip(got, ends) if end)
+    assert any(v for v, end in zip(got, ends) if not end)
+
+
 def _evaluator_cases():
     """Each realization the evaluator serves, with its letters and states."""
     rng = random.Random(21)
@@ -790,7 +812,7 @@ def test_each_recursion_takes_one_node_per_distinct_collapsed_word():
     assert len({collapse_word(w) for w in words}) == 510
     plan = WordPlan(words)
     for kind in ("phi", "monotone", "boolean", "tensor"):
-        nodes, targets = plan._compile(kind)
+        nodes, targets, _, _ = plan._compile(kind)
         assert len(nodes) == 510, kind
         assert len(set(targets)) == 510, kind
 
@@ -926,7 +948,6 @@ ORACLE_CODE = (
     "oracle_cmonotone",
     "oracle_cmonotone_all_orders",
     "WordPlan",
-    "_zero",
     "ModelFunctional",
     "AlgebraModel",
 )

@@ -382,6 +382,24 @@ def test_cli_verify_writes_report(tmp_path, capsys):
     assert out.read_text().count("CHECK products/") >= 10
 
 
+def test_cli_verify_graphs_flag_sets_every_random_graph_draw(capsys):
+    # at --graphs 0 no check draws a random graph: the bridges keep only
+    # their fixed demo pair
+    args = ["verify", "all", "--order", "1", "--max-word", "1", "--graphs", "0"]
+    assert main([*args, "--models", "0"]) == 0
+    details = {
+        name: detail
+        for _, name, _, detail in (
+            line.split(" ", 3) for line in capsys.readouterr().out.splitlines()[:-1]
+        )
+    }
+    walks = details["products/walk-count-cross-oracle"]
+    assert walks.endswith(", 0 samples to order 8")
+    assert details["transforms/additive-graph-consistency"].startswith("0 samples,")
+    for bridge in ("c-comb-state-pair-bridge", "loop-pair-bridge"):
+        assert details[f"independence/{bridge}"].startswith("1 graph pairs,")
+
+
 def test_env_var_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CCOMB_OUT", str(tmp_path))
     code = main(

@@ -78,6 +78,29 @@ def _one_error_line(capsys, *needles):
     assert all(needle in err for needle in needles), err
 
 
+def _path_beside_a_point(tmp_path, n1):
+    """Files of an n1-vertex path and a one-vertex graph, both birooted."""
+    path, point = tmp_path / "path.graph", tmp_path / "point.graph"
+    save_graph(path, birooted(n1, [(v, v + 1) for v in range(n1 - 1)], 0, 1))
+    save_graph(point, birooted(1, [], 0, 0))
+    return [str(path), str(point)]
+
+
+def test_word_moment_counts_the_dense_factor_adjacencies(tmp_path, capsys):
+    # beside a one-vertex factor the dense n1 x n1 adjacency is the main
+    # build: 999 vertices count 999 * 2 + 999^2 + 1, exactly the cap
+    assert MAX_WORD_MOMENT_BUILD == 999 * 2 + 999**2 + 1
+    assert main(["word-moment", *_path_beside_a_point(tmp_path, 999), "1:a 2:a"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 3 and all(line.endswith(",yes") for line in lines[1:])
+    start = perf_counter()
+    code = main(["word-moment", *_path_beside_a_point(tmp_path, 1000), "1:a 2:a"])
+    elapsed = perf_counter() - start
+    assert code == 2
+    _one_error_line(capsys, "1002001", str(MAX_WORD_MOMENT_BUILD))
+    assert elapsed < 1.0
+
+
 def test_word_moment_refuses_a_word_over_the_letter_cap(monkeypatch, capsys):
     pair = [str(FIXTURES / f"multiplicative_g{i}.graph") for i in (1, 2)]
     at_cap = " ".join(["1:a 2:a"] * (MAX_WORD_LETTERS // 2))
