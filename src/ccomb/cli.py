@@ -56,6 +56,7 @@ from .products import (
     star_product,
 )
 from .series import (
+    ADDITIVE_KINDS,
     DivisorVanishes,
     additive_convolve,
     eta_from_moments,
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convolve", help="convolve graphs or coefficient tables")
     p.add_argument("family", choices=("additive", "multiplicative"))
-    p.add_argument("kind", choices=("monotone", "boolean", "orthogonal", "c-monotone"))
+    p.add_argument("kind", choices=ADDITIVE_KINDS)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--out", default=None)

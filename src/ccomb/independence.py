@@ -135,10 +135,10 @@ class AlgebraModel:
 class ModelFunctional:
     """Moment functional backed by a matrix model's vector state.
 
-    A value is read from row `at` of the product alone, that row multiplied
-    by one element at a time left to right with `Matrix.__mul__`'s zero skip
-    and summation order, so it equals `model.vector_state` in value and type.
-    The row of every name prefix is kept, by (parent prefix id, name).
+    A value is read from row `at` of the product alone: a 1 x d `Matrix`
+    multiplied by one element at a time left to right, so it equals
+    `model.vector_state` in value and type. The row of every name prefix is
+    kept, by (parent prefix id, name).
     """
 
     def __init__(self, model: AlgebraModel, at: int):
@@ -151,22 +151,18 @@ class ModelFunctional:
     def __call__(self, names: tuple):
         names = tuple(names)
         if names not in self._cache:
-            self._cache[names] = self._row(names)[self.at] if names else 1
+            self._cache[names] = self._row(names).data[self.at] if names else 1
         return self._cache[names]
 
-    def _row(self, names: tuple) -> tuple:
+    def _row(self, names: tuple) -> Matrix:
         rows, node = self._rows, 0
         for name in names:
             m = self.model.elements[name]
             parent, node = node, self._prefixes.setdefault((node, name), len(rows))
-            if node < len(rows):
-                continue
-            if parent:
-                nonzero = [(t, x) for t, x in enumerate(rows[parent]) if x]
-                columns = map(m.column, range(m.cols))
-                rows.append(tuple(sum(x * c[t] for t, x in nonzero) for c in columns))
-            else:
-                rows.append(m.row(self.at))
+            if node == len(rows):
+                rows.append(
+                    rows[parent] * m if parent else Matrix(1, m.cols, m.row(self.at))
+                )
         return rows[node]
 
 
@@ -415,10 +411,11 @@ class WordPlan:
         if len(keys) != 2:
             raise ValueError("orthogonal evaluation needs exactly two functionals")
         lo, hi = keys
-        if any(j not in (lo, hi) for w in self._words for j, _ in w):
+        # each algebra a word uses has a letter stripped at some phi node
+        _, _, phi_reads, psi_reads = self._compile("phi")
+        if any(self._letters[s][0] not in (lo, hi) for s in phi_reads):
             raise ValueError("orthogonal words use exactly the two given algebras")
         # every local maximum of a word of length two or more lies in hi
-        _, _, phi_reads, psi_reads = self._compile("phi")
         phi = {lo: functionals[lo], hi: lambda names: 0 * functionals[hi](names)}
         (out,) = self._evaluate(
             lambda a, b: (self._run_phi(a, b),),

@@ -19,7 +19,10 @@ turns columns into rows, and `sparse_moments` is the one moment kernel. It
 walks half the chain: with v_k = Z^k delta and w_k = (Z^T)^k delta,
 M_2k = <w_k, v_k> and M_2k+1 = <w_k, v_k+1>; a self-adjoint Z (a graph
 adjacency, a symmetric decomposition total) has w = v.
-The dense `Matrix` serves the factor-size oracle models only.
+The dense `Matrix` serves the factor-size oracle models only: entrywise
+sums and differences and one product, whose entry sums start at zero times
+their row's first entry, so an empty sum takes the row's type; it has no
+scalar products.
 
 Index convention, fixed project-wide: the Kronecker product ``kron(A, B)``
 uses the composite index ``(i, k) -> i * dim_B + k``, i.e. leg order is
@@ -29,6 +32,7 @@ left-to-right and the leftmost leg is the most significant digit.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 __all__ = [
     "Matrix",
@@ -128,48 +132,31 @@ class Matrix:
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.data, other.data)),
-        )
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, sub)
+
+    def _entrywise(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtraction")
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.data, other.data)),
-        )
+            raise ValueError(f"shape mismatch in {op.__name__}")
+        return Matrix(self.rows, self.cols, tuple(map(op, self.data, other.data)))
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in multiplication")
-            bT = other.transpose()
-            n, m, k = self.rows, other.cols, self.cols
-            data = []
-            for i in range(n):
-                arow = self.row(i)
-                for j in range(m):
-                    bcol = bT.row(j)
-                    data.append(sum(arow[t] * bcol[t] for t in range(k) if arow[t]))
-            return Matrix(n, m, tuple(data))
-        if _is_exact(other):
-            return Matrix(self.rows, self.cols, tuple(a * other for a in self.data))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if _is_exact(other):
-            return Matrix(self.rows, self.cols, tuple(other * a for a in self.data))
-        return NotImplemented
+    def __mul__(self, other: "Matrix") -> "Matrix":
+        """The matrix product; an empty entry sum takes its row's type."""
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in multiplication")
+        columns = [other.column(j) for j in range(other.cols)]
+        data = []
+        for i in range(self.rows):
+            row = self.row(i)
+            terms = [(t, x) for t, x in enumerate(row) if x]
+            data.extend(sum((x * c[t] for t, x in terms), 0 * row[0]) for c in columns)
+        return Matrix(self.rows, other.cols, tuple(data))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} {self.to_rows()!r})"

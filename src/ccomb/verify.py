@@ -42,6 +42,7 @@ from .graphs import (
     two_step_moments,
 )
 from .independence import (
+    ORACLE_KINDS,
     AlgebraModel,
     HalfWordPlan,
     ModelFunctional,
@@ -74,6 +75,8 @@ from .products import (
     superposition_map,
 )
 from .series import (
+    ADDITIVE_KINDS,
+    MULTIPLICATIVE_KINDS,
     MomentSeries,
     additive_convolve,
     coefficient_formula,
@@ -606,7 +609,7 @@ def check_additive_collapses(order, mu1, mu2):
     monotone = additive_convolve("monotone", mu1, mu2)
     _same(collapsed.coeffs, monotone.coeffs, ": nu = mu collapse")
     delta0 = point_mass_moments(0, order)
-    for kind in ("monotone", "boolean", "orthogonal", "c-monotone"):
+    for kind in ADDITIVE_KINDS:
         got = additive_convolve(kind, mu1, delta0, delta0).coeffs
         _same(got, mu1.coeffs, ": {} with point mass at 0", kind)
 
@@ -693,7 +696,7 @@ def check_mult_identity(order, h):
 def check_coefficient_formula_engine(order, eta1, eta2, eta_nu):
     engines = {
         kind: multiplicative_convolve(kind, eta1, eta2, eta_nu)
-        for kind in ("monotone", "boolean", "orthogonal", "c-monotone")
+        for kind in MULTIPLICATIVE_KINDS
     }
     for kind, engine in engines.items():
         for n in range(1, order + 1):
@@ -776,7 +779,7 @@ def check_pair_kinds(model_pairs, max_word: int):
     for k, (m1, m2) in enumerate(model_pairs):
         with _case(f"model {k}"):
             fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
-            for kind in ("boolean", "monotone", "orthogonal", "tensor"):
+            for kind in ORACLE_KINDS:
                 got = realize_pair(kind, m1, m2).evaluator("phi").moments(halves)
                 sides = {kind: (got, plan.moments(kind, fns))}
                 _same_lists(words, sides, ", {1}, word {0}")
@@ -787,7 +790,7 @@ def check_pair_kinds(model_pairs, max_word: int):
 def check_single_letter_states(model_pairs):
     for k, (m1, m2) in enumerate(model_pairs):
         with _case(f"model {k}"):
-            for kind in ("boolean", "monotone", "orthogonal", "tensor"):
+            for kind in ORACLE_KINDS:
                 r = realize_pair(kind, m1, m2)
                 first = m1.vector_state(("a",), m1.xi)
                 _same(r.moment([(1, "a")]), first, ": {} first marginal", kind)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -16,7 +17,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("ci")
+# HYPOTHESIS_PROFILE=deep draws ten times the examples of every property
+settings.register_profile("deep", settings.get_profile("ci"), max_examples=250)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)

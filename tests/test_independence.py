@@ -45,7 +45,14 @@ from ccomb.products import (
     c_comb_loop_decomposition,
     realize_graph_pair,
 )
-from ccomb.verify import PAIR_LETTERS, VerifyConfig, model_pairs, random_model
+from ccomb.verify import (
+    FAMILY_WORD,
+    PAIR_LETTERS,
+    VerifyConfig,
+    family_models,
+    model_pairs,
+    random_model,
+)
 
 from conftest import birooted_graphs
 from dense_reference import sparse_to_matrix
@@ -119,6 +126,25 @@ def test_orthogonal_oracle_interior_rule():
     got = oracle_moment("orthogonal", ((1, "a"), (2, "b"), (1, "a'")), fns)
     expect = s["qb"] * (s["paa2"] - s["pa"] * s["pa2"])
     assert expand_zero(got - expect)
+
+
+def test_orthogonal_refuses_other_than_two_algebras():
+    one = TableFunctional({("a",): 1, ("b",): 1})
+    word = ((1, "a"), (2, "a"))
+    for fns in ({1: one}, {1: one, 2: one, 3: one}):
+        with pytest.raises(ValueError, match="exactly two functionals"):
+            oracle_moment("orthogonal", word, fns)
+    # a third algebra mid-word, above or below both, in a raw run that
+    # merges or in a run already merged, beside a word that is fine
+    for bad in (
+        ((1, "a"), (3, "a"), (1, "a")),
+        ((2, "a"), (1, "a"), (0, "a"), (1, "a"), (2, "a")),
+        ((1, "a"), (3, "a"), (3, "b"), (1, "a")),
+        ((2, "a"), (0, ("a", "b")), (2, "a")),
+    ):
+        plan = WordPlan([word, bad])
+        with pytest.raises(ValueError, match="exactly the two given algebras"):
+            plan.moments("orthogonal", {1: one, 2: one})
 
 
 def test_tensor_oracle_keeps_positions():
@@ -433,14 +459,16 @@ def test_graph_decomposition_is_cmonotone_pair(g1, g2):
     # the c-comb decomposition is the c-monotone pair realization of the
     # factor adjacencies at (root, second root), and the loop pair is that
     # realization built on a - 1, plus the ambient identity
-    def realization(shift):
+    def realization(loop):
         models = []
         for g in (g1, g2):
-            a = adjacency_matrix(g) - shift * Matrix.identity(g.vertex_count)
+            a = adjacency_matrix(g)
+            if loop:
+                a = a - Matrix.identity(g.vertex_count)
             models.append(AlgebraModel({"a": a}, g.root, g.second_root))
         return realize_cmonotone_pair(*models)
 
-    r = realization(0)
+    r = realization(False)
     dec = c_comb_decomposition(g1, g2)
     assert (dec.cols1, dec.cols2) == (r.operators[(1, "a")], r.operators[(2, "a")])
     assert (dec.ambient_dim, dec.phi_index, dec.psi_index) == (
@@ -452,7 +480,7 @@ def test_graph_decomposition_is_cmonotone_pair(g1, g2):
     for w in all_words(((1, "a"), (2, "a")), 4):
         moments = (realized.moment(w, "phi"), realized.moment(w, "psi"))
         assert moments == oracle_cmonotone(w, pairs), w
-    r = realization(1)
+    r = realization(True)
     one = sparse_identity(r.dim)
     dec = c_comb_loop_decomposition(g1, g2)
     assert dec.cols1 == sparse_sum(one, r.operators[(1, "a")])
@@ -882,11 +910,9 @@ def test_evaluator_equals_the_memoized_halves_on_mixed_scalars(m1, m2):
             assert _typed(got) == _typed(want), state
 
 
-def test_the_first_verify_pair_runs_both_routes_on_ints(monkeypatch):
-    # verify's first model pair has Fraction entries only: the evaluator's
-    # operators and the values the plan's c-monotone loops receive are ints
-    cfg = VerifyConfig()
-    m1, m2 = model_pairs(cfg)[0]
+@pytest.fixture
+def loop_values(monkeypatch):
+    """Every letter value the `WordPlan` loops receive, None included."""
     seen = []
     run_phi, run_chain = WordPlan._run_phi, WordPlan._run_chain
 
@@ -900,10 +926,24 @@ def test_the_first_verify_pair_runs_both_routes_on_ints(monkeypatch):
 
     monkeypatch.setattr(WordPlan, "_run_phi", phi)
     monkeypatch.setattr(WordPlan, "_run_chain", chain)
+    return seen
+
+
+def _all_fractions(models):
+    return all(
+        type(x) is Fraction for m in models for a in m.elements.values() for x in a.data
+    )
+
+
+def test_the_first_verify_pair_runs_both_routes_on_ints(loop_values):
+    # verify's first model pair has Fraction entries only: the evaluator's
+    # operators and the values the plan's c-monotone loops receive are ints
+    cfg = VerifyConfig()
+    m1, m2 = model_pairs(cfg)[0]
     WordPlan(all_words(PAIR_LETTERS, cfg.max_word)).cmonotone(
         two_state_pairs({1: m1, 2: m2})
     )
-    assert {type(x) for x in seen if x is not None} == {int}
+    assert {type(x) for x in loop_values if x is not None} == {int}
     for variant in (False, True):
         realization = realize_cmonotone_pair(m1, m2, variant)
         ops = realization.operators.values()
@@ -911,6 +951,42 @@ def test_the_first_verify_pair_runs_both_routes_on_ints(monkeypatch):
         for state in ("phi", "psi"):
             ops = realization.evaluator(state)._operators.values()
             assert {type(x) for op in ops for col in op for _, x in col} == {int}
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_each_fraction_verify_pair_runs_the_plan_on_ints(loop_values, k):
+    # each plan evaluation the pair checks make reads Fractions alone, the
+    # zeros of vanishing products included, so every loop runs on ints
+    cfg = VerifyConfig()
+    m1, m2 = model_pairs(cfg)[k]
+    assert _all_fractions((m1, m2))
+    plan = WordPlan(all_words(PAIR_LETTERS, cfg.max_word))
+    fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
+    for kind in ORACLE_KINDS:
+        plan.moments(kind, fns)
+    plan.cmonotone(two_state_pairs({1: m1, 2: m2}))
+    plan.cmonotone({j: (f, f) for j, f in fns.items()})
+    assert {type(x) for x in loop_values if x is not None} == {int}
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_each_fraction_verify_family_runs_the_plan_on_ints(loop_values, k):
+    models = family_models(VerifyConfig())[k]
+    assert _all_fractions(models.values())
+    words = all_words(((0, "a"), (1, "a"), (2, "a")), FAMILY_WORD)
+    WordPlan(words).cmonotone(two_state_pairs(models))
+    assert {type(x) for x in loop_values if x is not None} == {int}
+
+
+def test_a_vanishing_fraction_row_keeps_its_type():
+    # row 0 of a squared is 0, so each entry of the cube's row 0 is an empty
+    # sum: it takes the type of the row it sums, in the product and in the
+    # functional, which multiplies that row alone
+    zero, one = Fraction(0), Fraction(1)
+    a = Matrix.from_rows([[zero, one], [zero, zero]])
+    assert _typed((a * a * a).data) == [(Fraction, 0)] * 4
+    functional = ModelFunctional(AlgebraModel({"a": a}, 0), 0)
+    assert _typed([functional(("a",) * n) for n in (2, 3, 4)]) == [(Fraction, 0)] * 3
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from("abc")), max_size=12))

@@ -60,6 +60,18 @@ def test_kron_mixed_product_law(a, c, b, d):
     assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
 
 
+def test_matrix_operators_take_matrices_only(monkeypatch):
+    # no scalar product in either order, and no sum with a scalar
+    for op in (lambda: 2 * EDGE, lambda: EDGE * Fraction(1, 2), lambda: EDGE + 1):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError):
+        EDGE - Matrix.identity(3)
+    # the product reads the right factor's columns, with no transposed copy
+    monkeypatch.setattr(Matrix, "transpose", None)
+    assert EDGE * EDGE == Matrix.identity(2)
+
+
 def test_projections():
     assert basis_projection(1, 0) == Matrix.from_rows([[1]])
     assert basis_projection(3, 1) == Matrix.from_rows(
