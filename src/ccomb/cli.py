@@ -62,7 +62,6 @@ from .series import (
     eta_from_moments,
     moment_series,
     multiplicative_convolve,
-    series_csv_rows,
 )
 from .verify import VerifyConfig, format_report, run_suite
 
@@ -174,20 +173,11 @@ def _cmd_moments(args) -> int:
 
 
 def _table_text(values, first: int, walks=None) -> str:
-    """The CSV text of a coefficient table, with the walk column when
-    `walks` is given; an exact value too long to print exits 2."""
+    """io.format_moment_table's text; an exact value too long to print exits 2."""
     try:
-        rows = series_csv_rows(values, first_index=first)
-        if walks is not None:
-            header = rows[0] + ",walk_count,equal"
-            body = [
-                f"{row},{w},{'yes' if v == w else 'no'}"
-                for row, v, w in zip(rows[1:], values, walks)
-            ]
-            rows = [header, *body]
+        return gio.format_moment_table(values, first, walks)
     except ValueError as exc:  # past the int-to-str digit limit
         raise _CliError(f"cannot print an exact value: {exc}") from exc
-    return "\n".join(rows) + "\n"
 
 
 def _load_additive_input(path, order):

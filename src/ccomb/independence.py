@@ -267,8 +267,8 @@ class WordPlan:
     a word's value its letter's times rest's: monotone (the psi side of
     c-monotone) strips the first local maximum, boolean the first letter,
     tensor the first letter's algebra, its names in word order. The
-    orthogonal kind runs the phi nodes with phi of the higher algebra read
-    as zero times its functional, a zero of its psi's type.
+    orthogonal kind is the phi of `cmonotone` with phi of the higher algebra
+    read as zero times its functional, a zero of its psi's type.
 
     An evaluation reads each letter value it needs once, then fills a flat
     value list in node order, subwords first and the empty word at 0 with
@@ -333,8 +333,9 @@ class WordPlan:
 
     def _evaluate(self, run, *reads) -> list:
         """The word value lists `run` gives on the letter values of each
-        ``(functionals, *slot sets)`` read, a list by slot with None where
-        not read, scaled to ints when every value read is a Fraction."""
+        ``(functionals, *slot sets)`` read (a chain kind's one, cmonotone's
+        phi and psi), each a list by slot with None where not read, scaled
+        to ints when every value read is a Fraction."""
         letters = self._letters
         values, read = [], []
         for functionals, *slot_sets in reads:
@@ -412,17 +413,12 @@ class WordPlan:
             raise ValueError("orthogonal evaluation needs exactly two functionals")
         lo, hi = keys
         # each algebra a word uses has a letter stripped at some phi node
-        _, _, phi_reads, psi_reads = self._compile("phi")
+        _, _, phi_reads, _ = self._compile("phi")
         if any(self._letters[s][0] not in (lo, hi) for s in phi_reads):
             raise ValueError("orthogonal words use exactly the two given algebras")
-        # every local maximum of a word of length two or more lies in hi
-        phi = {lo: functionals[lo], hi: lambda names: 0 * functionals[hi](names)}
-        (out,) = self._evaluate(
-            lambda a, b: (self._run_phi(a, b),),
-            (phi, phi_reads),
-            ({hi: functionals[hi]}, psi_reads),
-        )
-        return out
+        low, psi = functionals[lo], functionals[hi]
+        pairs = {lo: (low, low), hi: (lambda names: 0 * psi(names), psi)}
+        return [phi for phi, _ in self.cmonotone(pairs)]
 
 
 def oracle_moment(kind: str, word, functionals: dict):
@@ -431,8 +427,8 @@ def oracle_moment(kind: str, word, functionals: dict):
     `functionals` maps each algebra index to a callable on name tuples. For
     the orthogonal kind exactly two indices take part and the functional of
     the higher index is read as the psi-state of the orthogonal algebra:
-    each word runs the c-monotone phi recursion with phi = 0 on the higher
-    one, so a word that opens or closes there vanishes.
+    each word's value is its oracle_cmonotone phi with phi = 0 on the
+    higher one, so a word that opens or closes there vanishes.
     `word` may be raw or already collapsed (see collapse_word). This is the
     one-word `WordPlan`; a word list shares one plan.
     """

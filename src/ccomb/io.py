@@ -1,4 +1,4 @@
-"""Plain-text graph files, DOT export and moment tables.
+"""Plain-text graph files, DOT export and moment tables, read and written.
 
 Graph file format (UTF-8, key = value lines, `#` starts a comment):
 
@@ -32,6 +32,7 @@ __all__ = [
     "format_graph",
     "save_graph",
     "to_dot",
+    "format_moment_table",
     "parse_moment_table",
     "load_moment_table",
 ]
@@ -143,6 +144,27 @@ def to_dot(graph, labels=None) -> str:
         f"  {i} -- {j} [style={_EDGE_STYLES[c]}];" for i, j, c in graph.colored_edges
     ]
     return "\n".join(["graph G {", "  node [shape=circle];", *vertices, *edges, "}\n"])
+
+
+def format_moment_table(values, first_index: int = 0, walks=None) -> str:
+    """The CSV text `n,fraction,decimal` of a coefficient table, plus
+    `walk_count,equal` on each row k when `walks` is given. Exact values
+    are never rounded away; the decimal is advisory, `inf` or `-inf` beyond
+    the float range. A value past the int-to-str digit limit raises ValueError."""
+    rows = ["n,fraction,decimal" + ("" if walks is None else ",walk_count,equal")]
+    for k, v in enumerate(values):
+        f = Fraction(v)
+        try:
+            decimal = repr(float(f))
+        except OverflowError:
+            decimal = "inf" if f > 0 else "-inf"
+        rows.append(f"{first_index + k},{f},{decimal}")
+    if walks is not None:
+        rows[1:] = [
+            f"{row},{w},{'yes' if v == w else 'no'}"
+            for row, v, w in zip(rows[1:], values, walks)
+        ]
+    return "\n".join(rows) + "\n"
 
 
 def _table_value(text: str) -> Fraction:

@@ -57,7 +57,6 @@ __all__ = [
     "multiplicative_convolve",
     "coefficient_formula",
     "compositions",
-    "series_csv_rows",
 ]
 
 ADDITIVE_KINDS = ("monotone", "boolean", "orthogonal", "c-monotone")
@@ -434,18 +433,3 @@ def coefficient_formula(kind: str, n: int, n_mu1, n_mu2, n_nu2=None):
             inner += term
         total += c * inner
     return total if d1 == lam == 1 else Fraction(total, d1 * lam**n)
-
-
-def series_csv_rows(values, first_index: int = 0) -> list:
-    """CSV rows `n,value-as-fraction,value-as-decimal` for a coefficient
-    table; exact values are never rounded away, the decimal is advisory and
-    reads `inf` or `-inf` beyond the float range."""
-    rows = ["n,fraction,decimal"]
-    for k, v in enumerate(values):
-        f = Fraction(v)
-        try:
-            decimal = repr(float(f))
-        except OverflowError:
-            decimal = "inf" if f > 0 else "-inf"
-        rows.append(f"{first_index + k},{f},{decimal}")
-    return rows

@@ -779,10 +779,11 @@ def check_pair_kinds(model_pairs, max_word: int):
     for k, (m1, m2) in enumerate(model_pairs):
         with _case(f"model {k}"):
             fns = {j: ModelFunctional(m, m.xi) for j, m in ((1, m1), (2, m2))}
+            sides = {}
             for kind in ORACLE_KINDS:
                 got = realize_pair(kind, m1, m2).evaluator("phi").moments(halves)
-                sides = {kind: (got, plan.moments(kind, fns))}
-                _same_lists(words, sides, ", {1}, word {0}")
+                sides[kind] = (got, plan.moments(kind, fns))
+            _same_lists(words, sides, ", word {0}: {1}")
     return f"{len(model_pairs)} models x 4 kinds, words to length {max_word}"
 
 
@@ -831,11 +832,8 @@ def check_family_pair_consistency(model_pairs, word_len: int):
             # the family at keys 1, 2 is the plain pair; the variant pair is a
             # different construction of the same moments
             pair = realize_cmonotone_pair(m1, m2, variant=True)
-            sides = {
-                s: (fam.evaluator(s).moments(halves), pair.evaluator(s).moments(halves))
-                for s in ("phi", "psi")
-            }
-            _same_lists(words, sides, ", word {0}, state {1}")
+            states = (pair.evaluator(s).moments(halves) for s in ("phi", "psi"))
+            _same_as_cmonotone({"": fam}, words, halves, list(zip(*states)))
     return f"{len(subset)} models, words to length {word_len}"
 
 

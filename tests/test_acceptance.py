@@ -479,7 +479,7 @@ def test_an_independence_route_scaled_one_power_off_fails_verify_independence(
     checks = verify.run_suite("independence", CFG)
     failures = {c.name: c.detail for c in checks if not c.passed}
     expected = {
-        "independence/pair-kind-oracle-equality": "model 0, boolean, word ((1, 'a'),)",
+        "independence/pair-kind-oracle-equality": "model 0, word ((1, 'a'),): boolean",
         "independence/cmonotone-pair-oracle-equality": "model 0, word ((1, 'a'),): phi",
         "independence/family-three-oracle-equality": "family 0, word ((0, 'a'),): psi",
     }
@@ -537,11 +537,11 @@ def test_a_broken_word_fails_with_the_first_witness_of_a_word_walk(monkeypatch):
         verify.check_cmonotone_pair(models, 4),
     ]
     assert [c.detail for c in oracle_broken + variant_broken] == [
-        "model 0, tensor, word ((2, 'a'), (1, 'a'))",
+        "model 0, word ((2, 'a'), (1, 'a')): tensor",
         "model 0, word ((2, 'a'), (2, 'a')): psi",
         "family 0, word ((0, 'a'), (2, 'a')): psi",
         "pair 0, word ((2, 'a'), (2, 'a')): psi",
-        "model 0, word ((2, 'a'),), state phi",
+        "model 0, word ((2, 'a'),): phi",
         "model 0, word ((2, 'a'),): variant phi",
     ]
 

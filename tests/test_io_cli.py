@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+import hypothesis.strategies as st
 
 from ccomb.cli import main
 from ccomb.fixtures import additive_demo_pair, multiplicative_demo_pair
@@ -13,6 +15,7 @@ from ccomb.graphs import birooted, colored, root_moments, rooted
 from ccomb.io import (
     GraphFormatError,
     format_graph,
+    format_moment_table,
     load_graph,
     parse_graph,
     parse_moment_table,
@@ -107,6 +110,42 @@ def test_moment_table_parse():
         parse_moment_table("0,1\n2,5")  # gap in indices
     with pytest.raises(ValueError):
         parse_moment_table("")
+
+
+# magnitudes past the float range too, whose decimal column reads inf or -inf
+_big_ints = st.integers(min_value=-(10**400), max_value=10**400)
+_big_fractions = st.builds(Fraction, _big_ints, st.integers(1, 10**400))
+
+
+@given(
+    st.one_of(
+        st.lists(_big_ints, min_size=1, max_size=8),
+        st.lists(_big_fractions, min_size=1, max_size=8),
+    ),
+    st.lists(st.booleans(), min_size=8, max_size=8),
+)
+@example([1, 10**400, -(10**400)], [True, False, True] * 3)
+@example([Fraction(10**400, 3), Fraction(-(10**401), 7), Fraction(1, 3)], [False] * 8)
+def test_moment_table_written_and_read_back_exactly(values, equal):
+    walks = [v if same else v + 1 for v, same in zip(values, equal)]
+    plain, walked = format_moment_table(values), format_moment_table(values, 0, walks)
+    assert parse_moment_table(plain) == parse_moment_table(walked) == values
+    assert plain.splitlines()[0] == "n,fraction,decimal"
+    assert walked.splitlines()[0] == "n,fraction,decimal,walk_count,equal"
+    rows = zip(values, walks, plain.splitlines()[1:], walked.splitlines()[1:])
+    for v, w, row, walk_row in rows:
+        decimal = row.split(",")[2]
+        if abs(v) < 10**308:
+            assert float(decimal) == float(v)
+        elif abs(v) >= 2**1024:
+            assert decimal == ("inf" if v > 0 else "-inf")
+        # the walk column reads yes or no row by row
+        assert walk_row == f"{row},{w},{'yes' if v == w else 'no'}"
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        # an exact value past the int-to-str digit limit cannot be written
+        too_long = 10 ** sys.get_int_max_str_digits()
+        with pytest.raises(ValueError):
+            format_moment_table([*values, too_long])
 
 
 def test_cli_product_and_outputs(tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from ccomb import series
+from ccomb.io import format_moment_table
 from ccomb.series import (
     ADDITIVE_KINDS,
     MULTIPLICATIVE_KINDS,
@@ -26,7 +27,6 @@ from ccomb.series import (
     point_mass_moments,
     psi_from_eta,
     psi_from_moments,
-    series_csv_rows,
 )
 
 from conftest import eta_sequences, moment_sequences, small_fractions
@@ -322,7 +322,7 @@ def test_orthogonal_coefficient_formula_matches_direct_sum(n_mu1, n_mu2):
 
 
 def test_csv_rows():
-    rows = series_csv_rows((1, Fraction(3, 2)), first_index=0)
+    rows = format_moment_table((1, Fraction(3, 2)), first_index=0).splitlines()
     assert rows[0] == "n,fraction,decimal"
     assert rows[1] == "0,1,1.0"
     assert rows[2] == "1,3/2,1.5"
