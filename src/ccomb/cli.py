@@ -35,6 +35,7 @@ directory. Exit code is 0 only if every requested check passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -323,7 +324,10 @@ def _cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later
+    `main` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ccomb",
         description=(
@@ -378,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     order = getattr(args, "order", 1)
     max_word = getattr(args, "max_word", 1)
     samples = (getattr(args, "graphs", 0), getattr(args, "models", 0))

@@ -124,7 +124,7 @@ def save_graph(path, graph, labels=None) -> None:
     Path(path).write_text(format_graph(graph, labels), encoding="utf-8")
 
 
-_EDGE_STYLES = {1: "solid", 2: "dashed"}
+_EDGE_STYLES = {1: " [style=solid];", 2: " [style=dashed];"}
 
 
 def to_dot(graph, labels=None) -> str:
@@ -132,17 +132,23 @@ def to_dot(graph, labels=None) -> str:
     square; color-1 edges are solid, color-2 edges dashed. Vertices come in
     index order and edges in the graph's sorted order."""
     shapes = {graph.second_root: "shape=square", graph.root: "shape=doublecircle"}
-
-    def attrs(v: int) -> str:
-        found = [shapes[v]] if v in shapes else []
-        if labels is not None:
-            found.append(f'label="{v}:({",".join(map(str, labels[v]))})"')
-        return f" [{', '.join(found)}]" if found else ""
-
-    vertices = [f"  {v}{attrs(v)};" for v in range(graph.vertex_count)]
-    edges = [
-        f"  {i} -- {j} [style={_EDGE_STYLES[c]}];" for i, j, c in graph.colored_edges
-    ]
+    if labels is None:
+        vertices = [
+            f"  {v} [{shapes[v]}];" if v in shapes else f"  {v};"
+            for v in range(graph.vertex_count)
+        ]
+    else:
+        # one `%` template per label length; a root's shape leads its label
+        forms = {
+            k: '  %%d [%%slabel="%%d:(%s)"];' % ",".join(["%s"] * k)
+            for k in set(map(len, labels))
+        }
+        heads = {v: f"{shape}, " for v, shape in shapes.items()}
+        vertices = [
+            forms[len(lab)] % (v, heads.get(v, ""), v, *lab)
+            for v, lab in enumerate(labels)
+        ]
+    edges = [f"  {i} -- {j}{_EDGE_STYLES[c]}" for i, j, c in graph.colored_edges]
     return "\n".join(["graph G {", "  node [shape=circle];", *vertices, *edges, "}\n"])
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, adjacency_columns, adjacency_matrix, colored, disjoint_union
 from .independence import AlgebraModel, Realization, build_cmonotone, two_state_pairs
-from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict, tensor_index
+from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict
 
 __all__ = [
     "ProductGraph",
@@ -121,35 +121,32 @@ class OperatorDecomposition:
         return subspace_restrict(op, product.embedding)
 
 
-def _glue(g1, g2, labels, spine, hosts, copy, embed, ambient_dim) -> ProductGraph:
-    """The one gluing rule: G1's edges join the spine labels spine(u) with
-    their colors kept, and each host u carries a color-2 copy of G2 whose
-    vertex y is labeled copy(u, y). The root is spine(e1); a label sits at
-    composite index embed(label) of an ambient space of size ambient_dim."""
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = [(index[spine(u)], index[spine(v)], c) for u, v, c in g1.colored_edges]
-    for u in hosts:
-        at = [index[copy(u, y)] for y in range(g2.vertex_count)]
-        edges.extend((at[y], at[z], 2) for y, z, _c in g2.colored_edges)
-    graph = colored(len(labels), edges, index[spine(g1.root)])
-    embedding = tuple(embed(lab) for lab in labels)
-    return ProductGraph(graph, tuple(labels), embedding, ambient_dim)
+def _glue(g1, g2, labels, embedding, spine, copies, ambient_dim) -> ProductGraph:
+    """The one gluing rule, by composite index: vertex v sits at composite
+    index embedding[v] of an ambient space of size ambient_dim. The range
+    `spine` holds the composite indices of the spine vertices u = 0, 1, ...,
+    which carry G1's edges with their colors kept, and each range in
+    `copies` a color-2 copy of G2, vertex y at its y-th index. The root is
+    the spine vertex of e1. The position map covers the product's own
+    vertices only, never the ambient space."""
+    at = dict(zip(embedding, range(len(embedding)))).__getitem__
+    axis = list(map(at, spine))
+    edges = [(axis[u], axis[v], c) for u, v, c in g1.colored_edges]
+    for run in copies:
+        copy = list(map(at, run))
+        edges.extend((copy[y], copy[z], 2) for y, z, _c in g2.colored_edges)
+    graph = colored(len(labels), edges, axis[g1.root])
+    return ProductGraph(graph, tuple(labels), tuple(embedding), ambient_dim)
 
 
 def _two_leg(g1: Graph, g2: Graph, labels, hosts) -> ProductGraph:
-    """Gluing at e2 on V1 x V2: the spine is {(u, e2)}, vertex y of the
-    copy on host u is (u, y), at composite index u * n2 + y."""
-    n2, e2 = g2.vertex_count, g2.root
-    return _glue(
-        g1,
-        g2,
-        labels,
-        lambda u: (u, e2),
-        hosts,
-        lambda u, y: (u, y),
-        lambda lab: lab[0] * n2 + lab[1],
-        g1.vertex_count * n2,
-    )
+    """Gluing at e2 on V1 x V2: label (u, y) sits at composite index
+    u * n2 + y, so the spine {(u, e2)} is strided by n2 and the copy on
+    host u is the contiguous block of u."""
+    n2, size = g2.vertex_count, g1.vertex_count * g2.vertex_count
+    embedding = [u * n2 + y for u, y in labels]
+    copies = [range(u * n2, u * n2 + n2) for u in hosts]
+    return _glue(g1, g2, labels, embedding, range(g2.root, size, n2), copies, size)
 
 
 def star_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -188,7 +185,8 @@ def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
     Labels are the pre-swap coordinates (u, y, z): y is the f2-copy leg, z
     the e2-copy leg. The spine {(u, f2, e2)} carries the edges of G1; the
     ambient leg order (V1, V2-at-e2, V2-at-f2) puts label (u, y, z) at
-    composite coordinate (u, z, y)."""
+    composite coordinate (u, z, y), so the copy {(e1, f2, z)} on the root
+    is strided by n2 and every other copy {(u, y, e2)} is contiguous."""
     if g2.second_root is None:
         raise TypeError("the second factor must be birooted")
     n1, e1 = g1.vertex_count, g1.root
@@ -199,16 +197,12 @@ def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
         if u != e1:
             labels.extend((u, y, e2) for y in range(n2) if y != f2)
     labels.extend((e1, f2, z) for z in range(n2) if z != e2)
-    return _glue(
-        g1,
-        g2,
-        labels,
-        lambda u: (u, f2, e2),
-        range(n1),
-        lambda u, y: (e1, f2, y) if u == e1 else (u, y, e2),
-        lambda lab: tensor_index((n1, n2, n2), (lab[0], lab[2], lab[1])),
-        n1 * n2 * n2,
-    )
+    square = n2 * n2
+    embedding = [u * square + z * n2 + y for u, y, z in labels]
+    copies = [range((u * n2 + e2) * n2, (u * n2 + e2 + 1) * n2) for u in range(n1)]
+    copies[e1] = range(e1 * square + f2, (e1 + 1) * square, n2)
+    spine = range(e2 * n2 + f2, n1 * square, square)
+    return _glue(g1, g2, labels, embedding, spine, copies, n1 * square)
 
 
 def _union(first: ProductGraph, second: ProductGraph) -> ProductGraph:

@@ -192,6 +192,33 @@ def test_cli_moments(capsys):
     assert out[3] == "2,1,1.0"
 
 
+def test_cli_calls_in_one_process_share_one_parser(capsys, monkeypatch):
+    import argparse
+
+    graph = fixture_path("additive_g2.graph")
+    assert main(["moments", graph, "--order", "5"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    capsys.readouterr()
+    # the --order of the last call does not carry over to the next
+    assert main(["moments", graph]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 13
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", graph, "--order", "five"])
+    assert exc.value.code == 2
+    assert main(["moments", graph, "--order", "0"]) == 2
+    capsys.readouterr()
+    assert main(["moments", graph, "--order", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert not built
+
+
 def test_cli_moments_second_root_errors(tmp_path, capsys):
     plain = tmp_path / "plain.graph"
     save_graph(plain, rooted(2, [(0, 1)], 0))

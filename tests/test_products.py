@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -491,6 +492,118 @@ def test_product_output_is_pinned():
             digest.update(format_graph(prod.graph, prod.vertex_labels).encode())
             digest.update(to_dot(prod.graph, prod.vertex_labels).encode())
     assert digest.hexdigest() == PRODUCT_OUTPUT_DIGEST
+
+
+def _roots_off_zero(rng, n):
+    """A seeded birooted graph on n vertices whose two roots differ and are
+    both off vertex 0."""
+    edges = {(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.2}
+    e, f = rng.sample(range(1, n), 2)
+    return birooted(n, edges, e, f)
+
+
+# sha256 of format_graph + to_dot (with labels) for the seven CLI product
+# kinds of seeded 16- and 12-vertex factors, every root off vertex 0
+SCALE_OUTPUT_DIGEST = (
+    "60bc0a85d12fd5948eb3e90dc1ab6dac27a303c80eb3f2748ca1ac9d04a9c49b"
+)
+
+
+def test_product_output_is_pinned_at_scale():
+    import hashlib
+
+    from ccomb.io import format_graph, to_dot
+
+    rng = random.Random("product-scale-pin")
+    g1, g2 = _roots_off_zero(rng, 16), _roots_off_zero(rng, 12)
+    digest = hashlib.sha256()
+    for build in (
+        star_product, comb_product, orthogonal_product, comb_at_product,
+        c_comb_product, comb_loop_product, c_comb_loop_product,
+    ):
+        prod = build(g1, g2)
+        digest.update(format_graph(prod.graph, prod.vertex_labels).encode())
+        digest.update(to_dot(prod.graph, prod.vertex_labels).encode())
+    assert digest.hexdigest() == SCALE_OUTPUT_DIGEST
+
+
+@st.composite
+def glued_factors(draw, max_vertices=4, loops=True):
+    """A birooted factor with both roots off vertex 0 and distinct; with
+    `loops`, each root carries a loop, else the factor has none."""
+    n = draw(st.integers(3, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + (not loops), n)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    e, f = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+    return birooted(n, edges | ({(e, e), (f, f)} if loops else set()), e, f)
+
+
+def _reference_builders():
+    """The eight builders over the label-level reference: the four
+    label builders, and the unions and loop rule on top of them."""
+    from ccomb.products import _loops_off_spine, _union
+
+    import product_reference as ref
+
+    def comb_loop(g1, g2):
+        return _loops_off_spine(ref.comb_product(g1, g2), (g2.root,))
+
+    def essential_loop(g1, g2):
+        base = ref.comb_at_product(g1, g2)
+        return _loops_off_spine(base, (g2.second_root, g2.root))
+
+    return {
+        star_product: ref.star_product,
+        comb_product: ref.comb_product,
+        orthogonal_product: ref.orthogonal_product,
+        comb_at_product: ref.comb_at_product,
+        c_comb_product: lambda g1, g2: _union(
+            ref.comb_at_product(g1, g2),
+            ref.comb_product(g1.at_second(), g2.at_second()),
+        ),
+        comb_loop_product: comb_loop,
+        essential_loop_product: essential_loop,
+        c_comb_loop_product: lambda g1, g2: _union(
+            essential_loop(g1, g2), comb_loop(g1.at_second(), g2.at_second())
+        ),
+    }
+
+
+@given(
+    st.one_of(
+        glued_factors(),
+        # a c-comb product as first factor carries color-2 edges; loopless
+        # factors keep its color-2 loops from meeting those of G2's copies
+        st.builds(
+            lambda a, b: c_comb_product(a, b).graph,
+            glued_factors(max_vertices=3, loops=False),
+            glued_factors(max_vertices=3, loops=False),
+        ),
+    ),
+    glued_factors(),
+)
+def test_products_equal_the_label_level_reference(g1, g2):
+    for build, reference in _reference_builders().items():
+        assert build(g1, g2) == reference(g1, g2), build.__name__
+
+
+def test_products_hold_no_list_of_ambient_length():
+    # comb-at of a 2- and a 1,000-vertex factor has 2,000 vertices in an
+    # ambient space of 2,000,000; a list of that length costs 8 bytes per
+    # coordinate, the position map over the product's vertices well under 2
+    import tracemalloc
+
+    g1 = birooted(2, [(0, 1)], 1, 0)
+    g2 = birooted(1000, [(i, i + 1) for i in range(999)], 1, 500)
+    for build in (comb_at_product, c_comb_product, c_comb_loop_product):
+        tracemalloc.start()
+        try:
+            prod = build(g1, g2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prod.ambient_dim in (2_000_000, 2_002_000)
+        assert peak < 2 * prod.ambient_dim, (build.__name__, peak)
 
 
 def test_halved_root_moments_convolve_to_the_halved_walks_and_operator():
