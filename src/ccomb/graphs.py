@@ -31,7 +31,6 @@ __all__ = [
     "adjacency_columns",
     "root_moments",
     "two_step_moments",
-    "disjoint_union",
     "brute_force_closed_walks",
     "count_d_walks",
 ]
@@ -80,12 +79,6 @@ class Graph:
 
     def monochrome_edges(self, color: int) -> frozenset:
         return frozenset((i, j) for i, j, c in self.colored_edges if c == color)
-
-    def at_second(self) -> "Graph":
-        """The same edges rooted at the second root."""
-        if self.second_root is None:
-            raise TypeError("graph has no second root")
-        return Graph(self.vertex_count, self.colored_edges, self.second_root)
 
 
 def colored(
@@ -178,17 +171,6 @@ def two_step_moments(g: Graph, order: int, at: int | None = None) -> MomentSerie
     at = _vertex(g, at)
     steps = (adjacency_columns(g, 1), adjacency_columns(g, 2))
     return MomentSeries(sparse_moments(steps, order, at))
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union with vertex set V1 then V2, keeping edge colors; the
-    result is birooted at (root of g1, shifted root of g2) and the argument
-    order is significant."""
-    n1 = g1.vertex_count
-    # every shifted index is at least n1, so g2's edges sort after g1's
-    shifted = tuple((i + n1, j + n1, c) for i, j, c in g2.colored_edges)
-    edges = g1.colored_edges + shifted
-    return Graph(n1 + g2.vertex_count, edges, g1.root, n1 + g2.root)
 
 
 def _closed_walks(g: Graph, length: int, at, colors: tuple, first_return: bool):

@@ -22,6 +22,7 @@ c-comb      disjoint union of the comb-at component (root e) and a plain
 Loop rule: the loop variants (comb-loop, the essential loop component and
 c-comb-loop) add a color-1 loop on every vertex off the spine, so that
 products of the one-color adjacency matrices count alternating d-walks.
+Each product, c-comb union and loops included, is glued in one pass.
 
 Since the first factor keeps its colors, a product can itself be a first
 factor. A second-factor pair that already carries both colors would become
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, adjacency_columns, adjacency_matrix, colored, disjoint_union
+from .graphs import Graph, adjacency_columns, adjacency_matrix, colored
 from .independence import AlgebraModel, Realization, build_cmonotone, two_state_pairs
 from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict
 
@@ -121,72 +122,60 @@ class OperatorDecomposition:
         return subspace_restrict(op, product.embedding)
 
 
-def _glue(g1, g2, labels, embedding, spine, copies, ambient_dim) -> ProductGraph:
-    """The one gluing rule, by composite index: vertex v sits at composite
-    index embedding[v] of an ambient space of size ambient_dim. The range
-    `spine` holds the composite indices of the spine vertices u = 0, 1, ...,
-    which carry G1's edges with their colors kept, and each range in
-    `copies` a color-2 copy of G2, vertex y at its y-th index. The root is
-    the spine vertex of e1. The position map covers the product's own
-    vertices only, never the ambient space."""
-    at = dict(zip(embedding, range(len(embedding)))).__getitem__
-    axis = list(map(at, spine))
-    edges = [(axis[u], axis[v], c) for u, v, c in g1.colored_edges]
-    for run in copies:
-        copy = list(map(at, run))
-        edges.extend((copy[y], copy[z], 2) for y, z, _c in g2.colored_edges)
-    graph = colored(len(labels), edges, axis[g1.root])
-    return ProductGraph(graph, tuple(labels), tuple(embedding), ambient_dim)
+def _glue(g1, g2, parts, loops=False) -> ProductGraph:
+    """The one gluing rule, by composite index. Each part is one component
+    (labels, embedding, spine, copies, size, root): its vertex v sits at
+    composite index embedding[v] of an ambient block of the given size, the
+    range `spine` holds the composite indices of the spine vertices u = 0,
+    1, ..., which carry G1's edges with their colors kept, and each range
+    in `copies` a color-2 copy of G2, vertex y at its y-th index. The parts
+    follow one another in a direct sum; the spine vertex of the first
+    part's root is the product's root, that of the second part's its second
+    root. With `loops`, every vertex off its part's spine gets a color-1
+    loop. The position maps cover the product's own vertices only."""
+    labels, embedding, edges, roots, block = [], [], [], [], 0
+    for part, embed, spine, copies, size, root in parts:
+        n = len(labels)
+        at = dict(zip(embed, range(n, n + len(embed)))).__getitem__
+        axis = list(map(at, spine))
+        edges.extend((axis[u], axis[v], c) for u, v, c in g1.colored_edges)
+        for run in copies:
+            copy = list(map(at, run))
+            edges.extend((copy[y], copy[z], 2) for y, z, _c in g2.colored_edges)
+        if loops:
+            edges.extend((v, v, 1) for v, k in enumerate(embed, n) if k not in spine)
+        roots.append(axis[root])
+        labels += part
+        embedding += (block + k for k in embed)
+        block += size
+    graph = colored(len(labels), edges, *roots)
+    return ProductGraph(graph, tuple(labels), tuple(embedding), block)
 
 
-def _two_leg(g1: Graph, g2: Graph, labels, hosts) -> ProductGraph:
-    """Gluing at e2 on V1 x V2: label (u, y) sits at composite index
-    u * n2 + y, so the spine {(u, e2)} is strided by n2 and the copy on
-    host u is the contiguous block of u."""
+def _two_leg(g1: Graph, g2: Graph, labels, hosts, e1, e2) -> tuple:
+    """The part glued at (e1, e2) on V1 x V2: label (u, y) sits at composite
+    index u * n2 + y, so the spine {(u, e2)} is strided by n2 and the copy
+    on host u is the contiguous block of u."""
     n2, size = g2.vertex_count, g1.vertex_count * g2.vertex_count
     embedding = [u * n2 + y for u, y in labels]
     copies = [range(u * n2, u * n2 + n2) for u in hosts]
-    return _glue(g1, g2, labels, embedding, range(g2.root, size, n2), copies, size)
+    return labels, embedding, range(e2, size, n2), copies, size, e1
 
 
-def star_product(g1: Graph, g2: Graph) -> ProductGraph:
-    """Glue (G2, e2) at its root to the root of (G1, e1)."""
-    n1, e1 = g1.vertex_count, g1.root
-    n2, e2 = g2.vertex_count, g2.root
-    labels = [(u, e2) for u in range(n1)]
-    labels += [(e1, y) for y in range(n2) if y != e2]
-    return _two_leg(g1, g2, labels, [e1])
-
-
-def comb_product(g1: Graph, g2: Graph) -> ProductGraph:
-    """A copy of (G2, e2) at its root on every vertex of G1; the product
-    fills the whole tensor space V1 x V2."""
+def _comb(g1: Graph, g2: Graph, e1, e2) -> tuple:
+    """The comb part at the roots (e1, e2): it fills all of V1 x V2."""
     n1, n2 = g1.vertex_count, g2.vertex_count
     labels = [(u, y) for u in range(n1) for y in range(n2)]
-    return _two_leg(g1, g2, labels, range(n1))
+    return _two_leg(g1, g2, labels, range(n1), e1, e2)
 
 
-def orthogonal_product(g1: Graph, g2: Graph) -> ProductGraph:
-    """Copies of (G2, e2) on every vertex of G1 except its root."""
-    n1, e1 = g1.vertex_count, g1.root
-    n2, e2 = g2.vertex_count, g2.root
-    labels = []
-    for u in range(n1):
-        labels.extend([(e1, e2)] if u == e1 else [(u, y) for y in range(n2)])
-    return _two_leg(g1, g2, labels, [u for u in range(n1) if u != e1])
-
-
-def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
-    """A copy of (G2, e2) on the root of G1 and copies of (G2, f2) on all
-    remaining vertices: the orthogonal product of (G1, e1) and (G2, f2)
-    followed by the star product with (G2, e2). With f2 = e2 this collapses
-    to the comb product.
-
-    Labels are the pre-swap coordinates (u, y, z): y is the f2-copy leg, z
-    the e2-copy leg. The spine {(u, f2, e2)} carries the edges of G1; the
-    ambient leg order (V1, V2-at-e2, V2-at-f2) puts label (u, y, z) at
-    composite coordinate (u, z, y), so the copy {(e1, f2, z)} on the root
-    is strided by n2 and every other copy {(u, y, e2)} is contiguous."""
+def _comb_at(g1: Graph, g2: Graph) -> tuple:
+    """The comb-at part. Labels are the pre-swap coordinates (u, y, z): y is
+    the f2-copy leg, z the e2-copy leg. The spine {(u, f2, e2)} carries the
+    edges of G1; the ambient leg order (V1, V2-at-e2, V2-at-f2) puts label
+    (u, y, z) at composite coordinate (u, z, y), so the copy {(e1, f2, z)}
+    on the root is strided by n2 and every other copy {(u, y, e2)} is
+    contiguous."""
     if g2.second_root is None:
         raise TypeError("the second factor must be birooted")
     n1, e1 = g1.vertex_count, g1.root
@@ -202,45 +191,61 @@ def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
     copies = [range((u * n2 + e2) * n2, (u * n2 + e2 + 1) * n2) for u in range(n1)]
     copies[e1] = range(e1 * square + f2, (e1 + 1) * square, n2)
     spine = range(e2 * n2 + f2, n1 * square, square)
-    return _glue(g1, g2, labels, embedding, spine, copies, n1 * square)
+    return labels, embedding, spine, copies, n1 * square, e1
 
 
-def _union(first: ProductGraph, second: ProductGraph) -> ProductGraph:
-    """Disjoint union of two product components, the second embedded after
-    the ambient block of the first; roots e and f."""
-    block = first.ambient_dim
-    return ProductGraph(
-        disjoint_union(first.graph, second.graph),
-        first.vertex_labels + second.vertex_labels,
-        first.embedding + tuple(block + k for k in second.embedding),
-        block + second.ambient_dim,
-    )
+def _c_comb(g1: Graph, g2: Graph) -> list:
+    """The two parts of the c-comb product: the comb-at component (root e)
+    and the comb product at the second roots (root f)."""
+    if g1.second_root is None:
+        raise TypeError("the first factor must be birooted")
+    return [_comb_at(g1, g2), _comb(g1, g2, g1.second_root, g2.second_root)]
+
+
+def star_product(g1: Graph, g2: Graph) -> ProductGraph:
+    """Glue (G2, e2) at its root to the root of (G1, e1)."""
+    n1, e1 = g1.vertex_count, g1.root
+    n2, e2 = g2.vertex_count, g2.root
+    labels = [(u, e2) for u in range(n1)]
+    labels += [(e1, y) for y in range(n2) if y != e2]
+    return _glue(g1, g2, [_two_leg(g1, g2, labels, [e1], e1, e2)])
+
+
+def comb_product(g1: Graph, g2: Graph) -> ProductGraph:
+    """A copy of (G2, e2) at its root on every vertex of G1; the product
+    fills the whole tensor space V1 x V2."""
+    return _glue(g1, g2, [_comb(g1, g2, g1.root, g2.root)])
+
+
+def orthogonal_product(g1: Graph, g2: Graph) -> ProductGraph:
+    """Copies of (G2, e2) on every vertex of G1 except its root."""
+    n1, e1 = g1.vertex_count, g1.root
+    n2, e2 = g2.vertex_count, g2.root
+    labels = []
+    for u in range(n1):
+        labels.extend([(e1, e2)] if u == e1 else [(u, y) for y in range(n2)])
+    hosts = [u for u in range(n1) if u != e1]
+    return _glue(g1, g2, [_two_leg(g1, g2, labels, hosts, e1, e2)])
+
+
+def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
+    """A copy of (G2, e2) on the root of G1 and copies of (G2, f2) on all
+    remaining vertices: the orthogonal product of (G1, e1) and (G2, f2)
+    followed by the star product with (G2, e2). With f2 = e2 this collapses
+    to the comb product."""
+    return _glue(g1, g2, [_comb_at(g1, g2)])
 
 
 def c_comb_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Disjoint union of the comb-at component of (G1, e1) and (G2, e2, f2)
     with the comb product of (G1, f1) and (G2, f2); roots e and f."""
-    ess = comb_at_product(g1, g2)
-    return _union(ess, comb_product(g1.at_second(), g2.at_second()))
-
-
-def _loops_off_spine(base: ProductGraph, spine: tuple) -> ProductGraph:
-    """The loop rule: a color-1 loop on every vertex off the spine, i.e.
-    whose label past its G1 coordinate differs from `spine`. The loops
-    merge into the edges, and `Graph` refuses a loop already there."""
-    loops = tuple(
-        (v, v, 1) for v, label in enumerate(base.vertex_labels) if label[1:] != spine
-    )
-    # two sorted runs: Timsort merges them in one linear pass
-    edges = tuple(sorted(base.graph.colored_edges + loops))
-    graph = Graph(base.vertex_count, edges, base.graph.root)
-    return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)
+    return _glue(g1, g2, _c_comb(g1, g2))
 
 
 def comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Comb product with a color-1 loop added to every vertex except the
     root of each G2-copy."""
-    return _loops_off_spine(comb_product(g1, g2), (g2.root,))
+    return _glue(g1, g2, [_comb(g1, g2, g1.root, g2.root)], loops=True)
 
 
 def essential_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
@@ -250,15 +255,13 @@ def essential_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     is what makes products of the one-color adjacency matrices count
     alternating d-walks, and it matches the identity summand of the loop
     pair (R1, R2)."""
-    base = comb_at_product(g1, g2)
-    return _loops_off_spine(base, (g2.second_root, g2.root))
+    return _glue(g1, g2, [_comb_at(g1, g2)], loops=True)
 
 
 def c_comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Disjoint union of the essential loop component (root e) and the comb
     loop product at the second roots (root f)."""
-    ess = essential_loop_product(g1, g2)
-    return _union(ess, comb_loop_product(g1.at_second(), g2.at_second()))
+    return _glue(g1, g2, _c_comb(g1, g2), loops=True)
 
 
 # The product whose root walks count each additive convolution kind, in the
@@ -292,7 +295,7 @@ def _decomposition(g1: Graph, g2: Graph, psi: bool, loops: bool):
     if g2.second_root is None:
         raise TypeError("the second factor must be birooted")
     if psi and g1.second_root is None:
-        raise TypeError("graph has no second root")
+        raise TypeError("the first factor must be birooted")
     f1 = g1.second_root if psi else None
     a1, a2 = adjacency_columns(g1), adjacency_columns(g2)
     if loops:

@@ -2,12 +2,14 @@
 
 The library places each product vertex by composite-index arithmetic: one
 position map over the product's own vertices, with the spine and every
-G2-copy read as a range of composite indices. These are the four label
+G2-copy read as a range of composite indices, and it glues the c-comb
+unions and the loop rule in the same pass. These are the four label
 builders written on vertex labels instead: each spine and copy vertex is a
 label computed by a function and found through a label -> vertex map, and
 each label is embedded by a function of its own (`tensor_index` in
-comb-at). Tests compare the two in graph, labels, embedding and ambient
-dimension.
+comb-at). On top of them, `union` and `loops_off_spine` build the c-comb
+unions and the loop products as new graphs from finished components.
+Tests compare the two in graph, labels, embedding and ambient dimension.
 """
 
 from ccomb.graphs import Graph, colored
@@ -103,3 +105,39 @@ def comb_at_product(g1: Graph, g2: Graph) -> ProductGraph:
         lambda lab: tensor_index((n1, n2, n2), (lab[0], lab[2], lab[1])),
         n1 * n2 * n2,
     )
+
+
+def at_second(g: Graph) -> Graph:
+    """The same edges rooted at the second root."""
+    return Graph(g.vertex_count, g.colored_edges, g.second_root)
+
+
+def union(first: ProductGraph, second: ProductGraph) -> ProductGraph:
+    """Disjoint union of two product components, the second embedded after
+    the ambient block of the first; roots e and f."""
+    n1, block = first.vertex_count, first.ambient_dim
+    g1, g2 = first.graph, second.graph
+    # every shifted index is at least n1, so g2's edges sort after g1's
+    shifted = tuple((i + n1, j + n1, c) for i, j, c in g2.colored_edges)
+    graph = Graph(
+        n1 + g2.vertex_count, g1.colored_edges + shifted, g1.root, n1 + g2.root
+    )
+    return ProductGraph(
+        graph,
+        first.vertex_labels + second.vertex_labels,
+        first.embedding + tuple(block + k for k in second.embedding),
+        block + second.ambient_dim,
+    )
+
+
+def loops_off_spine(base: ProductGraph, spine: tuple) -> ProductGraph:
+    """The loop rule: a color-1 loop on every vertex off the spine, i.e.
+    whose label past its G1 coordinate differs from `spine`. The loops
+    merge into the edges, and `Graph` refuses a loop already there."""
+    loops = tuple(
+        (v, v, 1) for v, label in enumerate(base.vertex_labels) if label[1:] != spine
+    )
+    # two sorted runs: Timsort merges them in one linear pass
+    edges = tuple(sorted(base.graph.colored_edges + loops))
+    graph = Graph(base.vertex_count, edges, base.graph.root)
+    return ProductGraph(graph, base.vertex_labels, base.embedding, base.ambient_dim)

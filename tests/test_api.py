@@ -101,7 +101,7 @@ def test_decompositions_build_no_product_graph():
         "star_product", "comb_product", "orthogonal_product", "comb_at_product",
         "c_comb_product", "comb_loop_product", "essential_loop_product",
         "c_comb_loop_product", "ADDITIVE_WALK_PRODUCTS",
-        "_glue", "_two_leg", "_union", "_loops_off_spine",
+        "_glue", "_two_leg", "_comb", "_comb_at", "_c_comb",
     }
     assert builders - {"ADDITIVE_WALK_PRODUCTS"} <= set(defs)
     roots = (

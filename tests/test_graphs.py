@@ -9,12 +9,11 @@ from ccomb.graphs import (
     brute_force_closed_walks,
     colored,
     count_d_walks,
-    disjoint_union,
     root_moments,
     rooted,
     two_step_moments,
 )
-from ccomb.linalg import Matrix, direct_sum
+from ccomb.linalg import Matrix
 from ccomb.series import eta_from_moments
 
 from conftest import rooted_graphs
@@ -65,23 +64,6 @@ def test_root_moments_examples():
     assert root_moments(isolated, 3).coeffs == (1, 0, 0, 0)
 
 
-def test_disjoint_union():
-    a = rooted(1, [], 0)
-    u = disjoint_union(a, a)
-    assert u.vertex_count == 2 and not u.edges
-    assert (u.root, u.second_root) == (0, 1)
-
-    edge = rooted(2, [(0, 1)], 0)
-    loop = rooted(1, [(0, 0)], 0)
-    u = disjoint_union(edge, loop)
-    assert u.vertex_count == 3
-    assert u.edges == frozenset({(0, 1), (2, 2)})
-    assert (u.root, u.second_root) == (0, 2)
-    assert adjacency_matrix(u) == direct_sum(
-        adjacency_matrix(edge), adjacency_matrix(loop)
-    )
-
-
 @given(rooted_graphs())
 def test_adjacency_is_symmetric(g):
     a = adjacency_matrix(g)
@@ -93,16 +75,6 @@ def test_colored_adjacency_is_symmetric_per_color():
     for color in (1, 2, None):
         a = adjacency_matrix(g, color)
         assert a == a.transpose()
-
-
-@given(rooted_graphs())
-def test_union_moments_stay_componentwise(g):
-    other = rooted(2, [(0, 1), (1, 1)], 1)
-    u = disjoint_union(g, other)
-    assert root_moments(u, 6).coeffs == root_moments(g, 6).coeffs
-    assert (
-        root_moments(u, 6, at=u.second_root).coeffs == root_moments(other, 6).coeffs
-    )
 
 
 def test_brute_force_examples():
@@ -251,9 +223,4 @@ def test_graph_keeps_its_edges_as_one_sorted_tuple():
 def test_birooted_accessors():
     g = birooted(3, [(0, 1), (1, 2)], 0, 2)
     assert (g.root, g.second_root) == (0, 2)
-    assert g.at_second().root == 2
-    assert g.at_second().second_root is None
-    assert g.at_second().colored_edges == g.colored_edges
     assert g.edges == frozenset({(0, 1), (1, 2)})
-    with pytest.raises(TypeError):
-        rooted(1, [], 0).at_second()

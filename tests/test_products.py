@@ -7,6 +7,7 @@ from hypothesis import given
 
 from ccomb.fixtures import additive_demo_pair, multiplicative_demo_pair
 from ccomb.graphs import (
+    Graph,
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,
@@ -51,6 +52,7 @@ from dense_reference import (
     kron_all,
     sparse_to_matrix,
 )
+from product_reference import at_second
 
 EDGE = rooted(2, [(0, 1)], 0)
 ISOLATED = rooted(1, [], 0)
@@ -167,7 +169,7 @@ def test_comb_at_is_orthogonal_at_the_second_root_then_star():
     rng = random.Random("comb-at")
     for _ in range(30):
         g1, g2 = random_birooted_graph(rng), random_birooted_graph(rng)
-        orthogonal = orthogonal_product(g1, g2.at_second()).graph
+        orthogonal = orthogonal_product(g1, at_second(g2)).graph
         two_step = star_product(orthogonal, g2).graph
         prod = comb_at_product(g1, g2).graph
         assert two_step.vertex_count == prod.vertex_count
@@ -213,7 +215,7 @@ def test_c_comb_demo_pair_components():
     essential = comb_at_product(g1, g2)
     assert essential.vertex_count == 12
     # moments at f only see the comb component
-    cmb = comb_product(g1.at_second(), g2.at_second())
+    cmb = comb_product(at_second(g1), at_second(g2))
     assert (
         root_moments(prod.graph, 8, at=prod.graph.second_root).coeffs
         == root_moments(cmb.graph, 8).coeffs
@@ -422,6 +424,15 @@ def test_birooted_factor_requirements():
         c_comb_product(birooted(1, [], 0, 0), EDGE)
 
 
+def test_c_comb_kinds_refuse_a_first_factor_without_second_root():
+    # the comb component at f reads f1: a rooted first factor is refused
+    # before anything is glued
+    pair = birooted(2, [(0, 1)], 0, 1)
+    for build in (c_comb_product, c_comb_loop_product):
+        with pytest.raises(TypeError):
+            build(EDGE, pair)
+
+
 def test_decompositions_refuse_what_their_products_refuse_for_lack_of_roots():
     # built from the factors alone, they still need the roots their
     # product reads: f2 always, f1 for the c-comb kinds (never a dropped
@@ -541,30 +552,28 @@ def glued_factors(draw, max_vertices=4, loops=True):
 def _reference_builders():
     """The eight builders over the label-level reference: the four
     label builders, and the unions and loop rule on top of them."""
-    from ccomb.products import _loops_off_spine, _union
-
     import product_reference as ref
 
     def comb_loop(g1, g2):
-        return _loops_off_spine(ref.comb_product(g1, g2), (g2.root,))
+        return ref.loops_off_spine(ref.comb_product(g1, g2), (g2.root,))
 
     def essential_loop(g1, g2):
         base = ref.comb_at_product(g1, g2)
-        return _loops_off_spine(base, (g2.second_root, g2.root))
+        return ref.loops_off_spine(base, (g2.second_root, g2.root))
 
     return {
         star_product: ref.star_product,
         comb_product: ref.comb_product,
         orthogonal_product: ref.orthogonal_product,
         comb_at_product: ref.comb_at_product,
-        c_comb_product: lambda g1, g2: _union(
+        c_comb_product: lambda g1, g2: ref.union(
             ref.comb_at_product(g1, g2),
-            ref.comb_product(g1.at_second(), g2.at_second()),
+            ref.comb_product(at_second(g1), at_second(g2)),
         ),
         comb_loop_product: comb_loop,
         essential_loop_product: essential_loop,
-        c_comb_loop_product: lambda g1, g2: _union(
-            essential_loop(g1, g2), comb_loop(g1.at_second(), g2.at_second())
+        c_comb_loop_product: lambda g1, g2: ref.union(
+            essential_loop(g1, g2), comb_loop(at_second(g1), at_second(g2))
         ),
     }
 
@@ -587,6 +596,24 @@ def test_products_equal_the_label_level_reference(g1, g2):
         assert build(g1, g2) == reference(g1, g2), build.__name__
 
 
+def test_each_product_is_one_graph_checked_once(monkeypatch):
+    # the c-comb unions and the loop rule are glued in the same pass as the
+    # components: each builder constructs its product's Graph and no other,
+    # so every edge passes Graph's checks once
+    g1, g2 = multiplicative_demo_pair()
+    built = []
+    check = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or check(g))
+    for build in (
+        star_product, comb_product, orthogonal_product, comb_at_product,
+        c_comb_product, comb_loop_product, essential_loop_product,
+        c_comb_loop_product,
+    ):
+        built.clear()
+        prod = build(g1, g2)
+        assert len(built) == 1 and built[0] is prod.graph, (build.__name__, len(built))
+
+
 def test_products_hold_no_list_of_ambient_length():
     # comb-at of a 2- and a 1,000-vertex factor has 2,000 vertices in an
     # ambient space of 2,000,000; a list of that length costs 8 bytes per
@@ -595,7 +622,10 @@ def test_products_hold_no_list_of_ambient_length():
 
     g1 = birooted(2, [(0, 1)], 1, 0)
     g2 = birooted(1000, [(i, i + 1) for i in range(999)], 1, 500)
-    for build in (comb_at_product, c_comb_product, c_comb_loop_product):
+    builds = (
+        comb_at_product, c_comb_product, essential_loop_product, c_comb_loop_product
+    )
+    for build in builds:
         tracemalloc.start()
         try:
             prod = build(g1, g2)
