@@ -181,14 +181,14 @@ def _table_text(values, first: int, walks=None) -> str:
         raise _CliError(f"cannot print an exact value: {exc}") from exc
 
 
-def _load_additive_input(path, order):
+def _load_additive_input(path, order, nu=False):
+    """(graph or None, mu, nu); nu, at a second root, is read only if asked."""
     if str(path).endswith(".graph"):
         g = _load_graph_or_fail(path)
         mu = root_moments(g, order)
-        nu = None
-        if g.second_root is not None:
-            nu = root_moments(g, order, at=g.second_root)
-        return g, mu, nu
+        if nu and g.second_root is not None:
+            return g, mu, root_moments(g, order, at=g.second_root)
+        return g, mu, None
     try:
         values = gio.load_moment_table(path)
         mu = moment_series(values[: order + 1])
@@ -235,9 +235,7 @@ def _cmd_convolve(args) -> int:
     g1, mu1, _ = _load_additive_input(paths[0], order)
     g2, mu2, nu2 = None, None, None
     if len(paths) > 1:
-        g2, mu2, nu2 = _load_additive_input(paths[1], order)
-    if kind != "c-monotone":
-        nu2 = None
+        g2, mu2, nu2 = _load_additive_input(paths[1], order, kind == "c-monotone")
     want = 3 if kind == "c-monotone" and nu2 is None else 2
     if len(paths) != want:
         allowed = "2 inputs"

@@ -10,14 +10,19 @@ keeps its edges as one canonical tuple of (i, j, color) with i <= j, in
 strictly increasing order: `colored` sorts once when a graph is built, and
 every later step reads that order instead of sorting again. All values
 are immutable. Vertex identification never mutates inputs; product
-constructions keep explicit label maps (see the products module).
+constructions keep explicit label maps (see the products module). Walks
+count on neighbor lists: `root_moments` and `two_step_moments` share one
+walk kernel, the brute-force counters a level table, and neither reaches
+`linalg`'s operator kernel, so a fault in one makes the routes disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
-from .linalg import Matrix, sparse_moments
+from .linalg import Matrix
 # graphs.sparse_apply stays bound: perfbench's tracer tests patch it here
 from .linalg import sparse_apply  # noqa: F401
 from .series import MomentSeries
@@ -158,19 +163,51 @@ def _vertex(g: Graph, at: int | None) -> int:
     return at
 
 
-def root_moments(g, order: int, at: int | None = None) -> MomentSeries:
-    """Closed-walk counts at a vertex: M_n = (a^n)[at][at] for n = 0..order."""
+def _walk_step(adj: list, vec: dict) -> dict:
+    """One step on positive walk counts: each goes to each listed neighbor."""
+    out: dict = {}
+    get = out.get
+    for u, x in vec.items():
+        for t in adj[u]:
+            out[t] = get(t, 0) + x
+    return out
+
+
+def _walk_moments(g: Graph, order: int, at, colors: tuple) -> MomentSeries:
+    """<delta_at, Z^n delta_at>, n = 0..order, where a step Z walks one edge
+    of each color in `colors` in turn (None: any color). The half chain of
+    `linalg.sparse_moments`: v_k = Z^k delta, w_k = (Z^T)^k delta, M_2k =
+    <w_k, v_k>, M_2k+1 = <w_k, v_k+1>; Z^T walks the colors in reverse, so
+    w is v for a palindrome. Only the current vectors are held."""
     at = _vertex(g, at)
-    return MomentSeries(sparse_moments((adjacency_columns(g),), order, at))
+    steps = [_neighbor_lists(g, c) for c in colors]
+    back = None if colors == colors[::-1] else steps[::-1]
+    v = w = {at: 1}
+    out = [1]
+    for n in range(1, order + 1):
+        if n % 2:
+            for adj in steps:
+                v = _walk_step(adj, v)
+        elif back is None:
+            w = v
+        else:
+            for adj in back:
+                w = _walk_step(adj, w)
+        at_w = v.values() if w is v else map(v.get, w, repeat(0))
+        out.append(sum(map(mul, at_w, w.values())))
+    return MomentSeries(tuple(out))
+
+
+def root_moments(g: Graph, order: int, at: int | None = None) -> MomentSeries:
+    """Closed-walk counts at a vertex: M_n = (a^n)[at][at] for n = 0..order."""
+    return _walk_moments(g, order, at, (None,))
 
 
 def two_step_moments(g: Graph, order: int, at: int | None = None) -> MomentSeries:
     """Moments <delta_at, Z^n delta_at> of the two-step operator
     Z = A2 * A1 built from the color-1 and color-2 adjacencies: each step
     applies A1, then A2."""
-    at = _vertex(g, at)
-    steps = (adjacency_columns(g, 1), adjacency_columns(g, 2))
-    return MomentSeries(sparse_moments(steps, order, at))
+    return _walk_moments(g, order, at, (1, 2))
 
 
 def _closed_walks(g: Graph, length: int, at, colors: tuple, first_return: bool):

@@ -15,10 +15,11 @@ does the one tensor-operator builder (`independence._placed`, which writes
 each factor column straight to its composite columns), so two operators are
 equal exactly when their column lists are.
 `sparse_apply` maps a sparse vector ``{index: value}``, `sparse_transpose`
-turns columns into rows, and `sparse_moments` is the one moment kernel. It
-walks half the chain: with v_k = Z^k delta and w_k = (Z^T)^k delta,
-M_2k = <w_k, v_k> and M_2k+1 = <w_k, v_k+1>; a self-adjoint Z (a graph
-adjacency, a symmetric decomposition total) has w = v.
+turns columns into rows, and `sparse_moments` is the operators' moment
+kernel (walks count on neighbor lists in `graphs`). It walks half the
+chain: with v_k = Z^k delta and w_k = (Z^T)^k delta, M_2k = <w_k, v_k> and
+M_2k+1 = <w_k, v_k+1>; a self-adjoint Z (a symmetric decomposition total)
+has w = v.
 The dense `Matrix` serves the factor-size oracle models only: entrywise
 sums and differences and one product, whose entry sums start at zero times
 their row's first entry, so an empty sum takes the row's type; it has no

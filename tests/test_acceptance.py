@@ -594,15 +594,17 @@ def test_a_broken_series_fails_on_the_series_route(monkeypatch):
 
 
 def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
-    # the walk counters share no code with the moment kernel, so a kernel
+    # the walk counters share no code with the walk kernel, so a kernel
     # that gets M_12 one too high disagrees with the walks at length 12
-    real = graphs.sparse_moments
+    real = graphs._walk_moments
 
-    def high(steps, order, at):
-        out = real(steps, order, at)
-        return out[:12] + (out[12] + 1,) + out[13:] if order >= 12 else out
+    def high(g, order, at, colors):
+        out = real(g, order, at, colors).coeffs
+        if order >= 12:
+            out = out[:12] + (out[12] + 1,) + out[13:]
+        return verify.moment_series(out)
 
-    monkeypatch.setattr(graphs, "sparse_moments", high)
+    monkeypatch.setattr(graphs, "_walk_moments", high)
     check = verify._drawing(CFG, verify.check_walk_cross_oracle, 6)
     assert check == verify.Check(
         "walk-count-cross-oracle",
@@ -612,15 +614,40 @@ def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
 
 
 def test_a_kernel_that_takes_every_step_tuple_as_self_adjoint_fails(monkeypatch):
-    # the half-chain kernel may read M_2k as <v_k, v_k> only for a
+    # the operator kernel may read M_2k as <v_k, v_k> only for a
     # self-adjoint step; a self-adjointness test that always says yes breaks
-    # the two-step moments of every alternating walk and eta check
+    # the two-step operator moments of both eta checks, and the walks,
+    # which count on neighbor lists, tell them apart
     monkeypatch.setattr(linalg, "_mirrored", lambda cols, mirror: True)
     failures = _products_failures()
     assert failures == {
+        "multiplicative-eta-three-route": "pair 0: walks vs operator differ at n=2",
+        "multiplicative-second-root-monotone": "pair 0: walks vs operator differ at n=2",
+    }
+
+
+def test_a_walk_kernel_that_never_walks_the_back_chain_fails(monkeypatch):
+    # the walks twin of the test above: a kernel that reads M_2k as
+    # <v_k, v_k> for the two-step walks too disagrees with the enumerated
+    # colored split and with the operator route of both eta checks
+    def forward_only(g, order, at, colors):
+        steps = [graphs._neighbor_lists(g, c) for c in colors]
+        v = {graphs._vertex(g, at): 1}
+        out = [1]
+        for n in range(1, order + 1):
+            w = v
+            if n % 2:
+                for adj in steps:
+                    v = graphs._walk_step(adj, v)
+            out.append(sum(x * v.get(i, 0) for i, x in w.items()))
+        return verify.moment_series(tuple(out))
+
+    monkeypatch.setattr(graphs, "_walk_moments", forward_only)
+    failures = _products_failures()
+    assert failures == {
         "colored-adjacency-split": "pair 0: walks vs enumerated differ at n=2",
-        "multiplicative-eta-three-route": "pair 0: walks vs series differ at n=2",
-        "multiplicative-second-root-monotone": "pair 0: walks vs series differ at n=2",
+        "multiplicative-eta-three-route": "pair 0: walks vs operator differ at n=2",
+        "multiplicative-second-root-monotone": "pair 0: walks vs operator differ at n=2",
     }
 
 

@@ -64,29 +64,50 @@ def test_coefficient_formula_shares_no_helper_with_the_series_kernels():
     assert used & set(functions) == {"compositions"}
 
 
-def test_walk_counters_stay_off_the_moment_kernel():
-    # the walk route is the operator route's independent witness: a moment
-    # kernel bug must make them disagree, so no walk counter reaches it,
-    # also not through a helper of its own module
+def _graphs_reach(root: str, forbidden: set) -> set:
+    """Every graphs function `root` reaches by name; none may name one of
+    `forbidden`, also not through a helper of the module."""
     tree = ast.parse((ROOT / "src" / "ccomb" / "graphs.py").read_text("utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    kernel = {
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        named = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(functions[name])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        assert not named & forbidden, (root, name, named & forbidden)
+        todo.extend(named & set(functions) - reached)
+    return reached
+
+
+def test_walk_counters_stay_off_the_moment_kernel():
+    # the walk route is the operator route's independent witness, and the
+    # brute-force counters the walk kernel's: a kernel bug must make them
+    # disagree, so no counter reaches either kernel
+    kernels = {
         "sparse_apply", "sparse_moments", "adjacency_columns",
         "adjacency_matrix", "root_moments", "two_step_moments",
+        "_walk_moments", "_walk_step",
     }
     for counter in ("_closed_walks", "brute_force_closed_walks", "count_d_walks"):
-        reached, todo = set(), [counter]
-        while todo:
-            name = todo.pop()
-            reached.add(name)
-            named = {
-                n.id if isinstance(n, ast.Name) else n.attr
-                for n in ast.walk(functions[name])
-                if isinstance(n, (ast.Name, ast.Attribute))
-            }
-            assert not named & kernel, (counter, name, named & kernel)
-            todo.extend(named & set(functions) - reached)
+        reached = _graphs_reach(counter, kernels)
         assert {"_closed_walks", "_neighbor_lists", "_vertex"} <= reached
+
+
+def test_the_walk_kernel_stays_off_the_operator_kernel():
+    # root_moments and two_step_moments count on neighbor lists: a fault in
+    # linalg's kernel or in the operator columns leaves them alone
+    operator = {
+        "sparse_apply", "sparse_moments", "sparse_transpose", "_mirrored",
+        "adjacency_columns",
+    }
+    for walks in ("root_moments", "two_step_moments"):
+        reached = _graphs_reach(walks, operator)
+        helpers = {"_walk_moments", "_walk_step", "_neighbor_lists", "_vertex"}
+        assert reached == {walks} | helpers
 
 
 def test_decompositions_build_no_product_graph():

@@ -4,6 +4,8 @@ import hypothesis.strategies as st
 
 from ccomb.graphs import (
     Graph,
+    _neighbor_lists,
+    adjacency_columns,
     adjacency_matrix,
     birooted,
     brute_force_closed_walks,
@@ -13,7 +15,7 @@ from ccomb.graphs import (
     rooted,
     two_step_moments,
 )
-from ccomb.linalg import Matrix
+from ccomb.linalg import Matrix, sparse_moments
 from ccomb.series import eta_from_moments
 
 from conftest import rooted_graphs
@@ -118,6 +120,32 @@ def test_walk_counters_equal_the_literal_enumerator_in_value_and_type(g):
                 want = closed_walks(g, n, at, colors, first_return)
                 assert type(got) is int
                 assert got == want, (at, n, colors, first_return)
+
+
+@given(
+    colored_graphs(max_vertices=6, max_edges=16),
+    st.sampled_from([None, 1, 2]),
+)
+def test_neighbor_lists_are_the_adjacency_columns_expanded(g, color):
+    # the walk kernel and the brute-force counters both read these lists:
+    # each column's rows, in order, one entry per unit of multiplicity
+    expanded = [
+        [r for r, m in col for _ in range(m)] for col in adjacency_columns(g, color)
+    ]
+    assert _neighbor_lists(g, color) == expanded
+
+
+@given(colored_graphs(max_vertices=6, max_edges=16), st.integers(0, 40))
+def test_the_walk_kernel_equals_the_operator_kernel_in_value_and_type(g, order):
+    # loops and doubly-colored pairs included: neighbor lists against
+    # (row, value) columns, the one-step and the two-step operator
+    one = (adjacency_columns(g),)
+    two = (adjacency_columns(g, 1), adjacency_columns(g, 2))
+    for at in range(g.vertex_count):
+        for walks, steps in ((root_moments, one), (two_step_moments, two)):
+            got = walks(g, order, at=at).coeffs
+            assert got == sparse_moments(steps, order, at), (walks.__name__, at)
+            assert all(type(x) is int for x in got)
 
 
 @pytest.mark.parametrize("at", [-1, 2])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+from ccomb import cli
 from ccomb.cli import main
 from ccomb.fixtures import additive_demo_pair, multiplicative_demo_pair
 from ccomb.graphs import birooted, colored, root_moments, rooted
@@ -240,6 +241,28 @@ def test_cli_convolve_graphs_walk_column(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,fraction,decimal,walk_count,equal"
+    assert all(line.endswith(",yes") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "kind, reads", [("monotone", [None, None]), ("c-monotone", [None, None, 1])]
+)
+def test_cli_convolve_reads_only_the_factor_moments_it_uses(
+    monkeypatch, capsys, kind, reads
+):
+    # mu1 and mu2 at the roots, nu2 at the second root of the second graph
+    # for c-monotone alone, then the product's walk column at its root
+    calls = []
+
+    def counted(g, order, at=None):
+        calls.append(at)
+        return root_moments(g, order, at=at)
+
+    monkeypatch.setattr(cli, "root_moments", counted)
+    g1, g2 = fixture_path("additive_g1.graph"), fixture_path("additive_g2.graph")
+    assert main(["convolve", "additive", kind, g1, g2, "--order", "6"]) == 0
+    assert calls == reads + [None]
+    lines = capsys.readouterr().out.splitlines()
     assert all(line.endswith(",yes") for line in lines[1:])
 
 

@@ -2,6 +2,7 @@
 of megabytes; the column-sparse operators keep each well under a second."""
 
 import functools
+import hashlib
 import random
 from pathlib import Path
 from time import perf_counter
@@ -10,9 +11,14 @@ import pytest
 
 from ccomb import cli, io as gio
 from ccomb.cli import MAX_WORD_LETTERS, MAX_WORD_MOMENT_BUILD, PRODUCT_KINDS, main
-from ccomb.graphs import birooted, rooted
+from ccomb.graphs import birooted, root_moments, rooted, two_step_moments
 from ccomb.io import save_graph
-from ccomb.products import c_comb_decomposition
+from ccomb.products import (
+    ADDITIVE_WALK_PRODUCTS,
+    c_comb_decomposition,
+    comb_loop_product,
+    essential_loop_product,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -175,3 +181,31 @@ def test_products_just_over_the_vertex_limit_are_refused_up_front(tmp_path, caps
         assert perf_counter() - start < 2.0, argv
         _one_error_line(capsys, "1000001 vertices", str(gio.MAX_VERTICES))
     assert not (tmp_path / "out").exists()
+
+
+def _digest(rows) -> str:
+    text = "\n".join(f"{name}:{','.join(map(str, coeffs))}" for name, coeffs in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+ADDITIVE_PIN = "7bcaa7c4efaaa0b0276f29f79c03a4b38321fc2901fddd1dd0c1c43a2c9b2171"
+TWO_STEP_PIN = "341856cfdffa65c85181cab4bdf9e121ed5ea86195254f3ad6e4256294d86f01"
+
+
+def test_walk_columns_at_benchmark_size_are_pinned():
+    # verify's pairs have at most 6 vertices per factor; these pin the walk
+    # columns on products of up to 1,600 vertices (additive, order 24) and
+    # of 256 (two-step, order 16), hashed while both ran on the operator
+    # kernel
+    g1, g2 = seeded_graph(3, 40), seeded_graph(4, 40)
+    additive = [
+        (kind, root_moments(build(g1, g2).graph, 24).coeffs)
+        for kind, build in sorted(ADDITIVE_WALK_PRODUCTS.items())
+    ]
+    assert _digest(additive) == ADDITIVE_PIN
+    g1, g2 = seeded_graph(1), seeded_graph(2)
+    two_step = [
+        (build.__name__, two_step_moments(build(g1, g2).graph, 16).coeffs)
+        for build in (comb_loop_product, essential_loop_product)
+    ]
+    assert _digest(two_step) == TWO_STEP_PIN

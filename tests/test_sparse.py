@@ -13,6 +13,7 @@ from ccomb.graphs import (
     adjacency_columns,
     adjacency_matrix,
     colored,
+    root_moments,
     rooted,
     two_step_moments,
 )
@@ -311,17 +312,24 @@ def test_a_step_pair_one_entry_off_its_transpose_walks_both_chains(monkeypatch):
 
 
 def test_the_moment_kernel_streams_the_chain():
-    # a kernel that kept the chain would hold 256 vectors of ~500 big ints
+    # a kernel that kept the chain would hold 256 vectors of ~500 big ints;
+    # the operator kernel and the walk kernel both stream it
     n = 1000
-    cols = adjacency_columns(rooted(n, [(v, (v + 1) % n) for v in range(n)], 0))
-    tracemalloc.start()
-    try:
-        moments = sparse_moments((cols,), 512, 0)
-        _size, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert moments[512] == math.comb(512, 256)
-    assert peak < 1_000_000
+    g = rooted(n, [(v, (v + 1) % n) for v in range(n)], 0)
+    cols = adjacency_columns(g)
+    kernels = (
+        lambda: sparse_moments((cols,), 512, 0),
+        lambda: root_moments(g, 512).coeffs,
+    )
+    for kernel in kernels:
+        tracemalloc.start()
+        try:
+            moments = kernel()
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert moments[512] == math.comb(512, 256)
+        assert peak < 1_000_000
 
 
 # -- decompositions against the dense tensor formulas ---------------------------
