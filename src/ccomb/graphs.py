@@ -12,8 +12,9 @@ every later step reads that order instead of sorting again. All values
 are immutable. Vertex identification never mutates inputs; product
 constructions keep explicit label maps (see the products module). Walks
 count on neighbor lists: `root_moments` and `two_step_moments` share one
-walk kernel, the brute-force counters a level table, and neither reaches
-`linalg`'s operator kernel, so a fault in one makes the routes disagree.
+walk kernel; the brute-force counters read one forward pass that counts
+every length at once, in O(length * edges). Neither reaches `linalg`'s
+operator kernel, so a fault in one makes the routes disagree.
 """
 
 from __future__ import annotations
@@ -180,6 +181,8 @@ def _walk_moments(g: Graph, order: int, at, colors: tuple) -> MomentSeries:
     <w_k, v_k>, M_2k+1 = <w_k, v_k+1>; Z^T walks the colors in reverse, so
     w is v for a palindrome. Only the current vectors are held."""
     at = _vertex(g, at)
+    if order < 0:
+        raise ValueError("moment order must be at least 0")
     steps = [_neighbor_lists(g, c) for c in colors]
     back = None if colors == colors[::-1] else steps[::-1]
     v = w = {at: 1}
@@ -211,48 +214,45 @@ def two_step_moments(g: Graph, order: int, at: int | None = None) -> MomentSerie
 
 
 def _closed_walks(g: Graph, length: int, at, colors: tuple, first_return: bool):
-    """Count the closed walks of the given length at `at` whose k-th edge
-    (k = 0, 1, ...) has color colors[k % len(colors)], a color of None
-    allowing every edge. With `first_return`, walks that revisit `at` after
-    an even, non-final number of steps are not counted.
+    """The numbers of closed walks at `at` of each length 0..length, whose
+    k-th edge (k = 0, 1, ...) has color colors[k % len(colors)], a color of
+    None allowing every edge. With `first_return`, walks that revisit `at`
+    after an even, non-final number of steps are not counted.
 
-    count[p][v] is the number of k-step walks from v back to `at` whose
-    first edge has color colors[p]; level k sums level k - 1 over the
-    neighbor lists, so a call costs O(length * period * edges).
+    One forward pass: count[v] is the number of k-step walks from `at` to v,
+    and step k sums it over the neighbor lists of its color. After each
+    step count[at] is read, then zeroed at an even step under
+    `first_return`, so a call costs O(length * edges).
     """
     at = _vertex(g, at)
-    period = len(colors)
-    adj = [_neighbor_lists(g, c) for c in colors]
-    count = [[int(v == at) for v in range(g.vertex_count)] for _ in colors]
-    for k in range(1, length + 1):
-        if first_return and k > 1 and (length - k + 1) % 2 == 0:
-            # the step lands at an even, non-final time: it must miss `at`
-            for prev in count:
-                prev[at] = 0
-        count = [
-            [sum(count[(p + 1) % period][w] for w in nbrs) for nbrs in adj[p]]
-            for p in range(period)
-        ]
-    return count[0][at]
+    if length < 0:
+        raise ValueError("walk length must be at least 0")
+    steps = [_neighbor_lists(g, c) for c in colors]
+    count = [int(v == at) for v in range(g.vertex_count)]
+    out = [1]
+    for k in range(length):
+        count = [sum(map(count.__getitem__, nbrs)) for nbrs in steps[k % len(colors)]]
+        out.append(count[at])
+        if first_return and k % 2:  # after an even step, longer walks miss `at`
+            count[at] = 0
+    return out
 
 
 def brute_force_closed_walks(
     g: Graph, length: int, at: int | None = None, alternating: bool = False
 ) -> int:
-    """Count the closed walks of the given length at a vertex by the
-    level table of `_closed_walks`.
+    """Closed walks of the given length at a vertex, counted by `_closed_walks`.
 
     With `alternating`, consecutive edges must differ in color and the first
     edge must have color 1, so a graph without color-2 edges has none of
     positive length.
     """
     colors = (1, 2) if alternating else (None,)
-    return _closed_walks(g, length, at, colors, first_return=False)
+    return _closed_walks(g, length, at, colors, first_return=False)[length]
 
 
 def count_d_walks(g: Graph, length: int, at: int | None = None) -> int:
-    """Count the first-return d-walks of even length by the level table of
-    `_closed_walks`.
+    """First-return d-walks of even length, counted by `_closed_walks`.
 
     A d-walk is a closed walk with alternating edge colors originating with
     color 1 that does not revisit the base vertex at any intermediate even
@@ -261,4 +261,4 @@ def count_d_walks(g: Graph, length: int, at: int | None = None) -> int:
     """
     if length % 2 != 0 or length < 2:
         raise ValueError("d-walk length must be a positive even number")
-    return _closed_walks(g, length, at, (1, 2), first_return=True)
+    return _closed_walks(g, length, at, (1, 2), first_return=True)[length]

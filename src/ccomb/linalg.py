@@ -293,6 +293,8 @@ def sparse_moments(steps, order: int, at: int) -> tuple:
     current vectors are held, never the chain."""
     if not 0 <= at < len(steps[0]):
         raise IndexError("state index out of range")
+    if order < 0:
+        raise ValueError("moment order must be at least 0")
     back = None
     half = steps[: (len(steps) + 1) // 2]
     if not all(_mirrored(a, b) for a, b in zip(reversed(steps), half)):

@@ -651,6 +651,39 @@ def test_a_walk_kernel_that_never_walks_the_back_chain_fails(monkeypatch):
     }
 
 
+def test_a_walk_counter_that_drops_the_first_return_rule_fails_the_d_walks(
+    monkeypatch,
+):
+    # every closed alternating walk counted as a d-walk: only the d-walk
+    # check compares first returns, and it sees them first at length 4
+    real = graphs._closed_walks
+
+    def every_return(g, length, at, colors, first_return):
+        return real(g, length, at, colors, False)
+
+    monkeypatch.setattr(graphs, "_closed_walks", every_return)
+    assert _products_failures() == {
+        "d-walk-first-return-counts": "pair 0: d-walks vs series differ at n=2",
+    }
+
+
+def test_a_walk_counter_that_ignores_the_colors_fails_both_colored_checks(
+    monkeypatch,
+):
+    # any edge at every step: the enumerated and the d-walk routes both
+    # count walks the two-step operator does not take, from length 2
+    real = graphs._closed_walks
+
+    def uncolored(g, length, at, colors, first_return):
+        return real(g, length, at, (None,), first_return)
+
+    monkeypatch.setattr(graphs, "_closed_walks", uncolored)
+    assert _products_failures() == {
+        "colored-adjacency-split": "pair 0: walks vs enumerated differ at n=1",
+        "d-walk-first-return-counts": "pair 0: d-walks vs series differ at n=1",
+    }
+
+
 def test_a_pair_check_takes_a_generator_and_prefixes_a_routes_witness(monkeypatch):
     pairs = verify.multiplicative_pairs(VerifyConfig(graph_samples=2))
     check = verify.check_multiplicative_second_root((p for p in pairs), 4)

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 
 from ccomb.graphs import (
     Graph,
+    _closed_walks,
     _neighbor_lists,
     adjacency_columns,
     adjacency_matrix,
@@ -15,7 +16,9 @@ from ccomb.graphs import (
     rooted,
     two_step_moments,
 )
+from ccomb.fixtures import multiplicative_demo_pair
 from ccomb.linalg import Matrix, sparse_moments
+from ccomb.products import c_comb_loop_product
 from ccomb.series import eta_from_moments
 
 from conftest import rooted_graphs
@@ -108,7 +111,14 @@ def colored_graphs(draw, max_vertices=5, max_edges=6):
 
 @given(colored_graphs())
 def test_walk_counters_equal_the_literal_enumerator_in_value_and_type(g):
+    modes = [((None,), False), ((1, 2), False), ((1, 2), True)]
     for at in range(g.vertex_count):
+        for colors, first_return in modes:
+            # one forward pass gives every length, odd first-return ones too
+            got = _closed_walks(g, 10, at, colors, first_return)
+            want = [closed_walks(g, n, at, colors, first_return) for n in range(11)]
+            assert [type(x) for x in got] == [int] * 11
+            assert got == want, (at, colors, first_return)
         for n in range(11):
             cases = [
                 (brute_force_closed_walks(g, n, at=at), (None,), False),
@@ -148,6 +158,30 @@ def test_the_walk_kernel_equals_the_operator_kernel_in_value_and_type(g, order):
             assert all(type(x) is int for x in got)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: brute_force_closed_walks(g, -1), "walk length must be at least 0"),
+        (lambda g: count_d_walks(g, -2), "d-walk length must be a positive even"),
+        (lambda g: root_moments(g, -5), "moment order must be at least 0"),
+        (lambda g: two_step_moments(g, -1), "moment order must be at least 0"),
+        (
+            lambda g: sparse_moments((adjacency_columns(g),), -2, 0),
+            "moment order must be at least 0",
+        ),
+    ],
+    ids=[
+        "brute_force_closed_walks", "count_d_walks", "root_moments",
+        "two_step_moments", "sparse_moments",
+    ],
+)
+def test_walk_counters_and_moments_refuse_a_negative_length(call, message):
+    # the counters and the kernels return every length from 0 up: a
+    # negative one would read the list from its end, or give (1,)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(rooted(2, [(0, 1), (1, 1)], 0))
+
+
 @pytest.mark.parametrize("at", [-1, 2])
 def test_walk_counters_refuse_a_vertex_outside_the_graph(at):
     g = rooted(2, [(0, 1), (1, 1)], 0)
@@ -164,7 +198,7 @@ def test_walk_counters_refuse_a_vertex_outside_the_graph(at):
 
 
 def test_walk_counters_run_past_length_16():
-    # the level table costs O(length * period * edges): no length cap
+    # one forward pass costs O(length * edges): no length cap
     assert brute_force_closed_walks(rooted(1, [(0, 0)], 0), 17) == 1
 
 
@@ -218,6 +252,14 @@ def test_d_walks_are_first_return_decomposition():
     moments = two_step_moments(g, 12)
     eta = eta_from_moments(moments).coeffs
     for n in range(1, 13):
+        assert brute_force_closed_walks(g, 2 * n, alternating=True) == moments.coeffs[n]
+        assert count_d_walks(g, 2 * n) == eta[n - 1]
+    # to length 80 on the 24-vertex c-comb loop product of the demo pair
+    g = c_comb_loop_product(*multiplicative_demo_pair()).graph
+    moments = two_step_moments(g, 40)
+    eta = eta_from_moments(moments).coeffs
+    assert g.vertex_count == 24 and all(eta)
+    for n in range(1, 41):
         assert brute_force_closed_walks(g, 2 * n, alternating=True) == moments.coeffs[n]
         assert count_d_walks(g, 2 * n) == eta[n - 1]
 

@@ -1,8 +1,11 @@
 """A literal closed-walk enumerator: one DFS call per walk, kept as the
-reference the level-table counters in `ccomb.graphs` are tested against.
+reference the forward-pass counters in `ccomb.graphs` are tested against.
 
 `closed_walks(g, length, at, colors, first_return)` takes the arguments of
-`graphs._closed_walks`; its cost is exponential in `length`.
+`graphs._closed_walks` and returns the one count for `length`, which is the
+last entry of the list `_closed_walks` returns; its cost is exponential in
+`length`. Its first-return rule counts the steps left, not the steps
+taken, so it shares no indexing with the forward pass.
 """
 
 from ccomb.graphs import Graph, _neighbor_lists
