@@ -24,8 +24,9 @@ Oracles evaluate the defining moment recursions exactly:
 
 The shape of each recursion depends on the word alone, so `WordPlan`
 compiles it once per word list and evaluates it per functional set;
-`oracle_moment` and `oracle_cmonotone` are its one-word form. The
-all-orders oracle keeps a recursion of its own over every local maximum.
+`oracle_moment` and `oracle_cmonotone` are its one-word form and
+`oracle_cmonotone_all_orders` its one-call form, the c-monotone phi with
+every local maximum stripped in turn, which keeps each word's value set.
 
 Both batch routes, `WordPlan` and `WordMomentEvaluator`, run `Fraction`
 models on integers. Each recursion and each realized moment is multilinear
@@ -223,32 +224,34 @@ def _first_local_max(w: tuple) -> int:
     return len(w) - 1
 
 
-def _phi_split(v: tuple) -> tuple:
+def _phi_split(v: tuple, maxima=None) -> list:
     """The letter phi strips from a collapsed word and the subwords it reads:
-    none for one letter, else the two flanks and the contracted word."""
+    none for one letter, else the two flanks and the contracted word, at
+    the first local maximum or, given `maxima`, at each of them."""
     if len(v) == 1:
-        return v[0], ()
+        return [(v[0], ())]
+    maxima = maxima or [_first_local_max(v)]
+    return [(v[i], (v[:i], v[i + 1 :], _drop_and_merge(v, i))) for i in maxima]
+
+
+def _monotone_split(v: tuple) -> list:
     i = _first_local_max(v)
-    return v[i], (v[:i], v[i + 1 :], _drop_and_merge(v, i))
+    return [(v[i], (_drop_and_merge(v, i),))]
 
 
-def _monotone_split(v: tuple) -> tuple:
-    i = _first_local_max(v)
-    return v[i], (_drop_and_merge(v, i),)
+def _boolean_split(v: tuple) -> list:
+    return [(v[0], (v[1:],))]
 
 
-def _boolean_split(v: tuple) -> tuple:
-    return v[0], (v[1:],)
-
-
-def _tensor_split(v: tuple) -> tuple:
+def _tensor_split(v: tuple) -> list:
     j = v[0][0]
     (letter,) = collapse_word(x for x in v if x[0] == j)
-    return letter, (collapse_word(x for x in v if x[0] != j),)
+    return [(letter, (collapse_word(x for x in v if x[0] != j),))]
 
 
 _SPLITS = {
     "phi": _phi_split,
+    "all-orders": lambda v: _phi_split(v, _local_maxima(v)),
     "boolean": _boolean_split,
     "monotone": _monotone_split,
     "tensor": _tensor_split,
@@ -266,9 +269,10 @@ class WordPlan:
     and leaves ``(slot,)``; every other kind chains nodes ``(slot, rest)``,
     a word's value its letter's times rest's: monotone (the psi side of
     c-monotone) strips the first local maximum, boolean the first letter,
-    tensor the first letter's algebra, its names in word order. The
-    orthogonal kind is the phi of `cmonotone` with phi of the higher algebra
-    read as zero times its functional, a zero of its psi's type.
+    tensor the first letter's algebra, its names in word order. All-orders
+    nodes hold one phi node per local maximum, and their values are sets.
+    The orthogonal kind runs the phi nodes alone, with phi of the higher
+    algebra read as zero times its functional, a zero of its psi's type.
 
     An evaluation reads each letter value it needs once, then fills a flat
     value list in node order, subwords first and the empty word at 0 with
@@ -282,11 +286,11 @@ class WordPlan:
     c is the lcm of all their denominators, a letter ``(j, names)`` scales
     by c ** len(names), and each term of every recursion uses each name of
     its word once, so a word with n names scales by c ** n (n counted once
-    per plan). The loops run on ints, and each nonempty word comes out as
-    the `Fraction` of its value over its scale, the type the unscaled loops
-    give it; the empty word keeps its int 1. Int values, ints and
-    `Fraction`s mixed in one evaluation, and another scalar ring run the
-    loops on the values as read.
+    per plan). The loops run on ints, and each nonempty word's value (each
+    element of its set) comes out as the `Fraction` of it over its scale,
+    the type the unscaled loops give it; the empty word keeps its int 1.
+    Int values, ints and `Fraction`s mixed in one evaluation, and another
+    scalar ring run the loops on the values as read.
     """
 
     def __init__(self, words):
@@ -304,8 +308,10 @@ class WordPlan:
     def _compile(self, kind: str) -> tuple:
         """(nodes, targets, reads, inner) of the recursion of `kind`,
         compiled on first use. Node id 0 is the empty word; nodes[k - 1], of
-        id k, is (slot, *subword ids) of one word; targets holds each word's
-        id; reads and inner, the slots of all nodes and of those not leaves:
+        id k, is (slot, *subword ids) of one word, and for "all-orders" a
+        word of two or more letters holds a tuple of those, one per local
+        maximum in `_local_maxima` order; targets holds each word's id;
+        reads and inner, the slots of all nodes and of those not leaves:
         for phi, the slots whose phi and whose psi it reads. A split's
         subwords are shorter than its word, so a stack collects the words
         and the nodes go out by length, subwords first, with no recursion."""
@@ -315,15 +321,20 @@ class WordPlan:
                 v = stack.pop()
                 if v and v not in splits:
                     splits[v] = _SPLITS[kind](v)
-                    stack.extend(splits[v][1])
-            nodes, ids = [], {(): 0}
+                    stack.extend(u for _, subwords in splits[v] for u in subwords)
+            nodes, ids, reads, inner = [], {(): 0}, set(), set()
             for v in sorted(splits, key=len):
-                letter, subwords = splits[v]
-                nodes.append((self._slot(letter), *(ids[u] for u in subwords)))
+                alternatives = [
+                    (self._slot(letter), *(ids[u] for u in subwords))
+                    for letter, subwords in splits[v]
+                ]
+                for node in alternatives:
+                    (inner if len(node) > 1 else reads).add(node[0])
+                many = kind == "all-orders" and len(v) > 1
+                nodes.append(tuple(alternatives) if many else alternatives[0])
                 ids[v] = len(nodes)
-            reads = {node[0] for node in nodes}
-            inner = {node[0] for node in nodes if len(node) > 1}
-            self._plans[kind] = nodes, [ids[w] for w in self._words], reads, inner
+            targets = [ids[w] for w in self._words]
+            self._plans[kind] = nodes, targets, reads | inner, inner
         return self._plans[kind]
 
     @cached_property
@@ -354,8 +365,14 @@ class WordPlan:
             for s, v in enumerate(x):
                 if type(v) is Fraction:
                     x[s] = v.numerator * (powers[len(letters[s][1])] // v.denominator)
+
+        def unscale(v, n):  # a value, or an all-orders set of values
+            if type(v) is frozenset:
+                return frozenset(Fraction(x, powers[n]) for x in v)
+            return Fraction(v, powers[n])
+
         return [
-            [Fraction(v, powers[n]) if n else v for v, n in zip(out, self._names)]
+            [unscale(v, n) if n else v for v, n in zip(out, self._names)]
             for out in run(*values)
         ]
 
@@ -372,6 +389,27 @@ class WordPlan:
             _, left, right, rest = node
             append((a[s] - b[s]) * values[left] * values[right] + b[s] * values[rest])
         return [values[t] for t in targets]
+
+    def _run_all_orders(self, a: list, b: list) -> list:
+        """The set of phi values of each word over every choice of local
+        maxima, from the letter values a of phi and b of psi: a node's set
+        takes phi's term for each alternative and each element of its
+        subwords' sets, in that order."""
+        nodes, targets, _, _ = self._compile("all-orders")
+        sets = [frozenset({1})]
+        for node in nodes:
+            if type(node[0]) is int:
+                sets.append(frozenset({a[node[0]]}))
+                continue
+            acc = set()
+            for s, left, right, rest in node:
+                d, q = a[s] - b[s], b[s]
+                for x in sets[left]:
+                    for y in sets[right]:
+                        for z in sets[rest]:
+                            acc.add(d * x * y + q * z)
+            sets.append(frozenset(acc))
+        return [sets[t] for t in targets]
 
     def _run_chain(self, kind: str, a: list) -> list:
         """Each word's value on the chain of `kind` from letter values a."""
@@ -395,6 +433,17 @@ class WordPlan:
         )
         return list(zip(phis, psis))
 
+    def all_orders(self, pairs: dict) -> list:
+        """The set of phi values of each word over every choice of local
+        maxima, `pairs` as in oracle_cmonotone."""
+        _, _, phi_reads, psi_reads = self._compile("all-orders")
+        (out,) = self._evaluate(
+            lambda a, b: (self._run_all_orders(a, b),),
+            ({j: p[0] for j, p in pairs.items()}, phi_reads),
+            ({j: p[1] for j, p in pairs.items()}, psi_reads),
+        )
+        return out
+
     def moments(self, kind: str, functionals: dict) -> list:
         """The moment of each word under independence `kind`, `functionals`
         as in oracle_moment."""
@@ -413,12 +462,16 @@ class WordPlan:
             raise ValueError("orthogonal evaluation needs exactly two functionals")
         lo, hi = keys
         # each algebra a word uses has a letter stripped at some phi node
-        _, _, phi_reads, _ = self._compile("phi")
+        _, _, phi_reads, inner = self._compile("phi")
         if any(self._letters[s][0] not in (lo, hi) for s in phi_reads):
             raise ValueError("orthogonal words use exactly the two given algebras")
-        low, psi = functionals[lo], functionals[hi]
-        pairs = {lo: (low, low), hi: (lambda names: 0 * psi(names), psi)}
-        return [phi for phi, _ in self.cmonotone(pairs)]
+        psi = functionals[hi]
+        (out,) = self._evaluate(
+            lambda a, b: (self._run_phi(a, b),),
+            ({lo: functionals[lo], hi: lambda names: 0 * psi(names)}, phi_reads),
+            (functionals, inner),
+        )
+        return out
 
 
 def oracle_moment(kind: str, word, functionals: dict):
@@ -449,36 +502,12 @@ def oracle_cmonotone(word, pairs: dict):
 
 
 def oracle_cmonotone_all_orders(words, pairs: dict) -> list:
-    """For each word, all phi values reachable by choosing local maxima in
-    any order; a singleton set certifies choice independence for that word.
-    It keeps a recursion of its own over every local maximum, apart from the
-    plan's first-local-maximum rule, and one value table across the list.
-    Each word is raw or collapsed, as in oracle_cmonotone."""
-    table: dict = {}
-
-    def values(v: tuple) -> frozenset:
-        if not v:
-            return frozenset({1})
-        if v in table:
-            return table[v]
-        if len(v) == 1:
-            j, names = v[0]
-            out = frozenset({pairs[j][0](names)})
-        else:
-            acc = set()
-            for i in _local_maxima(v):
-                j, names = v[i]
-                a_phi = pairs[j][0](names)
-                a_psi = pairs[j][1](names)
-                for x in values(v[:i]):
-                    for y in values(v[i + 1 :]):
-                        for z in values(_drop_and_merge(v, i)):
-                            acc.add((a_phi - a_psi) * x * y + a_psi * z)
-            out = frozenset(acc)
-        table[v] = out
-        return out
-
-    return [values(collapse_word(w)) for w in words]
+    """For each word, the frozenset of all phi values reachable by choosing
+    local maxima in any order; a singleton set certifies choice
+    independence for that word. Each word is raw or collapsed, as in
+    oracle_cmonotone; this is the one-call `WordPlan.all_orders`, which a
+    caller evaluating one word list under many pairs builds once."""
+    return WordPlan(words).all_orders(pairs)
 
 
 # -- realizations ---------------------------------------------------------------

@@ -115,14 +115,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def transpose(self) -> "Matrix":
-        data = tuple(
-            self.data[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return Matrix(self.cols, self.rows, data)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented

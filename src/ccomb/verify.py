@@ -48,7 +48,6 @@ from .independence import (
     ModelFunctional,
     WordPlan,
     all_words,
-    oracle_cmonotone_all_orders,
     realize_cmonotone_family,
     realize_cmonotone_pair,
     realize_pair,
@@ -868,11 +867,11 @@ def check_family_three(family_models, word_len: int):
 @_check("local-maximum-choice-independence")
 def check_local_max_choice(model_pairs):
     words = all_words(PAIR_LETTERS, ALL_ORDERS_WORD)
-    subset = model_pairs[:10]
+    plan, subset = WordPlan(words), model_pairs[:10]
     for k, (m1, m2) in enumerate(subset):
         with _case(f"model {k}"):
             pairs = two_state_pairs({1: m1, 2: m2})
-            for w, vals in zip(words, oracle_cmonotone_all_orders(words, pairs)):
+            for w, vals in zip(words, plan.all_orders(pairs)):
                 _same(len(vals), 1, ", word {}: {} values", w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 

@@ -61,6 +61,12 @@ def sparse_to_matrix(cols: list) -> Matrix:
     return Matrix(n, n, tuple(data))
 
 
+def transpose(m: Matrix) -> Matrix:
+    """The dense transpose of `m`."""
+    data = tuple(m.data[i * m.cols + j] for j in range(m.cols) for i in range(m.rows))
+    return Matrix(m.cols, m.rows, data)
+
+
 def matrix_power(a: Matrix, n: int) -> Matrix:
     """The dense n-th power, by repeated squaring."""
     if not a.is_square:

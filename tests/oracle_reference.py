@@ -5,9 +5,15 @@ flat node list. These are the defining recursions written out directly, one
 call per subword with a per-call memo, on word helpers of their own: the
 full collapse, the first local maximum by its definition, and a letter
 dropped by collapsing the rest again. Tests compare the plan with them in
-value and in type. `TableFunctional` reads a functional's values from an
-explicit table, so a test can hand the oracles symbolic moments.
+value and in type. `reference_all_orders` is the all-orders recursion over
+every local maximum that `WordPlan.all_orders` replaced, and
+`reference_orthogonal` the orthogonal kind as `WordPlan.moments` once
+computed it, through the phi of `WordPlan.cmonotone`. `TableFunctional`
+reads a functional's values from an explicit table, so a test can hand the
+oracles symbolic moments.
 """
+
+from ccomb.independence import WordPlan
 
 
 class TableFunctional:
@@ -49,6 +55,16 @@ def first_local_max(w: tuple) -> int:
         if (i == 0 or w[i - 1][0] < j) and (i == len(w) - 1 or j > w[i + 1][0]):
             return i
     raise ValueError(f"no local maximum in {w!r}")
+
+
+def local_maxima(w: tuple) -> list:
+    """Every letter whose index exceeds that of each neighbour, in order."""
+    last = len(w) - 1
+    return [
+        i
+        for i, (j, _) in enumerate(w)
+        if (i == 0 or w[i - 1][0] < j) and (i == last or j > w[i + 1][0])
+    ]
 
 
 def monotone(w: tuple, functionals: dict, memo: dict, slot=None):
@@ -116,3 +132,44 @@ def reference_cmonotone(word, pairs: dict) -> tuple:
     """(phi, psi) of `word` under c-monotone independence."""
     w = collapse(word)
     return cmonotone_phi(w, pairs, {}), monotone(w, pairs, {}, slot=1)
+
+
+def reference_all_orders(words, pairs: dict) -> list:
+    """For each word, all phi values reachable by choosing local maxima in
+    any order, by the recursion over every local maximum with one value
+    table across the list."""
+    table: dict = {}
+
+    def values(v: tuple) -> frozenset:
+        if not v:
+            return frozenset({1})
+        if v in table:
+            return table[v]
+        if len(v) == 1:
+            j, names = v[0]
+            out = frozenset({pairs[j][0](names)})
+        else:
+            acc = set()
+            for i in local_maxima(v):
+                j, names = v[i]
+                a_phi = pairs[j][0](names)
+                a_psi = pairs[j][1](names)
+                for x in values(v[:i]):
+                    for y in values(v[i + 1 :]):
+                        for z in values(drop_and_merge(v, i)):
+                            acc.add((a_phi - a_psi) * x * y + a_psi * z)
+            out = frozenset(acc)
+        table[v] = out
+        return out
+
+    return [values(collapse(w)) for w in words]
+
+
+def reference_orthogonal(words, functionals: dict) -> list:
+    """The orthogonal moment of each word: its `WordPlan.cmonotone` phi with
+    phi = 0 * psi on the higher algebra, whose functional is read as psi,
+    and psi = phi on the lower one."""
+    lo, hi = sorted(functionals)
+    low, psi = functionals[lo], functionals[hi]
+    pairs = {lo: (low, low), hi: (lambda names: 0 * psi(names), psi)}
+    return [phi for phi, _ in WordPlan(words).cmonotone(pairs)]

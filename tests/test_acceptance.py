@@ -268,7 +268,7 @@ _MISMATCHES = {
     "c-monotone pair": ("realize_cmonotone_pair", 1, _doubled),
     "family pair": ("realize_cmonotone_family", 1, _doubled),
     "local maximum": (
-        "oracle_cmonotone_all_orders",
+        "WordPlan.all_orders",
         1,
         lambda values: [(*v, None) for v in values],
     ),
@@ -328,7 +328,7 @@ def _boom(out):
         ),
         (
             "local maximum",
-            "oracle_cmonotone_all_orders",
+            "WordPlan.all_orders",
             "model 1: error: ValueError('boom')",
         ),
         ("collapse", "WordPlan.cmonotone", "model 1: error: ValueError('boom')"),
@@ -352,6 +352,41 @@ def test_each_case_loop_names_the_case_an_error_hits(monkeypatch, check, target,
     result = _check_cases(check)()
     assert not result.passed and "error" not in result.detail, result.detail
     assert re.match(f"{label}[:,] ", result.detail), result.detail
+
+
+def _second_choice_without_psi_z(plan, a, b):
+    """`WordPlan._run_all_orders` with the psi * z term dropped from the
+    second alternative of every node: a phi that depends on which local
+    maximum is stripped first."""
+    nodes, targets, _, _ = plan._compile("all-orders")
+    sets = [frozenset({1})]
+    for node in nodes:
+        if type(node[0]) is int:
+            sets.append(frozenset({a[node[0]]}))
+            continue
+        acc = set()
+        for k, (s, left, right, rest) in enumerate(node):
+            for x in sets[left]:
+                for y in sets[right]:
+                    for z in sets[rest]:
+                        acc.add((a[s] - b[s]) * x * y + (0 if k == 1 else b[s] * z))
+        sets.append(frozenset(acc))
+    return [sets[t] for t in targets]
+
+
+def test_a_choice_dependent_all_orders_node_fails_the_local_maximum_check(
+    monkeypatch,
+):
+    # the check reads the plan's value sets: a node whose alternatives
+    # disagree gives the first word with two local maxima two values
+    models = verify.model_pairs(VerifyConfig())
+    assert verify.check_local_max_choice(models).passed
+    monkeypatch.setattr(
+        independence.WordPlan, "_run_all_orders", _second_choice_without_psi_z
+    )
+    result = verify.check_local_max_choice(models)
+    assert not result.passed
+    assert result.detail == "model 0, word ((2, 'a'), (1, 'a'), (2, 'a')): 2 values"
 
 
 def test_the_drawn_graph_checks_name_their_sample(monkeypatch):

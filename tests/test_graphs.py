@@ -22,7 +22,7 @@ from ccomb.products import c_comb_loop_product
 from ccomb.series import eta_from_moments
 
 from conftest import rooted_graphs
-from dense_reference import matrix_power_entry
+from dense_reference import matrix_power_entry, transpose
 from walk_reference import closed_walks
 
 
@@ -72,14 +72,14 @@ def test_root_moments_examples():
 @given(rooted_graphs())
 def test_adjacency_is_symmetric(g):
     a = adjacency_matrix(g)
-    assert a == a.transpose()
+    assert a == transpose(a)
 
 
 def test_colored_adjacency_is_symmetric_per_color():
     g = colored(3, [(0, 1, 1), (1, 2, 2), (0, 2, 2), (1, 1, 1)], 0)
     for color in (1, 2, None):
         a = adjacency_matrix(g, color)
-        assert a == a.transpose()
+        assert a == transpose(a)
 
 
 def test_brute_force_examples():

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product as iter_product
 from math import prod
 from pathlib import Path
 
@@ -59,10 +60,12 @@ from dense_reference import sparse_to_matrix
 from oracle_reference import (
     TableFunctional,
     drop_and_merge,
+    reference_all_orders,
     reference_cmonotone,
     reference_moment,
+    reference_orthogonal,
 )
-from ring_reference import mod_p
+from ring_reference import ModP, mod_p
 
 
 def symbols(names):
@@ -908,6 +911,85 @@ def test_evaluator_equals_the_memoized_halves_on_mixed_scalars(m1, m2):
             got = realization.evaluator(state).moments(plan)
             want = _tuple_memo_moments(realization, state, words)
             assert _typed(got) == _typed(want), state
+
+
+@st.composite
+def _all_orders_lists(draw):
+    """Raw words over two algebras with the empty word, a repeat and the
+    collapsed form of each word added, in a drawn order."""
+    letter = st.tuples(st.sampled_from((1, 2)), st.sampled_from("ab"))
+    words = draw(st.lists(st.lists(letter, max_size=6).map(tuple), max_size=5))
+    words += [()] + words[:1] + [collapse_word(w) for w in words]
+    return draw(st.permutations(words))
+
+
+def _typed_sets(sets):
+    return [{(type(v), v) for v in values} for values in sets]
+
+
+def _mod_p_pairs(rng):
+    """Table functional pairs of algebras 1 and 2 on every name product of
+    up to six letters, with random values mod p."""
+    names = [n for k in range(1, 7) for n in iter_product("ab", repeat=k)]
+    return {
+        j: tuple(
+            TableFunctional({n: ModP(rng.randrange(ModP.P)) for n in names})
+            for _ in range(2)
+        )
+        for j in (1, 2)
+    }
+
+
+@given(_all_orders_lists(), _two_state_models(), _two_state_models(), st.integers())
+def test_all_orders_equals_the_recursive_reference_in_value_and_type(
+    words, m1, m2, seed
+):
+    # int, Fraction and mixed models, where a set may meet an int and a
+    # Fraction of one value, then a ring that is neither
+    plan = WordPlan(words)
+    for pairs in (two_state_pairs({1: m1, 2: m2}), _mod_p_pairs(random.Random(seed))):
+        got = plan.all_orders(pairs)
+        assert _typed_sets(got) == _typed_sets(reference_all_orders(words, pairs))
+    assert _typed_sets(oracle_cmonotone_all_orders(words, pairs)) == _typed_sets(got)
+
+
+def test_one_plan_compiles_its_all_orders_nodes_once(monkeypatch):
+    # the local maxima of each word are found when the plan first runs, and
+    # each later functional set reuses its nodes
+    maxima, real = [], independence._local_maxima
+    monkeypatch.setattr(
+        independence, "_local_maxima", lambda w: maxima.append(w) or real(w)
+    )
+    words = all_words(PAIR_LETTERS, 6)
+    plan, rng = WordPlan(words), random.Random(39)
+    for fractions in (True, False, True):
+        models = {
+            j: random_model(rng, two_state=True, use_fractions=fractions)
+            for j in (1, 2)
+        }
+        pairs = two_state_pairs(models)
+        want = reference_all_orders(words, pairs)
+        assert _typed_sets(plan.all_orders(pairs)) == _typed_sets(want)
+        # one call per distinct collapsed word, all made by the first set
+        assert len(maxima) == len(set(maxima)) == 126
+
+
+@given(_two_state_models(), _two_state_models(), st.sampled_from(((1, 2), (2, 5))))
+def test_orthogonal_runs_phi_alone_as_cmonotone_phi_with_zero_phi_above(m1, m2, keys):
+    # the phi of `cmonotone` with phi = 0 * psi on the higher algebra, in
+    # value and type on mixed scalars, with no monotone chain run
+    lo, hi = keys
+    fns = {lo: ModelFunctional(m1, m1.xi), hi: ModelFunctional(m2, m2.eta)}
+    words = [()] + all_words(((lo, "a"), (lo, "b"), (hi, "a"), (hi, "b")), 4)
+    want = reference_orthogonal(words, fns)
+
+    def no_chain(*args):
+        raise AssertionError("the orthogonal kind ran a monotone chain")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WordPlan, "_run_chain", no_chain)
+        got = WordPlan(words).moments("orthogonal", fns)
+    assert _typed(got) == _typed(want)
 
 
 @pytest.fixture
