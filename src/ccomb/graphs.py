@@ -176,10 +176,11 @@ def _walk_step(adj: list, vec: dict) -> dict:
 
 def _walk_moments(g: Graph, order: int, at, colors: tuple) -> MomentSeries:
     """<delta_at, Z^n delta_at>, n = 0..order, where a step Z walks one edge
-    of each color in `colors` in turn (None: any color). The half chain of
-    `linalg.sparse_moments`: v_k = Z^k delta, w_k = (Z^T)^k delta, M_2k =
-    <w_k, v_k>, M_2k+1 = <w_k, v_k+1>; Z^T walks the colors in reverse, so
-    w is v for a palindrome. Only the current vectors are held."""
+    of each color in `colors` in turn (None: any color). It walks half the
+    chain: v_k = Z^k delta, w_k = (Z^T)^k delta, M_2k = <w_k, v_k>, M_2k+1 =
+    <w_k, v_k+1>; Z^T walks the colors in reverse, so w is v for a
+    palindrome. `linalg.sparse_moments` walks the plain chain, so the two
+    kernels share no identity. Only the current vectors are held."""
     at = _vertex(g, at)
     if order < 0:
         raise ValueError("moment order must be at least 0")

@@ -168,7 +168,7 @@ def format_moment_table(values, first_index: int = 0, walks=None) -> str:
     if walks is not None:
         rows[1:] = [
             f"{row},{w},{'yes' if v == w else 'no'}"
-            for row, v, w in zip(rows[1:], values, walks)
+            for row, v, w in zip(rows[1:], values, walks, strict=True)
         ]
     return "\n".join(rows) + "\n"
 

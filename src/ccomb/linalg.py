@@ -16,10 +16,10 @@ each factor column straight to its composite columns), so two operators are
 equal exactly when their column lists are.
 `sparse_apply` maps a sparse vector ``{index: value}``, `sparse_transpose`
 turns columns into rows, and `sparse_moments` is the operators' moment
-kernel (walks count on neighbor lists in `graphs`). It walks half the
-chain: with v_k = Z^k delta and w_k = (Z^T)^k delta, M_2k = <w_k, v_k> and
-M_2k+1 = <w_k, v_k+1>; a self-adjoint Z (a symmetric decomposition total)
-has w = v.
+kernel (walks count on neighbor lists in `graphs`). It walks the plain
+chain: Z applied to one vector order times, M_n read off as its entry at
+the state index, so it shares no identity with the walks kernel's half
+chain.
 The dense `Matrix` serves the factor-size oracle models only: entrywise
 sums and differences and one product, whose entry sums start at zero times
 their row's first entry, so an empty sum takes the row's type; it has no
@@ -216,6 +216,8 @@ def sparse_sum(*ops, signs=None) -> list:
         raise ValueError("shape mismatch in addition")
     if signs is None:
         signs = (1,) * len(ops)
+    elif len(signs) != len(ops):
+        raise ValueError(f"{len(signs)} signs for {len(ops)} operators")
     out = []
     for j in range(n):
         acc: dict = {}
@@ -245,64 +247,25 @@ def sparse_transpose(cols: list) -> list:
     return out
 
 
-def _mirrored(cols: list, mirror: list) -> bool:
-    """Whether `mirror` equals `sparse_transpose(cols)`, found by one walk
-    over the columns of `cols` that stops at the first entry without its
-    mirror; no transposed copy is built. Row r of the transpose lists
-    (c, v) in increasing c, so each column of `mirror` is read in order."""
-    if len(mirror) != len(cols):
-        return False
-    seen = [0] * len(mirror)
-    for c, col in enumerate(cols):
-        for r, v in col:
-            k = seen[r]
-            if k == len(mirror[r]) or mirror[r][k] != (c, v):
-                return False
-            seen[r] = k + 1
-    return all(k == len(row) for k, row in zip(seen, mirror))
-
-
-def _dot(u: dict, v: dict):
-    """<u, v> of two sparse vectors; a zero sum is the int 0."""
-    if len(u) > len(v):
-        u, v = v, u
-    total = sum(x * v[i] for i, x in u.items() if i in v)
-    return total if total else 0
-
-
 def sparse_moments(steps, order: int, at: int) -> tuple:
     """The sequence <delta_at, Z^n delta_at> for n = 0..order, where one
     step Z applies the column-sparse operators of `steps` in turn (first
     operator first): closed-walk counts for ``(A,)``, two-step moments of
     Z = A2 * A1 for ``(A1, A2)``.
 
-    Half the chain suffices: with v_k = Z^k delta and w_k = (Z^T)^k delta,
-    M_2k = <w_k, v_k> and M_2k+1 = <w_k, v_k+1>. When the transposed steps,
-    in reverse order, equal the steps, Z is self-adjoint and w is v, so Z
-    is applied ceil(order / 2) times; the first half of the steps decides,
-    since a transpose's transpose is the step itself. Otherwise the
-    transposed steps are built and both chains are walked. Only the
-    current vectors are held, never the chain."""
+    Z is applied order times to one sparse vector, and M_n is its entry at
+    `at`, the int 0 where it has none. Only the current vector is held,
+    never the chain."""
     if not 0 <= at < len(steps[0]):
         raise IndexError("state index out of range")
     if order < 0:
         raise ValueError("moment order must be at least 0")
-    back = None
-    half = steps[: (len(steps) + 1) // 2]
-    if not all(_mirrored(a, b) for a, b in zip(reversed(steps), half)):
-        back = [sparse_transpose(cols) for cols in reversed(steps)]
-    v = w = {at: 1}
+    vec = {at: 1}
     out = [1]
-    for n in range(1, order + 1):
-        if n % 2:
-            for cols in steps:
-                v = sparse_apply(cols, v)
-        elif back is None:
-            w = v
-        else:
-            for cols in back:
-                w = sparse_apply(cols, w)
-        out.append(_dot(w, v))
+    for _ in range(order):
+        for cols in steps:
+            vec = sparse_apply(cols, vec)
+        out.append(vec.get(at, 0))
     return tuple(out)
 
 

@@ -251,12 +251,12 @@ def additive_convolve(
         raise ValueError(f"unknown additive convolution kind {kind!r}")
     if kind == "c-monotone" and nu2 is None:
         raise ValueError("c-monotone additive convolution needs nu2")
+    _same_order(mu1, mu2, *((nu2,) if kind == "c-monotone" else ()))
     f1 = moments_to_F(mu1)
     f2 = moments_to_F(mu2)
     if kind == "monotone":
         out = compose_F(f1, f2)
     elif kind == "boolean":
-        _same_order(f1, f2)
         out = FSeries("F", tuple(a + b for a, b in zip(f1.coeffs, f2.coeffs)))
     elif kind == "orthogonal":
         comp = compose_F(f1, f2)

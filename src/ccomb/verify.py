@@ -832,7 +832,8 @@ def check_family_pair_consistency(model_pairs, word_len: int):
             # different construction of the same moments
             pair = realize_cmonotone_pair(m1, m2, variant=True)
             states = (pair.evaluator(s).moments(halves) for s in ("phi", "psi"))
-            _same_as_cmonotone({"": fam}, words, halves, list(zip(*states)))
+            rows = list(zip(*states, strict=True))
+            _same_as_cmonotone({"": fam}, words, halves, rows)
     return f"{len(subset)} models, words to length {word_len}"
 
 
@@ -871,7 +872,7 @@ def check_local_max_choice(model_pairs):
     for k, (m1, m2) in enumerate(subset):
         with _case(f"model {k}"):
             pairs = two_state_pairs({1: m1, 2: m2})
-            for w, vals in zip(words, plan.all_orders(pairs)):
+            for w, vals in zip(words, plan.all_orders(pairs), strict=True):
                 _same(len(vals), 1, ", word {}: {} values", w, len(vals))
     return f"{len(subset)} models, all reduction orders to length {ALL_ORDERS_WORD}"
 
@@ -904,8 +905,8 @@ def check_separating_projection(model_pairs):
             fam = realize_cmonotone_family({0: m1, 1: m2})
             fam.operators["P"] = fam.separating_projection()
             moments = fam.evaluator("phi").moments(halves)
-            flank = dict(zip(flanks, moments))
-            for (w1, w2), lhs in zip(splits, moments[len(flanks) :]):
+            flank = dict(zip(flanks, moments[: len(flanks)], strict=True))
+            for (w1, w2), lhs in zip(splits, moments[len(flanks) :], strict=True):
                 _same(lhs, flank[w1] * flank[w2], ", words {}|{}", w1, w2)
     return f"{len(subset)} models, flank words to length 3"
 

@@ -3,9 +3,10 @@
 Tests build an operator both ways and compare: the library builds every
 operator above factor size column-sparse, and these product-size dense
 constructions exist only to check it. `matrix_power` takes a real dense
-power, and `matrix_power_entry` reads one entry of it, so walk counts and moments checked against it do not share the
-sparse moment kernel. `full_chain_moments` is the kernel's plain loop over
-the whole chain, kept as the reference for its half-chain form.
+power, and `matrix_power_entry` reads one entry of it, so walk counts and
+moments checked against it do not share the sparse moment kernel.
+`full_chain_moments` is now the kernel's own loop, kept as the reference
+for its runs on `ModP`.
 """
 
 from ccomb.linalg import Matrix, kron, sparse_apply, tensor_index

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from ccomb import graphs, independence, linalg, series, verify
+from ccomb import graphs, independence, series, verify
 from ccomb.independence import oracle_cmonotone
 from ccomb.linalg import Matrix, sparse_sum
 from ccomb.verify import VerifyConfig
@@ -389,6 +389,37 @@ def test_a_choice_dependent_all_orders_node_fails_the_local_maximum_check(
     assert result.detail == "model 0, word ((2, 'a'), (1, 'a'), (2, 'a')): 2 values"
 
 
+@pytest.mark.parametrize(
+    "check, owner, route, change",
+    [
+        ("check_local_max_choice", "WordPlan", "all_orders", lambda sets: []),
+        ("check_local_max_choice", "WordPlan", "all_orders", lambda sets: sets[:3]),
+        (
+            "check_separating_projection",
+            "WordMomentEvaluator",
+            "moments",
+            lambda moments: moments[:-1],
+        ),
+    ],
+    ids=["no-sets", "three-sets", "last-moment-dropped"],
+)
+def test_a_route_short_of_its_words_fails_its_check(
+    monkeypatch, check, owner, route, change
+):
+    # each check zips its words with a route's values: a route that returns
+    # fewer values than words fails, where a plain zip would pass on the
+    # words it got
+    models = verify.model_pairs(VerifyConfig())
+    run = getattr(verify, check)
+    assert run(models).passed
+    cls = getattr(independence, owner)
+    real = getattr(cls, route)
+    monkeypatch.setattr(cls, route, lambda self, *args: change(real(self, *args)))
+    result = run(models)
+    assert not result.passed
+    assert result.detail.startswith("model 0: error: ValueError("), result.detail
+
+
 def test_the_drawn_graph_checks_name_their_sample(monkeypatch):
     # the vertex-count, comb-at and comb-loop checks run through `_sampled`:
     # an error and a mismatch both start with the index of the case they hit
@@ -648,22 +679,29 @@ def test_a_moment_kernel_one_too_high_fails_the_walk_cross_oracle(monkeypatch):
     )
 
 
-def test_a_kernel_that_takes_every_step_tuple_as_self_adjoint_fails(monkeypatch):
-    # the operator kernel may read M_2k as <v_k, v_k> only for a
-    # self-adjoint step; a self-adjointness test that always says yes breaks
-    # the two-step operator moments of both eta checks, and the walks,
-    # which count on neighbor lists, tell them apart
-    monkeypatch.setattr(linalg, "_mirrored", lambda cols, mirror: True)
-    failures = _products_failures()
-    assert failures == {
-        "multiplicative-eta-three-route": "pair 0: walks vs operator differ at n=2",
-        "multiplicative-second-root-monotone": "pair 0: walks vs operator differ at n=2",
+def test_an_operator_kernel_one_step_late_fails_every_operator_route(monkeypatch):
+    # the operator kernel walks the plain chain and the walks kernel half of
+    # it: a kernel that reads M_n one step late from n = 3 disagrees with the
+    # walks in each check that compares the two, at e and at f
+    real = verify.sparse_moments
+
+    def late(steps, order, at):
+        out = real(steps, order + 1, at)
+        return out[:3] + out[4:]
+
+    monkeypatch.setattr(verify, "sparse_moments", late)
+    witness = "pair 0: walks vs operator differ at n=3"
+    assert _products_failures() == {
+        "additive-three-route": witness,
+        "additive-second-root-split": witness,
+        "multiplicative-eta-three-route": witness,
+        "multiplicative-second-root-monotone": witness,
     }
 
 
 def test_a_walk_kernel_that_never_walks_the_back_chain_fails(monkeypatch):
-    # the walks twin of the test above: a kernel that reads M_2k as
-    # <v_k, v_k> for the two-step walks too disagrees with the enumerated
+    # a walk kernel that reads M_2k as <v_k, v_k> for the two-step walks,
+    # as it may only for a palindrome, disagrees with the enumerated
     # colored split and with the operator route of both eta checks
     def forward_only(g, order, at, colors):
         steps = [graphs._neighbor_lists(g, c) for c in colors]

@@ -101,13 +101,30 @@ def test_the_walk_kernel_stays_off_the_operator_kernel():
     # root_moments and two_step_moments count on neighbor lists: a fault in
     # linalg's kernel or in the operator columns leaves them alone
     operator = {
-        "sparse_apply", "sparse_moments", "sparse_transpose", "_mirrored",
-        "adjacency_columns",
+        "sparse_apply", "sparse_moments", "sparse_transpose", "adjacency_columns",
     }
     for walks in ("root_moments", "two_step_moments"):
         reached = _graphs_reach(walks, operator)
         helpers = {"_walk_moments", "_walk_step", "_neighbor_lists", "_vertex"}
         assert reached == {walks} | helpers
+
+
+def test_every_zip_in_verify_is_strict():
+    # a check that zips its words with a route's values must fail when the
+    # route comes back short, not pass on the words it got; `zip_longest`
+    # in `_pairwise` pads and compares, so it is not a `zip` here
+    tree = ast.parse((ROOT / "src" / "ccomb" / "verify.py").read_text("utf-8"))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "zip"
+    ]
+    assert calls
+    for call in calls:
+        strict = [k.value for k in call.keywords if k.arg == "strict"]
+        assert [getattr(v, "value", None) for v in strict] == [True], call.lineno
 
 
 def test_decompositions_build_no_product_graph():

@@ -149,6 +149,13 @@ def test_moment_table_written_and_read_back_exactly(values, equal):
             format_moment_table([*values, too_long])
 
 
+def test_a_walk_column_of_another_length_is_refused():
+    # a shorter walk column once dropped every row past its end
+    for walks in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            format_moment_table([1, 2, 3], 0, walks)
+
+
 def test_cli_product_and_outputs(tmp_path, capsys):
     out = tmp_path / "prod"
     code = main(

@@ -134,6 +134,21 @@ def test_additive_requires_nu2():
         additive_convolve("c-monotone", EDGE, EDGE)
 
 
+def test_additive_refuses_mixed_truncation_orders():
+    # c-monotone once returned mu2's order when it was the lowest of the three
+    m5, m3 = point_mass_moments(1, 5), point_mass_moments(1, 3)
+    for kind in ADDITIVE_KINDS:
+        nu2 = m5 if kind == "c-monotone" else None
+        with pytest.raises(ValueError, match="mixed truncation orders"):
+            additive_convolve(kind, m5, m3, nu2)
+    with pytest.raises(ValueError, match="mixed truncation orders"):
+        additive_convolve("c-monotone", m5, m5, m3)
+    # the other kinds do not read nu2
+    assert additive_convolve("boolean", m5, m5, m3) == additive_convolve(
+        "boolean", m5, m5
+    )
+
+
 def test_psi_eta_examples():
     zero = psi_from_moments(moment_series((1, 0, 0, 0)))
     assert eta_from_psi(zero).coeffs == (0, 0, 0)

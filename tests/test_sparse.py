@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ccomb import linalg
 from ccomb.graphs import (
     adjacency_columns,
     adjacency_matrix,
@@ -28,7 +27,6 @@ from ccomb.linalg import (
     Matrix,
     direct_sum,
     kron,
-    sparse_apply,
     sparse_columns,
     sparse_identity,
     sparse_moments,
@@ -112,6 +110,16 @@ def test_sparse_sum_matches_dense(n, data):
     assert sparse_sum(sa, sb, signs=(1, -1)) == sparse_columns(a - b)
     assert sparse_sum(sa, sa, signs=(1, -1)) == [[] for _ in range(n)]
     assert sparse_to_matrix(sa) == a
+
+
+def test_sparse_sum_takes_one_sign_per_operator():
+    # a sign tuple shorter than the operators once dropped the operators
+    # past its end: three identities with signs (1, -1) summed to zero
+    i = sparse_identity(2)
+    assert sparse_sum(i, i, i, signs=(1, -1, 1)) == i
+    for signs in ((), (1, -1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError):
+            sparse_sum(i, i, i, signs=signs)
 
 
 @given(st.integers(1, 5))
@@ -254,7 +262,7 @@ def _modp(steps):
 
 
 @given(step_tuples(), st.integers(0, 8), st.data())
-def test_half_chain_kernel_matches_the_full_chain(steps, order, data):
+def test_the_moment_kernel_matches_dense_powers_and_the_modp_chain(steps, order, data):
     at = data.draw(st.integers(0, len(steps[0]) - 1))
     moments = sparse_moments(steps, order, at)
     assert moments == full_chain_moments(steps, order, at)
@@ -268,48 +276,6 @@ def test_half_chain_kernel_matches_the_full_chain(steps, order, data):
     reference = full_chain_moments(_modp(steps), order, at)
     assert ring == reference == tuple(ModP(x) for x in moments)
     assert [type(x) for x in ring] == [type(x) for x in reference]
-
-
-def test_a_self_adjoint_step_tuple_walks_half_the_chain(monkeypatch):
-    calls = []
-
-    def counted(cols, vec):
-        calls.append(vec)
-        return sparse_apply(cols, vec)
-
-    monkeypatch.setattr(linalg, "sparse_apply", counted)
-    g = colored(3, [(0, 1, 1), (1, 2, 2), (0, 0, 2)], 0)
-    sparse_moments((adjacency_columns(g),), 9, 0)
-    assert len(calls) == 5
-    calls.clear()
-    sparse_moments((adjacency_columns(g, 1), adjacency_columns(g, 2)), 9, 0)
-    assert len(calls) == 18
-
-
-def test_a_step_pair_one_entry_off_its_transpose_walks_both_chains(monkeypatch):
-    # (A, A^T) is self-adjoint; one changed, extra or missing entry in the
-    # second step makes the pair not so, and the kernel must walk the back
-    # chain too: 18 applies at order 9 instead of 10
-    a = sparse_columns(Matrix.from_rows([[0, 1, 2], [1, 0, 0], [3, 1, 1]]))
-    changed, extra, missing = (sparse_transpose(a) for _ in range(3))
-    changed[2] = changed[2][:-1] + [(2, changed[2][-1][1] + 1)]
-    extra[1] = sorted(extra[1] + [(2, 1)])
-    missing[2] = missing[2][:-1]
-    calls = []
-
-    def counted(cols, vec):
-        calls.append(vec)
-        return sparse_apply(cols, vec)
-
-    monkeypatch.setattr(linalg, "sparse_apply", counted)
-    cases = ((sparse_transpose(a), 10), (changed, 18), (extra, 18), (missing, 18))
-    for second, applies in cases:
-        calls.clear()
-        moments = sparse_moments((a, second), 9, 0)
-        assert len(calls) == applies
-        assert moments == full_chain_moments((a, second), 9, 0)
-        z = sparse_to_matrix(second) * sparse_to_matrix(a)
-        assert moments == tuple(matrix_power_entry(z, n, 0, 0) for n in range(10))
 
 
 def test_the_moment_kernel_streams_the_chain():
