@@ -90,8 +90,8 @@ class Graph:
 def colored(
     vertex_count: int, edges, root: int, second_root: int | None = None
 ) -> Graph:
-    """Normalizing constructor; edges are (i, j, color) in any order and
-    orientation. A repeated edge is refused by `Graph`."""
+    """Normalizing constructor for outside edge lists: (i, j, color) in any
+    order and orientation. A repeated edge is refused by `Graph`."""
     norm = sorted((i, j, c) if i <= j else (j, i, c) for i, j, c in edges)
     return Graph(vertex_count, tuple(norm), root, second_root)
 

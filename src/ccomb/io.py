@@ -113,11 +113,14 @@ def format_graph(graph, labels=None) -> str:
     lines = [f"vertices = {graph.vertex_count}", f"root = {graph.root}"]
     if graph.second_root is not None:
         lines.append(f"second_root = {graph.second_root}")
-    # JSON writes the edge and label tuples as lists; the edges are sorted
-    lines.append(f"edges = {json.dumps(graph.colored_edges)}")
+    # the edges are sorted int triples, written as JSON lists without `json`;
+    # the labels, of any arity and content, go through `json`
+    edges = ", ".join([f"[{i}, {j}, {c}]" for i, j, c in graph.colored_edges])
+    lines.append(f"edges = [{edges}]")
     if labels is not None:
         lines.append(f"labels = {json.dumps(labels)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def save_graph(path, graph, labels=None) -> None:

@@ -132,23 +132,31 @@ def _glue(g1, g2, parts, loops=False) -> ProductGraph:
     follow one another in a direct sum; the spine vertex of the first
     part's root is the product's root, that of the second part's its second
     root. With `loops`, every vertex off its part's spine gets a color-1
-    loop. The position maps cover the product's own vertices only."""
+    loop. The position maps cover the product's own vertices only. Each
+    edge is made once, as (min, max, color), so one sort and `Graph`'s
+    check finish the product."""
     labels, embedding, edges, roots, block = [], [], [], [], 0
     for part, embed, spine, copies, size, root in parts:
         n = len(labels)
         at = dict(zip(embed, range(n, n + len(embed)))).__getitem__
         axis = list(map(at, spine))
-        edges.extend((axis[u], axis[v], c) for u, v, c in g1.colored_edges)
+        edges.extend(
+            (a, b, c) if (a := axis[u]) <= (b := axis[v]) else (b, a, c)
+            for u, v, c in g1.colored_edges
+        )
         for run in copies:
             copy = list(map(at, run))
-            edges.extend((copy[y], copy[z], 2) for y, z, _c in g2.colored_edges)
+            edges.extend(
+                (a, b, 2) if (a := copy[y]) <= (b := copy[z]) else (b, a, 2)
+                for y, z, _c in g2.colored_edges
+            )
         if loops:
             edges.extend((v, v, 1) for v, k in enumerate(embed, n) if k not in spine)
         roots.append(axis[root])
         labels += part
         embedding += (block + k for k in embed)
         block += size
-    graph = colored(len(labels), edges, *roots)
+    graph = Graph(len(labels), tuple(sorted(edges)), *roots)
     return ProductGraph(graph, tuple(labels), tuple(embedding), block)
 
 

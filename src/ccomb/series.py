@@ -326,6 +326,9 @@ def multiplicative_convolve(
     orthogonal    z * eta1(eta2(z)) / eta2(z)
     c-monotone    (eta2(z) / eta_nu(z)) * eta1(eta_nu(z))
 
+    nu2 is read for c-monotone only. Every input read must be an eta-series
+    and all must share one truncation order, or ValueError is raised.
+
     The quotient kinds are evaluated in the cancelled form
     ``prefactor * sum_r N1(r) * eta_divisor^(r-1)``, which agrees with the
     quotient whenever that is defined and stays a power series whenever the
@@ -334,12 +337,12 @@ def multiplicative_convolve(
     """
     if kind not in MULTIPLICATIVE_KINDS:
         raise ValueError(f"unknown multiplicative convolution kind {kind!r}")
-    for s in (mu1, mu2) + ((nu2,) if nu2 is not None else ()):
-        if s.kind != "eta":
-            raise ValueError("multiplicative_convolve expects eta-series")
     if kind == "c-monotone" and nu2 is None:
         raise ValueError("c-monotone multiplicative convolution needs nu2")
-    n = _same_order(mu1, mu2, *((nu2,) if nu2 is not None else ()))
+    inputs = (mu1, mu2, nu2) if kind == "c-monotone" else (mu1, mu2)
+    if not all(isinstance(s, FSeries) and s.kind == "eta" for s in inputs):
+        raise ValueError("multiplicative_convolve expects eta-series")
+    n = _same_order(*inputs)
     divisor = {"orthogonal": ("second", mu2), "c-monotone": ("nu2", nu2)}
     if kind in divisor and not any(divisor[kind][1].coeffs):
         raise DivisorVanishes(

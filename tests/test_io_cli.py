@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -82,6 +83,34 @@ def test_format_roundtrip(tmp_path):
     text = format_graph(c, labels=[(0, 0), (0, 1), (1, 0)])
     g2, labels = parse_graph(text)
     assert g2 == c and labels == ((0, 0), (0, 1), (1, 0))
+
+
+@st.composite
+def labeled_colored_graphs(draw):
+    """A colored graph on 1-8 vertices (loops, pairs carrying both colors
+    and no edges at all included), one or two roots, and labels or None."""
+    n = draw(st.integers(1, 8))
+    candidates = [(i, j, c) for i in range(n) for j in range(i, n) for c in (1, 2)]
+    edges = draw(st.sets(st.sampled_from(candidates)))
+    root = draw(st.integers(0, n - 1))
+    second = draw(st.none() | st.integers(0, n - 1))
+    arity = draw(st.integers(2, 3))
+    label = st.tuples(*[st.integers(0, 10**6)] * arity)
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n).map(tuple))
+    return colored(n, edges, root, second), labels
+
+
+@given(labeled_colored_graphs())
+@example((colored(1, [], 0), None))
+@example((colored(2, [(0, 1, 1), (0, 1, 2), (1, 1, 2)], 1, 0), ((0, 0), (0, 1))))
+def test_graph_file_edges_read_as_json_and_round_trip(case):
+    g, labels = case
+    text = format_graph(g, labels)
+    # json.dumps is the reference encoding of the edge list
+    edge_lines = [line for line in text.splitlines() if line.startswith("edges = ")]
+    assert edge_lines == ["edges = " + json.dumps(g.colored_edges)]
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert parse_graph(text) == (g, labels)
 
 
 def test_fixture_files_match_builtins():

@@ -614,6 +614,28 @@ def test_each_product_is_one_graph_checked_once(monkeypatch):
         assert len(built) == 1 and built[0] is prod.graph, (build.__name__, len(built))
 
 
+def test_no_product_normalizes_its_edges_twice(monkeypatch):
+    # the gluing makes each edge normalized, so no product path runs the
+    # sorting constructor `colored` on top of its own sort
+    from ccomb import products
+    from ccomb.cli import PRODUCT_KINDS
+
+    builds = {
+        *PRODUCT_KINDS.values(), essential_loop_product,
+        *ADDITIVE_WALK_PRODUCTS.values(),
+    }
+    (a1, a2), (m1, m2) = additive_demo_pair(), multiplicative_demo_pair()
+    pairs = ((a1, a2), (m1, m2), (a2, m1))
+    expected = {(b, i): b(g1, g2) for b in builds for i, (g1, g2) in enumerate(pairs)}
+
+    def refuse(*_args):
+        raise AssertionError("a product called colored")
+
+    monkeypatch.setattr(products, "colored", refuse)
+    for (build, i), prod in expected.items():
+        assert build(*pairs[i]) == prod, (build.__name__, i)
+
+
 def test_products_hold_no_list_of_ambient_length():
     # comb-at of a 2- and a 1,000-vertex factor has 2,000 vertices in an
     # ambient space of 2,000,000; a list of that length costs 8 bytes per

@@ -149,6 +149,32 @@ def test_additive_refuses_mixed_truncation_orders():
     )
 
 
+def test_multiplicative_refuses_mixed_orders_and_non_eta_inputs():
+    eta6, eta4 = eta_series((1, 2, 0, -1, 3, 1)), eta_series((1, 2, 0, -1))
+    for kind in MULTIPLICATIVE_KINDS:
+        nu2 = eta6 if kind == "c-monotone" else None
+        with pytest.raises(ValueError, match="mixed truncation orders"):
+            multiplicative_convolve(kind, eta6, eta4, nu2)
+    with pytest.raises(ValueError, match="mixed truncation orders"):
+        multiplicative_convolve("c-monotone", eta6, eta6, eta4)
+    # the other kinds do not read nu2, as in additive_convolve
+    for kind in ("monotone", "boolean", "orthogonal"):
+        assert multiplicative_convolve(kind, eta6, eta6, eta4) == (
+            multiplicative_convolve(kind, eta6, eta6)
+        )
+    # a moment series, or a transform of another kind, in any slot read
+    moments = point_mass_moments(1, 6)
+    psi = psi_from_moments(moments)
+    for kind in MULTIPLICATIVE_KINDS:
+        for bad in (moments, psi):
+            slots = [(bad, eta6, eta6), (eta6, bad, eta6)]
+            if kind == "c-monotone":
+                slots.append((eta6, eta6, bad))
+            for args in slots:
+                with pytest.raises(ValueError, match="expects eta-series"):
+                    multiplicative_convolve(kind, *args)
+
+
 def test_psi_eta_examples():
     zero = psi_from_moments(moment_series((1, 0, 0, 0)))
     assert eta_from_psi(zero).coeffs == (0, 0, 0)
