@@ -20,6 +20,7 @@ graphs, the table carries the matching product-graph walk column with an
 equality flag for every additive kind and for the multiplicative monotone
 and c-monotone kinds, except that a c-monotone column needs nu2 from the
 second graph and a multiplicative one a first graph with no color-2 edges.
+A multiplicative divisor concentrated at zero (`DivisorVanishes`) exits 3.
 
 `word-moment` takes two birooted graph files and a word in index:name
 syntax such as `1:a 2:a 1:a` (index 1 letters act as the first operator of

@@ -20,7 +20,7 @@ operator kernel, so a fault in one makes the routes disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul
 
 from .linalg import Matrix
@@ -91,7 +91,13 @@ def colored(
     vertex_count: int, edges, root: int, second_root: int | None = None
 ) -> Graph:
     """Normalizing constructor for outside edge lists: (i, j, color) in any
-    order and orientation. A repeated edge is refused by `Graph`."""
+    order and orientation. The vertex count, the roots and every index and
+    color must be of type int (a bool is refused), or ValueError; a repeated
+    edge is refused by `Graph`."""
+    edges = list(edges)
+    roots = (root,) if second_root is None else (root, second_root)
+    if set(map(type, chain((vertex_count, *roots), *edges))) != {int}:
+        raise ValueError("vertex count, roots, indices and colors must be int")
     norm = sorted((i, j, c) if i <= j else (j, i, c) for i, j, c in edges)
     return Graph(vertex_count, tuple(norm), root, second_root)
 

@@ -11,17 +11,17 @@ this module are formal. Writing ``w = 1/z``:
 * G-series: ``G(z) = sum_n M_n z^(-n-1)``, stored as ``(M_0, .., M_N)``.
 * F-series: ``F(z) = 1/G(z) = z + c_0 + c_1/z + .. + c_(N-1)/z^(N-1)``,
   stored as the tail ``(c_0, .., c_(N-1))``; the leading ``z`` is implied.
-* psi-series: ``psi(z) = sum_(n>=1) M_n z^n``, stored as ``(M_1, .., M_N)``.
-* eta-series: ``eta = psi / (1 + psi)``, stored as ``(N(1), .., N(N))``;
-  for an adjacency operator the ``N(n)`` are first-return walk counts.
+* eta-series: ``eta = psi / (1 + psi)`` with ``psi(z) = sum_(n>=1) M_n z^n``,
+  stored as ``(N(1), .., N(N))``; for an adjacency operator the ``N(n)``
+  are first-return walk counts.
 
 A product, reciprocal or composition of order-N inputs is exact to order N;
 this holds for every operation below, including the nested
 composition-plus-quotient shapes, because each is evaluated in a form whose
 coefficient of index n only consumes input coefficients of index <= n.
 
-Rationals run on integers. Dilating a distribution by lam scales M_k, N(k)
-and psi_k by lam**k and c_j by lam**(j+1), and the convolutions commute with
+Rationals run on integers. Dilating a distribution by lam scales M_k and
+N(k) by lam**k and c_j by lam**(j+1), and the convolutions commute with
 it. So each kernel call dilates its `Fraction` inputs to integers by a lam
 built up from their denominators, runs the ring-generic loops on them, and
 divides coefficient k by its power of lam on the way out. A series that a
@@ -49,11 +49,8 @@ __all__ = [
     "F_to_moments",
     "compose_F",
     "additive_convolve",
-    "psi_from_moments",
-    "moments_from_psi",
-    "eta_from_psi",
-    "psi_from_eta",
     "eta_from_moments",
+    "moments_from_eta",
     "multiplicative_convolve",
     "coefficient_formula",
     "compositions",
@@ -92,7 +89,7 @@ class FSeries:
     kind: str
     coeffs: tuple
 
-    _KINDS = ("F", "eta", "psi")
+    _KINDS = ("F", "eta")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -271,43 +268,29 @@ def additive_convolve(
     return F_to_moments(out)
 
 
-# -- psi / eta ----------------------------------------------------------------
+# -- moments <-> eta ----------------------------------------------------------
 
 
-def psi_from_moments(m: MomentSeries) -> FSeries:
+def eta_from_moments(m: MomentSeries) -> FSeries:
+    """eta = psi / (1 + psi), with psi = sum_(n>=1) M_n z^n."""
     if m.order < 1:
-        raise ValueError("psi-series needs at least one moment beyond M_0")
-    return FSeries("psi", m.coeffs[1:])
-
-
-def moments_from_psi(p: FSeries) -> MomentSeries:
-    if p.kind != "psi":
-        raise ValueError("expected a psi-series")
-    return MomentSeries((1, *p.coeffs))
-
-
-def eta_from_psi(p: FSeries) -> FSeries:
-    if p.kind != "psi":
-        raise ValueError("expected a psi-series")
-    n = p.order
-    lam = _dilation(1, p.coeffs)
-    c = _dilate(p.coeffs, lam, 1)
+        raise ValueError("eta-series needs at least one moment beyond M_0")
+    n = m.order
+    lam = _dilation(1, m.coeffs[1:])
+    c = _dilate(m.coeffs[1:], lam, 1)
     h = _mul([0, *c], _recip([1, *c], n + 1), n + 1)
     return FSeries("eta", _undilate(h[1:], lam, 1))
 
 
-def psi_from_eta(h: FSeries) -> FSeries:
-    if h.kind != "eta":
+def moments_from_eta(h: FSeries) -> MomentSeries:
+    """The moments 1, psi_1, .., psi_N of psi = eta / (1 - eta)."""
+    if not isinstance(h, FSeries) or h.kind != "eta":
         raise ValueError("expected an eta-series")
     n = h.order
     lam = _dilation(1, h.coeffs)
     c = _dilate(h.coeffs, lam, 1)
     p = _mul([0, *c], _recip([1, *(-x for x in c)], n + 1), n + 1)
-    return FSeries("psi", _undilate(p[1:], lam, 1))
-
-
-def eta_from_moments(m: MomentSeries) -> FSeries:
-    return eta_from_psi(psi_from_moments(m))
+    return MomentSeries((1, *_undilate(p[1:], lam, 1)))
 
 
 # -- multiplicative convolutions ---------------------------------------------

@@ -447,11 +447,15 @@ def test_the_drawn_graph_checks_name_their_sample(monkeypatch):
 @pytest.mark.parametrize(
     "name, check, detail",
     [
-        ("eta_from_psi", "psi_eta_roundtrip", "sample 0: psi-eta-psi roundtrip"),
         (
-            "moments_from_psi",
+            "eta_from_moments",
             "psi_eta_roundtrip",
-            "sample 0: moments-psi-moments roundtrip",
+            "sample 0: moments-eta-moments roundtrip",
+        ),
+        (
+            "moments_from_eta",
+            "psi_eta_roundtrip",
+            "sample 0: moments-eta-moments roundtrip",
         ),
         ("moments_to_F", "F_roundtrip", "F-series of the edge moments 1, 0, 1, 0, 1"),
     ],

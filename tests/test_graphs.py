@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -17,6 +19,7 @@ from ccomb.graphs import (
     two_step_moments,
 )
 from ccomb.fixtures import multiplicative_demo_pair
+from ccomb.io import format_graph, parse_graph
 from ccomb.linalg import Matrix, sparse_moments
 from ccomb.products import c_comb_loop_product
 from ccomb.series import eta_from_moments
@@ -273,6 +276,26 @@ def test_graph_validation():
         birooted(2, [], 0, 4)
     with pytest.raises(ValueError):
         colored(2, [(0, 1, 7)], 0)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1"])
+@pytest.mark.parametrize("slot", range(6))
+def test_colored_refuses_every_entry_that_is_not_an_int(slot, bad):
+    # vertex count, root, second root, then i, j and color of one edge: a
+    # graph built from a bool or float would not survive its own file
+    args = [3, 0, 1, 0, 1, 1]
+    good = colored(args[0], [tuple(args[3:])], *args[1:3])
+    assert parse_graph(format_graph(good)) == (good, None)
+    args[slot] = bad
+    with pytest.raises(ValueError, match="must be int"):
+        colored(args[0], [tuple(args[3:])], *args[1:3])
+    if slot < 5:
+        n, root, second, i, j = args[:5]
+        with pytest.raises(ValueError, match="must be int"):
+            birooted(n, [(i, j)], root, second)
+        if slot != 2:
+            with pytest.raises(ValueError, match="must be int"):
+                rooted(n, [(i, j)], root)
 
 
 def test_graph_keeps_its_edges_as_one_sorted_tuple():

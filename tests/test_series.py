@@ -17,16 +17,13 @@ from ccomb.series import (
     compose_F,
     compositions,
     eta_from_moments,
-    eta_from_psi,
     eta_series,
     moment_series,
-    moments_from_psi,
+    moments_from_eta,
     moments_to_F,
     F_to_moments,
     multiplicative_convolve,
     point_mass_moments,
-    psi_from_eta,
-    psi_from_moments,
 )
 
 from conftest import eta_sequences, moment_sequences, small_fractions
@@ -164,9 +161,9 @@ def test_multiplicative_refuses_mixed_orders_and_non_eta_inputs():
         )
     # a moment series, or a transform of another kind, in any slot read
     moments = point_mass_moments(1, 6)
-    psi = psi_from_moments(moments)
+    f = moments_to_F(moments)
     for kind in MULTIPLICATIVE_KINDS:
-        for bad in (moments, psi):
+        for bad in (moments, f):
             slots = [(bad, eta6, eta6), (eta6, bad, eta6)]
             if kind == "c-monotone":
                 slots.append((eta6, eta6, bad))
@@ -175,19 +172,47 @@ def test_multiplicative_refuses_mixed_orders_and_non_eta_inputs():
                     multiplicative_convolve(kind, *args)
 
 
-def test_psi_eta_examples():
-    zero = psi_from_moments(moment_series((1, 0, 0, 0)))
-    assert eta_from_psi(zero).coeffs == (0, 0, 0)
-    ones = point_mass_moments(1, 5)
-    assert eta_from_moments(ones).coeffs == (1, 0, 0, 0, 0)
+@st.composite
+def int_or_fraction_tables(draw, max_order=10):
+    entries = draw(st.sampled_from((st.integers(-4, 4), small_fractions)))
+    return draw(st.lists(entries, min_size=1, max_size=max_order))
 
 
-@given(moment_sequences(order=10))
-def test_psi_eta_roundtrip(m):
-    p = psi_from_moments(m)
-    assert psi_from_eta(eta_from_psi(p)).coeffs == p.coeffs
-    assert moments_from_psi(p).coeffs == m.coeffs
-    assert moments_from_psi(psi_from_eta(eta_from_moments(m))).coeffs == m.coeffs
+def _ints_stay_ints(values, *outputs):
+    if all(type(x) is int for x in values):
+        assert all(type(x) is int for out in outputs for x in out.coeffs)
+
+
+def test_eta_of_the_point_masses_at_zero_and_one():
+    assert eta_from_moments(point_mass_moments(0, 3)).coeffs == (0, 0, 0)
+    assert eta_from_moments(point_mass_moments(1, 5)).coeffs == (1, 0, 0, 0, 0)
+    assert moments_from_eta(eta_series((1, 0, 0))) == point_mass_moments(1, 3)
+
+
+@given(int_or_fraction_tables())
+def test_moments_eta_moments_roundtrip(values):
+    m = moment_series((1, *values))
+    eta = eta_from_moments(m)
+    back = moments_from_eta(eta)
+    assert back == m
+    _ints_stay_ints(values, eta, back)
+
+
+@given(int_or_fraction_tables())
+def test_eta_moments_eta_roundtrip(values):
+    h = eta_series(values)
+    m = moments_from_eta(h)
+    back = eta_from_moments(m)
+    assert back == h
+    _ints_stay_ints(values, m, back)
+
+
+def test_eta_converters_refuse_order_zero_and_other_series():
+    with pytest.raises(ValueError, match="beyond M_0"):
+        eta_from_moments(moment_series((1,)))
+    for other in (moments_to_F(EDGE), EDGE):
+        with pytest.raises(ValueError, match="expected an eta-series"):
+            moments_from_eta(other)
 
 
 @given(eta_sequences(order=8), eta_sequences(order=8))
