@@ -46,16 +46,10 @@ from .graphs import root_moments, two_step_moments
 from .independence import oracle_cmonotone, parse_word
 from .products import (
     ADDITIVE_WALK_PRODUCTS,
+    MULTIPLICATIVE_WALK_PRODUCTS,
+    PRODUCT_KINDS,
     c_comb_decomposition,
-    c_comb_loop_product,
-    c_comb_product,
-    comb_at_product,
-    comb_loop_product,
-    comb_product,
-    essential_loop_product,
-    orthogonal_product,
     realize_graph_pair,
-    star_product,
 )
 from .series import (
     ADDITIVE_KINDS,
@@ -66,19 +60,6 @@ from .series import (
     multiplicative_convolve,
 )
 from .verify import VerifyConfig, format_report, run_suite
-
-PRODUCT_KINDS = {
-    "star": star_product,
-    "comb": comb_product,
-    "orthogonal": orthogonal_product,
-    "comb-at": comb_at_product,
-    "c-comb": c_comb_product,
-    "comb-loop": comb_loop_product,
-    "c-comb-loop": c_comb_loop_product,
-}
-
-BIROOTED_SECOND = ("comb-at", "c-comb", "c-comb-loop")
-BIROOTED_FIRST = ("c-comb", "c-comb-loop")
 
 # size caps, refused before any work: a series kernel allocates order + 1
 # coefficients per list, `all_words` builds 2^(W+1) - 2 words for a word cap
@@ -93,16 +74,6 @@ MAX_WORD_MOMENT_BUILD = 1_000_000
 # the oracle of an n-letter word compiles O(n^2) subwords, each a tuple copy,
 # so its time grows about as n^3: 0.35 s at 256 letters, 77 s at 1,600
 MAX_WORD_LETTERS = 256
-
-# the vertex count of each product from its factor sizes, n1 * n2 when not
-# listed; a product above io.MAX_VERTICES is refused before it is built. Keyed
-# by the builder's name, which a `functools.wraps` wrapper keeps
-_PRODUCT_VERTICES = {
-    "star_product": lambda n1, n2: n1 + n2 - 1,
-    "orthogonal_product": lambda n1, n2: (n1 - 1) * n2 + 1,
-    "c_comb_product": lambda n1, n2: 2 * n1 * n2,
-    "c_comb_loop_product": lambda n1, n2: 2 * n1 * n2,
-}
 
 
 def _out_dir(arg) -> Path:
@@ -136,10 +107,6 @@ def _cmd_product(args) -> int:
     build = PRODUCT_KINDS[args.kind]
     g1 = _load_graph_or_fail(args.g1)
     g2 = _load_graph_or_fail(args.g2)
-    if args.kind in BIROOTED_SECOND and g2.second_root is None:
-        raise _CliError(f"product {args.kind} needs a birooted second factor")
-    if args.kind in BIROOTED_FIRST and g1.second_root is None:
-        raise _CliError(f"product {args.kind} needs a birooted first factor")
     prod = _build_product(build, g1, g2)
     outdir = _out_dir(args.out)
     stem = args.kind.replace("-", "_")
@@ -201,24 +168,10 @@ def _load_additive_input(path, order, nu=False):
 
 
 def _build_product(build, g1, g2):
-    n1, n2 = g1.vertex_count, g2.vertex_count
-    vertices = _PRODUCT_VERTICES.get(build.__name__, lambda n1, n2: n1 * n2)(n1, n2)
-    if vertices > gio.MAX_VERTICES:
-        raise _CliError(
-            f"the product would have {vertices} vertices, more than {gio.MAX_VERTICES}"
-        )
     try:
         return build(g1, g2)
     except ValueError as exc:
         raise _CliError(f"cannot build the product: {exc}") from exc
-
-
-# essential_loop_product, not c_comb_loop_product: the moments at the root e
-# only see its component, and it needs no second root of g1
-_MULTIPLICATIVE_WALK_PRODUCTS = {
-    "monotone": comb_loop_product,
-    "c-monotone": essential_loop_product,
-}
 
 
 def _walk_column(products, kind, g1, g2):
@@ -258,7 +211,7 @@ def _cmd_convolve(args) -> int:
                 kind, eta_from_moments(mu1), eta_from_moments(mu2), eta_nu
             ).coeffs
             first = 1
-            prod = _walk_column(_MULTIPLICATIVE_WALK_PRODUCTS, kind, g1, g2)
+            prod = _walk_column(MULTIPLICATIVE_WALK_PRODUCTS, kind, g1, g2)
             # a first graph with color-2 edges keeps them in its loop
             # product, so the two-step operator no longer realizes the
             # convolution

@@ -29,6 +29,7 @@ from .linalg import sparse_apply  # noqa: F401
 from .series import MomentSeries
 
 __all__ = [
+    "MAX_VERTICES",
     "Graph",
     "rooted",
     "birooted",
@@ -40,6 +41,9 @@ __all__ = [
     "brute_force_closed_walks",
     "count_d_walks",
 ]
+
+# larger graph files and products are refused: they would exhaust memory
+MAX_VERTICES = 1_000_000
 
 @dataclass(frozen=True)
 class Graph:

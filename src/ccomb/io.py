@@ -11,9 +11,10 @@ Graph file format (UTF-8, key = value lines, `#` starts a comment):
 Edge entries are `[i, j]` or `[i, j, color]` with color 1 or 2; an entry
 `[i, j]` means `[i, j, 1]`, so both forms read into equal graphs. A file
 mixing the two forms is rejected, as are duplicate edges (same pair and
-color), out-of-range indices and more than MAX_VERTICES vertices. Writers
-always emit `[i, j, color]`, keys in a fixed order and edges in the graph's
-sorted order, so output is deterministic.
+color), out-of-range indices, labels that are not a list of lists and more
+than graphs.MAX_VERTICES vertices, the cap the product builders keep too.
+Writers always emit `[i, j, color]`, keys in a fixed order and edges in the
+graph's sorted order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .graphs import colored
+from .graphs import MAX_VERTICES, colored
 
 __all__ = [
     "GraphFormatError",
-    "MAX_VERTICES",
     "parse_graph",
     "load_graph",
     "format_graph",
@@ -43,7 +43,6 @@ class GraphFormatError(ValueError):
 
 
 _KNOWN_KEYS = ("vertices", "root", "second_root", "edges", "labels")
-MAX_VERTICES = 1_000_000  # larger graphs would exhaust memory in any command
 MAX_EXPONENT = 4300  # a table value's largest decimal exponent: the digit limit
 
 
@@ -82,9 +81,12 @@ def parse_graph(text: str):
     labels = None
     if "labels" in fields:
         try:
-            labels = tuple(tuple(x) for x in json.loads(fields["labels"]))
-        except (TypeError, ValueError, RecursionError) as exc:
+            labels = json.loads(fields["labels"])
+        except (ValueError, RecursionError) as exc:
             raise GraphFormatError(f"bad labels value: {exc}") from exc
+        if not isinstance(labels, list) or not all(isinstance(x, list) for x in labels):
+            raise GraphFormatError("labels must be a list of lists")
+        labels = tuple(map(tuple, labels))
     if not isinstance(raw_edges, list) or not all(
         isinstance(e, list) and all(_is_index(x) for x in e) for e in raw_edges
     ):

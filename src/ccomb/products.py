@@ -31,8 +31,10 @@ merging them. The operator decompositions and `realize_graph_pair` read the
 two factor adjacencies alone, build no product graph, and accept such a
 factor. The rule also makes the constructions exact when both factors
 have loops at a glued vertex: the product keeps one loop per color there
-and the adjacency diagonal counts both, matching the tensor formulas. A
-product that needs a second root its factor lacks raises TypeError.
+and the adjacency diagonal counts both, matching the tensor formulas.
+Each builder raises ValueError, before it builds anything, for a factor
+without a second root it reads and for a product of more than
+graphs.MAX_VERTICES vertices; the decompositions refuse the same factors.
 
 Every product records its vertex coordinate labels plus the list of
 composite indices embedding it into the ambient tensor space; it is the
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, adjacency_columns, adjacency_matrix, colored
+from .graphs import MAX_VERTICES, Graph, adjacency_columns, adjacency_matrix, colored
 from .independence import AlgebraModel, Realization, build_cmonotone, two_state_pairs
 from .linalg import Matrix, sparse_identity, sparse_sum, subspace_restrict
 
@@ -63,7 +65,9 @@ __all__ = [
     "comb_loop_product",
     "essential_loop_product",
     "c_comb_loop_product",
+    "PRODUCT_KINDS",
     "ADDITIVE_WALK_PRODUCTS",
+    "MULTIPLICATIVE_WALK_PRODUCTS",
     "essential_decomposition",
     "c_comb_decomposition",
     "essential_loop_decomposition",
@@ -160,6 +164,12 @@ def _glue(g1, g2, parts, loops=False) -> ProductGraph:
     return ProductGraph(graph, tuple(labels), tuple(embedding), block)
 
 
+def _refuse_above(vertices: int) -> None:
+    """Refuse a product of more than MAX_VERTICES vertices up front."""
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"{vertices} vertices, more than {MAX_VERTICES}")
+
+
 def _two_leg(g1: Graph, g2: Graph, labels, hosts, e1, e2) -> tuple:
     """The part glued at (e1, e2) on V1 x V2: label (u, y) sits at composite
     index u * n2 + y, so the spine {(u, e2)} is strided by n2 and the copy
@@ -173,6 +183,7 @@ def _two_leg(g1: Graph, g2: Graph, labels, hosts, e1, e2) -> tuple:
 def _comb(g1: Graph, g2: Graph, e1, e2) -> tuple:
     """The comb part at the roots (e1, e2): it fills all of V1 x V2."""
     n1, n2 = g1.vertex_count, g2.vertex_count
+    _refuse_above(n1 * n2)
     labels = [(u, y) for u in range(n1) for y in range(n2)]
     return _two_leg(g1, g2, labels, range(n1), e1, e2)
 
@@ -185,9 +196,10 @@ def _comb_at(g1: Graph, g2: Graph) -> tuple:
     on the root is strided by n2 and every other copy {(u, y, e2)} is
     contiguous."""
     if g2.second_root is None:
-        raise TypeError("the second factor must be birooted")
+        raise ValueError("the second factor must be birooted")
     n1, e1 = g1.vertex_count, g1.root
     n2, e2, f2 = g2.vertex_count, g2.root, g2.second_root
+    _refuse_above(n1 * n2)
     labels = []
     for u in range(n1):
         labels.append((u, f2, e2))
@@ -206,7 +218,8 @@ def _c_comb(g1: Graph, g2: Graph) -> list:
     """The two parts of the c-comb product: the comb-at component (root e)
     and the comb product at the second roots (root f)."""
     if g1.second_root is None:
-        raise TypeError("the first factor must be birooted")
+        raise ValueError("the first factor must be birooted")
+    _refuse_above(2 * g1.vertex_count * g2.vertex_count)
     return [_comb_at(g1, g2), _comb(g1, g2, g1.second_root, g2.second_root)]
 
 
@@ -214,6 +227,7 @@ def star_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Glue (G2, e2) at its root to the root of (G1, e1)."""
     n1, e1 = g1.vertex_count, g1.root
     n2, e2 = g2.vertex_count, g2.root
+    _refuse_above(n1 + n2 - 1)
     labels = [(u, e2) for u in range(n1)]
     labels += [(e1, y) for y in range(n2) if y != e2]
     return _glue(g1, g2, [_two_leg(g1, g2, labels, [e1], e1, e2)])
@@ -229,6 +243,7 @@ def orthogonal_product(g1: Graph, g2: Graph) -> ProductGraph:
     """Copies of (G2, e2) on every vertex of G1 except its root."""
     n1, e1 = g1.vertex_count, g1.root
     n2, e2 = g2.vertex_count, g2.root
+    _refuse_above((n1 - 1) * n2 + 1)
     labels = []
     for u in range(n1):
         labels.extend([(e1, e2)] if u == e1 else [(u, y) for y in range(n2)])
@@ -272,6 +287,17 @@ def c_comb_loop_product(g1: Graph, g2: Graph) -> ProductGraph:
     return _glue(g1, g2, _c_comb(g1, g2), loops=True)
 
 
+# The builders by CLI kind name; plain dicts, so a tracer finds them as values.
+PRODUCT_KINDS = {
+    "star": star_product,
+    "comb": comb_product,
+    "orthogonal": orthogonal_product,
+    "comb-at": comb_at_product,
+    "c-comb": c_comb_product,
+    "comb-loop": comb_loop_product,
+    "c-comb-loop": c_comb_loop_product,
+}
+
 # The product whose root walks count each additive convolution kind, in the
 # order the CLI and `verify` report them.
 ADDITIVE_WALK_PRODUCTS = {
@@ -279,6 +305,13 @@ ADDITIVE_WALK_PRODUCTS = {
     "boolean": star_product,
     "orthogonal": orthogonal_product,
     "c-monotone": comb_at_product,
+}
+
+# The product whose two-step walks count a multiplicative kind: for c-monotone
+# the essential one, whose component alone the moments at e see (no f1 needed).
+MULTIPLICATIVE_WALK_PRODUCTS = {
+    "monotone": comb_loop_product,
+    "c-monotone": essential_loop_product,
 }
 
 
@@ -301,9 +334,9 @@ def _decomposition(g1: Graph, g2: Graph, psi: bool, loops: bool):
     a1, so a loop pair refuses a first factor with color-2 edges: R1 would
     not restrict to the color-1 adjacency of the product."""
     if g2.second_root is None:
-        raise TypeError("the second factor must be birooted")
+        raise ValueError("the second factor must be birooted")
     if psi and g1.second_root is None:
-        raise TypeError("the first factor must be birooted")
+        raise ValueError("the first factor must be birooted")
     f1 = g1.second_root if psi else None
     a1, a2 = adjacency_columns(g1), adjacency_columns(g2)
     if loops:

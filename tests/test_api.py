@@ -138,10 +138,12 @@ def test_decompositions_build_no_product_graph():
     builders = {
         "star_product", "comb_product", "orthogonal_product", "comb_at_product",
         "c_comb_product", "comb_loop_product", "essential_loop_product",
-        "c_comb_loop_product", "ADDITIVE_WALK_PRODUCTS",
+        "c_comb_loop_product", "PRODUCT_KINDS", "ADDITIVE_WALK_PRODUCTS",
+        "MULTIPLICATIVE_WALK_PRODUCTS",
         "_glue", "_two_leg", "_comb", "_comb_at", "_c_comb",
     }
-    assert builders - {"ADDITIVE_WALK_PRODUCTS"} <= set(defs)
+    tables = {"PRODUCT_KINDS", "ADDITIVE_WALK_PRODUCTS", "MULTIPLICATIVE_WALK_PRODUCTS"}
+    assert builders - tables <= set(defs)
     roots = (
         "realize_graph_pair", "essential_decomposition", "c_comb_decomposition",
         "essential_loop_decomposition", "c_comb_loop_decomposition",

@@ -565,6 +565,16 @@ def test_cli_malformed_graph_exits_with_one_line(tmp_path, capsys, line):
         parse_graph(text)
 
 
+@pytest.mark.parametrize(
+    "value", ['"ab"', '["a", "b"]', '{"x": 1, "y": 2}', "[[0], 1]", "7"]
+)
+def test_labels_that_are_not_a_list_of_lists_are_refused(value):
+    # a string or an object once read as a list of its characters or keys
+    text = f"vertices = 2\nroot = 0\nedges = [[0, 1]]\nlabels = {value}\n"
+    with pytest.raises(GraphFormatError, match="^labels must be a list of lists$"):
+        parse_graph(text)
+
+
 def test_uncolored_and_colored_forms_read_equal():
     plain, _ = parse_graph("vertices = 2\nroot = 0\nedges = [[0, 1], [1, 1]]\n")
     tagged, _ = parse_graph("vertices = 2\nroot = 0\nedges = [[0, 1, 1], [1, 1, 1]]\n")
@@ -767,11 +777,11 @@ def test_cli_accepts_each_cap_value(capsys):
     [
         (
             ["product", "comb-at", "g1", "rooted"],
-            "error: product comb-at needs a birooted second factor",
+            "error: cannot build the product: the second factor must be birooted",
         ),
         (
             ["product", "c-comb", "rooted", "g2"],
-            "error: product c-comb needs a birooted first factor",
+            "error: cannot build the product: the first factor must be birooted",
         ),
         (
             ["moments", "rooted", "--at", "f"],

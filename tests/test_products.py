@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from ccomb import products
 from ccomb.fixtures import additive_demo_pair, multiplicative_demo_pair
 from ccomb.graphs import (
     Graph,
@@ -25,6 +27,7 @@ from ccomb.linalg import (
 )
 from ccomb.products import (
     ADDITIVE_WALK_PRODUCTS,
+    PRODUCT_KINDS,
     c_comb_decomposition,
     c_comb_loop_decomposition,
     c_comb_loop_product,
@@ -418,10 +421,37 @@ def test_walks_match_brute_force_on_products():
 
 
 def test_birooted_factor_requirements():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="second factor must be birooted"):
         comb_at_product(EDGE, EDGE)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="second factor must be birooted"):
         c_comb_product(birooted(1, [], 0, 0), EDGE)
+
+
+@pytest.mark.parametrize(
+    "build", [*PRODUCT_KINDS.values(), essential_loop_product], ids=lambda b: b.__name__
+)
+def test_builders_refuse_a_product_over_the_vertex_cap(build, monkeypatch):
+    # each builder counts its own product from the factor sizes: at the cap
+    # it builds, and with the cap one lower it refuses, naming that count
+    g1 = birooted(3, [(0, 1), (1, 2)], 0, 2)
+    g2 = birooted(4, [(0, 1), (1, 2), (2, 3), (3, 3)], 0, 3)
+    vertices = build(g1, g2).vertex_count
+    monkeypatch.setattr(products, "MAX_VERTICES", vertices)
+    assert build(g1, g2).vertex_count == vertices
+    monkeypatch.setattr(products, "MAX_VERTICES", vertices - 1)
+    refusal = f"^{vertices} vertices, more than {vertices - 1}$"
+    with pytest.raises(ValueError, match=refusal):
+        build(g1, g2)
+
+
+def test_an_oversized_comb_product_is_refused_before_it_is_built():
+    # 1,001 * 1,001 = 1,002,001 vertices, refused before any label is made;
+    # building them takes over a second and some 360 MB
+    path = rooted(1001, [(v, v + 1) for v in range(1000)], 0)
+    start = perf_counter()
+    with pytest.raises(ValueError, match="^1002001 vertices, more than 1000000$"):
+        comb_product(path, path)
+    assert perf_counter() - start < 0.1
 
 
 def test_c_comb_kinds_refuse_a_first_factor_without_second_root():
@@ -429,7 +459,7 @@ def test_c_comb_kinds_refuse_a_first_factor_without_second_root():
     # before anything is glued
     pair = birooted(2, [(0, 1)], 0, 1)
     for build in (c_comb_product, c_comb_loop_product):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="first factor must be birooted"):
             build(EDGE, pair)
 
 
@@ -445,10 +475,10 @@ def test_decompositions_refuse_what_their_products_refuse_for_lack_of_roots():
         (c_comb_loop_decomposition, True),
     )
     for decompose, psi in kinds:
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="second factor must be birooted"):
             decompose(pair, EDGE)
         if psi:
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="first factor must be birooted"):
                 decompose(EDGE, pair)
         else:
             assert decompose(EDGE, pair).psi_index is None

@@ -9,7 +9,7 @@ from time import perf_counter
 
 import pytest
 
-from ccomb import cli, io as gio
+from ccomb import cli, products
 from ccomb.cli import MAX_WORD_LETTERS, MAX_WORD_MOMENT_BUILD, PRODUCT_KINDS, main
 from ccomb.graphs import birooted, root_moments, rooted, two_step_moments
 from ccomb.io import save_graph
@@ -147,17 +147,17 @@ def test_product_vertex_limit_follows_the_factor_sizes(
     for wrapped in (False, True):
         if wrapped:
             _wrap_every_product_kind(monkeypatch)
-        monkeypatch.setattr(gio, "MAX_VERTICES", vertices)
+        monkeypatch.setattr(products, "MAX_VERTICES", vertices)
         assert main(argv) == 0, wrapped
         capsys.readouterr()
-        monkeypatch.setattr(gio, "MAX_VERTICES", vertices - 1)
+        monkeypatch.setattr(products, "MAX_VERTICES", vertices - 1)
         assert main(argv) == 2, wrapped
         _one_error_line(capsys, f"{vertices} vertices")
 
 
 def test_a_wrapped_builder_keeps_its_vertex_count(tmp_path, monkeypatch, capsys):
-    # the star product of two 1,001-vertex paths has 2,001 vertices, not the
-    # n1 * n2 = 1,002,001 of the fallback count
+    # a wrapped star builder still counts its own product: two 1,001-vertex
+    # paths give 2,001 vertices, not n1 * n2 = 1,002,001
     _wrap_every_product_kind(monkeypatch)
     path = tmp_path / "path.graph"
     save_graph(path, rooted(1001, [(v, v + 1) for v in range(1000)], 0))
@@ -167,8 +167,8 @@ def test_a_wrapped_builder_keeps_its_vertex_count(tmp_path, monkeypatch, capsys)
 
 
 def test_products_just_over_the_vertex_limit_are_refused_up_front(tmp_path, capsys):
-    # 101 * 9901 = 1,000,001 vertices, one over io.MAX_VERTICES
-    assert 101 * 9901 == gio.MAX_VERTICES + 1
+    # 101 * 9901 = 1,000,001 vertices, one over graphs.MAX_VERTICES
+    assert 101 * 9901 == products.MAX_VERTICES + 1
     paths = [str(tmp_path / "g1.graph"), str(tmp_path / "g2.graph")]
     save_graph(paths[0], rooted(101, [], 0))
     save_graph(paths[1], rooted(9901, [(0, 1)], 0))
@@ -179,7 +179,7 @@ def test_products_just_over_the_vertex_limit_are_refused_up_front(tmp_path, caps
         start = perf_counter()
         assert main(argv) == 2, argv
         assert perf_counter() - start < 2.0, argv
-        _one_error_line(capsys, "1000001 vertices", str(gio.MAX_VERTICES))
+        _one_error_line(capsys, "1000001 vertices", str(products.MAX_VERTICES))
     assert not (tmp_path / "out").exists()
 
 
